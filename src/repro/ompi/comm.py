@@ -573,7 +573,7 @@ class Communicator:
         # measured prototype did on every dup — Fig 4).
         serial = next(self._dup_serial)
         gid = f"dup:{self.identity()}:{serial}"
-        pgcid = yield from runtime.pmix.group_construct(gid, list(self.group.members()))
+        pgcid = yield from runtime.pmix.group_construct(gid, self.group.members())
         return ExcidState.from_pgcid(pgcid)
 
     def split(self, color: int, key: int = 0):
@@ -640,7 +640,7 @@ class Communicator:
             # "not all processes are participating in the communicator
             # creation" -> always a new PGCID (paper §III-B3).
             gid = f"{what}:{self.identity()}"
-            pgcid = yield from runtime.pmix.group_construct(gid, list(group.members()))
+            pgcid = yield from runtime.pmix.group_construct(gid, group.members())
             new = Communicator(
                 runtime,
                 group,
@@ -696,7 +696,7 @@ class Communicator:
             cid = yield from self._subset_consensus_cid(group)
             new = Communicator(runtime, group, cid, name=name, session=self.session)
         else:
-            pgcid = yield from runtime.pmix.group_construct(gid, list(group.members()))
+            pgcid = yield from runtime.pmix.group_construct(gid, group.members())
             new = Communicator(
                 runtime,
                 group,
@@ -785,7 +785,7 @@ class Communicator:
         key = f"ulfm.agree.{self.identity()}.{serial}"
         rt.pmix.put(key, bool(flag))
         yield from rt.pmix.commit()
-        members = sorted(self.group.members())
+        members = self.group.members().canonical()
         try:
             result = yield from rt.pmix.fence_retry(members, collect=True)
         finally:
@@ -821,7 +821,7 @@ class Communicator:
         rt = self.runtime
         sid = self._obs_begin("recovery.comm.shrink")
         serial = next(self._ulfm_serial)
-        members = sorted(self.group.members())
+        members = self.group.members().canonical()
         try:
             result = yield from rt.pmix.fence_retry(members, collect=False)
             survivors = sorted(

@@ -1,20 +1,26 @@
 """MPI_Group: an ordered set of processes.
 
-Members are :class:`~repro.pmix.types.PmixProc` identifiers.  Two
-storage strategies are provided, mirroring Open MPI's sparse-group
-support the paper notes its prototype can reuse: dense tuples, and a
-strided representation ``(nspace, start, count, stride)`` that stores
-regular groups (like ``mpi://world`` or every-other-rank subgroups) in
-O(1) space.  All operations produce whichever representation fits.
+Members are :class:`~repro.pmix.types.PmixProc` identifiers held in one
+:class:`~repro.pmix.types.ProcSet`.  A group made from a process set
+(``mpi://world``, a runtime-defined pset) holds the very value the
+runtime minted for that set — one membership per world, shared by every
+rank's group, communicator and PMIx collective, so a group costs its
+rank O(1) space whatever its size.  Mirroring Open MPI's sparse-group
+support the paper notes its prototype can reuse, a regular membership
+(``(nspace, start, count, stride)``: ``mpi://world``, every-other-rank
+subgroups) answers rank lookups arithmetically; an irregular one builds
+a position index on first lookup.  Set operations and subsetting wrap
+their result list in a fresh ``ProcSet``: nothing derived from the
+parent's membership carries over.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.ompi.constants import UNDEFINED
 from repro.ompi.errors import MPIErrArg, MPIErrGroup, MPIErrRank
-from repro.pmix.types import PmixProc
+from repro.pmix.types import PmixProc, ProcSet
 
 # Comparison results (MPI_Group_compare)
 IDENT = 0
@@ -22,70 +28,16 @@ SIMILAR = 1
 UNEQUAL = 2
 
 
-class _Strided:
-    """Strided member storage: ranks start, start+stride, ... (count of them)."""
-
-    __slots__ = ("nspace", "start", "count", "stride")
-
-    def __init__(self, nspace: str, start: int, count: int, stride: int) -> None:
-        self.nspace = nspace
-        self.start = start
-        self.count = count
-        self.stride = stride
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __getitem__(self, i: int) -> PmixProc:
-        if not 0 <= i < self.count:
-            raise IndexError(i)
-        return PmixProc(self.nspace, self.start + i * self.stride)
-
-    def __iter__(self):
-        for i in range(self.count):
-            yield self[i]
-
-    def index(self, proc: PmixProc) -> int:
-        if proc.nspace != self.nspace:
-            raise ValueError(proc)
-        offset = proc.rank - self.start
-        if offset < 0 or offset % self.stride != 0:
-            raise ValueError(proc)
-        i = offset // self.stride
-        if i >= self.count:
-            raise ValueError(proc)
-        return i
-
-
-def _try_strided(members: Sequence[PmixProc]) -> Optional[_Strided]:
-    """Detect a regular pattern worth compressing (>= 4 members)."""
-    if len(members) < 4:
-        return None
-    nspace = members[0].nspace
-    if any(m.nspace != nspace for m in members):
-        return None
-    stride = members[1].rank - members[0].rank
-    if stride <= 0:
-        return None
-    for i in range(1, len(members)):
-        if members[i].rank - members[i - 1].rank != stride:
-            return None
-    return _Strided(nspace, members[0].rank, len(members), stride)
-
-
 class Group:
     """An immutable, ordered collection of distinct processes."""
 
-    __slots__ = ("_members", "_dense", "freed", "session")
+    __slots__ = ("_members", "freed", "session")
 
     def __init__(self, members: Iterable[PmixProc]) -> None:
-        members = tuple(members)
-        if len(set(members)) != len(members):
+        members = ProcSet(members)
+        if not members.distinct:
             raise MPIErrGroup("group members must be distinct")
-        strided = _try_strided(members)
-        self._members: Union[Tuple[PmixProc, ...], _Strided] = strided or members
-        # Dense member cache (the strided form materializes on demand).
-        self._dense: Optional[Tuple[PmixProc, ...]] = members
+        self._members = members
         self.freed = False
         # Session affiliation (set by MPI_Group_from_session_pset).
         self.session = None
@@ -93,8 +45,8 @@ class Group:
     # -- introspection ------------------------------------------------------
     @property
     def is_strided(self) -> bool:
-        """True when this group uses the compressed representation."""
-        return isinstance(self._members, _Strided)
+        """True when this group's membership is a regular rank pattern."""
+        return self._members.stride is not None
 
     def _check(self) -> None:
         if self.freed:
@@ -105,11 +57,10 @@ class Group:
         self._check()
         return len(self._members)
 
-    def members(self) -> Tuple[PmixProc, ...]:
+    def members(self) -> ProcSet:
+        """The membership itself (a tuple of procs) — shared, not a copy."""
         self._check()
-        if self._dense is None:
-            self._dense = tuple(self._members)
-        return self._dense
+        return self._members
 
     def proc(self, rank: int) -> PmixProc:
         self._check()
@@ -120,10 +71,8 @@ class Group:
     def rank_of(self, proc: PmixProc) -> int:
         """Rank of ``proc`` in this group, or UNDEFINED if absent."""
         self._check()
-        try:
-            return self._members.index(proc)
-        except ValueError:
-            return UNDEFINED
+        rank = self._members.find(proc)
+        return rank if rank >= 0 else UNDEFINED
 
     def __contains__(self, proc: PmixProc) -> bool:
         return self.rank_of(proc) != UNDEFINED

@@ -371,7 +371,7 @@ class MpiRuntime:
                        "ompi.comm.create_from_group", stringtag=stringtag,
                        nprocs=group.size)
         try:
-            pgcid = yield from self.pmix.group_construct(gid, list(group.members()))
+            pgcid = yield from self.pmix.group_construct(gid, group.members())
         except PmixError as err:
             tr.end(self.engine.now, sid)
             if err.status in (PMIX_ERR_PROC_ABORTED, PMIX_ERR_TIMEOUT):

@@ -17,7 +17,6 @@ the PMIx/PRRTE registry (:meth:`get_num_psets` queries
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional
 
 from repro.ompi.attributes import AttributeCache
 from repro.ompi.errors import (
@@ -27,7 +26,7 @@ from repro.ompi.errors import (
     MPIErrSession,
 )
 from repro.ompi.group import Group
-from repro.pmix.types import PMIX_QUERY_PSET_NAMES, PmixError
+from repro.pmix.types import PMIX_QUERY_PSET_NAMES, PmixError, ProcSet
 
 BUILTIN_PSETS = ("mpi://world", "mpi://self", "mpi://shared")
 
@@ -134,23 +133,28 @@ class Session:
         return list(BUILTIN_PSETS) + names
 
     def _pset_members(self, name: str):
+        """Sub-generator: the :class:`ProcSet` a pset name stands for —
+        the world's or the registry's own value (shared by every rank
+        that resolves the name) unless failed processes are filtered
+        out of it, which mints a new one."""
         job = self.runtime.job
         if name == "mpi://world":
-            members = list(job.all_procs)
+            members = job.all_procs
         elif name == "mpi://self":
-            members = [self.runtime.proc]
+            members = ProcSet([self.runtime.proc])
         elif name == "mpi://shared":
             local = job.topology.ranks_on_node(self.runtime.node)
-            members = [job.proc(r) for r in local]
+            members = ProcSet(job.proc(r) for r in local)
         else:
             try:
                 members = yield from self.runtime.pmix.pset_membership(name)
             except PmixError:
                 raise MPIErrArg(f"unknown process set {name!r}") from None
-            members = list(members)
         if self._failed_excluded:
             failed = getattr(self.runtime, "failed_procs", set())
-            members = [p for p in members if p not in failed]
+            live = [p for p in members if p not in failed]
+            if len(live) != len(members):
+                members = ProcSet(live)
         return members
 
     def group_from_pset(self, name: str):

@@ -9,7 +9,7 @@ client.fence(...)`` inside a simulated process.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional
 
 from repro.pmix.server import PmixServer
 from repro.pmix.types import (
@@ -23,6 +23,7 @@ from repro.pmix.types import (
     PMIX_TIMEOUT,
     PmixError,
     PmixProc,
+    ProcSet,
     info_dict,
 )
 from repro.simtime.process import Sleep, SimTimeout, Wait
@@ -97,59 +98,37 @@ class PmixClient:
         return value
 
     # -- collectives ---------------------------------------------------------------
-    @staticmethod
-    def _member_key(participants) -> Hashable:
-        """Cheap membership fingerprint for collective signatures.
-
-        Avoids hashing the full (possibly huge) participant tuple on
-        every operation.  Two *concurrent* collectives collide only if
-        they share kind, extra id, count, endpoints, and rank sum — and
-        MPI/PMIx ordering rules already forbid the overlapping cases.
-        """
-        n = len(participants)
-        ranksum = 0
-        for p in participants:
-            ranksum += p.rank
-        return (n, participants[0], participants[-1], ranksum)
-
-    @staticmethod
-    def _ordered(procs) -> Tuple[PmixProc, ...]:
-        """Participants in canonical order (fast path: already sorted)."""
-        procs = tuple(procs)
-        for i in range(len(procs) - 1):
-            if procs[i + 1] < procs[i]:
-                return tuple(sorted(procs))
-        return procs
-
     def _next_sig(self, kind: str, member_key: Hashable, extra: Hashable = None) -> Hashable:
         key = (kind, member_key, extra)
         counter = self._coll_counters.setdefault(key, itertools.count())
         return (kind, member_key, extra, next(counter))
 
-    def fence(self, procs: Optional[List[PmixProc]] = None, collect: bool = True):
+    def fence(self, procs: Optional[Iterable[PmixProc]] = None, collect: bool = True):
         """PMIx_Fence over ``procs`` (default: the whole namespace).
 
-        The whole-namespace form never materializes the participant
-        list — servers resolve membership from the job map.
+        ``procs`` is handed on as one :class:`ProcSet` — itself when it
+        already is one, so N ranks fencing over a shared membership pay
+        for its order and fingerprint once.  The whole-namespace form
+        sends none — servers use the job's own proc set.
         """
         if procs:
-            participants = self._ordered(procs)
-            member_key: Hashable = self._member_key(participants)
-            send_participants: Optional[list] = list(participants)
+            participants: Optional[ProcSet] = ProcSet(procs).canonical()
+            member_key: Hashable = participants.member_key
         else:
+            participants = None
             member_key = ("ns-all", self.proc.nspace)
-            send_participants = None
         sig = self._next_sig("fence", member_key, collect)
         blob = self.server.datastore.rank_blob(self.proc)
         tr = self.engine.tracer
         sid = tr.begin(self.engine.now, self.obs_track, "pmix.client.fence",
-                       nprocs=len(procs) if procs else -1, collect=collect)
+                       nprocs=len(participants) if participants else -1,
+                       collect=collect)
         t_req = self.engine.now
         yield Sleep(self.machine.local_rpc_cost)
         if tr.enabled:
             tr.flow("pmix.rpc.fence", self.obs_track, t_req,
                     track_for_daemon(self.server.node), self.engine.now)
-        ev = self.server.fence_arrive(sig, self.proc, send_participants, blob, collect)
+        ev = self.server.fence_arrive(sig, self.proc, participants, blob, collect)
         try:
             result = yield Wait(ev)
         finally:
@@ -158,7 +137,7 @@ class PmixClient:
 
     def fence_retry(
         self,
-        procs: Optional[List[PmixProc]] = None,
+        procs: Optional[Iterable[PmixProc]] = None,
         collect: bool = True,
         max_attempts: int = 4,
     ):
@@ -174,10 +153,9 @@ class PmixClient:
         survivors prune the same procs.
         """
         if procs:
-            members = list(self._ordered(procs))
+            members = ProcSet(procs).canonical()
         else:
-            rank_map = self.server.job_maps[self.proc.nspace]
-            members = [PmixProc(self.proc.nspace, r) for r in sorted(rank_map)]
+            members = self.server.job_procs[self.proc.nspace]
         tr = self.engine.tracer
         last: Optional[PmixError] = None
         for attempt in range(max_attempts):
@@ -188,7 +166,7 @@ class PmixClient:
                 if err.status == PMIX_ERR_PROC_ABORTED:
                     dead = set(err.failed_procs)
                     if dead:
-                        members = [p for p in members if p not in dead]
+                        members = ProcSet(p for p in members if p not in dead)
                         if self.proc not in members:
                             raise
                 elif err.status != PMIX_ERR_TIMEOUT:
@@ -206,7 +184,7 @@ class PmixClient:
     def group_construct(
         self,
         gid: str,
-        procs: List[PmixProc],
+        procs: Iterable[PmixProc],
         directives: Optional[Dict[str, Any]] = None,
     ):
         """PMIx_Group_construct (collective form, paper Fig 2).
@@ -216,10 +194,10 @@ class PmixClient:
         ``PmixError(PMIX_ERR_TIMEOUT)``.
         """
         directives = info_dict(directives)
-        participants = self._ordered(procs)
+        participants = ProcSet(procs).canonical()
         if self.proc not in participants:
             raise PmixError(PMIX_ERR_NOT_FOUND, f"{self.proc} not in group {gid!r}")
-        sig = self._next_sig("grp", self._member_key(participants), gid)
+        sig = self._next_sig("grp", participants.member_key, gid)
         tr = self.engine.tracer
         sid = tr.begin(self.engine.now, self.obs_track, "pmix.client.group_construct",
                        gid=gid, nprocs=len(participants))
@@ -228,7 +206,7 @@ class PmixClient:
         if tr.enabled:
             tr.flow("pmix.rpc.group", self.obs_track, t_req,
                     track_for_daemon(self.server.node), self.engine.now)
-        ev = self.server.group_construct_arrive(sig, gid, self.proc, list(participants), directives)
+        ev = self.server.group_construct_arrive(sig, gid, self.proc, participants, directives)
         timeout = directives.get(PMIX_TIMEOUT)
         try:
             result = yield Wait(ev, timeout=timeout)
@@ -241,15 +219,15 @@ class PmixClient:
         self._group_pgcids[gid] = result.context_id
         return result.context_id
 
-    def group_destruct(self, gid: str, procs: List[PmixProc], timeout: Optional[float] = None):
+    def group_destruct(self, gid: str, procs: Iterable[PmixProc], timeout: Optional[float] = None):
         """PMIx_Group_destruct (collective)."""
-        participants = self._ordered(procs)
-        sig = self._next_sig("grpdel", self._member_key(participants), gid)
+        participants = ProcSet(procs).canonical()
+        sig = self._next_sig("grpdel", participants.member_key, gid)
         tr = self.engine.tracer
         sid = tr.begin(self.engine.now, self.obs_track, "pmix.client.group_destruct",
                        gid=gid, nprocs=len(participants))
         yield Sleep(self.machine.local_rpc_cost)
-        ev = self.server.group_destruct_arrive(sig, gid, self.proc, list(participants))
+        ev = self.server.group_destruct_arrive(sig, gid, self.proc, participants)
         try:
             yield Wait(ev, timeout=timeout)
         except SimTimeout:

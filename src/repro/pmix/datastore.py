@@ -10,16 +10,25 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.pmix.types import PMIX_RANK_WILDCARD, PmixProc
+from repro.pmix.wire import wire_size
 
 
 class Datastore:
-    """Nested mapping nspace -> rank -> key -> value."""
+    """Nested mapping nspace -> rank -> key -> value.
+
+    One rank's ``key -> value`` dict is a value: a writer replaces it
+    with a new dict and never updates it in place.  That is what lets a
+    collected fence leave every server of the world holding the *same*
+    blob object per peer (:meth:`merge_blobs`) instead of ranks x
+    servers copies of it.
+    """
 
     def __init__(self) -> None:
         self._data: Dict[str, Dict[int, Dict[str, Any]]] = {}
 
     def put(self, proc: PmixProc, key: str, value: Any) -> None:
-        self._data.setdefault(proc.nspace, {}).setdefault(proc.rank, {})[key] = value
+        by_rank = self._data.setdefault(proc.nspace, {})
+        by_rank[proc.rank] = {**by_rank.get(proc.rank, {}), key: value}
 
     def put_job(self, nspace: str, key: str, value: Any) -> None:
         """Store job-level data (visible via the wildcard rank)."""
@@ -49,7 +58,25 @@ class Datastore:
     def merge_blob(self, proc: PmixProc, blob: Dict[str, Any]) -> None:
         if not blob:
             return
-        self._data.setdefault(proc.nspace, {}).setdefault(proc.rank, {}).update(blob)
+        by_rank = self._data.setdefault(proc.nspace, {})
+        by_rank[proc.rank] = {**by_rank.get(proc.rank, {}), **blob}
+
+    def merge_blobs(self, blobs: Dict[PmixProc, Any]) -> None:
+        """Merge one fence's collected result in a single pass: every
+        entry whose value is a non-empty blob (aborted markers are not
+        blobs), with the namespace level resolved once per run of
+        same-namespace peers instead of once per peer.  A peer this
+        store knows nothing about yet is recorded as the blob object
+        itself — the callers hand it over, as fence results do."""
+        nspace = by_rank = None
+        for proc, blob in blobs.items():
+            if not blob or not isinstance(blob, dict):
+                continue
+            if proc.nspace != nspace:
+                nspace = proc.nspace
+                by_rank = self._data.setdefault(nspace, {})
+            rank = proc.rank
+            by_rank[rank] = {**by_rank[rank], **blob} if rank in by_rank else blob
 
     def namespaces(self) -> Iterable[str]:
         return self._data.keys()
@@ -64,16 +91,6 @@ class Datastore:
         for ns in spaces:
             for rank_data in self._data.get(ns, {}).values():
                 for key, value in rank_data.items():
-                    total += len(key) + _value_size(value)
+                    total += len(key) + wire_size(value)
         return total
 
-
-def _value_size(value: Any) -> int:
-    """Approximate wire size of a stored value in bytes."""
-    if isinstance(value, (bytes, bytearray, str)):
-        return len(value)
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return 8 + sum(_value_size(v) for v in value)
-    if isinstance(value, dict):
-        return 8 + sum(len(str(k)) + _value_size(v) for k, v in value.items())
-    return 8

@@ -25,7 +25,9 @@ from repro.pmix.types import (
     PMIX_ERR_TIMEOUT,
     PmixError,
     PmixProc,
+    ProcSet,
 )
+from repro.pmix.wire import SizedDict
 from repro.simtime.primitives import SimEvent
 from repro.simtime.trace import track_for_daemon, track_for_proc
 
@@ -45,14 +47,13 @@ class _LocalCollective:
     """Stage-one state: local participants rendezvousing at this server."""
 
     sig: Hashable
-    local_participants: List[PmixProc] = field(default_factory=list)
+    local_participants: Tuple[PmixProc, ...] = ()
     arrived: Dict[PmixProc, Dict] = field(default_factory=dict)
     events: Dict[PmixProc, SimEvent] = field(default_factory=dict)
     launched: bool = False
     # Launch parameters (kept so death notifications can trigger the
     # launch later, without the original arriving call's arguments).
-    participants: Optional[List[PmixProc]] = None   # None = whole namespace
-    nspace: str = ""
+    participants: ProcSet = ProcSet()               # shared, never copied
     need_context_id: bool = False
     on_complete: Optional[Callable[[Any], None]] = None
     kind: str = "fence"
@@ -88,7 +89,11 @@ class PmixServer(AsyncGroupServerMixin):
         self.machine = daemon.machine
         self.psets = psets
         self.datastore = Datastore()
-        self.job_maps: Dict[str, Dict[int, int]] = {}   # nspace -> rank -> node
+        # nspace -> rank -> node, and nspace -> every proc of the job.
+        # Both are minted once by the launcher and shared by every
+        # server of the world (read-only here).
+        self.job_maps: Dict[str, Dict[int, int]] = {}
+        self.job_procs: Dict[str, ProcSet] = {}
         self.local_clients: Dict[PmixProc, Any] = {}
         self.dead_procs: set = set()   # procs this server knows have died
         self.groups: Dict[str, GroupRecord] = {}
@@ -108,23 +113,19 @@ class PmixServer(AsyncGroupServerMixin):
         self._init_async_groups()
 
     # -- registration -------------------------------------------------------
-    def register_namespace(self, nspace: str, rank_to_node: Dict[int, int], job_info: Dict[str, Any]) -> None:
-        """Install the job map and job-level info (done at launch on every node)."""
-        self.job_maps[nspace] = dict(rank_to_node)
-        by_node: Dict[int, List[int]] = {}
-        for rank, node in rank_to_node.items():
-            by_node.setdefault(node, []).append(rank)
-        self._node_ranks = getattr(self, "_node_ranks", {})
-        self._node_ranks[nspace] = {n: sorted(rs) for n, rs in by_node.items()}
+    def register_namespace(
+        self,
+        nspace: str,
+        procs: ProcSet,
+        rank_to_node: Dict[int, int],
+        job_info: Dict[str, Any],
+    ) -> None:
+        """Install the job's procs, job map and job-level info (done at
+        launch on every node, with the same ``procs`` and map objects)."""
+        self.job_procs[nspace] = procs
+        self.job_maps[nspace] = rank_to_node
         for key, value in job_info.items():
             self.datastore.put_job(nspace, key, value)
-
-    def local_ranks(self, nspace: str) -> List[int]:
-        """Ranks of ``nspace`` hosted on this node."""
-        return self._node_ranks.get(nspace, {}).get(self.node, [])
-
-    def job_nodes(self, nspace: str) -> List[int]:
-        return sorted(self._node_ranks.get(nspace, {}))
 
     def register_client(self, client: Any) -> None:
         self.local_clients[client.proc] = client
@@ -143,12 +144,7 @@ class PmixServer(AsyncGroupServerMixin):
         """Does ``node`` host at least one participant of ``state`` this
         server does not know to be dead?  (Recovery-mode collectives wait
         only on nodes that can still contribute.)"""
-        if state.participants is None:
-            rank_map = self.job_maps.get(state.nspace, {})
-            local = [PmixProc(state.nspace, r)
-                     for r, home in rank_map.items() if home == node]
-        else:
-            local = [p for p in state.participants if self.node_of(p) == node]
+        local = state.participants.by_node(self.node_of)[node]
         return any(p not in self.dead_procs for p in local)
 
     # -- stage-one collective rendezvous ---------------------------------------
@@ -169,7 +165,7 @@ class PmixServer(AsyncGroupServerMixin):
         self,
         sig: Hashable,
         proc: PmixProc,
-        participants: Optional[List[PmixProc]],
+        participants: Optional[ProcSet],
         blob: Dict,
         need_context_id: bool = False,
         on_complete: Optional[Callable[[Any], None]] = None,
@@ -189,18 +185,13 @@ class PmixServer(AsyncGroupServerMixin):
         state = self._collectives.get(sig)
         if state is None:
             if participants is None:
-                # Whole-namespace collective: resolve locals from the job
-                # map without materializing the full participant list.
-                local = [
-                    PmixProc(proc.nspace, r) for r in self.local_ranks(proc.nspace)
-                ]
-            else:
-                local = [p for p in participants if self.node_of(p) == self.node]
+                # Whole-namespace collective: the job's own proc set.
+                participants = self.job_procs[proc.nspace]
+            local = participants.by_node(self.node_of).get(self.node, ())
             state = _LocalCollective(
                 sig=sig,
                 local_participants=local,
-                participants=list(participants) if participants is not None else None,
-                nspace=proc.nspace,
+                participants=participants,
                 need_context_id=need_context_id,
                 on_complete=on_complete,
                 kind=kind,
@@ -243,13 +234,12 @@ class PmixServer(AsyncGroupServerMixin):
         if m is not None and m.enabled:
             m.observe(f"pmix.{state.kind}.fanin", len(state.arrived), node=self.node)
             m.inc(f"pmix.{state.kind}.collectives", node=self.node)
-        contribution: Dict = dict(state.arrived)
+        entries: Dict = dict(state.arrived)
         for p in state.aborted:
-            contribution[p] = ABORTED_MARKER
-        if state.participants is None:
-            nodes = self.job_nodes(state.nspace)
-        else:
-            nodes = sorted({self.node_of(p) for p in state.participants})
+            entries[p] = ABORTED_MARKER
+        # Sized here, once; grpcomm adds sizes up from now on.
+        contribution = SizedDict(entries)
+        nodes = list(state.participants.by_node(self.node_of))
         # Nodes known dead cannot contribute; surviving daemons that have
         # heard the daemon_down announcement agree on the reduced set.
         nodes = [n for n in nodes if n == self.node or not self.daemon.is_node_down(n)]
@@ -288,7 +278,8 @@ class PmixServer(AsyncGroupServerMixin):
         self._collectives.pop(state.sig, None)
         self._cancel_fault_timer(state)
         failed = []
-        if getattr(result, "status", 0) == 0:
+        if (getattr(result, "status", 0) == 0
+                and ABORTED_MARKER in result.data.values()):
             failed = sorted(
                 p for p, v in result.data.items() if v == ABORTED_MARKER
             )
@@ -427,10 +418,8 @@ class PmixServer(AsyncGroupServerMixin):
         :meth:`repro.prrte.grpcomm.GrpcommModule.node_down`.
         """
         victims = []
-        for nspace, rank_map in self.job_maps.items():
-            for rank, home in rank_map.items():
-                if home == down:
-                    victims.append(PmixProc(nspace, rank))
+        for procs in self.job_procs.values():
+            victims.extend(procs.by_node(self.node_of).get(down, ()))
         for proc in sorted(victims):
             already = proc in self.dead_procs
             self._mark_proc_dead(proc)
@@ -446,16 +435,13 @@ class PmixServer(AsyncGroupServerMixin):
         self,
         sig: Hashable,
         proc: PmixProc,
-        participants: Optional[List[PmixProc]],
+        participants: Optional[ProcSet],
         blob: Dict,
         collect: bool,
     ) -> SimEvent:
         def merge(result) -> None:
             if collect:
-                for peer, peer_blob in result.data.items():
-                    if peer_blob == ABORTED_MARKER:
-                        continue  # dead participant's stand-in, not a blob
-                    self.datastore.merge_blob(peer, peer_blob)
+                self.datastore.merge_blobs(result.data)
 
         share = blob if collect else {}
         return self.collective_arrive(
@@ -468,12 +454,17 @@ class PmixServer(AsyncGroupServerMixin):
         sig: Hashable,
         gid: str,
         proc: PmixProc,
-        participants: List[PmixProc],
+        participants: ProcSet,
         directives: Dict[str, Any],
     ) -> SimEvent:
         def record(result) -> None:
+            # The members are whoever contributed, sorted: the canonical
+            # participants themselves unless some came back absent.
+            members = participants.canonical()
+            if len(result.data) != len(members):
+                members = ProcSet(sorted(result.data))
             self.groups[gid] = GroupRecord(
-                gid=gid, members=tuple(sorted(result.data)), pgcid=result.context_id
+                gid=gid, members=members, pgcid=result.context_id
             )
 
         return self.collective_arrive(
@@ -487,7 +478,7 @@ class PmixServer(AsyncGroupServerMixin):
         )
 
     def group_destruct_arrive(
-        self, sig: Hashable, gid: str, proc: PmixProc, participants: List[PmixProc]
+        self, sig: Hashable, gid: str, proc: PmixProc, participants: ProcSet
     ) -> SimEvent:
         def drop(result) -> None:
             self.groups.pop(gid, None)
@@ -593,5 +584,5 @@ class PmixServer(AsyncGroupServerMixin):
     def query_psets(self) -> Tuple[int, List[str]]:
         return self.psets.count(), self.psets.names()
 
-    def query_pset_membership(self, name: str) -> Optional[Tuple[PmixProc, ...]]:
+    def query_pset_membership(self, name: str) -> Optional[ProcSet]:
         return self.psets.members(name)

@@ -1,0 +1,67 @@
+"""Wire sizing: how many bytes a runtime payload occupies on the wire.
+
+Simulated time depends on these numbers (an RML hop costs ``nbytes /
+bandwidth``), so there is exactly one definition — :func:`wire_size` —
+shared by :meth:`repro.prrte.rml.RmlMessage.wire_size`,
+:meth:`repro.pmix.datastore.Datastore.size_estimate` and
+:class:`SizedDict`, the payload that is sized where it is built instead
+of re-walked by every message that carries it.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Iterable
+
+
+def wire_size(value: Any) -> int:
+    """Approximate wire size of ``value`` in bytes."""
+    if value.__class__ is SizedDict:
+        return value.nbytes
+    if isinstance(value, (bytes, bytearray, str)):
+        return len(value)
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return 8 + sum(wire_size(v) for v in value)
+    if isinstance(value, dict):
+        return _entries_size(value)
+    return 8
+
+
+def _entries_size(entries: dict) -> int:
+    return 8 + sum(len(str(k)) + wire_size(v) for k, v in entries.items())
+
+
+class SizedDict(dict):
+    """A payload dict that knows its :func:`wire_size`.
+
+    ``nbytes`` is computed once, by the constructor; :meth:`union` adds
+    up the sizes of its parts instead of walking them again.  Frozen by
+    convention once built (a payload never changes after it is sent):
+    build a new one rather than assigning into it.
+    """
+
+    __slots__ = ("nbytes",)
+
+    def __init__(self, *args, **kwargs) -> None:
+        dict.__init__(self, *args, **kwargs)
+        self.nbytes = _entries_size(self)
+
+    @classmethod
+    def of(cls, payload: dict) -> "SizedDict":
+        """``payload`` itself if already sized, else a sized copy."""
+        return payload if payload.__class__ is cls else cls(payload)
+
+    @classmethod
+    def union(cls, parts: Iterable[dict]) -> "SizedDict":
+        """The parts merged left to right (later parts win, as
+        ``dict.update``).  Parts with disjoint keys — every fault-free
+        exchange — cost one addition each; an overridden key (an aborted
+        marker standing in for a blob) falls back to a recount."""
+        out = cls.__new__(cls)
+        nbytes, entries = 8, 0
+        for part in parts:
+            part = cls.of(part)
+            dict.update(out, part)
+            nbytes += part.nbytes - 8
+            entries += len(part)
+        out.nbytes = nbytes if len(out) == entries else _entries_size(out)
+        return out

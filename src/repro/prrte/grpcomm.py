@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, List, Optional
 
+from repro.pmix.wire import SizedDict
 from repro.simtime.primitives import SimEvent
 from repro.simtime.trace import track_for_daemon
 
@@ -117,7 +118,9 @@ class GrpcommModule:
             raise RuntimeError(f"duplicate contribution for signature {sig!r}")
         inst.participants = participants
         inst.need_context_id = need_context_id
-        inst.contribution = dict(contribution)
+        # Sized once, where it was built (the PMIx server hands one in);
+        # every payload that carries it from here on adds sizes up.
+        inst.contribution = SizedDict.of(contribution)
         inst.obs_span = self.daemon.engine.tracer.begin(
             self.daemon.engine.now, track_for_daemon(self.daemon.node),
             "prrte.grpcomm.allgather", mode=self.mode,
@@ -251,9 +254,9 @@ class GrpcommModule:
         children = self._children(inst)
         if any(ch not in inst.child_payloads for ch in children):
             return
-        combined: Dict = dict(inst.contribution)
-        for ch in children:
-            combined.update(inst.child_payloads[ch])
+        combined = SizedDict.union(
+            [inst.contribution] + [inst.child_payloads[ch] for ch in children]
+        )
         inst.up_sent = True
         parent = self._parent(inst)
         if parent is None:
@@ -322,9 +325,9 @@ class GrpcommModule:
         others = [n for n in inst.participants if n != self.daemon.node]
         if any(n not in inst.flat_received for n in others):
             return
-        combined: Dict = dict(inst.contribution or {})
-        for data in inst.flat_received.values():
-            combined.update(data)
+        combined = SizedDict.union(
+            [inst.contribution or {}] + list(inst.flat_received.values())
+        )
         if inst.need_context_id:
             # Flat mode still needs one authoritative PGCID: the lowest
             # participant asks the HNP and redistributes.
@@ -361,7 +364,7 @@ class GrpcommModule:
 
     # -- shared ---------------------------------------------------------------
     def _single_node_complete(self, inst: _Instance) -> None:
-        combined = dict(inst.contribution or {})
+        combined = SizedDict.of(inst.contribution or {})
         inst.child_payloads["__combined__"] = combined
         if inst.need_context_id:
             self._root_complete(inst, combined)
@@ -442,12 +445,14 @@ class GrpcommModule:
         if server is not None and inst.contribution is not None:
             nspaces = {p.nspace for p in inst.contribution
                        if hasattr(p, "nspace")}
+            markers = {}
             for nspace, rank_map in sorted(server.job_maps.items()):
                 if nspaces and nspace not in nspaces:
                     continue
                 for rank in sorted(rank_map):
                     if rank_map[rank] == down:
-                        inst.contribution[PmixProc(nspace, rank)] = ABORTED_MARKER
+                        markers[PmixProc(nspace, rank)] = ABORTED_MARKER
+            inst.contribution = SizedDict.union([inst.contribution, markers])
         pending, inst.pending_restart = inst.pending_restart, []
         for payload in pending:
             gate = self._parts_gate(inst, payload)

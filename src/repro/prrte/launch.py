@@ -13,7 +13,13 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.machine.topology import Topology
 from repro.pmix.client import PmixClient
-from repro.pmix.types import PMIX_JOB_SIZE, PMIX_LOCAL_PEERS, PMIX_UNIV_SIZE, PmixProc
+from repro.pmix.types import (
+    PMIX_JOB_SIZE,
+    PMIX_LOCAL_PEERS,
+    PMIX_UNIV_SIZE,
+    PmixProc,
+    ProcSet,
+)
 from repro.prrte.dvm import DVM
 from repro.prrte.psets import PsetRegistry
 
@@ -33,24 +39,18 @@ class Job:
     nspace: str
     topology: Topology
     clients: List[PmixClient]
-
-    def __post_init__(self) -> None:
-        # One shared identifier object per rank: process ids are hashed
-        # on every message and collective, so they are interned per job.
-        self._procs = tuple(
-            PmixProc(self.nspace, r) for r in range(self.topology.num_ranks)
-        )
+    # One shared identifier object per rank (process ids are hashed on
+    # every message and collective, so they are interned per job), in
+    # one shared ProcSet: the value ``mpi://world`` groups, whole-job
+    # fences and every PMIx server of the world hold, never a copy.
+    all_procs: ProcSet
 
     @property
     def num_ranks(self) -> int:
         return self.topology.num_ranks
 
-    @property
-    def all_procs(self) -> tuple:
-        return self._procs
-
     def proc(self, rank: int) -> PmixProc:
-        return self._procs[rank]
+        return self.all_procs[rank]
 
     def client(self, rank: int) -> PmixClient:
         return self.clients[rank]
@@ -71,6 +71,7 @@ class Launcher:
                 f"{self.dvm.machine.num_nodes}"
             )
         nspace = spec.nspace or self.dvm.next_job_name()
+        procs = ProcSet(PmixProc(nspace, r) for r in range(topo.num_ranks))
         rank_to_node = {r: topo.node_of(r) for r in range(topo.num_ranks)}
         job_info = {
             PMIX_JOB_SIZE: topo.num_ranks,
@@ -83,14 +84,15 @@ class Launcher:
             local_ranks = topo.ranks_on_node(node)
             info = dict(job_info)
             info[PMIX_LOCAL_PEERS] = local_ranks
-            server.register_namespace(nspace, rank_to_node, info)
+            server.register_namespace(nspace, procs, rank_to_node, info)
         # Servers on nodes not used by this job still need the map for
         # event forwarding and dmodex routing.
         for node in range(topo.num_nodes, self.dvm.machine.num_nodes):
-            self.dvm.server_for(node).register_namespace(nspace, rank_to_node, job_info)
+            self.dvm.server_for(node).register_namespace(
+                nspace, procs, rank_to_node, job_info)
         for rank in range(topo.num_ranks):
             server = self.dvm.server_for(topo.node_of(rank))
-            clients.append(PmixClient(PmixProc(nspace, rank), server))
+            clients.append(PmixClient(procs[rank], server))
         for name, ranks in spec.psets.items():
             self.psets.define(name, [PmixProc(nspace, r) for r in ranks])
         tr = self.dvm.engine.tracer
@@ -100,4 +102,4 @@ class Launcher:
             tr.event(self.dvm.engine.now, track_for_daemon(self.dvm.hnp_node),
                      "prrte.dvm.launch", nspace=nspace,
                      ranks=topo.num_ranks, nodes=topo.num_nodes)
-        return Job(nspace=nspace, topology=topo, clients=clients)
+        return Job(nspace=nspace, topology=topo, clients=clients, all_procs=procs)

@@ -8,16 +8,21 @@ site configured at launch time.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
-from repro.pmix.types import PmixProc
+from repro.pmix.types import PmixProc, ProcSet
 
 
 class PsetRegistry:
-    """Name -> ordered tuple of :class:`PmixProc` members."""
+    """Name -> ordered :class:`ProcSet` of members.
+
+    One value per definition, handed to every process that resolves the
+    name; an eviction mints a new one, so facts derived from the old
+    membership (order, stride, size) are never carried over.
+    """
 
     def __init__(self) -> None:
-        self._sets: Dict[str, Tuple[PmixProc, ...]] = {}
+        self._sets: Dict[str, ProcSet] = {}
 
     def define(self, name: str, members: Iterable[PmixProc]) -> None:
         """Register a process set; redefining an existing name is an error."""
@@ -25,8 +30,8 @@ class PsetRegistry:
             raise ValueError("process set name must be non-empty")
         if name in self._sets:
             raise ValueError(f"process set {name!r} already defined")
-        members = tuple(members)
-        if len(set(members)) != len(members):
+        members = ProcSet(members)
+        if not members.distinct:
             raise ValueError(f"process set {name!r} has duplicate members")
         self._sets[name] = members
 
@@ -43,7 +48,7 @@ class PsetRegistry:
         changed = []
         for name, members in self._sets.items():
             if proc in members:
-                self._sets[name] = tuple(p for p in members if p != proc)
+                self._sets[name] = ProcSet(p for p in members if p != proc)
                 changed.append(name)
         return changed
 
@@ -53,7 +58,7 @@ class PsetRegistry:
     def count(self) -> int:
         return len(self._sets)
 
-    def members(self, name: str) -> Optional[Tuple[PmixProc, ...]]:
+    def members(self, name: str) -> Optional[ProcSet]:
         return self._sets.get(name)
 
     def __contains__(self, name: str) -> bool:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.machine.model import MachineModel
-from repro.pmix.datastore import _value_size
+from repro.pmix.wire import wire_size
 from repro.simtime.engine import Engine
 from repro.simtime.trace import track_for_daemon
 
@@ -52,7 +52,7 @@ class RmlMessage:
         """Approximate serialized size (64-byte envelope + payload)."""
         size = self._size
         if size is None:
-            size = self._size = 64 + _value_size(self.payload)
+            size = self._size = 64 + wire_size(self.payload)
         return size
 
 

@@ -156,3 +156,48 @@ class TestTranslateRanks:
         forth = a.translate_ranks([0, 1, 2, 3], b)
         back = b.translate_ranks(forth, a)
         assert back == [0, 1, 2, 3]
+
+
+class TestSharedMembership:
+    """A group holds a ProcSet; derived groups get their own."""
+
+    def test_group_shares_the_procset_it_was_given(self):
+        from repro.pmix.types import ProcSet
+
+        world = ProcSet(procs(*range(8)))
+        a, b = Group(world), Group(world)
+        assert a.members() is world and b.members() is world
+
+    def test_derived_groups_never_inherit_the_parents_facts(self):
+        parent = Group(procs(*range(0, 16, 2)))        # strided, sorted
+        assert parent.is_strided and parent.members().is_sorted
+        other = Group(procs(6, 4, 40))
+        derived = {
+            "union": parent.union(other),
+            "intersection": parent.intersection(other),
+            "difference": parent.difference(other),
+            "incl": parent.incl([5, 1, 3]),
+            "excl": parent.excl([1]),
+        }
+        expect = {
+            "union": list(range(0, 16, 2)) + [40],
+            "intersection": [4, 6],
+            "difference": [0, 2, 8, 10, 12, 14],
+            "incl": [10, 2, 6],
+            "excl": [0, 4, 6, 8, 10, 12, 14],
+        }
+        for name, group in derived.items():
+            members = group.members()
+            assert members is not parent.members(), name
+            ranks = [p.rank for p in members]
+            assert ranks == expect[name], name
+            # Every fact is the derived membership's own.
+            assert not group.is_strided, name
+            assert members.is_sorted == (ranks == sorted(ranks)), name
+            ordered = members.canonical()
+            assert [p.rank for p in ordered] == sorted(ranks), name
+            assert members.member_key == (
+                len(ranks), ordered[0], ordered[-1], sum(ranks)), name
+            assert [group.rank_of(p) for p in members] == list(range(len(ranks)))
+        # ... and the parent's are untouched.
+        assert parent.members().stride == ("job", 0, 8, 2)

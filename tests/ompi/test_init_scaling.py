@@ -1,0 +1,95 @@
+"""Deterministic scaling gate: per-rank work of the Fig-3 init jobs is flat.
+
+Wall clock is noisy; the number of Python-level calls made inside
+``src/repro`` is not — it repeats exactly.  Both Fig-3 jobs (the
+Sessions sequence and ``MPI_Init``) are run under ``sys.setprofile`` at
+two world sizes, and calls *per simulated rank* may grow by at most
+25 % over a 4x larger world.  Anything a rank or a server re-derives
+about the whole world (re-verifying a sorted participant tuple,
+re-walking every blob of an exchange payload, a set-of-all-members per
+group) grows that ratio with N and trips the gate; exchange volume that
+is inherently O(N) per server (one dict store per collected blob) does
+not — it is a few calls per server, not per rank.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+
+import pytest
+
+import repro
+from repro.api import SimSpec, make_world
+from repro.machine.presets import jupiter
+from repro.ompi.config import MpiConfig
+
+SRC = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
+PPN = 16
+
+
+def sessions_main(mpi):
+    session = yield from mpi.session_init()
+    group = yield from session.group_from_pset("mpi://world")
+    comm = yield from mpi.comm_create_from_group(group, "scaling")
+    yield from comm.barrier()
+    comm.free()
+    yield from session.finalize()
+
+
+def world_main(mpi):
+    yield from mpi.mpi_init()
+    yield from mpi.mpi_finalize()
+
+
+JOBS = {
+    "sessions": (sessions_main, MpiConfig.sessions_prototype),
+    "mpi_init": (world_main, MpiConfig.baseline),
+}
+
+
+def calls_per_rank(job: str, nodes: int) -> float:
+    """Python-level calls inside src/repro per simulated rank, for one
+    job from world construction to quiescence."""
+    main, config = JOBS[job]
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(SRC):
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        world = make_world(SimSpec(nprocs=nodes * PPN, machine=jupiter(nodes),
+                                   ppn=PPN, config=config()))
+        procs = world.spawn_ranks(main)
+        world.run()
+    finally:
+        sys.setprofile(previous)
+    for proc in procs:
+        if proc.exception is not None:
+            raise proc.exception
+    assert calls > nodes * PPN      # the hook saw the run
+    return calls / (nodes * PPN)
+
+
+@pytest.mark.parametrize("job", sorted(JOBS))
+def test_calls_per_rank_flat_128_to_512(job):
+    small = calls_per_rank(job, 8)
+    large = calls_per_rank(job, 32)
+    assert large <= 1.25 * small, (
+        f"{job}: {large:.0f} calls/rank at 512 ranks vs {small:.0f} at 128 "
+        f"({large / small:.2f}x): something re-derives world-sized facts per rank"
+    )
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("job", sorted(JOBS))
+def test_calls_per_rank_flat_64_to_4096(job):
+    small = calls_per_rank(job, 4)
+    large = calls_per_rank(job, 256)
+    print(f"\n{job}: {small:.0f} calls/rank at 64 ranks, {large:.0f} at 4096 "
+          f"({large / small:.2f}x)")
+    assert large <= 1.25 * small

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.pmix.datastore import Datastore, _value_size
+from repro.pmix.datastore import Datastore
 from repro.pmix.types import (
     PMIX_ERR_TIMEOUT,
     PMIX_RANK_WILDCARD,
@@ -14,6 +14,7 @@ from repro.pmix.types import (
     lookup_info,
     status_name,
 )
+from repro.pmix.wire import wire_size
 
 
 class TestPmixProc:
@@ -146,4 +147,4 @@ class TestValueSize:
         [(b"12345", 5), ("abc", 3), (7, 8), ([1, 2, 3], 24), ({"k": 1}, 9)],
     )
     def test_sizes(self, value, minimum):
-        assert _value_size(value) >= minimum
+        assert wire_size(value) >= minimum

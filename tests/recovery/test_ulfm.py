@@ -22,10 +22,10 @@ CONFIGS = {
 }
 
 
-def _world(ranks=6, nodes=3, config=None, seed=1):
+def _world(ranks=6, nodes=3, config=None, seed=1, psets=None):
     return make_world(spec=SimSpec(
         nprocs=ranks, machine=laptop(num_nodes=nodes), ppn=ranks // nodes,
-        config=config, recovery=True, recovery_seed=seed))
+        config=config, recovery=True, recovery_seed=seed, psets=psets))
 
 
 def _spawn(world, gens):
@@ -265,6 +265,67 @@ class TestSessionRequery:
             assert "mpi://world" in rec["names"]
             assert rec["sum"] == n * (n - 1) // 2
         assert world.cluster.recovery_stats["pset_requery"] == n
+
+
+    def test_shared_membership_is_rederived_after_eviction(self):
+        """mpi://world and a user pset are one shared ProcSet each; a
+        death must mint new ones (order/stride/size derived afresh, the
+        dead proc gone) rather than patch or reuse the old facts, and a
+        communicator over the survivors must still construct."""
+        evens = (0, 2, 4, 6)
+        world = _world(ranks=8, nodes=4, config=MpiConfig.sessions_prototype(),
+                       psets={"app/evens": evens})
+        world.cluster.faults.install(FaultPlan().kill_proc(4, at_time=5e-3))
+        dead = world.job.proc(4)
+        registry = world.cluster.psets
+        evens_before = registry.members("app/evens")
+        assert evens_before.stride == (world.job.nspace, 0, 4, 2)
+        out = {}
+
+        def victim(mpi):
+            yield from mpi.mpi_init()
+            yield Sleep(1.0)
+
+        def survivor(mpi):
+            session = yield from mpi.session_init()
+            before = yield from session.group_from_pset("mpi://world")
+            assert before.members() is world.job.all_procs      # shared, not copied
+            assert before.is_strided and dead in before
+            while not mpi.failed_procs:
+                yield Sleep(50e-6)
+            yield from session.re_query_psets()
+            after = yield from session.group_from_pset("mpi://world")
+            members = after.members()
+            assert members is not world.job.all_procs
+            assert dead not in after and after.size == 7
+            assert not after.is_strided                 # 0..3,5..7: the gap shows
+            assert members.member_key == (7, members[0], members[-1], 28 - 4)
+            assert [after.rank_of(p) for p in members] == list(range(7))
+            assert after.rank_of(dead) < 0
+            if mpi.rank_in_job in evens:
+                sub = yield from session.group_from_pset("app/evens")
+                assert sub.members() is registry.members("app/evens")
+                assert sub.members() is not evens_before
+                assert [p.rank for p in sub.members()] == [0, 2, 6]
+                assert not sub.is_strided and sub.members().stride is None
+                assert sub.members().member_key[0] == 3
+                sub_comm = yield from mpi.comm_create_from_group(sub, "evens")
+                assert sub_comm.size == 3
+                sub_comm.free()
+            comm = yield from mpi.comm_create_from_group(after, "survivors")
+            out[mpi.rank_in_job] = yield from comm.allreduce(1, op=SUM)
+            comm.free()
+            yield from session.finalize()
+
+        gens = [victim(rt) if r == 4 else survivor(rt)
+                for r, rt in enumerate(world.runtimes)]
+        procs = _spawn(world, gens)
+        _run(world)
+        for r, p in enumerate(procs):
+            assert r == 4 or p.exception is None, f"rank {r}: {p.exception!r}"
+        assert out == {r: 7 for r in range(8) if r != 4}
+        # The value held before the death is untouched (immutable).
+        assert len(evens_before) == 4 and dead in evens_before
 
 
 class TestErrorTaxonomy:
