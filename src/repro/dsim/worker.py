@@ -23,6 +23,7 @@ would have executed in one process.
 from __future__ import annotations
 
 import traceback
+from functools import partial
 from typing import Any, Dict, List, Optional
 
 from repro.api import SimSpec, make_world
@@ -110,9 +111,10 @@ def inject_envelopes(state: WorkerState, envelopes: list) -> None:
 
     Envelopes are sorted by ``(arrival, origin)`` so same-instant
     arrivals keep the deterministic global send order; each is then
-    scheduled exactly as the sender-side code would have: one
-    ``call_at`` per rml message (``call_at_batch`` for fault
-    duplicates), one ``call_at`` per pml packet copy.  Lookahead
+    scheduled exactly as the sender-side code would have, with the
+    sender-side callable: one ``post_at`` per rml message
+    (``call_at_batch`` for fault duplicates), one ``post_at`` per pml
+    packet copy.  Lookahead
     guarantees every arrival is in this partition's future.
     """
     if not envelopes:
@@ -123,21 +125,17 @@ def inject_envelopes(state: WorkerState, envelopes: list) -> None:
     for env in sorted(envelopes, key=lambda e: (e[2], e[3])):
         kind, _dst_pid, arrival, _origin, payload, copies = env
         if kind == "rml":
-            msg = payload
-            deliver = rml._daemons[msg.dst]
+            arrive = partial(rml._arrive, payload, rml._daemons[payload.dst])
             if copies == 1:
-                engine.call_at(arrival, lambda m=msg, d=deliver: rml._arrive(m, d))
+                engine.post_at(arrival, arrive)
             else:
-                engine.call_at_batch(
-                    arrival,
-                    [lambda m=msg, d=deliver: rml._arrive(m, d)] * copies)
+                engine.call_at_batch(arrival, [arrive] * copies)
         elif kind == "pml":
             dst, slots = payload
             pkt = decode_packet(slots, state.tokens)
-            ep = fabric.endpoint(dst)
+            arrive = partial(fabric.endpoint(dst).deliver, pkt)
             for _ in range(copies):
-                engine.call_at(arrival,
-                               lambda e=ep, p=pkt: fabric._deliver_checked(e, p))
+                engine.post_at(arrival, arrive)
         else:  # "ctl": out-of-band control traffic (revoke fan-out)
             dst, (op, ident) = payload
             if op != "revoke":
@@ -148,8 +146,7 @@ def inject_envelopes(state: WorkerState, envelopes: list) -> None:
                 # Communicator.revoke: the peer deregistered (died) or
                 # never finished init.
                 continue
-            engine.call_at(arrival,
-                           lambda r=ep.runtime, i=ident: r.remote_revoke(i))
+            engine.post_at(arrival, partial(ep.runtime.remote_revoke, ident))
 
 
 def _sanitize_attrs(attrs: Dict[str, Any]) -> None:

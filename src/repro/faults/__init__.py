@@ -98,7 +98,7 @@ class FaultManager:
         for act in plan.timed_kills():
             when = max(self.engine.now, act.at_time)
             if self._owns_kill(act):
-                self.engine.call_at(when, lambda a=act: self._execute(a))
+                self.engine.post_at(when, lambda a=act: self._execute(a))
             else:
                 # Non-owner partitions replicate the bookkeeping at the
                 # same instant but must not perturb the logical event
@@ -106,7 +106,7 @@ class FaultManager:
                 def run_silent(a=act):
                     self.engine.charge_events(-1)
                     self._execute(a)
-                self.engine.call_at(when, run_silent)
+                self.engine.post_at(when, run_silent)
 
     def register_runtime(self, runtime) -> None:
         self._runtimes.append(runtime)

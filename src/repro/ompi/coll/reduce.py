@@ -12,6 +12,7 @@ from repro.ompi.coll._tree import children_vranks, parent_vrank, rank_of, vrank_
 from repro.ompi.constants import _TAG_ALLREDUCE, _TAG_REDUCE, Op
 from repro.ompi.datatype import sizeof_payload
 from repro.ompi.errors import MPIErrRank
+from repro.ompi.request import Request
 from repro.simtime.process import SLEEP0, Sleep, Wait
 
 
@@ -45,11 +46,10 @@ def reduce(comm, value, op: Op, root: int = 0, nbytes=None, tag: int = _TAG_REDU
 
 
 def allreduce(comm, value, op: Op, nbytes=None, tag: int = _TAG_ALLREDUCE):
-    """Sub-generator: reduce + make the result available on every rank."""
-    return (
-        yield from allreduce_indexed(
-            comm, list(range(comm.size)), comm.rank, value, op, nbytes, tag
-        )
+    """Reduce + make the result available on every rank (returns the
+    :func:`allreduce_indexed` sub-generator over the whole communicator)."""
+    return allreduce_indexed(
+        comm, list(range(comm.size)), comm.rank, value, op, nbytes, tag
     )
 
 
@@ -84,15 +84,13 @@ def allreduce_indexed(comm, members, my_idx: int, value, op: Op, nbytes=None,
         contrib = yield from comm._recv_internal(members[my_idx + pof2], tag)
         acc = op(acc, contrib)
 
-    # Recursive doubling among the pof2 core.
-    rt = comm.runtime
-    fast_ep = None
-    if not rt.engine.compat and payload_bytes <= rt.machine.eager_limit:
-        # Fast path: the eager exchange skips the send Request — the
-        # observable work runs in eager_send_start, the injection busy
-        # time is charged here, and the post-recv zero-sleep stands in
-        # for the reference's wait on the already-completed send.
-        fast_ep = rt.endpoint
+    # Recursive doubling among the pof2 core.  The exchange is inlined
+    # (docs/performance.md): same suspension points as _isend_internal +
+    # _recv_internal + wait, without their generator frames — and, for an
+    # eager payload, without a send Request: a zero-sleep stands in for
+    # the wait on the already-complete send.
+    ep = comm.runtime.endpoint
+    eager = payload_bytes <= ep.machine.eager_limit
     mask = 1
     while mask < pof2:
         partner_idx = my_idx ^ mask
@@ -100,26 +98,18 @@ def allreduce_indexed(comm, members, my_idx: int, value, op: Op, nbytes=None,
         # Exchange: send then receive (packets don't deadlock in the sim
         # since isend is buffered/eager for these sizes, and rendezvous
         # RTS/CTS also cannot deadlock — both posts happen eventually).
-        busy = None
-        if fast_ep is not None:
-            comm._check_damage()
-            busy = fast_ep.eager_send_start(comm, acc, partner, tag, payload_bytes)
-        if busy is not None:
-            if busy > 0:
-                yield Sleep(busy)
-            # Inlined _recv_internal: post, wait on the request event,
-            # read the payload — identical suspension points, two fewer
-            # generator frames per exchange.
-            rreq = comm._irecv_internal(partner, tag)
-            yield Wait(rreq.event)
-            contrib = rreq.payload
-            yield SLEEP0
-        else:
-            sreq = yield from comm._isend_internal(
-                acc, partner, tag, nbytes=payload_bytes
-            )
-            contrib = yield from comm._recv_internal(partner, tag)
-            yield from sreq.wait()
+        comm._check_damage()
+        peer = ep.send_peer(comm, partner)
+        if not peer.known:
+            yield from ep.discover(peer)
+        sreq = None if eager else Request("send")
+        busy = ep.start_send(comm, acc, partner, tag, payload_bytes, sreq, peer)
+        if busy > 0:
+            yield Sleep(busy)
+        rreq = comm._irecv_internal(partner, tag)
+        yield Wait(rreq.event)
+        contrib = rreq.payload
+        yield SLEEP0 if eager else Wait(sreq.event)
         # Order the combination by index so the parenthesization is
         # identical on both partners (deterministic for exact types).
         acc = op(acc, contrib) if my_idx < partner_idx else op(contrib, acc)

@@ -43,7 +43,7 @@ from repro.ompi.excid import ExcidState
 from repro.ompi.group import Group
 from repro.ompi.request import Request
 from repro.ompi.status import Status
-from repro.simtime.process import SLEEP0, Sleep, Spawn
+from repro.simtime.process import SLEEP0, Sleep, Spawn, Wait
 
 
 class Communicator:
@@ -169,12 +169,12 @@ class Communicator:
     # ------------------------------------------------------------------
     def _obs_begin(self, name: str, **attrs) -> int:
         rt = self.runtime
-        return rt.engine.tracer.begin(rt.engine.now, rt.obs_track, name,
+        return rt.engine.tracer.begin(rt.engine._now, rt.obs_track, name,
                                       comm=self.name, **attrs)
 
     def _obs_end(self, sid: int) -> None:
-        rt = self.runtime
-        rt.engine.tracer.end(rt.engine.now, sid)
+        engine = self.runtime.engine
+        engine.tracer.end(engine._now, sid)
 
     def get_rank(self) -> int:
         self._check()
@@ -237,11 +237,12 @@ class Communicator:
             self.errhandler.invoke(self, err)
 
     def _isend_internal(self, obj, dest: int, tag: int, nbytes: Optional[int] = None):
+        """Returns the endpoint's send sub-generator (evaluates to the
+        Request) — not a generator itself, so a send costs one generator
+        frame here, not two."""
         self._check_damage()
         size = nbytes if nbytes is not None else sizeof_payload(obj)
-        req = Request("send")
-        yield from self.runtime.endpoint.isend(self, obj, dest, tag, size, req)
-        return req
+        return self.runtime.endpoint.isend(self, obj, dest, tag, size, Request("send"))
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """Post a nonblocking receive (instantaneous); returns a Request."""
@@ -269,30 +270,23 @@ class Communicator:
             self._obs_end(sid)
 
     def _send_internal(self, obj, dest: int, tag: int, nbytes: Optional[int] = None):
-        rt = self.runtime
-        if not rt.engine.compat:
-            # Fast path (docs/performance.md): an eager send to a known
-            # peer runs its observable work inline via eager_send_start
-            # and replays the reference's exact two-suspension shape —
-            # Sleep(busy) for the injection, then a zero-sleep standing
-            # in for the wait on the already-completed request — without
-            # allocating the Request/SimEvent/Status machinery.
-            self._check_damage()
-            size = nbytes if nbytes is not None else sizeof_payload(obj)
-            ep = rt.endpoint
-            if size <= ep.machine.eager_limit:
-                busy = ep.eager_send_start(self, obj, dest, tag, size)
-                if busy is not None:
-                    if busy > 0:
-                        yield Sleep(busy)
-                    yield SLEEP0
-                    return
-            req = Request("send")
-            yield from ep.isend(self, obj, dest, tag, size, req)
-            yield from req.wait()
-            return
-        req = yield from self._isend_internal(obj, dest, tag, nbytes)
-        yield from req.wait()
+        """Sub-generator: blocking send for the collectives.
+
+        Same suspensions as ``isend`` + ``wait``, minus the machinery an
+        eager send does not need: no Request/SimEvent/Status, and a
+        zero-sleep stands in for the wait on the already-complete
+        request (docs/performance.md)."""
+        self._check_damage()
+        size = nbytes if nbytes is not None else sizeof_payload(obj)
+        ep = self.runtime.endpoint
+        peer = ep.send_peer(self, dest)
+        if not peer.known:
+            yield from ep.discover(peer)
+        req = None if size <= ep.machine.eager_limit else Request("send")
+        busy = ep.start_send(self, obj, dest, tag, size, req, peer)
+        if busy > 0:
+            yield Sleep(busy)
+        yield SLEEP0 if req is None else Wait(req.event)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG, status: Optional[Status] = None):
         """Sub-generator: blocking receive; returns the payload."""

@@ -89,10 +89,14 @@ class MatchingEngine:
     def post_recv(self, cid: int, posted: PostedRecv) -> Optional[IncomingMsg]:
         """Post a receive; returns the matched unexpected message if any
         (already removed from the queue), else enqueues the receive."""
-        q = self._queues(cid)
-        for i, msg in enumerate(q.unexpected):
+        # _queues() inlined here and in incoming(): once per message.
+        q = self._by_cid.get(cid)
+        if q is None:
+            q = self._by_cid[cid] = _CommQueues()
+        unexpected = q.unexpected
+        for i, msg in enumerate(unexpected):
             if _compatible(posted, msg):
-                del q.unexpected[i]
+                del unexpected[i]
                 self.matches += 1
                 self.unexpected_hits += 1
                 return msg
@@ -102,10 +106,13 @@ class MatchingEngine:
     def incoming(self, cid: int, msg: IncomingMsg) -> Optional[PostedRecv]:
         """An arriving message; returns the matched posted receive if any
         (already removed), else enqueues as unexpected."""
-        q = self._queues(cid)
-        for i, posted in enumerate(q.posted):
+        q = self._by_cid.get(cid)
+        if q is None:
+            q = self._by_cid[cid] = _CommQueues()
+        waiting = q.posted
+        for i, posted in enumerate(waiting):
             if _compatible(posted, msg):
-                del q.posted[i]
+                del waiting[i]
                 self.matches += 1
                 return posted
         q.unexpected.append(msg)

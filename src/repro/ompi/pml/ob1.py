@@ -26,7 +26,8 @@ Cost accounting:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Container, Dict, List, Optional, Tuple
 
 from repro.ompi.btl.net import NetworkBTL
 from repro.ompi.btl.sm import SharedMemoryBTL
@@ -36,14 +37,14 @@ from repro.ompi.pml.headers import (
     MATCH_HEADER_BYTES,
     ExtendedHeader,
     MatchHeader,
-    header_bytes,
     pack_match,
     unpack_match,
 )
 from repro.ompi.pml.matching import IncomingMsg, MatchingEngine, PostedRecv
 from repro.ompi.status import Status
 from repro.pmix.types import PmixProc
-from repro.simtime.process import Sleep
+from repro.simtime.process import Sleep, Wait
+from repro.simtime.trace import track_for_proc
 
 ENDPOINT_KEY = "ompi.ep"          # modex key holding a rank's endpoint blob
 FIRST_PEER_SETUP = 1.0e-6         # one-time add_procs cost per new peer
@@ -52,17 +53,18 @@ FIRST_PEER_SETUP = 1.0e-6         # one-time add_procs cost per new peer
 class Packet:
     """One fabric packet.
 
-    ``hdr``/``ext`` come in two equivalent wire forms: the compat
-    reference carries the :class:`MatchHeader`/:class:`ExtendedHeader`
-    dataclasses, the fast send path carries the packed int from
-    :func:`pack_match` and an ``(excid_key, sender_cid)`` tuple.
+    ``hdr``/``ext`` come in two equivalent wire forms, chosen in
+    :meth:`Ob1Endpoint.start_send`: the default engine carries the
+    packed int from :func:`pack_match` and an ``(excid_key,
+    sender_cid)`` tuple, the compat reference carries the
+    :class:`MatchHeader`/:class:`ExtendedHeader` dataclasses.
     Consumers branch on the concrete type; the stack-parity suite proves
     both forms produce identical behavior.
     """
 
     __slots__ = ("kind", "src_proc", "hdr", "ext", "payload", "nbytes",
                  "protocol", "sender_req", "recv_req", "ack_excid",
-                 "ack_cid", "fid", "_rts_payload", "_wire")
+                 "ack_cid", "fid", "_rts_payload", "wire")
 
     def __init__(self, kind: str, src_proc: PmixProc, hdr: Any = None,
                  ext: Any = None, payload: Any = None, nbytes: int = 0,
@@ -82,23 +84,20 @@ class Packet:
         self.ack_cid = ack_cid
         self.fid = fid                # observability flow id (send -> recv)
         self._rts_payload = None      # rendezvous payload (off-wire stash)
-        self._wire = -1               # cached wire_bytes()
+        if kind == "user":
+            wire = MATCH_HEADER_BYTES
+            if ext is not None:
+                wire += EXTENDED_HEADER_BYTES
+            if protocol == "eager":
+                wire += nbytes
+        elif kind == "data":
+            wire = 8 + nbytes
+        else:
+            wire = 18  # control packets: ACK / CTS
+        self.wire = wire              # bytes on the wire
 
     def wire_bytes(self) -> int:
-        size = self._wire
-        if size < 0:
-            if self.kind == "user":
-                size = MATCH_HEADER_BYTES
-                if self.ext is not None:
-                    size += EXTENDED_HEADER_BYTES
-                if self.protocol == "eager":
-                    size += self.nbytes
-            elif self.kind == "data":
-                size = 8 + self.nbytes
-            else:
-                size = 18  # control packets: ACK / CTS
-            self._wire = size
-        return size
+        return self.wire
 
 
 class Fabric:
@@ -136,9 +135,6 @@ class Fabric:
             raise MPIErrIntern(f"no endpoint registered for {proc}")
         return ep
 
-    def same_node(self, a: PmixProc, b: PmixProc) -> bool:
-        return self.endpoint(a).node == self.endpoint(b).node
-
     def deliver_at(self, when: float, dst: PmixProc, pkt: Packet) -> None:
         copies = 1
         faults = self.faults
@@ -164,28 +160,35 @@ class Fabric:
             when = max(when, self._pair_floor.get(key, 0.0))
             self._pair_floor[key] = when
         self.packets += 1
-        self.bytes += pkt.wire_bytes()
+        self.bytes += pkt.wire
         boundary = self.boundary
         if boundary is not None and not boundary.owns_proc(dst):
             boundary.ship_pml(when, dst, pkt, copies)
             return
-        ep = self.endpoint(dst)
+        ep = self._endpoints.get(dst) or self.endpoint(dst)   # raises if none
+        # One arrival is one callback: Ob1Endpoint.deliver re-checks
+        # liveness itself (repro.dsim injects the same callable).
+        arrive = partial(ep.deliver, pkt)
         for _ in range(copies):
-            self.engine.call_at(when, lambda: self._deliver_checked(ep, pkt))
+            self.engine.post_at(when, arrive)
 
-    def _deliver_checked(self, ep: "Ob1Endpoint", pkt: Packet) -> None:
-        # Liveness is re-checked at delivery time: the destination (or
-        # the sender) may have died while the packet was in flight.
-        faults = self.faults
-        if faults is not None and faults.active and (
-            ep.proc in faults.dead_procs or pkt.src_proc in faults.dead_procs
-        ):
-            faults.dead_drop("pml", pkt.src_proc, ep.proc, fid=pkt.fid)
-            return
-        if pkt.fid:
-            # Duplicated packets share one flow id; first arrival binds it.
-            self.engine.tracer.flow_end(self.engine.now, ep.obs_track, pkt.fid)
-        ep.deliver(pkt)
+
+class _Peer:
+    """Everything an endpoint keeps about one peer process."""
+
+    __slots__ = ("proc", "known", "btl", "send_seq", "recv_seq")
+
+    def __init__(self, proc: PmixProc, known: bool) -> None:
+        self.proc = proc
+        self.known = known     # add_procs done (lazy discovery, §III-B1)
+        self.btl = None        # chosen at the first injection
+        # Ordering sequences per communicator, keyed on its global
+        # identity (not the local CID) so both ends agree; early-packet
+        # stash/replay preserves order within a communicator, which is
+        # exactly MPI's guarantee.  Created on first use: most peers a
+        # rank learns about at init never exchange a message with it.
+        self.send_seq: Optional[Dict[str, int]] = None
+        self.recv_seq: Optional[Dict[str, int]] = None
 
 
 class Ob1Endpoint:
@@ -203,10 +206,8 @@ class Ob1Endpoint:
         self.btl_net = NetworkBTL(self.machine)
         self.nic_free = 0.0
         self.match_busy = 0.0
-        self._send_seq: Dict[PmixProc, int] = {}
-        self._recv_seq: Dict[PmixProc, int] = {}
-        self._known_peers: set = set()
-        self._btl_cache: Dict[PmixProc, Any] = {}   # peer -> chosen BTL
+        self._peers: Dict[PmixProc, _Peer] = {}
+        self._added: Container[PmixProc] = ()     # see add_procs()
         # In-flight requests whose completion depends on a peer: rendezvous
         # sends awaiting CTS, and matched rendezvous receives awaiting data.
         # Entries are (comm_identity, peer, request); peer_failed()/
@@ -215,8 +216,6 @@ class Ob1Endpoint:
         self._pending: List[Tuple[Any, PmixProc, Any]] = []
         self.stats = {"sent": 0, "recv": 0, "ext_sent": 0, "ext_recv": 0,
                       "acks": 0, "dup_dropped": 0}
-        from repro.simtime.trace import track_for_proc
-
         self.obs_track = track_for_proc(self.proc)
         self.fabric.register(self.proc, self)
 
@@ -237,63 +236,76 @@ class Ob1Endpoint:
                   force=force, node=self.node)
 
     # ------------------------------------------------------------------
-    # peer discovery (lazy add_procs, paper §III-B1)
+    # peers (lazy add_procs, paper §III-B1)
     # ------------------------------------------------------------------
-    def _discover_peer(self, peer: PmixProc):
+    def add_procs(self, procs: Container[PmixProc]) -> None:
+        """Endpoint setup done ahead of first contact (MPI_Init's
+        node-local add_procs): ``procs`` need no discovery.  The
+        container is kept by reference — a world-shared ``ProcSet``
+        costs this rank nothing — and seeds ``known`` when a record is
+        created."""
+        self._added = procs
+        for peer in self._peers.values():
+            if peer.proc in procs:
+                peer.known = True
+
+    def peer(self, proc: PmixProc) -> _Peer:
+        """The record for ``proc`` (created on first contact)."""
+        peer = self._peers.get(proc)
+        if peer is None:
+            peer = self._peers[proc] = _Peer(proc, proc in self._added)
+        return peer
+
+    def send_peer(self, comm, dest_rank: int) -> _Peer:
+        """Resolve the destination of a send; a dead one raises
+        :class:`MPIErrProcFailed`.  Callers run :meth:`discover` for a
+        peer not yet ``known``, then :meth:`start_send`."""
+        proc = comm.group.proc(dest_rank)
+        if self._peer_dead(proc):
+            raise MPIErrProcFailed(f"{comm.name}: send to failed peer rank {dest_rank}")
+        return self._peers.get(proc) or self.peer(proc)
+
+    def discover(self, peer: _Peer):
         """Sub-generator: one-time endpoint setup for a new peer."""
-        if peer in self._known_peers:
-            return
         yield Sleep(FIRST_PEER_SETUP)
         server = self.runtime.pmix.server
-        found, _ = server.datastore.get(peer, ENDPOINT_KEY)
-        if not found and server.node_of(peer) != self.node:
+        found, _ = server.datastore.get(peer.proc, ENDPOINT_KEY)
+        if not found and server.node_of(peer.proc) != self.node:
             # Sessions path: endpoint info was never fenced; direct modex.
-            from repro.simtime.process import Wait
-
             yield Sleep(self.machine.local_rpc_cost)
-            ev = server.request_remote(peer, ENDPOINT_KEY)
+            ev = server.request_remote(peer.proc, ENDPOINT_KEY)
             yield Wait(ev)
-        self._known_peers.add(peer)
+        peer.known = True
+
+    def _peer_dead(self, proc: PmixProc) -> bool:
+        faults = self.fabric.faults
+        # An empty set answers without hashing ``proc`` (a Python call).
+        return faults is not None and bool(faults.dead_procs) \
+            and proc in faults.dead_procs
 
     # ------------------------------------------------------------------
-    # injection helpers
+    # injection
     # ------------------------------------------------------------------
-    def _btl_for(self, peer: PmixProc) -> Any:
-        btl = self._btl_cache.get(peer)
+    def _inject(self, peer: _Peer, pkt: Packet) -> float:
+        """Reserve the NIC and hand ``pkt`` to the fabric; returns the
+        time the injection is done."""
+        btl = peer.btl
         if btl is None:
-            peer_node = self.runtime.pmix.server.node_of(peer)
-            btl = self.btl_sm if peer_node == self.node else self.btl_net
-            self._btl_cache[peer] = btl
-        return btl
-
-    def _inject(self, peer: PmixProc, pkt: Packet) -> Tuple[float, float]:
-        """Reserve the NIC; returns (injection_done, delivery_time)."""
-        btl = self._btl_for(peer)
+            peer_node = self.runtime.pmix.server.node_of(peer.proc)
+            btl = peer.btl = self.btl_sm if peer_node == self.node else self.btl_net
         engine = self.engine
         now = engine._now
         tr = engine.tracer
         if tr.enabled:
             pkt.fid = tr.flow_begin(now, self.obs_track, f"pml.{pkt.kind}",
                                     nbytes=pkt.nbytes)
-        wire = pkt.wire_bytes()
+        wire = pkt.wire
         nic_free = self.nic_free
         start = now if now > nic_free else nic_free
         done = start + btl.injection_time(wire)
         self.nic_free = done
-        delivery = done + btl.wire_time(wire)
-        self.fabric.deliver_at(delivery, peer, pkt)
-        return done, delivery
-
-    def _next_seq(self, peer: PmixProc, comm) -> int:
-        """Per (peer, communicator) ordering sequence.
-
-        Keyed on the communicator's global identity (not the local CID)
-        so both ends agree; early-packet stash/replay preserves order
-        within a communicator, which is exactly MPI's guarantee."""
-        key = (peer, comm.identity())
-        seq = self._send_seq.get(key, 0)
-        self._send_seq[key] = seq + 1
-        return seq
+        self.fabric.deliver_at(done + btl.wire_time(wire), peer.proc, pkt)
+        return done
 
     # ------------------------------------------------------------------
     # fault handling
@@ -328,107 +340,74 @@ class Ob1Endpoint:
                 keep.append((cid, p, req))
         self._pending = keep
 
-    def _peer_dead(self, peer: PmixProc) -> bool:
-        faults = self.fabric.faults
-        return faults is not None and peer in faults.dead_procs
-
     # ------------------------------------------------------------------
     # send path
     # ------------------------------------------------------------------
-    def isend(self, comm, payload, dest_rank: int, tag: int, nbytes: int, request):
-        """Sub-generator: start a send; the caller's process is occupied
-        for the injection time (MPI_Isend CPU cost)."""
-        peer = comm.group.proc(dest_rank)
-        if self._peer_dead(peer):
-            raise MPIErrProcFailed(f"{comm.name}: send to failed peer rank {dest_rank}")
-        if peer not in self._known_peers:
-            yield from self._discover_peer(peer)
+    def start_send(self, comm, payload, dest_rank: int, tag: int, nbytes: int,
+                   request, peer: _Peer) -> float:
+        """The one send start: header decision, sequence, packet, stats,
+        NIC reservation and fabric handoff, eager and rendezvous alike.
 
+        ``peer`` comes from :meth:`send_peer` and is ``known``.  Returns
+        the sender-side busy time (injection done - now): the caller
+        charges it with ``Sleep(busy)`` when positive and only then
+        treats an eager send as complete (buffered/injected) — completing
+        ``request`` if it made one; a blocking eager send needs none and
+        passes ``None``.  A rendezvous send (``nbytes`` above the eager
+        limit) must pass a request: it rides the RTS to the receiver and
+        completes when the data has been injected after CTS.
+        """
         ext = None
-        ctx = comm.local_cid
-        if comm.excid is not None:
+        ctx = cid = comm.local_cid
+        excid_state = comm.excid_state
+        if excid_state is not None:
             peer_cid = comm.peer_cids.get(dest_rank)
             if peer_cid is not None and not self.runtime.config.excid_always_extended:
                 ctx = peer_cid
             else:
-                ext = ExtendedHeader(excid=comm.excid.key(), sender_cid=comm.local_cid)
-
-        hdr = MatchHeader(ctx=ctx, src=comm.rank, tag=tag, seq=self._next_seq(peer, comm))
-        protocol = "eager" if nbytes <= self.machine.eager_limit else "rts"
-        pkt = Packet(
-            kind="user",
-            src_proc=self.proc,
-            hdr=hdr,
-            ext=ext,
-            payload=payload if protocol == "eager" else None,
-            nbytes=nbytes,
-            protocol=protocol,
-            sender_req=request if protocol == "rts" else None,
-        )
-        if protocol == "rts":
+                ext = (excid_state.excid.key(), cid)
+        seqs = peer.send_seq
+        if seqs is None:
+            seqs = peer.send_seq = {}
+        ident = comm._identity
+        seq = seqs.get(ident, 0)
+        seqs[ident] = seq + 1
+        # The only place the wire form of the headers is chosen.
+        if self.engine.compat:
+            hdr = MatchHeader(ctx=ctx, src=comm.rank, tag=tag, seq=seq)
+            if ext is not None:
+                ext = ExtendedHeader(excid=ext[0], sender_cid=cid)
+        else:
+            hdr = pack_match(ctx, comm.rank, tag, seq)
+        if nbytes <= self.machine.eager_limit:
+            pkt = Packet("user", self.proc, hdr, ext, payload, nbytes)
+        else:
             # RTS: only headers travel now; the payload is handed over in
-            # the data phase after CTS (stashed on the packet object — the
-            # wire cost in wire_bytes() deliberately excludes it).
+            # the data phase after CTS (stashed on the packet object — its
+            # wire size deliberately excludes it).
+            pkt = Packet("user", self.proc, hdr, ext, None, nbytes, "rts", request)
             pkt._rts_payload = payload
-            self._track_pending(comm, peer, request)
+            self._track_pending(comm, peer.proc, request)
         self.stats["sent"] += 1
         if ext is not None:
             self.stats["ext_sent"] += 1
-            self.runtime.cluster.trace("pml", "ext_send", dst=str(peer), tag=tag)
+            self.runtime.cluster.trace("pml", "ext_send", dst=str(peer.proc), tag=tag)
+        return self._inject(peer, pkt) - self.engine._now
 
-        injection_done, _delivery = self._inject(peer, pkt)
-        busy = injection_done - self.engine.now
+    def isend(self, comm, payload, dest_rank: int, tag: int, nbytes: int, request):
+        """Sub-generator (only because peer discovery yields): start a
+        send; the caller's process is occupied for the injection time
+        (MPI_Isend CPU cost)."""
+        peer = self.send_peer(comm, dest_rank)
+        if not peer.known:
+            yield from self.discover(peer)
+        busy = self.start_send(comm, payload, dest_rank, tag, nbytes, request, peer)
         if busy > 0:
             yield Sleep(busy)
-        if protocol == "eager":
+        if nbytes <= self.machine.eager_limit:
             # Eager sends complete locally once the data is buffered/injected.
-            request.complete(Status(source=comm.rank, tag=tag, count=nbytes))
+            request.complete(Status(comm.rank, tag, nbytes))
         return request
-
-    def eager_send_start(self, comm, payload, dest_rank: int, tag: int,
-                         nbytes: int) -> Optional[float]:
-        """Fast-path half of an eager :meth:`isend` (docs/performance.md).
-
-        Performs every observable side effect of an eager-protocol send
-        to an already-discovered peer — dead-peer check, extended-header
-        decision, sequence allocation, stats/trace updates, NIC
-        reservation and fabric handoff — without the Request/SimEvent/
-        Status machinery the reference path allocates.  The header goes
-        out in packed-int form (:func:`repro.ompi.pml.headers.pack_match`)
-        and the extension as an ``(excid_key, sender_cid)`` tuple.
-
-        Returns the sender-side busy time (injection_done - now), which
-        the caller must charge with the same ``Sleep(busy)`` /
-        zero-sleep pair the reference path produces; returns None when
-        this send needs the reference path (peer not yet discovered).
-        Raises :class:`MPIErrProcFailed` exactly like the reference for
-        a dead peer.  Only called when ``engine.compat`` is false.
-        """
-        peer = comm.group.proc(dest_rank)
-        if self._peer_dead(peer):
-            raise MPIErrProcFailed(
-                f"{comm.name}: send to failed peer rank {dest_rank}")
-        if peer not in self._known_peers:
-            return None
-
-        ext = None
-        ctx = comm.local_cid
-        if comm.excid is not None:
-            peer_cid = comm.peer_cids.get(dest_rank)
-            if peer_cid is not None and not self.runtime.config.excid_always_extended:
-                ctx = peer_cid
-            else:
-                ext = (comm.excid.key(), comm.local_cid)
-
-        hdr = pack_match(ctx, comm.rank, tag, self._next_seq(peer, comm))
-        pkt = Packet(kind="user", src_proc=self.proc, hdr=hdr, ext=ext,
-                     payload=payload, nbytes=nbytes)
-        self.stats["sent"] += 1
-        if ext is not None:
-            self.stats["ext_sent"] += 1
-            self.runtime.cluster.trace("pml", "ext_send", dst=str(peer), tag=tag)
-        injection_done, _delivery = self._inject(peer, pkt)
-        return injection_done - self.engine._now
 
     # ------------------------------------------------------------------
     # receive path
@@ -438,7 +417,7 @@ class Ob1Endpoint:
 
         Returns True when the receive matched an already-arrived message
         (its completion is in flight and no longer cancellable)."""
-        posted = PostedRecv(src=src_rank, tag=tag, request=request)
+        posted = PostedRecv(src_rank, tag, request)
         msg = self.matching.post_recv(comm.local_cid, posted)
         m = self.engine.metrics
         if m is not None and m.enabled:
@@ -461,20 +440,35 @@ class Ob1Endpoint:
     # delivery (engine callback context — not a simulated process)
     # ------------------------------------------------------------------
     def deliver(self, pkt: Packet) -> None:
-        if pkt.kind == "user":
-            self._deliver_user(pkt)
-        elif pkt.kind == "ack":
+        """One packet arrives (the callback ``Fabric.deliver_at`` posts)."""
+        # Liveness is re-checked at delivery time: the destination (or
+        # the sender) may have died while the packet was in flight.
+        faults = self.fabric.faults
+        if faults is not None and faults.active and (
+            self.proc in faults.dead_procs or pkt.src_proc in faults.dead_procs
+        ):
+            faults.dead_drop("pml", pkt.src_proc, self.proc, fid=pkt.fid)
+            return
+        if pkt.fid:
+            # Duplicated packets share one flow id; first arrival binds it.
+            self.engine.tracer.flow_end(self.engine._now, self.obs_track, pkt.fid)
+        kind = pkt.kind
+        if kind == "user":
+            self.deliver_user(pkt)
+        elif kind == "ack":
             self._deliver_ack(pkt)
-        elif pkt.kind == "cts":
+        elif kind == "cts":
             self._deliver_cts(pkt)
-        elif pkt.kind == "data":
+        elif kind == "data":
             self._deliver_data(pkt)
         else:  # pragma: no cover
-            raise MPIErrIntern(f"unknown packet kind {pkt.kind}")
+            raise MPIErrIntern(f"unknown packet kind {kind}")
 
-    def _deliver_user(self, pkt: Packet) -> None:
-        # The header arrives either packed (fast send path) or as the
-        # compat dataclass; unpack once into locals either way.
+    def deliver_user(self, pkt: Packet) -> None:
+        """Match one arrived user message (also the replay entry for
+        packets stashed before their communicator was registered)."""
+        # The header arrives either packed or as the compat dataclass;
+        # unpack once into locals either way.
         hdr = pkt.hdr
         if hdr.__class__ is int:
             ctx, src, tag, seq = unpack_match(hdr)
@@ -502,18 +496,23 @@ class Ob1Endpoint:
                 return
 
         self.stats["recv"] += 1
-        seq_key = (pkt.src_proc, comm._identity)
-        expected = self._recv_seq.get(seq_key, 0)
+        sender = pkt.src_proc
+        peer = self._peers.get(sender) or self.peer(sender)
+        seqs = peer.recv_seq
+        if seqs is None:
+            seqs = peer.recv_seq = {}
+        ident = comm._identity
+        expected = seqs.get(ident, 0)
         if seq < expected:
             # Duplicate delivery (dup_msg fault): already consumed.
             self.stats["dup_dropped"] += 1
             return
         if seq != expected:
             raise MPIErrIntern(
-                f"out-of-order delivery from {pkt.src_proc} on {comm.identity()}: "
+                f"out-of-order delivery from {sender} on {ident}: "
                 f"seq {seq} != expected {expected}"
             )
-        self._recv_seq[seq_key] = expected + 1
+        seqs[ident] = expected + 1
 
         match_cost = self.machine.match_overhead
         if ext is not None:
@@ -527,7 +526,7 @@ class Ob1Endpoint:
                 self._send_ack(comm, src)
             cid = comm.local_cid
         else:
-            if comm.excid is not None:
+            if comm.excid_state is not None:
                 # Fast path: receiver-local CID arrived in the ctx field —
                 # constant-time array lookup, marginally cheaper than the
                 # baseline's hash+validate (paper: "in some cases showing
@@ -536,17 +535,11 @@ class Ob1Endpoint:
             cid = ctx
 
         now = self.engine._now
+        protocol = pkt.protocol
         msg = IncomingMsg(
-            src=src,
-            tag=tag,
-            seq=seq,
-            nbytes=pkt.nbytes,
-            payload=pkt.payload if pkt.protocol == "eager" else pkt._rts_payload,
-            protocol=pkt.protocol,
-            sender=pkt.src_proc,
-            sender_req=pkt.sender_req,
-            extended=ext is not None,
-            arrival=now,
+            src, tag, seq, pkt.nbytes,
+            pkt.payload if protocol == "eager" else pkt._rts_payload,
+            protocol, sender, pkt.sender_req, ext is not None, now,
         )
 
         match_busy = self.match_busy
@@ -556,10 +549,8 @@ class Ob1Endpoint:
 
         posted = self.matching.incoming(cid, msg)
         if posted is not None:
-            comm_obj = comm
-            self.engine.call_at(
-                complete_at, lambda: self._match_complete(comm_obj, posted, msg)
-            )
+            self.engine.post_at(
+                complete_at, partial(self._match_complete, comm, posted, msg))
 
     def _consume_match(self, comm, posted: PostedRecv, msg: IncomingMsg) -> None:
         """A freshly posted receive matched an unexpected message."""
@@ -568,32 +559,32 @@ class Ob1Endpoint:
         start = now if now > match_busy else match_busy
         complete_at = start + self.machine.match_overhead
         self.match_busy = complete_at
-        self.engine.call_at(complete_at, lambda: self._match_complete(comm, posted, msg))
+        self.engine.post_at(
+            complete_at, partial(self._match_complete, comm, posted, msg))
 
     def _match_complete(self, comm, posted: PostedRecv, msg: IncomingMsg) -> None:
-        if posted.request.completed:
+        request = posted.request
+        if request.event.triggered:
             return  # already failed (peer/communicator failure raced the match)
         if msg.protocol == "eager":
-            posted.request.complete(
-                Status(source=msg.src, tag=msg.tag, count=msg.nbytes), payload=msg.payload
-            )
+            request.complete(Status(msg.src, msg.tag, msg.nbytes), msg.payload)
         else:
             # Rendezvous: ask the sender for the bulk data.  A dead
             # sender can never answer the CTS — fail the receive now.
             if self._peer_dead(msg.sender):
-                posted.request.fail(
+                request.fail(
                     MPIErrProcFailed(f"{comm.name}: rendezvous sender {msg.sender} failed")
                 )
                 return
-            self._track_pending(comm, msg.sender, posted.request)
+            self._track_pending(comm, msg.sender, request)
             cts = Packet(
                 kind="cts",
                 src_proc=self.proc,
                 sender_req=msg.sender_req,
-                recv_req=posted.request,
+                recv_req=request,
                 payload=(msg.payload, msg.src, msg.tag, msg.nbytes),
             )
-            self._inject(msg.sender, cts)
+            self._inject(self.peer(msg.sender), cts)
 
     def _send_ack(self, comm, peer_rank: int) -> None:
         self.stats["acks"] += 1
@@ -605,7 +596,7 @@ class Ob1Endpoint:
             ack_cid=comm.local_cid,
         )
         self.runtime.cluster.trace("pml", "cid_ack", dst=str(peer))
-        self._inject(peer, ack)
+        self._inject(self.peer(peer), ack)
 
     def _deliver_ack(self, pkt: Packet) -> None:
         comm = self.runtime.comm_by_excid(pkt.ack_excid)
@@ -617,7 +608,8 @@ class Ob1Endpoint:
             self.runtime.cluster.trace("pml", "cid_switch", peer=rank)
 
     def _deliver_cts(self, pkt: Packet) -> None:
-        if pkt.sender_req.completed:
+        sender_req = pkt.sender_req
+        if sender_req.event.triggered:
             return  # duplicate CTS, or the send was already failed
         payload, src, tag, nbytes = pkt.payload
         data = Packet(
@@ -626,18 +618,23 @@ class Ob1Endpoint:
             payload=(payload, src, tag, nbytes),
             nbytes=nbytes,
             recv_req=pkt.recv_req,
-            sender_req=pkt.sender_req,
+            sender_req=sender_req,
         )
-        injection_done, _ = self._inject(pkt.src_proc, data)
-        sender_req = pkt.sender_req
-        self.engine.call_at(
+        injection_done = self._inject(self.peer(pkt.src_proc), data)
+        # ``src`` is this sender's rank in the communicator: the send
+        # request reports it exactly as an eager one does.
+        self.engine.post_at(
             injection_done,
-            lambda: sender_req.completed
-            or sender_req.complete(Status(source=0, tag=tag, count=nbytes)),
-        )
+            partial(self._send_complete, sender_req, Status(src, tag, nbytes)))
+
+    @staticmethod
+    def _send_complete(request, status: Status) -> None:
+        if not request.event.triggered:     # else: failed meanwhile
+            request.complete(status)
 
     def _deliver_data(self, pkt: Packet) -> None:
-        if pkt.recv_req.completed:
+        recv_req = pkt.recv_req
+        if recv_req.event.triggered:
             return  # duplicate data packet, or the receive was already failed
         payload, src, tag, nbytes = pkt.payload
-        pkt.recv_req.complete(Status(source=src, tag=tag, count=nbytes), payload=payload)
+        recv_req.complete(Status(src, tag, nbytes), payload)

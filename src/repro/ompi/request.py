@@ -19,24 +19,23 @@ from repro.simtime.process import Wait, WaitAny
 class Request:
     """Handle for a pending nonblocking operation."""
 
-    __slots__ = ("event", "kind", "_status", "_freed", "payload_box")
+    __slots__ = ("event", "kind", "_status", "_freed", "payload")
 
     def __init__(self, kind: str = "generic") -> None:
         self.event = SimEvent()
         self.kind = kind
         self._status: Optional[Status] = None
         self._freed = False
-        # Receive requests park the received object here on completion.
-        self.payload_box: List = []
+        #: The received object (recv requests, after completion).
+        self.payload = None
 
     # -- completion plumbing (called by the PML / collectives) -------------
     def complete(self, status: Optional[Status] = None, payload=None) -> None:
         if self.event.triggered:
             raise MPIErrRequest(f"{self.kind} request completed twice")
-        self._status = status or Status()
-        if payload is not None or self.kind == "recv":
-            self.payload_box.append(payload)
-        self.event.succeed(self._status)
+        self._status = status = status or Status()
+        self.payload = payload
+        self.event.succeed(status)
 
     def fail(self, exc: BaseException) -> None:
         self.event.fail(exc)
@@ -48,13 +47,6 @@ class Request:
 
     def get_status(self) -> Optional[Status]:
         return self._status
-
-    @property
-    def payload(self):
-        """The received object (recv requests, after completion)."""
-        if not self.payload_box:
-            return None
-        return self.payload_box[0]
 
     def wait(self):
         """Sub-generator: block until complete; returns the Status."""

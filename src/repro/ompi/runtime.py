@@ -133,9 +133,9 @@ class MpiRuntime:
                 raise MPIErrIntern(f"exCID collision on {comm.excid}")
             self._excid_index[key] = comm
             for pkt in self._early_excid_pkts.pop(key, []):
-                self.endpoint.deliver(pkt)
+                self.endpoint.deliver_user(pkt)
         for pkt in self._early_cid_pkts.pop(comm.local_cid, []):
-            self.endpoint.deliver(pkt)
+            self.endpoint.deliver_user(pkt)
 
     def deregister_comm(self, comm: Communicator) -> None:
         if self.endpoint is not None:
@@ -242,8 +242,8 @@ class MpiRuntime:
                           "ompi.pml.add_procs_local", nlocal=len(local))
         yield Sleep(self.machine.add_procs_local_cost * len(local))
         tr.end(self.engine.now, sid_ap)
-        for r in local:
-            self.endpoint._known_peers.add(self.job.proc(r))
+        self.endpoint.add_procs(
+            self.job.all_procs.by_node(self.pmix.server.node_of)[self.node])
 
         # Business-card exchange (modex) over the whole job.
         yield from self.pmix.fence(collect=self.config.modex_collect)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from typing import TYPE_CHECKING
@@ -271,7 +272,7 @@ class PmixServer(AsyncGroupServerMixin):
             done.add_waiter(on_done)
 
         # Stage 2 starts once every local notification is processed.
-        self.engine.call_at(max(self.engine.now, self._busy_until), launch)
+        self.engine.post_at(max(self.engine.now, self._busy_until), launch)
 
     def _release(self, state: _LocalCollective, result) -> None:
         """Stage 3: release local clients one RPC at a time."""
@@ -303,7 +304,7 @@ class PmixServer(AsyncGroupServerMixin):
             if tr.enabled:
                 tr.flow("pmix.release", track_for_daemon(self.node),
                         self.engine.now, track_for_proc(proc), release_at)
-            self.engine.call_at(release_at, lambda e=client_ev: e.succeed(result))
+            self.engine.post_at(release_at, partial(client_ev.succeed, result))
         self._busy_until = release_at
         tr.end(release_at, state.obs_span)
 
@@ -328,7 +329,7 @@ class PmixServer(AsyncGroupServerMixin):
             if tr.enabled:
                 tr.flow("pmix.release_error", track_for_daemon(self.node),
                         self.engine.now, track_for_proc(proc), release_at)
-            self.engine.call_at(
+            self.engine.post_at(
                 release_at,
                 lambda e=client_ev: e.triggered
                 or e.fail(PmixError(status, message, failed_procs=failed)),

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.machine.model import MachineModel
@@ -240,16 +241,15 @@ class RoutingLayer:
         if boundary is not None and not boundary.owns_node(msg.dst):
             boundary.ship_rml(arrival, msg, copies)
             return
+        arrive = partial(self._arrive, msg, deliver)
         if copies == 1:
-            self.engine.call_at(arrival, lambda: self._arrive(msg, deliver))
+            self.engine.post_at(arrival, arrive)
         else:
             # Fault-injected duplicates are the one genuinely same-instant
             # fan-out in the stack: every copy arrives at the same time, so
             # the whole burst collapses into one scheduled delivery on the
             # fast path (the compat reference keeps one heap entry per copy).
-            self.engine.call_at_batch(
-                arrival, [lambda: self._arrive(msg, deliver)] * copies
-            )
+            self.engine.call_at_batch(arrival, [arrive] * copies)
 
     def _arrive(self, msg: RmlMessage, deliver: Callable[[RmlMessage], None]) -> None:
         # Booking happens at arrival time so deliveries from different
@@ -257,7 +257,7 @@ class RoutingLayer:
         start = max(self.engine.now, self._busy[msg.dst])
         done = start + self.process_cost
         self._busy[msg.dst] = done
-        self.engine.call_at(done, lambda: self._deliver(msg, deliver))
+        self.engine.post_at(done, partial(self._deliver, msg, deliver))
 
     def _deliver(self, msg: RmlMessage, deliver: Callable[[RmlMessage], None]) -> None:
         if msg.fid:

@@ -89,7 +89,9 @@ class Engine:
     """Discrete-event scheduler with a float clock (seconds).
 
     The engine knows nothing about processes; :mod:`repro.simtime.process`
-    layers generator-trampolining on top of :meth:`call_at`.
+    layers generator-trampolining on top of :meth:`call_at`.  Callers
+    that keep the returned :class:`Timer` (to cancel it) use
+    ``call_at``/``call_later``; everything else posts with :meth:`post_at`.
 
     ``compat=True`` selects the pure-heap reference scheduler (and the
     reference trampoline in :mod:`repro.simtime.process`); event order,
@@ -147,6 +149,22 @@ class Engine:
                 f"cannot schedule event in the past ({when} < {self._now})"
             )
         return Timer(self._sched(when, fn), self)
+
+    def post_at(self, when: float, fn: Callable[[], Any]) -> None:
+        """:meth:`call_at` for fire-and-forget events: same past-time
+        check, same ``(time, seq)`` position, same lane — no
+        :class:`Timer`, so the event cannot be canceled.  The per-message
+        sites (packet delivery, match completion, RML hops) use this;
+        ``_sched`` is repeated inline to keep them at one frame."""
+        if when < self._now:
+            raise SimulationError(
+                f"cannot schedule event in the past ({when} < {self._now})"
+            )
+        self._seq = seq = self._seq + 1
+        if when == self._now and not self.compat:
+            self._ready.append([when, seq, fn])
+        else:
+            heapq.heappush(self._queue, [when, seq, fn])
 
     def call_later(self, delay: float, fn: Callable[[], Any]) -> Timer:
         """Schedule ``fn()`` to run ``delay`` simulated seconds from now."""

@@ -16,32 +16,48 @@ class SimEvent:
 
     Waiters are callbacks ``cb(value, exception)`` registered by the
     process trampoline; they run synchronously, in registration order,
-    when the event triggers.
+    when the event triggers.  Almost every event has at most one waiter,
+    so ``_waiters`` is ``None``, the one callback, or a list of them —
+    no container is allocated until a second waiter registers.
     """
 
     __slots__ = ("_waiters", "triggered", "value", "exception")
 
     def __init__(self) -> None:
-        self._waiters: deque = deque()
+        self._waiters: Any = None
         self.triggered = False
         self.value: Any = None
         self.exception: Optional[BaseException] = None
 
     @property
     def has_waiters(self) -> bool:
-        return bool(self._waiters)
+        waiters = self._waiters
+        if waiters.__class__ is list:
+            return bool(waiters)
+        return waiters is not None
 
     def add_waiter(self, cb: Callable[[Any, Optional[BaseException]], None]) -> None:
         if self.triggered:
             cb(self.value, self.exception)
             return
-        self._waiters.append(cb)
+        waiters = self._waiters
+        if waiters is None:
+            self._waiters = cb
+        elif waiters.__class__ is list:
+            waiters.append(cb)
+        else:
+            self._waiters = [waiters, cb]
 
     def discard_waiter(self, cb: Callable) -> None:
-        try:
-            self._waiters.remove(cb)
-        except ValueError:
-            pass
+        # Equality, not identity: bound methods are re-created per access.
+        waiters = self._waiters
+        if waiters.__class__ is list:
+            try:
+                waiters.remove(cb)
+            except ValueError:
+                pass
+        elif waiters == cb:
+            self._waiters = None
 
     def succeed(self, value: Any = None) -> None:
         """Trigger the event with ``value``; wakes all waiters in order."""
@@ -49,9 +65,15 @@ class SimEvent:
             raise RuntimeError("event already triggered")
         self.triggered = True
         self.value = value
-        waiters, self._waiters = self._waiters, deque()
-        for cb in waiters:
-            cb(value, None)
+        # Detach first: a waiter that registers or discards from inside
+        # its callback acts on the (already triggered) event, never on
+        # the batch being woken.
+        waiters, self._waiters = self._waiters, None
+        if waiters.__class__ is list:
+            for cb in waiters:
+                cb(value, None)
+        elif waiters is not None:
+            waiters(value, None)
 
     def fail(self, exc: BaseException) -> None:
         """Trigger the event with an exception; waiters re-raise it."""
@@ -59,9 +81,12 @@ class SimEvent:
             raise RuntimeError("event already triggered")
         self.triggered = True
         self.exception = exc
-        waiters, self._waiters = self._waiters, deque()
-        for cb in waiters:
-            cb(None, exc)
+        waiters, self._waiters = self._waiters, None
+        if waiters.__class__ is list:
+            for cb in waiters:
+                cb(None, exc)
+        elif waiters is not None:
+            waiters(None, exc)
 
 
 class Mailbox:

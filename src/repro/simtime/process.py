@@ -428,7 +428,7 @@ class SimProcess:
     def _do_wait(self, effect: Wait) -> None:
         event = effect.event
         if event.triggered:
-            self.engine.call_at(
+            self.engine.post_at(
                 self.engine.now,
                 lambda: self._step_event_result(event),
             )
@@ -472,10 +472,10 @@ class SimProcess:
             if ev.triggered:
                 if ev.exception is not None:
                     exc = ev.exception
-                    self.engine.call_at(self.engine.now, lambda e=exc: self._step(None, e))
+                    self.engine.post_at(self.engine.now, lambda e=exc: self._step(None, e))
                 else:
                     pair = (idx, ev.value)
-                    self.engine.call_at(self.engine.now, lambda p=pair: self._step(p, None))
+                    self.engine.post_at(self.engine.now, lambda p=pair: self._step(p, None))
                 return
         fired = [False]
         callbacks = []
@@ -505,10 +505,10 @@ class SimProcess:
         if proc._finished:
             if proc.exception is not None:
                 exc = proc.exception
-                self.engine.call_at(self.engine.now, lambda: self._step(None, exc))
+                self.engine.post_at(self.engine.now, lambda: self._step(None, exc))
             else:
                 res = proc.result
-                self.engine.call_at(self.engine.now, lambda: self._step(res, None))
+                self.engine.post_at(self.engine.now, lambda: self._step(res, None))
             return
         self._waiting_on = proc.done
         proc.done.add_waiter(self._step)

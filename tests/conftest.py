@@ -6,6 +6,11 @@ Marker map (registered in pyproject.toml ``[tool.pytest.ini_options]``):
 * ``obs``         — observability/tracing tests.
 * ``recovery``    — fault-recovery tests incl. the chaos soak.
 * ``bench``       — wall-clock performance benches; not part of tier-1.
+  Their deterministic counterparts carry no marker and *are* tier-1:
+  the call-count gates ``tests/ompi/test_init_scaling.py`` (calls per
+  simulated rank) and ``tests/ompi/test_message_path_cost.py`` (calls
+  per ob1 packet), both on the shared ``sys.setprofile`` counter in
+  ``tests/_callcount.py`` (a helper module, not a test file).
 * ``serve``       — serving-layer tests incl. the loadgen smoke.
 * ``chaos``       — operational fault injection (tests/chaos/): the
   ``repro.chaos`` plan model, cache corruption/quarantine, client

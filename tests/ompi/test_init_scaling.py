@@ -14,17 +14,13 @@ not — it is a few calls per server, not per rank.
 
 from __future__ import annotations
 
-import os
-import sys
-
 import pytest
 
-import repro
 from repro.api import SimSpec, make_world
 from repro.machine.presets import jupiter
 from repro.ompi.config import MpiConfig
+from tests._callcount import counting_calls
 
-SRC = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 PPN = 16
 
 
@@ -52,25 +48,15 @@ def calls_per_rank(job: str, nodes: int) -> float:
     """Python-level calls inside src/repro per simulated rank, for one
     job from world construction to quiescence."""
     main, config = JOBS[job]
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code.co_filename.startswith(SRC):
-            calls += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(count)
-    try:
+    with counting_calls() as tally:
         world = make_world(SimSpec(nprocs=nodes * PPN, machine=jupiter(nodes),
                                    ppn=PPN, config=config()))
         procs = world.spawn_ranks(main)
         world.run()
-    finally:
-        sys.setprofile(previous)
     for proc in procs:
         if proc.exception is not None:
             raise proc.exception
+    calls = tally.total
     assert calls > nodes * PPN      # the hook saw the run
     return calls / (nodes * PPN)
 

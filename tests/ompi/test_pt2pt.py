@@ -40,6 +40,26 @@ class TestBlocking:
         results = mpi_run(2, program(body))
         assert results[1] == (0, 9, 6)
 
+    def test_send_status_reports_sender_rank_eager_and_rendezvous(self, mpi_run, program):
+        """A completed send request reports the sender's own rank whether
+        it completed at injection (eager) or after CTS (rendezvous)."""
+        def body(mpi, comm):
+            if comm.rank == 1:
+                limit = mpi.machine.eager_limit
+                small = yield from comm.isend("s", 0, tag=1, nbytes=limit)
+                large = yield from comm.isend("L", 0, tag=2, nbytes=limit + 1)
+                yield from waitall([small, large])
+                return [(r.get_status().source, r.get_status().tag,
+                         r.get_status().count) for r in (small, large)]
+            first = yield from comm.recv(1, tag=1)
+            second = yield from comm.recv(1, tag=2)
+            return first + second
+
+        results = mpi_run(2, program(body))
+        limit = results[1][0][2]
+        assert results[1] == [(1, 1, limit), (1, 2, limit + 1)]
+        assert results[0] == "sL"
+
     def test_messages_not_overtaking_same_tag(self, mpi_run, program):
         def body(mpi, comm):
             if comm.rank == 0:

@@ -1,9 +1,12 @@
 """Property-based tests of the simulation engine's ordering contract."""
 
+from collections import deque
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simtime.engine import Engine
+from repro.simtime.engine import Engine, SimulationError
 from repro.simtime.primitives import SimBarrier, SimEvent
 from repro.simtime.process import Join, SimProcess, Sleep, Spawn
 
@@ -219,3 +222,208 @@ def test_run_until_boundary(ds, until):
     assert eng.run(until=0.0) == before      # past horizon: no-op
     eng.run()
     assert sorted(fired) == sorted(ds)
+
+
+# -- SimEvent against a deque model ----------------------------------------
+class _DequeEvent:
+    """The obvious SimEvent: a deque of waiters, swapped out on trigger.
+    The shipped one stores None / one callback / a list instead; every
+    observable — wake order, discard, late and nested registration,
+    ``has_waiters``, double-trigger errors — must agree with this."""
+
+    def __init__(self):
+        self._waiters = deque()
+        self.triggered = False
+        self.value = None
+        self.exception = None
+
+    @property
+    def has_waiters(self):
+        return bool(self._waiters)
+
+    def add_waiter(self, cb):
+        if self.triggered:
+            cb(self.value, self.exception)
+            return
+        self._waiters.append(cb)
+
+    def discard_waiter(self, cb):
+        try:
+            self._waiters.remove(cb)
+        except ValueError:
+            pass
+
+    def _trigger(self, value, exc):
+        if self.triggered:
+            raise RuntimeError("event already triggered")
+        self.triggered = True
+        self.value, self.exception = value, exc
+        waiters, self._waiters = self._waiters, deque()
+        for cb in waiters:
+            cb(value, exc)
+
+    def succeed(self, value=None):
+        self._trigger(value, None)
+
+    def fail(self, exc):
+        self._trigger(None, exc)
+
+
+class _Waiter:
+    """A callback with value equality (like the bound methods the
+    trampoline registers: a fresh object per access, equal by target).
+    When woken, waiter ``i`` may register waiter ``nested[i]`` and
+    discard waiter ``dropped[i]`` from inside its callback."""
+
+    def __init__(self, i, event, log, nested, dropped):
+        self.i, self.event, self.log = i, event, log
+        self.nested, self.dropped = nested, dropped
+
+    def __eq__(self, other):
+        return isinstance(other, _Waiter) and other.i == self.i
+
+    def __hash__(self):
+        return hash(self.i)
+
+    def __call__(self, value, exc):
+        self.log.append(("woke", self.i, value, repr(exc)))
+        if self.i in self.dropped:
+            self.event.discard_waiter(self._peer(self.dropped[self.i]))
+        if self.i in self.nested:
+            self.event.add_waiter(self._peer(self.nested[self.i]))
+
+    def _peer(self, j):
+        return _Waiter(j, self.event, self.log, {}, {})
+
+
+_WAITER_IDS = st.integers(min_value=0, max_value=5)
+_event_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), _WAITER_IDS),
+        st.tuples(st.just("discard"), _WAITER_IDS),
+        st.tuples(st.just("has"), st.just(0)),
+        st.tuples(st.sampled_from(["succeed", "fail"]), st.integers(0, 3)),
+    ),
+    max_size=14,
+)
+
+
+def _run_event_program(event, ops, nested, dropped):
+    log = []
+
+    def waiter(i):
+        return _Waiter(i, event, log, nested, dropped)
+
+    for op, arg in ops:
+        if op == "add":
+            event.add_waiter(waiter(arg))
+        elif op == "discard":
+            event.discard_waiter(waiter(arg))
+        elif op == "has":
+            log.append(("has", event.has_waiters))
+        else:
+            try:
+                if op == "succeed":
+                    event.succeed(arg)
+                else:
+                    event.fail(ValueError(arg))
+            except RuntimeError as err:
+                log.append(("error", str(err)))
+        log.append((event.triggered, event.value, repr(event.exception),
+                    event.has_waiters))
+    return log
+
+
+@given(_event_ops,
+       st.dictionaries(_WAITER_IDS, _WAITER_IDS, max_size=3),
+       st.dictionaries(_WAITER_IDS, _WAITER_IDS, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_simevent_matches_deque_model(ops, nested, dropped):
+    """0/1/2/n waiters (duplicates included), discarding the only, first,
+    middle or an absent one, registering after the trigger, registering
+    and discarding from inside a callback, triggering twice."""
+    assert (_run_event_program(SimEvent(), ops, nested, dropped)
+            == _run_event_program(_DequeEvent(), ops, nested, dropped))
+
+
+def test_simevent_waiter_cases():
+    """The cases the representation switches on, spelled out."""
+    for n, discard, expect in [
+        (0, None, []),
+        (1, None, [0]),
+        (1, 0, []),              # the only waiter
+        (2, None, [0, 1]),
+        (2, 0, [1]),             # first of two: back to a non-empty list
+        (3, 1, [0, 2]),          # the middle one
+        (3, 7, [0, 1, 2]),       # absent
+    ]:
+        ev, woken = SimEvent(), []
+        cbs = [lambda v, e, i=i: woken.append(i) for i in range(n)]
+        for cb in cbs:
+            ev.add_waiter(cb)
+        if discard is not None:
+            ev.discard_waiter(cbs[discard] if discard < n else (lambda v, e: None))
+        assert ev.has_waiters == bool(expect)
+        ev.succeed()
+        assert woken == expect and not ev.has_waiters
+        ev.add_waiter(lambda v, e: woken.append("late"))   # runs at once
+        assert woken == expect + ["late"]
+
+
+# -- post_at == call_at without the handle ---------------------------------
+_posts = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=12),    # tenths of a second
+        st.booleans(),                             # post_at (else call_at)
+        st.lists(                                  # scheduled from inside
+            st.tuples(st.integers(min_value=0, max_value=3), st.booleans()),
+            max_size=3),
+    ),
+    min_size=1,
+    max_size=20,
+)
+
+
+def _run_post_program(compat, posts, use_post):
+    eng = Engine(compat=compat)
+    log = []
+
+    def schedule(when, post, fn):
+        if post and use_post:
+            assert eng.post_at(when, fn) is None
+        else:
+            eng.call_at(when, fn)
+
+    def make_cb(i, inner):
+        def cb():
+            log.append((eng.now, i))
+            for j, (tenths, post) in enumerate(inner):
+                # tenths == 0 is ``when == now``: the ready lane.
+                schedule(eng.now + tenths / 10.0, post,
+                         lambda i=i, j=j: log.append((eng.now, (i, j))))
+        return cb
+
+    for i, (tenths, post, inner) in enumerate(posts):
+        schedule(tenths / 10.0, post, make_cb(i, inner))
+    eng.run()
+    return log, eng.events_executed, eng.now
+
+
+@given(_posts, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_post_at_fires_exactly_like_call_at(posts, compat):
+    """Same (time, seq) position and lane as ``call_at`` — mixing the two
+    on one engine changes nothing — on both schedulers."""
+    assert (_run_post_program(compat, posts, use_post=True)
+            == _run_post_program(compat, posts, use_post=False))
+
+
+@given(st.booleans())
+def test_post_at_rejects_the_past(compat):
+    eng = Engine(compat=compat)
+    eng.post_at(1.0, lambda: None)
+    eng.run()
+    with pytest.raises(SimulationError, match="in the past"):
+        eng.post_at(0.5, lambda: None)
+    eng.post_at(1.0, lambda: None)        # ``when == now`` is not the past
+    assert eng.run() == 1.0 and eng.events_executed == 2
