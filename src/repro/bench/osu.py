@@ -41,7 +41,6 @@ def _bootstrap(mode: str, mpi, tag: str = "osu"):
     session = yield from mpi.session_init()
     group = yield from session.group_from_pset("mpi://world")
     comm = yield from mpi.comm_create_from_group(group, tag)
-    mpi._osu_session = session
     return comm
 
 
@@ -49,8 +48,9 @@ def _teardown(mode: str, mpi, comm):
     if mode == "world":
         yield from mpi.mpi_finalize()
     else:
+        session = comm.session
         comm.free()
-        yield from mpi._osu_session.finalize()
+        yield from session.finalize()
 
 
 # ---------------------------------------------------------------------------

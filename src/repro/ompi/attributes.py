@@ -31,6 +31,8 @@ def _dup_copy(keyval: int, value: Any) -> Tuple[bool, Any]:
 class KeyvalRegistry:
     """Process-global registry of attribute keys (pre-init callable)."""
 
+    __slots__ = ("_next", "_keyvals")
+
     def __init__(self) -> None:
         self._next = itertools.count(100)
         self._keyvals: Dict[int, Tuple[CopyFn, DeleteFn, Any]] = {}
@@ -65,6 +67,8 @@ class KeyvalRegistry:
 
 class AttributeCache:
     """Per-object attribute storage (hangs off comms and sessions)."""
+
+    __slots__ = ("_registry", "_attrs")
 
     def __init__(self, registry: KeyvalRegistry) -> None:
         self._registry = registry

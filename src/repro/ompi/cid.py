@@ -32,6 +32,8 @@ MAX_CID = 2**16
 class CidTable:
     """Per-process array of communicators indexed by local CID."""
 
+    __slots__ = ("_table",)
+
     def __init__(self) -> None:
         self._table: List[Optional[object]] = []
 

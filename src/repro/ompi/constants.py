@@ -7,6 +7,7 @@ numpy references.
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Callable
 
 # -- wildcards / sentinels ----------------------------------------------------
@@ -75,24 +76,17 @@ def _prod(a, b):
 
 
 def _max(a, b):
-    try:
-        import numpy as np
-
-        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-            return np.maximum(a, b)
-    except ImportError:  # pragma: no cover
-        pass
+    # Elementwise for arrays; an ndarray operand implies numpy is loaded.
+    np = sys.modules.get("numpy")
+    if np is not None and (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+        return np.maximum(a, b)
     return max(a, b)
 
 
 def _min(a, b):
-    try:
-        import numpy as np
-
-        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-            return np.minimum(a, b)
-    except ImportError:  # pragma: no cover
-        pass
+    np = sys.modules.get("numpy")
+    if np is not None and (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+        return np.minimum(a, b)
     return min(a, b)
 
 

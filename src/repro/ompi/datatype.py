@@ -4,13 +4,16 @@ Basic numeric types map to numpy dtypes; derived types (contiguous and
 vector) carry the layout needed to compute wire sizes.  The simulator
 moves Python objects, so datatypes exist to (a) size messages for the
 cost model and (b) mirror the API shape of an MPI library.
+
+numpy is imported by the first thing that needs it — reading
+:attr:`Datatype.np_dtype`, allocating a window — and never at import:
+most simulated programs move Python ints.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Optional
-
-import numpy as np
 
 from repro.ompi.errors import MPIErrArg
 
@@ -23,7 +26,7 @@ class Datatype:
         self,
         name: str,
         size: int,
-        np_dtype: Optional[np.dtype] = None,
+        np_dtype: Optional[str] = None,
         committed: bool = True,
     ) -> None:
         if size < 0:
@@ -31,9 +34,19 @@ class Datatype:
         self.name = name
         self.size = size            # true data bytes per element
         self.extent = size          # span including gaps (derived types differ)
-        self.np_dtype = np_dtype
+        self._np_name = np_dtype    # numpy dtype name; None for derived types
         self.committed = committed
+        self.predefined = False     # True for the module-level constants
         self.freed = False
+
+    @property
+    def np_dtype(self):
+        """The matching ``numpy.dtype`` (``None`` for derived types)."""
+        if self._np_name is None:
+            return None
+        import numpy as np
+
+        return np.dtype(self._np_name)
 
     # -- derived constructors ----------------------------------------------
     def create_contiguous(self, count: int) -> "Datatype":
@@ -64,6 +77,9 @@ class Datatype:
 
     def free(self) -> None:
         self._check()
+        if self.predefined:
+            # The constants below are shared by every world of the process.
+            raise MPIErrArg(f"predefined datatype {self.name} cannot be freed")
         self.freed = True
 
     def _check(self) -> None:
@@ -81,18 +97,24 @@ class Datatype:
         return f"<Datatype {self.name} size={self.size}>"
 
 
-BYTE = Datatype("MPI_BYTE", 1, np.dtype(np.uint8))
-CHAR = Datatype("MPI_CHAR", 1, np.dtype("S1"))
-SHORT = Datatype("MPI_SHORT", 2, np.dtype(np.int16))
-INT = Datatype("MPI_INT", 4, np.dtype(np.int32))
-LONG = Datatype("MPI_LONG", 8, np.dtype(np.int64))
-UNSIGNED = Datatype("MPI_UNSIGNED", 4, np.dtype(np.uint32))
-UNSIGNED_LONG = Datatype("MPI_UNSIGNED_LONG", 8, np.dtype(np.uint64))
-FLOAT = Datatype("MPI_FLOAT", 4, np.dtype(np.float32))
-DOUBLE = Datatype("MPI_DOUBLE", 8, np.dtype(np.float64))
-COMPLEX = Datatype("MPI_COMPLEX", 8, np.dtype(np.complex64))
-DOUBLE_COMPLEX = Datatype("MPI_DOUBLE_COMPLEX", 16, np.dtype(np.complex128))
-BOOL = Datatype("MPI_C_BOOL", 1, np.dtype(np.bool_))
+def _predefined(name: str, size: int, np_dtype: str) -> Datatype:
+    dt = Datatype(name, size, np_dtype)
+    dt.predefined = True
+    return dt
+
+
+BYTE = _predefined("MPI_BYTE", 1, "uint8")
+CHAR = _predefined("MPI_CHAR", 1, "S1")
+SHORT = _predefined("MPI_SHORT", 2, "int16")
+INT = _predefined("MPI_INT", 4, "int32")
+LONG = _predefined("MPI_LONG", 8, "int64")
+UNSIGNED = _predefined("MPI_UNSIGNED", 4, "uint32")
+UNSIGNED_LONG = _predefined("MPI_UNSIGNED_LONG", 8, "uint64")
+FLOAT = _predefined("MPI_FLOAT", 4, "float32")
+DOUBLE = _predefined("MPI_DOUBLE", 8, "float64")
+COMPLEX = _predefined("MPI_COMPLEX", 8, "complex64")
+DOUBLE_COMPLEX = _predefined("MPI_DOUBLE_COMPLEX", 16, "complex128")
+BOOL = _predefined("MPI_C_BOOL", 1, "bool")
 
 
 def sizeof_payload(payload, datatype: Optional[Datatype] = None, count: Optional[int] = None) -> int:
@@ -103,7 +125,9 @@ def sizeof_payload(payload, datatype: Optional[Datatype] = None, count: Optional
     """
     if datatype is not None and count is not None:
         return datatype.wire_size(count)
-    if isinstance(payload, np.ndarray):
+    # An ndarray cannot exist in a process that never imported numpy.
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(payload, np.ndarray):
         return payload.nbytes
     if isinstance(payload, (bytes, bytearray, memoryview)):
         return len(payload)

@@ -12,6 +12,7 @@ machinery, "removing the need for any duplicate code".
 
 from __future__ import annotations
 
+from repro.ompi.opal.mca import MCAComponent
 from repro.simtime.process import Sleep, SleepUntil
 
 #: Subsystems the instance brings up, in dependency order.  Each costs
@@ -30,6 +31,19 @@ SUBSYSTEMS = (
 )
 
 
+#: The components every rank registers, per framework.  They are the same
+#: for every rank of every world, so they are built once and each rank's
+#: frameworks hold the tables by reference.
+MCA_COMPONENTS = {
+    framework: {c.name: c for c in components}
+    for framework, components in (
+        ("pml", (MCAComponent("ob1", priority=20), MCAComponent("cm", priority=10))),
+        ("btl", (MCAComponent("sm", priority=50), MCAComponent("net", priority=30))),
+        ("coll", (MCAComponent("tuned", priority=30), MCAComponent("basic", priority=10))),
+    )
+}
+
+
 def instance_acquire(runtime):
     """Sub-generator: retain (initializing on first use) every subsystem."""
     if not runtime.engine.compat:
@@ -37,16 +51,8 @@ def instance_acquire(runtime):
         runtime.instance_refcount += 1
         return
     for name in SUBSYSTEMS:
-        if name == "pml_ob1":
-            init_fn = lambda: _pml_init(runtime)  # noqa: E731
-            cleanup_fn = lambda: _pml_cleanup(runtime)  # noqa: E731
-        elif name == "mca_base":
-            init_fn = lambda: _mca_init(runtime)  # noqa: E731
-            cleanup_fn = lambda: _mca_cleanup(runtime)  # noqa: E731
-        else:
-            init_fn = lambda: _generic_init(runtime)  # noqa: E731
-            cleanup_fn = None
-        yield from runtime.subsystems.acquire(name, init_fn, cleanup_fn)
+        init_fn, cleanup_fn = _LIFECYCLE.get(name, (_generic_init, None))
+        yield from runtime.subsystems.acquire(name, init_fn, cleanup_fn, runtime)
     runtime.instance_refcount += 1
 
 
@@ -67,7 +73,6 @@ def _instance_acquire_fast(runtime):
     a warm entry between cold ones does not break fusion.
     """
     reg = runtime.subsystems
-    initialized = reg._initialized
     engine = runtime.engine
     d = runtime.machine.session_subsys_init
     names = SUBSYSTEMS
@@ -79,7 +84,7 @@ def _instance_acquire_fast(runtime):
         t = engine.now
         while i < n:
             name = names[i]
-            cold = name not in initialized
+            cold = not reg.is_initialized(name)
             seg.append((name, cold))
             i += 1
             if cold:
@@ -93,15 +98,13 @@ def _instance_acquire_fast(runtime):
             if cold:
                 if name == "mca_base":
                     _mca_register(runtime)
-                    reg.mark_initialized(
-                        name, lambda: _mca_cleanup(runtime))
+                    reg.mark_initialized(name, _mca_cleanup, runtime)
                 elif name == "pml_ob1":
                     _pml_setup(runtime)
                     yield from runtime.pmix.commit()
-                    reg.mark_initialized(
-                        name, lambda: _pml_cleanup(runtime))
+                    reg.mark_initialized(name, _pml_cleanup, runtime)
                 else:
-                    reg.mark_initialized(name, None)
+                    reg.mark_initialized(name)
             reg.retain(name)
 
 
@@ -135,29 +138,16 @@ def _mca_init(runtime):
 def _mca_register(runtime):
     """The non-sleeping body of :func:`_mca_init` (shared with the fused
     fast path, which performs the time charge separately)."""
-    from repro.ompi.opal.mca import MCAComponent
-
-    pml = runtime.mca.framework("pml")
-    if not pml.components():
-        pml.register(MCAComponent("ob1", priority=20))
-        pml.register(MCAComponent("cm", priority=10))
-    btl = runtime.mca.framework("btl")
-    if not btl.components():
-        btl.register(MCAComponent("sm", priority=50))
-        btl.register(MCAComponent("net", priority=30))
-    coll = runtime.mca.framework("coll")
-    if not coll.components():
-        coll.register(MCAComponent("tuned", priority=30))
-        coll.register(MCAComponent("basic", priority=10))
-    for name in ("pml", "btl", "coll"):
-        runtime.mca.framework(name).open()
-    pml.select(prefer=runtime.config.pml)
-    btl.select()
-    coll.select()
+    mca = runtime.mca
+    for name, components in MCA_COMPONENTS.items():
+        mca.framework(name, components).open()
+    mca.framework("pml").select(prefer=runtime.config.pml)
+    mca.framework("btl").select()
+    mca.framework("coll").select()
 
 
 def _mca_cleanup(runtime):
-    for name in ("pml", "btl", "coll"):
+    for name in MCA_COMPONENTS:
         fw = runtime.mca.framework(name)
         if fw.is_open:
             fw.close()
@@ -189,3 +179,11 @@ def _pml_cleanup(runtime):
         runtime.fabric.deregister(runtime.proc)
         runtime.endpoint = None
     runtime.reset_cid_state()
+
+
+#: subsystem -> (init sub-generator, cleanup), each called with the
+#: runtime; every other subsystem only charges its init time.
+_LIFECYCLE = {
+    "mca_base": (_mca_init, _mca_cleanup),
+    "pml_ob1": (_pml_init, _pml_cleanup),
+}

@@ -10,7 +10,7 @@ the filesystem — part of the NFS story in the paper's init numbers).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 
 class MCAError(RuntimeError):
@@ -20,21 +20,34 @@ class MCAError(RuntimeError):
 class MCAComponent:
     """One selectable component (e.g. pml/ob1, btl/sm)."""
 
-    def __init__(self, name: str, priority: int = 0, factory: Optional[Callable] = None) -> None:
+    __slots__ = ("name", "priority")
+
+    def __init__(self, name: str, priority: int = 0) -> None:
         self.name = name
         self.priority = priority
-        self.factory = factory or (lambda: None)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<MCAComponent {self.name} prio={self.priority}>"
 
 
-class MCAFramework:
-    """A named framework holding components; selection picks by priority."""
+_NO_COMPONENTS: Mapping[str, MCAComponent] = {}
 
-    def __init__(self, name: str) -> None:
+
+class MCAFramework:
+    """A named framework holding components; selection picks by priority.
+
+    Which components exist is the same for every rank of every world, so
+    the table is a value a framework holds by reference and never writes
+    (:meth:`register` replaces it); what a rank owns is its open/close
+    count and its selection.
+    """
+
+    __slots__ = ("name", "_components", "open_count", "is_open", "selected")
+
+    def __init__(self, name: str,
+                 components: Mapping[str, MCAComponent] = _NO_COMPONENTS) -> None:
         self.name = name
-        self._components: Dict[str, MCAComponent] = {}
+        self._components = components
         self.open_count = 0
         self.is_open = False
         self.selected: Optional[MCAComponent] = None
@@ -42,7 +55,7 @@ class MCAFramework:
     def register(self, component: MCAComponent) -> None:
         if component.name in self._components:
             raise MCAError(f"{self.name}/{component.name} registered twice")
-        self._components[component.name] = component
+        self._components = {**self._components, component.name: component}
 
     def components(self) -> List[MCAComponent]:
         return sorted(self._components.values(), key=lambda c: (-c.priority, c.name))
@@ -76,15 +89,19 @@ class MCAFramework:
 class MCARegistry:
     """Per-process registry of frameworks and MCA parameters."""
 
+    __slots__ = ("_frameworks", "_params")
+
     def __init__(self) -> None:
         self._frameworks: Dict[str, MCAFramework] = {}
         self._params: Dict[str, Any] = {}
 
-    def framework(self, name: str) -> MCAFramework:
+    def framework(self, name: str,
+                  components: Mapping[str, MCAComponent] = _NO_COMPONENTS) -> MCAFramework:
+        """The framework ``name``; created on first use, then holding the
+        ``components`` table (by reference) this call passes."""
         fw = self._frameworks.get(name)
         if fw is None:
-            fw = MCAFramework(name)
-            self._frameworks[name] = fw
+            fw = self._frameworks[name] = MCAFramework(name, components)
         return fw
 
     def open_frameworks(self) -> List[str]:

@@ -15,8 +15,7 @@ MPI matching rules implemented here:
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.ompi.constants import ANY_SOURCE, ANY_TAG
 
@@ -64,15 +63,20 @@ def _compatible(posted: PostedRecv, msg: IncomingMsg) -> bool:
 
 
 class _CommQueues:
+    """Both queues are short and matched from the head; a list costs an
+    idle communicator 56 bytes where a deque holds a 760-byte block."""
+
     __slots__ = ("posted", "unexpected")
 
     def __init__(self) -> None:
-        self.posted: Deque[PostedRecv] = deque()
-        self.unexpected: Deque[IncomingMsg] = deque()
+        self.posted: List[PostedRecv] = []
+        self.unexpected: List[IncomingMsg] = []
 
 
 class MatchingEngine:
     """All matching state for one process."""
+
+    __slots__ = ("_by_cid", "matches", "unexpected_hits")
 
     def __init__(self) -> None:
         self._by_cid: Dict[int, _CommQueues] = {}

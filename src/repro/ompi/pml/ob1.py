@@ -109,6 +109,10 @@ class Fabric:
         self.machine = cluster.machine
         self.faults = getattr(cluster, "faults", None)
         self._endpoints: Dict[PmixProc, "Ob1Endpoint"] = {}
+        # The BTLs are stateless cost models of the machine: one pair
+        # serves every endpoint of the world.
+        self.btl_sm = SharedMemoryBTL(self.machine)
+        self.btl_net = NetworkBTL(self.machine)
         self.packets = 0
         self.bytes = 0
         # Cross-partition boundary (repro.dsim); None = single-process.
@@ -194,6 +198,10 @@ class _Peer:
 class Ob1Endpoint:
     """Per-process PML state."""
 
+    __slots__ = ("runtime", "proc", "node", "engine", "machine", "fabric",
+                 "matching", "nic_free", "match_busy", "_peers", "_added",
+                 "_pending", "stats", "obs_track")
+
     def __init__(self, runtime) -> None:
         self.runtime = runtime
         self.proc: PmixProc = runtime.proc
@@ -202,8 +210,6 @@ class Ob1Endpoint:
         self.machine = runtime.machine
         self.fabric: Fabric = runtime.fabric
         self.matching = MatchingEngine()
-        self.btl_sm = SharedMemoryBTL(self.machine)
-        self.btl_net = NetworkBTL(self.machine)
         self.nic_free = 0.0
         self.match_busy = 0.0
         self._peers: Dict[PmixProc, _Peer] = {}
@@ -292,7 +298,8 @@ class Ob1Endpoint:
         btl = peer.btl
         if btl is None:
             peer_node = self.runtime.pmix.server.node_of(peer.proc)
-            btl = peer.btl = self.btl_sm if peer_node == self.node else self.btl_net
+            fabric = self.fabric
+            btl = peer.btl = fabric.btl_sm if peer_node == self.node else fabric.btl_net
         engine = self.engine
         now = engine._now
         tr = engine.tracer

@@ -31,7 +31,7 @@ from repro.ompi.errors import (
 )
 from repro.ompi.excid import ExcidState
 from repro.ompi.group import Group
-from repro.ompi.instance import instance_acquire, instance_release
+from repro.ompi.instance import SUBSYSTEMS, instance_acquire, instance_release
 from repro.ompi.opal.cleanup import CleanupFramework, SubsystemRegistry
 from repro.ompi.opal.mca import MCARegistry
 from repro.ompi.session import Session
@@ -46,6 +46,19 @@ class MpiRuntime:
     # Reserved local CIDs for the built-in World Process Model comms.
     CID_WORLD = 0
     CID_SELF = 1
+
+    # One record per simulated rank: slotted, because this many
+    # attributes would otherwise cost every rank a 1.6 KB __dict__.
+    __slots__ = (
+        "cluster", "engine", "machine", "job", "fabric", "config",
+        "rank_in_job", "proc", "node", "pmix", "obs_track",
+        "keyvals", "cleanup", "subsystems", "mca",
+        "endpoint", "cid_table", "_excid_index", "_early_excid_pkts",
+        "_early_cid_pkts",
+        "instance_refcount", "sessions", "world_session", "world_finalized",
+        "thread_level", "COMM_WORLD", "COMM_SELF", "_binary_loaded",
+        "live_comms", "failed_procs", "_pending_revokes",
+    )
 
     def __init__(self, cluster, job, fabric, rank: int, config: Optional[MpiConfig] = None) -> None:
         self.cluster = cluster
@@ -63,7 +76,7 @@ class MpiRuntime:
         # Pre-init-usable state (paper §III-B5).
         self.keyvals = KeyvalRegistry()
         self.cleanup = CleanupFramework()
-        self.subsystems = SubsystemRegistry(self.cleanup)
+        self.subsystems = SubsystemRegistry(self.cleanup, SUBSYSTEMS)
         self.mca = MCARegistry()
 
         # Messaging state (populated by the pml subsystem).

@@ -15,12 +15,13 @@ pre-epoch values — tests rely on this to catch misuse.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.ompi.errors import MPIErrArg, MPIErrIntern
 from repro.simtime.process import Sleep
+
+if TYPE_CHECKING:
+    import numpy as np
 
 RMA_ISSUE_OVERHEAD = 0.15e-6    # CPU cost to issue one RMA op
 
@@ -68,8 +69,10 @@ class Window:
     # constructors
     # ------------------------------------------------------------------
     @classmethod
-    def allocate(cls, comm, count: int, dtype=np.float64):
+    def allocate(cls, comm, count: int, dtype="float64"):
         """Sub-generator: MPI_Win_allocate — collective over ``comm``."""
+        import numpy as np      # first use: windows are where arrays start
+
         if count < 0:
             raise MPIErrArg("window size must be >= 0")
         internal = yield from comm.dup()
@@ -80,7 +83,7 @@ class Window:
         return cls(internal, memory, peers)
 
     @classmethod
-    def create_from_group(cls, runtime, group, stringtag: str, count: int, dtype=np.float64):
+    def create_from_group(cls, runtime, group, stringtag: str, count: int, dtype="float64"):
         """Sub-generator: MPI_Win_allocate_from_group via the prototype's
         intermediate-communicator path (§III-B6)."""
         intermediate = yield from runtime.comm_create_from_group(
@@ -109,6 +112,8 @@ class Window:
     # ------------------------------------------------------------------
     def put(self, data, target: int, offset: int = 0):
         """Sub-generator: queue a put; visible at fence/unlock."""
+        import numpy as np
+
         self._check(target)
         arr = np.asarray(data)
         self._bounds(target, offset, arr.size)
@@ -127,6 +132,8 @@ class Window:
 
     def accumulate(self, data, target: int, op, offset: int = 0):
         """Sub-generator: queue an accumulate (elementwise ``op``)."""
+        import numpy as np
+
         self._check(target)
         arr = np.asarray(data)
         self._bounds(target, offset, arr.size)

@@ -8,7 +8,6 @@ client.fence(...)`` inside a simulated process.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional
 
 from repro.pmix.server import PmixServer
@@ -33,6 +32,10 @@ from repro.simtime.trace import track_for_daemon, track_for_proc
 class PmixClient:
     """Client-side PMIx connection for one process."""
 
+    __slots__ = ("proc", "server", "engine", "machine", "obs_track",
+                 "initialized", "_staged", "_coll_counters", "_group_pgcids",
+                 "invite_handler", "group_ready_handler")
+
     def __init__(self, proc: PmixProc, server: PmixServer) -> None:
         self.proc = proc
         self.server = server
@@ -41,7 +44,7 @@ class PmixClient:
         self.obs_track = track_for_proc(proc)
         self.initialized = False
         self._staged: Dict[str, Any] = {}
-        self._coll_counters: Dict[Hashable, "itertools.count"] = {}
+        self._coll_counters: Dict[Hashable, int] = {}
         self._group_pgcids: Dict[str, int] = {}
         # Asynchronous group construction (invite/join model).
         self.invite_handler: Optional[Callable] = None
@@ -100,8 +103,9 @@ class PmixClient:
     # -- collectives ---------------------------------------------------------------
     def _next_sig(self, kind: str, member_key: Hashable, extra: Hashable = None) -> Hashable:
         key = (kind, member_key, extra)
-        counter = self._coll_counters.setdefault(key, itertools.count())
-        return (kind, member_key, extra, next(counter))
+        serial = self._coll_counters.get(key, 0)
+        self._coll_counters[key] = serial + 1
+        return (kind, member_key, extra, serial)
 
     def fence(self, procs: Optional[Iterable[PmixProc]] = None, collect: bool = True):
         """PMIx_Fence over ``procs`` (default: the whole namespace).

@@ -10,7 +10,14 @@ Marker map (registered in pyproject.toml ``[tool.pytest.ini_options]``):
   the call-count gates ``tests/ompi/test_init_scaling.py`` (calls per
   simulated rank) and ``tests/ompi/test_message_path_cost.py`` (calls
   per ob1 packet), both on the shared ``sys.setprofile`` counter in
-  ``tests/_callcount.py`` (a helper module, not a test file).
+  ``tests/_callcount.py``; the footprint gate
+  ``tests/ompi/test_rank_footprint.py`` (GC-tracked objects and
+  ``tracemalloc`` KB per simulated rank) on ``tests/_objcount.py``
+  (both helper modules, not test files); the import-path check
+  ``tests/test_numpy_lazy.py`` (fresh interpreters: no import and no
+  plain job pulls numpy in); and the paper-shape contract
+  ``tests/bench/test_fig3_contract.py`` (Fig 3 ratio and handle share
+  in simulated time, no ``pytest-benchmark`` fixture).
 * ``serve``       — serving-layer tests incl. the loadgen smoke.
 * ``chaos``       — operational fault injection (tests/chaos/): the
   ``repro.chaos`` plan model, cache corruption/quarantine, client
@@ -36,8 +43,11 @@ Marker map (registered in pyproject.toml ``[tool.pytest.ini_options]``):
   tier-1 as the parity smoke; ``pytest -m stackparity`` runs everything
   not otherwise deselected.
 * ``slow``        — large-scale runs (1k+ simulated ranks, bigger parity
-  sweeps).  Excluded from tier-1 by ``addopts = -m "not slow"``; opt in
-  with ``pytest -m slow`` (or ``-m ""`` to run the whole matrix).
+  sweeps; the 64 -> 4096 twin of the call-count gate and the 1024/4096
+  recording twin of the footprint gate, which prints objects, KB and
+  gen-0/1/2 collector passes per rank instead of gating them).
+  Excluded from tier-1 by ``addopts = -m "not slow"``; opt in with
+  ``pytest -m slow`` (or ``-m ""`` to run the whole matrix).
 """
 
 from __future__ import annotations

@@ -11,6 +11,8 @@ from repro.ompi.datatype import (
     sizeof_payload,
 )
 from repro.ompi.errors import MPIErrArg
+from repro.ompi.status import Status
+from tests.ompi.conftest import world_program
 
 
 class TestBasicTypes:
@@ -21,6 +23,30 @@ class TestBasicTypes:
 
     def test_numpy_mapping(self):
         assert DOUBLE.np_dtype == np.dtype(np.float64)
+        assert INT.np_dtype == np.dtype("int32")
+        assert INT.create_contiguous(2).np_dtype is None
+
+    def test_predefined_type_cannot_be_freed_and_serves_the_next_world(self, mpi_run):
+        """The constants are shared by every world of the process (a
+        serve pool worker runs many): freeing one is erroneous in MPI and
+        must leave it usable."""
+        def first(mpi, comm):
+            derived = INT.create_contiguous(2).commit()
+            derived.free()                      # a derived type may be freed
+            with pytest.raises(MPIErrArg, match="predefined"):
+                INT.free()
+            yield from comm.barrier()
+
+        def second(mpi, comm):
+            if comm.rank == 0:
+                yield from comm.send([1, 2, 3], 1, tag=4, nbytes=INT.wire_size(3))
+                return None
+            status = Status()
+            yield from comm.recv(0, tag=4, status=status)
+            return status.count
+
+        mpi_run(2, world_program(first))
+        assert mpi_run(2, world_program(second))[1] == 12
 
 
 class TestDerivedTypes:
