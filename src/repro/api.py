@@ -18,14 +18,11 @@ runs the simulation to quiescence, and returns per-rank results.
 :class:`SimSpec` is the one description of a simulated run — machine,
 layout, MPI config, recovery and engine knobs — shared by
 :func:`make_world`, :func:`run_mpi`, ``Cluster.from_spec``, the
-``repro.serve`` wire format and the ``repro.sweep`` cache keys.  The
-historical loose-kwargs spellings still work but are deprecated
-(``DeprecationWarning``); see docs/api.md.
+``repro.serve`` wire format and the ``repro.sweep`` cache keys.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -164,94 +161,21 @@ class MpiWorld:
         return self.cluster.run(until=until)
 
 
-# Legacy make_world/run_mpi kwargs subsumed by SimSpec, with the
-# defaults the old signatures used.  Anything here passed explicitly
-# (i.e. differing from the default) routes through the deprecation shim.
-_LEGACY_DEFAULTS: Dict[str, Any] = {
-    "machine": None,
-    "ppn": None,
-    "config": None,
-    "psets": None,
-    "grpcomm_mode": "tree",
-    "grpcomm_radix": 2,
-    "tracer": None,
-    "recovery": False,
-    "recovery_seed": 0,
-    "engine_compat": False,
-}
+def make_world(spec: SimSpec, *, cluster: Optional[Cluster] = None,
+               fabric: Optional[Fabric] = None) -> MpiWorld:
+    """Boot a cluster and launch (but do not run) the job ``spec``
+    describes.
 
-
-def _resolve_spec(caller: str, nprocs, spec: Optional[SimSpec],
-                  legacy: Dict[str, Any]) -> SimSpec:
-    """One SimSpec from (positional nprocs-or-spec, spec=, legacy kwargs).
-
-    The shim keeps every historical call shape working; non-default
-    legacy kwargs emit a ``DeprecationWarning`` naming the replacement.
+    Pass an existing ``cluster`` (and optionally ``fabric``) to co-host
+    several jobs on one DVM — the PRRTE model, where one set of daemons
+    serves many ``prun`` invocations.  Co-hosted jobs share the PMIx
+    servers and the PGCID space but have distinct namespaces.
+    ``SimSpec(recovery=True)`` enables the fault-recovery layer
+    (reliable RML, tree healing, ULFM-lite shrink — docs/recovery.md).
     """
-    if isinstance(nprocs, SimSpec):
-        if spec is not None:
-            raise TypeError(f"{caller}: spec passed twice")
-        spec, nprocs = nprocs, None
-    used = {k: v for k, v in legacy.items() if v is not _LEGACY_DEFAULTS[k]
-            and v != _LEGACY_DEFAULTS[k]}
-    if spec is not None:
-        if not isinstance(spec, SimSpec):
-            raise TypeError(f"{caller}: spec must be a SimSpec, "
-                            f"got {type(spec).__name__}")
-        if used:
-            raise TypeError(f"{caller}: pass spec=... or the legacy kwargs "
-                            f"({', '.join(sorted(used))}), not both")
-        if nprocs is not None and nprocs != spec.nprocs:
-            raise ValueError(f"{caller}: nprocs={nprocs} conflicts with "
-                             f"spec.nprocs={spec.nprocs}")
-        return spec
-    if nprocs is None:
-        raise TypeError(f"{caller}: pass nprocs or a SimSpec")
-    if used:
-        warnings.warn(
-            f"{caller}({', '.join(sorted(used))}=...) legacy kwargs are "
-            f"deprecated; build a repro.api.SimSpec and pass "
-            f"{caller}(spec) (docs/api.md)",
-            DeprecationWarning, stacklevel=3,
-        )
-    return SimSpec(nprocs=nprocs, **legacy)
-
-
-def make_world(
-    nprocs=None,
-    machine: Optional[MachineModel] = None,
-    ppn: Optional[int] = None,
-    config: Optional[MpiConfig] = None,
-    psets: Optional[Dict[str, Sequence[int]]] = None,
-    grpcomm_mode: str = "tree",
-    tracer=None,
-    cluster: Optional[Cluster] = None,
-    fabric: Optional[Fabric] = None,
-    recovery: bool = False,
-    recovery_seed: int = 0,
-    engine_compat: bool = False,
-    *,
-    grpcomm_radix: int = 2,
-    spec: Optional[SimSpec] = None,
-) -> MpiWorld:
-    """Boot a cluster and launch (but do not run) an MPI job.
-
-    The first positional may be a :class:`SimSpec` (preferred) or a
-    rank count combined with legacy kwargs (deprecated shim).  Pass an
-    existing ``cluster`` (and optionally ``fabric``) to co-host several
-    jobs on one DVM — the PRRTE model, where one set of daemons serves
-    many ``prun`` invocations.  Co-hosted jobs share the PMIx servers
-    and the PGCID space but have distinct namespaces.
-    ``recovery=True`` enables the fault-recovery layer (reliable RML,
-    tree healing, ULFM-lite shrink — docs/recovery.md).
-    """
-    spec = _resolve_spec(
-        "make_world", nprocs, spec,
-        dict(machine=machine, ppn=ppn, config=config, psets=psets,
-             grpcomm_mode=grpcomm_mode, grpcomm_radix=grpcomm_radix,
-             tracer=tracer, recovery=recovery, recovery_seed=recovery_seed,
-             engine_compat=engine_compat),
-    )
+    if not isinstance(spec, SimSpec):
+        raise TypeError(f"a run is described by a repro.api.SimSpec, "
+                        f"got {type(spec).__name__}")
     if cluster is None:
         cluster = Cluster.from_spec(spec)
     elif spec.machine is not None and spec.machine is not cluster.machine:
@@ -267,46 +191,18 @@ def make_world(
                     runtimes=runtimes, spec=spec)
 
 
-def run_mpi(
-    nprocs=None,
-    main: Optional[Callable] = None,
-    *,
-    machine: Optional[MachineModel] = None,
-    ppn: Optional[int] = None,
-    config: Optional[MpiConfig] = None,
-    psets: Optional[Dict[str, Sequence[int]]] = None,
-    args: Sequence[Any] = (),
-    grpcomm_mode: str = "tree",
-    grpcomm_radix: int = 2,
-    tracer=None,
-    recovery: bool = False,
-    recovery_seed: int = 0,
-    engine_compat: bool = False,
-    return_world: bool = False,
-    spec: Optional[SimSpec] = None,
-):
+def run_mpi(spec: SimSpec, main: Callable, *, args: Sequence[Any] = (),
+            return_world: bool = False):
     """Run ``main`` on the ranks described by a :class:`SimSpec`.
 
-    ``run_mpi(SimSpec(nprocs=8), main)`` — or the deprecated
-    ``run_mpi(8, main, machine=...)`` shim.  Every spec field
-    (including ``recovery``/``recovery_seed``/``engine_compat``, which
-    the old kwargs API silently dropped) reaches :func:`make_world`:
-    the two entry points share one parameter path and cannot diverge.
+    Every spec field reaches :func:`make_world`: the two entry points
+    share one parameter path and cannot diverge.
 
     Returns the list of per-rank return values (or ``(results, world)``
     when ``return_world`` is set, for benchmarks that need the clock or
     counters afterwards).  Raises the first rank failure, if any.
     """
-    if main is None:
-        raise TypeError("run_mpi: missing the per-rank main() generator")
-    spec = _resolve_spec(
-        "run_mpi", nprocs, spec,
-        dict(machine=machine, ppn=ppn, config=config, psets=psets,
-             grpcomm_mode=grpcomm_mode, grpcomm_radix=grpcomm_radix,
-             tracer=tracer, recovery=recovery, recovery_seed=recovery_seed,
-             engine_compat=engine_compat),
-    )
-    world = make_world(spec=spec)
+    world = make_world(spec)
     procs = world.spawn_ranks(main, args)
     world.run()
     for p in procs:

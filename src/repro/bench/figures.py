@@ -464,7 +464,7 @@ def ablation_handshake(pairs: int = 4, sizes=(1, 64, 4096)) -> BenchResult:
 
 def entry_points() -> Dict[str, "object"]:
     """Name -> callable for every figure/table/ablation in this module.
-    Single source of truth for ``tools/run_figure.py`` and the sweep
+    Single source of truth for ``python -m repro figure`` and the sweep
     runner."""
     return {
         name: fn

@@ -69,7 +69,7 @@ def osu_init(nodes: int, ppn: int, mode: str, machine_factory=jupiter,
     """The osu_init benchmark (modified for sessions as in the paper).
 
     Pass a :class:`~repro.simtime.trace.Tracer` to record spans/flows for
-    the run (the ``--obs`` mode of ``tools/run_figure.py``).
+    the run (the ``--obs`` mode of ``python -m repro figure``).
 
     ``partitions > 1`` executes the same world across that many worker
     processes (:mod:`repro.dsim`); all returned timings are simulated

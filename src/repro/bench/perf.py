@@ -21,7 +21,7 @@ Every case also cross-checks determinism: the fast and compat runs must
 execute exactly the same number of engine events (the golden-trace tests
 prove the stronger byte-identical-ordering property).
 
-``tools/bench.py`` is the CLI; ``benchmarks/test_perf.py`` asserts the
+``python -m repro bench`` is the CLI; ``benchmarks/test_perf.py`` asserts the
 speedup bars; ``tests/bench/test_perf_smoke.py`` runs a tiny guard in
 tier-1.
 """
@@ -319,7 +319,7 @@ def run_partitioned_case(case: PartitionedCase, *, quick: bool = False,
 def run_case_point(case: str, quick: bool = False,
                    repeats: int = 3) -> Dict[str, object]:
     """Sweep-friendly wrapper (module-level, picklable): run one named
-    case and return its result record — what ``tools/bench.py --jobs``
+    case and return its result record — what ``python -m repro bench --jobs``
     fans across processes via :mod:`repro.sweep`."""
     lookup = {c.name: c for c in CASES}
     if case in lookup:
@@ -348,7 +348,7 @@ def check_regression(report: Dict[str, object], baseline: Dict[str, object],
       the deterministic checks only.
 
     Speedups are only comparable like-for-like: gate a full run against
-    a full baseline (``tools/bench.py --check``); a quick-vs-full
+    a full baseline (``python -m repro bench --check``); a quick-vs-full
     comparison still runs but skips the event check (params differ).
     """
     failures: List[str] = []
@@ -418,7 +418,7 @@ def run_bench(*, quick: bool = False, repeats: int = 3,
 def ledger_records(report: Dict[str, object]) -> List[Dict[str, object]]:
     """One :class:`repro.obs.RunLedger` row per bench case.
 
-    ``tools/bench.py --ledger`` appends these (``kind="bench"``), so the
+    ``python -m repro bench --ledger`` appends these (``kind="bench"``), so the
     run ledger holds the whole measured history next to the serve and
     sweep rows — every perf claim traceable to a recorded run.
     """

@@ -28,7 +28,7 @@ Sites and the kinds that fire there (docs/robustness.md):
                    truncated half-way, as if the writer died).
 ``sweep.point``    ``crash_point`` — the sweep point dies instead of
                    computing (exercises per-point crash isolation and
-                   checkpoint/resume in :func:`repro.sweep.run_sweep`).
+                   resume-by-cache in :func:`repro.sweep.run_sweep`).
 ``fleet.route``    ``kill_shard`` — the fleet router's kill hook stops
                    the shard that owns the routed key; the router must
                    detect the death and fail the key over to its ring
@@ -45,7 +45,7 @@ recorded in :attr:`ChaosPlan.stats` and fanned out to any attached
 :class:`~repro.obs.events.EventLog` as ``chaos.injected`` metrics and
 events, so injected faults are first-class telemetry.
 
-Determinism contract (the headline invariant of ``tools/run_chaos.py``):
+Determinism contract (the headline invariant of ``python -m repro chaos``):
 a *survivable* plan — kills within the server's retry budget, connection
 drops within the client's resubmit budget, any amount of cache damage —
 must leave results byte-identical to a clean run, because every layer it
@@ -324,7 +324,7 @@ def chaos_plan(
 
 
 # ---------------------------------------------------------------------------
-# The chaos soak (tools/run_chaos.py)
+# The chaos soak (python -m repro chaos)
 # ---------------------------------------------------------------------------
 def _digest(obj: Any) -> str:
     """sha256 of the canonical JSON — byte-parity is digest equality."""

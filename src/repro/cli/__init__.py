@@ -15,8 +15,7 @@ Keeping the definitions in one module keeps help strings, metavars and
 defaults from drifting between the subcommand modules
 (``repro.cli.figure``, ``repro.cli.recovery``, ``repro.cli.chaos``,
 ``repro.cli.faults``, ``repro.cli.bench``, ``repro.cli.obs``,
-``repro.cli.serve``) — and the deprecated ``tools/*.py`` shims that
-forward to them.
+``repro.cli.serve``).
 """
 
 from __future__ import annotations
@@ -93,27 +92,16 @@ def add_json_flag(parser: argparse.ArgumentParser, *,
         help=help or "emit machine-readable JSON records on stdout")
 
 
-def add_addr(parser: argparse.ArgumentParser, *, default_port: int,
+def add_addr(parser: argparse.ArgumentParser, *,
+             default: Optional[str] = "127.0.0.1:7077",
              help: Optional[str] = None) -> None:          # noqa: A002
-    """``--addr`` plus the legacy ``--host``/``--port`` pair.
-
-    Resolve with :func:`address_from_args`; ``--addr`` wins when given.
-    """
+    """``--addr ADDR``, parsed into a :class:`repro.serve.ServeAddress`
+    (a malformed address is a usage error, not a traceback)."""
+    from repro.serve.protocol import ServeAddress    # serve CLI only
     parser.add_argument(
-        "--addr", metavar="ADDR", default=None,
+        "--addr", metavar="ADDR", type=ServeAddress.parse, default=default,
         help=help or "server address: host:port or unix:/path "
-                     "(overrides --host/--port)")
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=default_port,
-                        help="server port (default: %(default)s)")
-
-
-def address_from_args(args: argparse.Namespace):
-    """The :class:`repro.serve.ServeAddress` named by ``args``."""
-    from repro.serve.protocol import ServeAddress
-    if getattr(args, "addr", None):
-        return ServeAddress.parse(args.addr)
-    return ServeAddress(host=args.host, port=args.port)
+                     "(default: %(default)s)")
 
 
 def add_partitions(parser: argparse.ArgumentParser, *,

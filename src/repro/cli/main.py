@@ -9,8 +9,7 @@ Usage::
 
 Each subcommand lives in its own ``repro.cli.<module>`` and is imported
 lazily, so ``python -m repro figure`` never pays for the serve layer's
-imports (and vice versa).  The historic ``tools/*.py`` scripts forward
-here unchanged — see docs/serving.md for the migration table.
+imports (and vice versa).
 """
 
 from __future__ import annotations
@@ -20,21 +19,16 @@ import sys
 
 # subcommand -> (module, one-line help). Order is the help-text order.
 COMMANDS = {
-    "figure": ("repro.cli.figure",
-               "run paper figures / ablations (tools/run_figure.py)"),
+    "figure": ("repro.cli.figure", "run paper figures / ablations"),
     "recovery": ("repro.cli.recovery",
-                 "chaos-soak the fault-recovery layer (tools/run_recovery.py)"),
-    "chaos": ("repro.cli.chaos",
-              "chaos-soak the serve/sweep/cache stack (tools/run_chaos.py)"),
-    "faults": ("repro.cli.faults",
-               "run one fault-injection scenario (tools/run_faults.py)"),
+                 "chaos-soak the fault-recovery layer"),
+    "chaos": ("repro.cli.chaos", "chaos-soak the serve/sweep/cache stack"),
+    "faults": ("repro.cli.faults", "run one fault-injection scenario"),
     "bench": ("repro.cli.bench",
-              "wall-clock benchmarks and regression gates (tools/bench.py)"),
+              "wall-clock benchmarks and regression gates"),
     "obs": ("repro.cli.obs",
-            "observability reports and run-ledger queries "
-            "(tools/obs_report.py)"),
-    "serve": ("repro.cli.serve",
-              "operate the simulation-serving layer (tools/serve.py)"),
+            "observability reports and run-ledger queries"),
+    "serve": ("repro.cli.serve", "operate the simulation-serving layer"),
 }
 
 

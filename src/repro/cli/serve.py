@@ -2,24 +2,24 @@
 
 Usage::
 
-    python -m repro serve start --jobs 4 --capacity 32 --port 7077
-    python -m repro serve start --telemetry obs/ --port 7077
+    python -m repro serve start --jobs 4 --capacity 32 --addr :7077
+    python -m repro serve start --telemetry obs/ --addr :7077
     python -m repro serve submit sim --param seed=3 --param 'spec={"nprocs":4}'
     python -m repro serve submit recovery-soak --param seed=7 --json
     python -m repro serve stats --addr 127.0.0.1:7077 [--json]
-    python -m repro serve health --port 7077 [--json]
-    python -m repro serve metrics --port 7077
-    python -m repro serve drain --port 7077
-    python -m repro serve resize 8 --port 7077
-    python -m repro serve shutdown --port 7077
+    python -m repro serve health --addr :7077 [--json]
+    python -m repro serve metrics --addr :7077
+    python -m repro serve drain --addr :7077
+    python -m repro serve resize 8 --addr :7077
+    python -m repro serve shutdown --addr :7077
     python -m repro serve loadgen --clients 4 --requests 32 --out BENCH_PR5.json
     python -m repro serve loadgen --shards 2 --requests 32 --out fleet.json
 
 Every subcommand names its endpoint the same way: ``--addr host:port``
-(or ``--addr unix:/path``), with the legacy ``--host``/``--port`` pair
-still accepted.  Routers and plain servers speak the same wire
-protocol, so ``--addr`` may point at either a :class:`SimServer` or a
-:class:`FleetRouter` front-end (docs/serving.md, "Fleet mode").
+(or ``--addr unix:/path``; default ``127.0.0.1:7077``).  Routers and
+plain servers speak the same wire protocol, so ``--addr`` may point at
+either a :class:`SimServer` or a :class:`FleetRouter` front-end
+(docs/serving.md, "Fleet mode").
 
 ``start --telemetry DIR`` switches on the live-telemetry stack
 (docs/observability.md): wall-clock spans to ``DIR/serve-trace.json``
@@ -30,10 +30,9 @@ event log to ``DIR/events.jsonl``, and the run ledger to
 
 ``start`` runs a server in the foreground until interrupted.  The
 other subcommands are thin wrappers over one wire op each.  ``loadgen``
-self-hosts an in-process server (unless ``--addr``/``--port`` points at
-a running one, or ``--shards N`` self-hosts an N-shard fleet) and
-writes the closed-loop throughput/latency/backpressure/determinism
-report — the committed ``BENCH_PR5.json``; see docs/serving.md for how
+self-hosts an in-process server (unless ``--addr`` points at a running
+one, or ``--shards N`` self-hosts an N-shard fleet) and writes the
+closed-loop throughput/latency/backpressure/determinism report — the committed ``BENCH_PR5.json``; see docs/serving.md for how
 to read it.
 """
 
@@ -47,7 +46,8 @@ import sys
 from repro import cli
 from repro.serve import FleetThread, ServeClient, ServeConnectionError, \
     SimServer, scenario_names
-from repro.serve.loadgen import bench_report, run_loadgen, sim_workload
+from repro.serve.loadgen import bench_report, fleet_snapshot, \
+    run_loadgen, sim_workload
 
 
 def _fmt(value) -> str:
@@ -69,11 +69,10 @@ def _param(text: str):
 
 
 def _client(args) -> ServeClient:
-    address = cli.address_from_args(args)
     try:
-        return ServeClient(address)
+        return ServeClient(args.addr)
     except OSError as err:
-        print(f"cannot reach server at {address}: {err}", file=sys.stderr)
+        print(f"cannot reach server at {args.addr}: {err}", file=sys.stderr)
         raise SystemExit(1) from None
 
 
@@ -92,7 +91,7 @@ async def _serve_forever(args) -> None:
         )
     server = await SimServer(
         workers=args.jobs, capacity=args.capacity, cache_dir=args.cache_dir,
-        address=cli.address_from_args(args), retry_seed=args.seed,
+        address=args.addr, retry_seed=args.seed,
         retry_limit=args.retry_limit,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown_s=args.breaker_cooldown, **obs_kwargs,
@@ -106,12 +105,7 @@ async def _serve_forever(args) -> None:
     try:
         await server.stopped.wait()         # until SIGINT or a shutdown op
     finally:
-        if not server.stopped.is_set():
-            await server.stop()
-
-
-async def _fleet_snapshot(fleet):
-    return fleet.snapshot()
+        await server.stop()
 
 
 def main(argv=None) -> int:
@@ -120,7 +114,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("start", help="run a server in the foreground")
-    cli.add_addr(p, default_port=7077)
+    cli.add_addr(p)
     cli.add_jobs(p, default=2, help="worker processes in the pool "
                                     "(default: %(default)s)")
     p.add_argument("--capacity", type=cli.positive_int, default=16,
@@ -150,24 +144,24 @@ def main(argv=None) -> int:
     cli.add_partitions(p, help="run the simulation across N worker processes "
                                "(repro.dsim) — sim and recovery-soak only; "
                                "results and digests are unchanged")
-    cli.add_addr(p, default_port=7077)
+    cli.add_addr(p)
     cli.add_json_flag(p, help="print the full JSON response")
 
     for name, help_text in [("stats", "print serving statistics"),
                             ("health", "print a liveness summary")]:
         p = sub.add_parser(name, help=help_text)
-        cli.add_addr(p, default_port=7077)
+        cli.add_addr(p)
         cli.add_json_flag(p, help="print the full JSON response")
 
     for name, help_text in [("metrics", "print Prometheus text exposition"),
                             ("drain", "stop admitting, wait for quiescence"),
                             ("shutdown", "stop the server")]:
         p = sub.add_parser(name, help=help_text)
-        cli.add_addr(p, default_port=7077)
+        cli.add_addr(p)
 
     p = sub.add_parser("resize", help="resize the worker pool")
     p.add_argument("workers", type=cli.positive_int)
-    cli.add_addr(p, default_port=7077)
+    cli.add_addr(p)
 
     p = sub.add_parser("loadgen", help="closed-loop load test -> BENCH_PR5.json")
     p.add_argument("--clients", type=cli.positive_int, default=4, metavar="N",
@@ -186,7 +180,9 @@ def main(argv=None) -> int:
     cli.add_seed(p, help="workload seed (default: %(default)s)")
     p.add_argument("--out", default="BENCH_PR5.json", metavar="FILE",
                    help="report path (default: %(default)s)")
-    cli.add_addr(p, default_port=0)
+    cli.add_addr(p, default=None,
+                 help="drive an already-running server or fleet router at "
+                      "host:port or unix:/path instead of self-hosting one")
 
     args = parser.parse_args(argv)
     try:
@@ -194,8 +190,8 @@ def main(argv=None) -> int:
     except ServeConnectionError as err:
         # The connection died mid-conversation (server shut down or
         # crashed under us): one line, nonzero exit, no traceback.
-        print(f"lost connection to server at {cli.address_from_args(args)}: "
-              f"{err}", file=sys.stderr)
+        print(f"lost connection to server at {args.addr}: {err}",
+              file=sys.stderr)
         return 1
 
 
@@ -280,13 +276,12 @@ def _run(args) -> int:
         return 0 if response.get("status") == "ok" else 1
 
     if args.cmd == "loadgen":
-        if args.addr or args.port:      # target an already-running endpoint
-            address = cli.address_from_args(args)
+        if args.addr:                   # target an already-running endpoint
             workload = sim_workload(args.requests, seed=args.seed,
                                     nprocs=args.nprocs)
             report = {"bench": "serve-loadgen",
-                      "target": str(address),
-                      "loadgen": run_loadgen(address, workload,
+                      "target": str(args.addr),
+                      "loadgen": run_loadgen(args.addr, workload,
                                              clients=args.clients)}
         elif args.shards:               # self-host a sharded fleet
             workload = sim_workload(args.requests, seed=args.seed,
@@ -296,7 +291,7 @@ def _run(args) -> int:
                              cache_dir=args.cache_dir) as fleet:
                 lg = run_loadgen(fleet.address, workload,
                                  clients=args.clients)
-                snap = fleet.call(_fleet_snapshot)
+                snap = fleet.call(fleet_snapshot)
             report = {"bench": "serve-fleet-loadgen", "shards": args.shards,
                       "loadgen": lg, "fleet": snap}
         else:

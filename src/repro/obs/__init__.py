@@ -10,7 +10,7 @@ Built on the span/flow model in :mod:`repro.simtime.trace` (see
 * :mod:`repro.obs.critical_path` — longest-chain extraction over the
   span + causality DAG,
 * :mod:`repro.obs.scenarios` — canned instrumented runs for
-  ``tools/obs_report.py`` and the bench ``--obs`` mode.
+  ``python -m repro obs`` and the bench ``--obs`` mode.
 
 Live (wall-clock) telemetry for the serving stack — see the "Live
 telemetry" section of ``docs/observability.md``:

@@ -11,7 +11,7 @@ enforces it); this module is a pure rendering of it.
 
 Output is deterministic: families and samples render in sorted order,
 numbers use the registry's own formatter, and no timestamp is emitted
-(scrape time is the scraper's business).  ``tools/serve.py metrics``
+(scrape time is the scraper's business).  ``python -m repro serve metrics``
 and the ``metrics`` wire op serve this text.
 """
 

@@ -3,7 +3,7 @@
 Each scenario boots a world with a live :class:`~repro.simtime.trace.Tracer`
 and an enabled metrics registry, runs a short deterministic program, and
 returns an :class:`ObsRun` bundling everything the exporters need.  The
-same registry backs ``tools/obs_report.py`` and the ``tests/obs`` suite,
+same registry backs ``python -m repro obs`` and the ``tests/obs`` suite,
 so the CLI demos and the assertions exercise identical code paths.
 """
 

@@ -10,10 +10,10 @@ producers write to it:
   wall-clock latency, cache status, trace id and sim-trace pointer;
 * :func:`repro.sweep.run_sweep` — one row per evaluated point
   (``kind="sweep"``);
-* ``tools/bench.py`` — one row per bench case (``kind="bench"``) via
+* ``python -m repro bench`` — one row per bench case (``kind="bench"``) via
   :func:`repro.bench.perf.ledger_records`.
 
-``tools/obs_report.py --runs LEDGER`` queries it (filter by scenario /
+``python -m repro obs --runs LEDGER`` queries it (filter by scenario /
 digest / time window, per-scenario trend summary).  The schema is
 append-only: rows are never updated, so the ledger is a faithful
 history, and every perf claim is traceable to a recorded run (the

@@ -13,7 +13,7 @@ survivors, the shrunk communicator has a fresh CID spanning exactly the
 survivors, and the final allreduce result is correct.  The whole run is
 deterministic per seed — same seed, same trace, same digest.
 
-Shared by ``tools/run_recovery.py`` (the chaos-soak CLI) and
+Shared by ``python -m repro recovery`` (the chaos-soak CLI) and
 ``tests/recovery/test_soak.py`` (the seed-swept property test).
 """
 

@@ -9,8 +9,7 @@ server completions by request id.
 
 Both speak the newline-JSON protocol of :mod:`repro.serve.protocol`
 and address endpoints through one :class:`~repro.serve.protocol
-.ServeAddress` (TCP or unix socket; legacy separate host/port
-arguments still work behind a ``DeprecationWarning``)::
+.ServeAddress` (TCP or unix socket)::
 
     with ServeClient(srv.address) as c:
         r = c.submit("sim", {"spec": spec.to_payload(), "seed": 3})
@@ -29,7 +28,6 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import json
 import random
 import socket
 import time
@@ -63,9 +61,7 @@ class ServeClient:
     failure the retry path exists for.
     """
 
-    def __init__(self, address: Union[ServeAddress, str, None] = None,
-                 port: Optional[int] = None, *,
-                 host: Optional[str] = None,
+    def __init__(self, address: Union[ServeAddress, str, None] = None, *,
                  timeout: Optional[float] = None,
                  trace: Optional[str] = None,
                  telemetry: Any = None,
@@ -74,10 +70,7 @@ class ServeClient:
                  retry_seed: int = 0,
                  retry_deadline_s: Optional[float] = None,
                  chaos: Any = None) -> None:
-        self.address = as_address(address, port, host=host,
-                                  caller="ServeClient")
-        self.host = self.address.host
-        self.port = self.address.port
+        self.address = as_address(address, caller="ServeClient")
         self.timeout = timeout
         self.retries = max(0, retries)
         self.retry_base = retry_base
@@ -108,7 +101,8 @@ class ServeClient:
                     self._sock = sock
                 else:
                     self._sock = socket.create_connection(
-                        (self.host, self.port), timeout=self.timeout)
+                        (self.address.host, self.address.port),
+                        timeout=self.timeout)
                 self._file = self._sock.makefile("rwb")
                 return
             except OSError as err:
@@ -147,8 +141,17 @@ class ServeClient:
         line = self._file.readline()
         if not line:
             raise ServeConnectionError("server closed the connection")
-        response = json.loads(line)
-        assert response.get("id") in (None, msg["id"]), "response id mismatch"
+        # A reply torn by a dying server (half a line, then EOF) or one
+        # addressed to another request means this connection can no
+        # longer be trusted: fail it the way _rpc knows how to retry.
+        try:
+            response = protocol.decode(line)
+        except protocol.ProtocolError as err:
+            raise ServeConnectionError(f"undecodable reply: {err}") from None
+        if response.get("id") not in (None, msg["id"]):
+            raise ServeConnectionError(
+                f"reply for request {response.get('id')!r} while awaiting "
+                f"{msg['id']!r}")
         return response
 
     def _rpc(self, msg: Dict[str, Any]) -> Dict[str, Any]:
@@ -257,9 +260,7 @@ class AsyncServeClient:
         self._dead: Optional[Exception] = None
 
     @classmethod
-    async def connect(cls, address: Union[ServeAddress, str, None] = None,
-                      port: Optional[int] = None, *,
-                      host: Optional[str] = None,
+    async def connect(cls, address: Union[ServeAddress, str, None] = None, *,
                       trace: Optional[str] = None,
                       retries: int = 2,
                       retry_base: float = 0.05) -> "AsyncServeClient":
@@ -267,8 +268,7 @@ class AsyncServeClient:
         times with exponential backoff before giving up."""
         self = cls()
         self._trace_prefix = trace
-        addr = as_address(address, port, host=host,
-                          caller="AsyncServeClient.connect")
+        addr = as_address(address, caller="AsyncServeClient.connect")
         self.address = addr
         last: Optional[OSError] = None
         for attempt in range(max(0, retries) + 1):
@@ -296,7 +296,10 @@ class AsyncServeClient:
                 line = await self._reader.readline()
                 if not line:
                     break
-                response = json.loads(line)
+                try:
+                    response = protocol.decode(line)
+                except protocol.ProtocolError:
+                    break       # torn reply: the connection is dead
                 fut = self._pending.pop(response.get("id"), None)
                 if fut is not None and not fut.done():
                     fut.set_result(response)

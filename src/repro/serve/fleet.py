@@ -22,13 +22,12 @@ for synchronous hosts (tests, the CLI's self-hosted fleet loadgen).
 
 from __future__ import annotations
 
-import asyncio
-import threading
 from typing import Any, Dict, List, Optional, Union
 
 from repro.obs.live import LiveTelemetry
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import protocol
+from repro.serve.endpoint import LoopThread
 from repro.serve.router import FleetRouter
 from repro.serve.server import SimServer
 from repro.serve.store import ResultStore
@@ -89,32 +88,25 @@ class SimFleet:
         return self
 
     async def stop(self) -> None:
-        if self.router is not None and not self.router.stopped.is_set():
-            await self.router.stop()
+        # Shards first: each answers what it had admitted ("server
+        # stopped") and the router relays those replies before it is
+        # reaped; the other way round the router would sit on its
+        # in-flight forwards until the shards finished the work.
         for server in self.servers:
-            if not server.stopped.is_set():
-                await server.stop()
+            await server.stop()
+        if self.router is not None:
+            await self.router.stop()
 
     async def kill_shard(self, sid: int) -> None:
         """Hard-stop one shard (chaos / failover tests).  The router
         notices on its next forward and fails the keys over."""
-        server = self.servers[sid]
-        if not server.stopped.is_set():
-            await server.stop()
+        await self.servers[sid].stop()
 
     # -- addressing ----------------------------------------------------------
     @property
     def address(self) -> protocol.ServeAddress:
         assert self.router is not None, "fleet not started"
         return self.router.address
-
-    @property
-    def host(self) -> str:
-        return self.address.host
-
-    @property
-    def port(self) -> int:
-        return self.address.port
 
     # -- reporting -----------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
@@ -132,71 +124,17 @@ class SimFleet:
         }
 
 
-class FleetThread:
-    """Run a :class:`SimFleet` on a private event loop in a thread.
-
-    Synchronous mirror of :class:`~repro.serve.server.ServerThread`::
+class FleetThread(LoopThread):
+    """A :class:`SimFleet` on a private event loop in a thread — the
+    synchronous mirror of :class:`~repro.serve.server.ServerThread`::
 
         with FleetThread(shards=2, workers=1) as fleet:
             client = ServeClient(fleet.address)
     """
 
     def __init__(self, **fleet_kwargs: Any) -> None:
-        self._kwargs = fleet_kwargs
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self.fleet: Optional[SimFleet] = None
-
-    def __enter__(self) -> "FleetThread":
-        started = threading.Event()
-        boot_error: List[BaseException] = []
-
-        def _run() -> None:
-            self._loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(self._loop)
-            try:
-                self.fleet = self._loop.run_until_complete(
-                    SimFleet(**self._kwargs).start())
-            except BaseException as err:   # fail fast, don't hang __enter__
-                boot_error.append(err)
-                started.set()
-                return
-            started.set()
-            self._loop.run_forever()
-
-        self._thread = threading.Thread(target=_run, name="serve-fleet",
-                                        daemon=True)
-        self._thread.start()
-        if not started.wait(timeout=30.0):
-            raise RuntimeError("fleet failed to start within 30s")
-        if boot_error:
-            self._thread.join(timeout=10.0)
-            self._loop = None
-            raise boot_error[0]
-        return self
+        super().__init__(lambda: SimFleet(**fleet_kwargs), "serve-fleet")
 
     @property
-    def address(self) -> protocol.ServeAddress:
-        return self.fleet.address
-
-    @property
-    def host(self) -> str:
-        return self.fleet.host
-
-    @property
-    def port(self) -> int:
-        return self.fleet.port
-
-    def call(self, coro_fn, *args: Any, timeout: float = 60.0) -> Any:
-        """Run ``coro_fn(fleet, *args)`` on the fleet's loop."""
-        fut = asyncio.run_coroutine_threadsafe(
-            coro_fn(self.fleet, *args), self._loop)
-        return fut.result(timeout=timeout)
-
-    def __exit__(self, *exc: Any) -> None:
-        if self._loop is not None:
-            asyncio.run_coroutine_threadsafe(
-                self.fleet.stop(), self._loop).result(timeout=30.0)
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=10.0)
-            self._loop.close()
+    def fleet(self) -> Optional[SimFleet]:
+        return self._service

@@ -6,7 +6,7 @@ loop), so offered load tracks service capacity and the latency numbers
 are honest queueing numbers, not coordinated-omission artifacts.
 
 :func:`bench_report` is the committed-benchmark entry point
-(``tools/bench.py --serve`` / ``tools/serve.py loadgen``).  It
+(``python -m repro bench --serve`` / ``python -m repro serve loadgen``).  It
 self-hosts an in-process server and produces the three sections of
 ``BENCH_PR5.json``:
 
@@ -56,26 +56,18 @@ def sim_workload(requests: int, *, seed: int = 0, nprocs: int = 4,
     return out
 
 
-def run_loadgen(address: Union[ServeAddress, str],
-                port: Optional[Any] = None,
-                workload: Optional[Workload] = None, *,
+def run_loadgen(address: Union[ServeAddress, str], workload: Workload, *,
                 clients: int = 4,
                 deadline_s: Optional[float] = None) -> Dict[str, Any]:
     """Drive ``workload`` through ``clients`` closed-loop clients.
 
     ``address`` is a :class:`ServeAddress` (a fleet router counts — the
-    loadgen cannot tell it from a single server); the legacy
-    ``run_loadgen(host, port, workload)`` spelling still works behind
-    the deprecation shim.  Requests are dealt round-robin to the
-    clients; each client issues its share back-to-back.  Returns
-    throughput + latency aggregates and the per-status counts.
+    loadgen cannot tell it from a single server).  Requests are dealt
+    round-robin to the clients; each client issues its share
+    back-to-back.  Returns throughput + latency aggregates and the
+    per-status counts.
     """
-    if workload is None and not isinstance(port, int):
-        workload = port          # new spelling: run_loadgen(address, workload)
-        port = None
-    addr = as_address(address, port, caller="run_loadgen")
-    if workload is None:
-        raise TypeError("run_loadgen needs a workload")
+    addr = as_address(address, caller="run_loadgen")
     shares: List[Workload] = [workload[i::clients] for i in range(clients)]
     records: List[List[Dict[str, Any]]] = [[] for _ in range(clients)]
     errors: List[str] = []
@@ -300,7 +292,7 @@ def run_fleet_case(shards: int, *, requests: int = 48, clients: int = 4,
         t0 = time.monotonic()
         fleet = run_loadgen(fl.address, workload, clients=clients)
         fleet_s = max(time.monotonic() - t0, 1e-9)
-        snap = fl.call(_snapshot_async)
+        snap = fl.call(fleet_snapshot)
 
     ok_single = single["by_status"].get("ok", 0)
     ok_fleet = fleet["by_status"].get("ok", 0)
@@ -345,7 +337,8 @@ def run_fleet_case(shards: int, *, requests: int = 48, clients: int = 4,
     }
 
 
-async def _snapshot_async(fleet: Any) -> Dict[str, Any]:
+async def fleet_snapshot(fleet: Any) -> Dict[str, Any]:
+    """``SimFleet.snapshot()`` in the shape ``FleetThread.call`` takes."""
     return fleet.snapshot()
 
 

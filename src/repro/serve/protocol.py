@@ -30,15 +30,12 @@ produces; when absent the server mints a fallback ``s-<n>`` id.
 
 :class:`ServeAddress` is the one address type every client, server and
 CLI in the serve layer accepts — TCP ``host:port``, a unix-domain
-socket path, and an optional fleet ``role`` — replacing the five
-independently-duplicated ``host``/``port`` kwarg pairs that predated
-it (the legacy kwargs keep working behind a ``DeprecationWarning``).
+socket path, and an optional fleet ``role``.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
@@ -125,43 +122,21 @@ class ServeAddress:
         return f"{self.host}:{self.port}"
 
 
-def as_address(address: Any = None, port: Any = None, *,
-               host: Any = None, default: Optional[ServeAddress] = None,
+def as_address(address: Any = None, *,
+               default: Optional[ServeAddress] = None,
                caller: str = "this API") -> ServeAddress:
-    """Normalize the one-address-type API surface.
-
-    New style: a :class:`ServeAddress` (or a parseable string) as the
-    single ``address`` argument.  Legacy style: separate ``host``/
-    ``port`` values — still honored, with a :class:`DeprecationWarning`
-    naming the caller, so the five historical host/port kwarg pairs
-    keep working during the migration (docs/serving.md).
-    """
-    legacy_host: Optional[str] = None
-    if host is not None:
-        legacy_host = str(host)
-    elif isinstance(address, str) and port is not None:
-        legacy_host = address          # positional (host, port) call
-        address = None
-    if legacy_host is not None or port is not None:
-        if isinstance(address, ServeAddress):
-            raise TypeError(f"{caller}: pass either a ServeAddress or "
-                            f"legacy host/port, not both")
-        warnings.warn(
-            f"{caller}: separate host/port arguments are deprecated; "
-            f"pass a repro.serve.ServeAddress (or 'host:port' string)",
-            DeprecationWarning, stacklevel=3)
-        base = default or ServeAddress()
-        return ServeAddress(host=legacy_host or base.host,
-                            port=int(port if port is not None else base.port),
-                            role=base.role)
+    """The :class:`ServeAddress` an ``address`` argument names: the
+    address itself, a parseable ``"host:port"`` / ``"unix:/path"``
+    string, or ``None`` for ``default`` (else the loopback ephemeral
+    address)."""
     if address is None:
         return default or ServeAddress()
     if isinstance(address, ServeAddress):
         return address
     if isinstance(address, str):
         return ServeAddress.parse(address)
-    raise TypeError(f"{caller}: expected ServeAddress, 'host:port' string, "
-                    f"or legacy host/port, got {type(address).__name__}")
+    raise TypeError(f"{caller}: expected a ServeAddress or a 'host:port' / "
+                    f"'unix:/path' string, got {type(address).__name__}")
 
 
 def version_error(got: Any) -> Dict[str, Any]:

@@ -6,7 +6,7 @@ pure, deterministic map from its parameters (the simulator's central
 promise).  That contract is exactly :class:`repro.sweep.SweepPoint`'s,
 so a serve request shares its cache identity with the batch sweeps:
 ``cache_key(scenario, params)`` computed here hits the same on-disk
-entries ``tools/run_recovery.py --cache-dir`` writes, and vice versa.
+entries ``python -m repro recovery --cache-dir`` writes, and vice versa.
 
 Built-ins:
 

@@ -27,15 +27,15 @@ from __future__ import annotations
 import asyncio
 import bisect
 import hashlib
-import itertools
-import os
+from dataclasses import replace
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.live import LiveTelemetry
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.prom import prometheus_text
-from repro.serve import pool, protocol
+from repro.serve import protocol
 from repro.serve.client import AsyncServeClient, ServeConnectionError
+from repro.serve.endpoint import Endpoint
 from repro.sweep import cache_key
 
 
@@ -103,7 +103,7 @@ class HashRing:
         raise LookupError("no live node on the ring")
 
 
-class FleetRouter:
+class FleetRouter(Endpoint):
     """The routing process: one asyncio server, N shard connections.
 
     ``shards`` maps shard id -> :class:`~repro.serve.protocol
@@ -123,12 +123,11 @@ class FleetRouter:
                  replicas: int = 64) -> None:
         if not shards:
             raise ValueError("a fleet needs at least one shard")
+        address = protocol.as_address(address, caller="FleetRouter")
+        if address.role == "server":
+            address = replace(address, role="router")
+        super().__init__(address)
         self.shards = dict(shards)
-        self.address = protocol.as_address(address, caller="FleetRouter")
-        if self.address.role == "server":
-            self.address = protocol.ServeAddress(
-                host=self.address.host, port=self.address.port,
-                path=self.address.path, role="router")
         self.metrics = metrics or MetricsRegistry(enabled=True)
         self.tel = telemetry if (telemetry is not None
                                  and telemetry.enabled) else None
@@ -142,65 +141,13 @@ class FleetRouter:
         self.failovers = 0
         self._clients: Dict[int, AsyncServeClient] = {}
         self._dial_locks: Dict[int, asyncio.Lock] = {}
-        self._ids = itertools.count(1)
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._conn_tasks: set = set()
-        self._stopping = False
-        self.stopped = asyncio.Event()
         self.metrics.set("serve.fleet.shards", len(self.shards))
 
-    @property
-    def host(self) -> str:
-        return self.address.host
-
-    @property
-    def port(self) -> int:
-        return self.address.port
-
     # -- lifecycle -----------------------------------------------------------
-    async def start(self) -> "FleetRouter":
-        if self.address.is_unix:
-            try:
-                os.unlink(self.address.path)   # stale socket from a dead run
-            except OSError:
-                pass
-            self._server = await asyncio.start_unix_server(
-                self._handle_conn, path=self.address.path)
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_conn, host=self.address.host,
-                port=self.address.port)
-            port = self._server.sockets[0].getsockname()[1]
-            self.address = self.address.with_port(port)
-        # Same fork hygiene as SimServer: shard workers forked after the
-        # router came up must not keep its port accepting once stopped.
-        self._listen_fds = [sock.fileno() for sock in self._server.sockets]
-        for fd in self._listen_fds:
-            pool.share_listener(fd)
-        return self
-
-    async def stop(self) -> None:
-        self._stopping = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            for fd in getattr(self, "_listen_fds", ()):
-                pool.release_listener(fd)
-            self._listen_fds = []
-            if self.address.is_unix:
-                try:
-                    os.unlink(self.address.path)
-                except OSError:
-                    pass
-        conns = list(self._conn_tasks)
-        for task in conns:
-            task.cancel()
-        await asyncio.gather(*conns, return_exceptions=True)
-        self._conn_tasks.clear()
+    async def _teardown(self) -> None:
         for client in list(self._clients.values()):
             await client.close()
         self._clients.clear()
-        self.stopped.set()
 
     # -- shard connections ---------------------------------------------------
     async def _client(self, sid: int) -> AsyncServeClient:
@@ -249,16 +196,13 @@ class FleetRouter:
 
     async def _route_submit(self, msg: Dict[str, Any]) -> Dict[str, Any]:
         scenario = msg.get("scenario")
+        key = self._route_key(msg)
         if self.chaos is not None:
             for act in self.chaos.on("fleet.route", scenario=scenario):
-                if act.kind == "kill_shard" and self.on_kill is not None:
-                    victims = self.live_shards
-                    if victims:
-                        key = self._route_key(msg)
-                        victim = self.ring.owner(key,
-                                                 dead=frozenset(self.dead))
-                        await self.on_kill(victim)
-        key = self._route_key(msg)
+                if (act.kind == "kill_shard" and self.on_kill is not None
+                        and self.live_shards):
+                    await self.on_kill(
+                        self.ring.owner(key, dead=frozenset(self.dead)))
         tel = self.tel
         sid_span = None
         if tel is not None:
@@ -386,63 +330,3 @@ class FleetRouter:
             "dead": sorted(self.dead),
             "per_shard": {str(sid): r for sid, r in replies.items()},
         }
-
-    # -- the wire (same framing as SimServer) --------------------------------
-    async def _handle_conn(self, reader: asyncio.StreamReader,
-                           writer: asyncio.StreamWriter) -> None:
-        me = asyncio.current_task()
-        if me is not None:
-            self._conn_tasks.add(me)
-            me.add_done_callback(self._conn_tasks.discard)
-        lock = asyncio.Lock()
-        tasks: set = set()
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                task = asyncio.ensure_future(
-                    self._serve_line(line, writer, lock))
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-        except asyncio.CancelledError:
-            if not self._stopping:
-                raise
-        finally:
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-            try:
-                writer.close()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _serve_line(self, line: bytes, writer: asyncio.StreamWriter,
-                          lock: asyncio.Lock) -> None:
-        try:
-            msg = protocol.decode(line)
-        except protocol.ProtocolError as err:
-            await self._send(writer, lock, {"status": protocol.STATUS_ERROR,
-                                            "error": str(err)})
-            return
-        response = await self._dispatch(msg)
-        if "id" in msg:
-            response["id"] = msg["id"]
-        await self._send(writer, lock, response)
-
-    @staticmethod
-    async def _send(writer: asyncio.StreamWriter, lock: asyncio.Lock,
-                    obj: Dict[str, Any]) -> None:
-        try:
-            data = protocol.encode(obj)
-        except (TypeError, ValueError) as err:
-            data = protocol.encode({"status": protocol.STATUS_ERROR,
-                                    "id": obj.get("id"),
-                                    "error": f"unserializable result: {err}"})
-        async with lock:
-            try:
-                writer.write(data)
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass

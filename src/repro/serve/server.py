@@ -41,12 +41,11 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import math
 import os
 import random
-import threading
-import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Optional, Union
 
 from repro.obs.events import EventLog
 from repro.obs.live import LiveTelemetry, trace_id
@@ -54,12 +53,8 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.prom import prometheus_text
 from repro.obs.store import RunLedger
 from repro.serve import protocol
-from repro.serve.pool import (
-    Worker,
-    WorkerDied,
-    release_listener,
-    share_listener,
-)
+from repro.serve.endpoint import Endpoint, LoopThread
+from repro.serve.pool import Worker, WorkerDied
 from repro.serve.registry import scenario_names, traceable
 from repro.sweep import SweepCache, cache_key
 
@@ -75,7 +70,6 @@ class _Request:
     key: Optional[str] = None           # cache key, when a cache is attached
     attempts: int = 0                   # completed (failed) delivery attempts
     trace: str = ""                     # live-telemetry trace id ("" = off)
-    sid: Optional[int] = None           # serve.request span (telemetry only)
     sid_queue: Optional[int] = None     # serve.queue span (telemetry only)
     sim_trace: str = ""                 # exported sim-time trace, if any
 
@@ -106,13 +100,18 @@ class ServeStats:
     coalesced: int = 0
 
 
-class SimServer:
+#: What a request is told when the server stops before answering it.
+_STOPPED = {"status": protocol.STATUS_ERROR, "error": "server stopped"}
+
+
+class SimServer(Endpoint):
     """The serving layer: asyncio front, multiprocessing back.
 
-    ``await start()`` binds the socket and spawns the worker loops;
-    ``host``/``port`` then hold the bound address (``port=0`` requests
-    an ephemeral port).  ``workers`` is resizable at runtime via
-    :meth:`resize` (or the ``resize`` wire op).
+    ``await start()`` spawns the worker loops and binds the socket
+    (:class:`~repro.serve.endpoint.Endpoint`); ``address`` then holds
+    the bound address (``port=0`` requests an ephemeral port).
+    ``workers`` is resizable at runtime via :meth:`resize` (or the
+    ``resize`` wire op).
     """
 
     def __init__(
@@ -122,8 +121,6 @@ class SimServer:
         capacity: int = 16,
         cache_dir: Optional[str] = None,
         address: Optional[Union[protocol.ServeAddress, str]] = None,
-        host: Optional[str] = None,
-        port: Optional[int] = None,
         store: Any = None,
         shard_id: Optional[int] = None,
         retry_limit: int = 2,
@@ -145,11 +142,8 @@ class SimServer:
             raise ValueError("need a queue capacity of at least one")
         if breaker_threshold < 1:
             raise ValueError("breaker threshold must be >= 1")
+        super().__init__(protocol.as_address(address, caller="SimServer"))
         self.capacity = capacity
-        self.address = protocol.as_address(address, port, host=host,
-                                           caller="SimServer")
-        self.host = self.address.host
-        self.port = self.address.port
         self.shard_id = shard_id
         self.retry_limit = retry_limit
         self.retry_seed = retry_seed
@@ -203,72 +197,30 @@ class SimServer:
         self._retiring: set = set()
         self._next_wid = itertools.count()
         self._inflight = 0
-        self._conn_tasks: set = set()
         self._draining = False
-        self._stopping = False
-        self._server: Optional[asyncio.AbstractServer] = None
-        self.stopped = asyncio.Event()      # set once stop() completes
 
     # -- lifecycle -----------------------------------------------------------
     async def start(self) -> "SimServer":
-        loop = asyncio.get_running_loop()
-        self.stats.started = loop.time()
+        self.stats.started = asyncio.get_running_loop().time()
         for _ in range(self._target_workers):
             self._add_loop()
-        if self.address.is_unix:
-            try:
-                os.unlink(self.address.path)   # stale socket from a dead run
-            except OSError:
-                pass
-            self._server = await asyncio.start_unix_server(
-                self._handle_conn, path=self.address.path)
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_conn, host=self.host, port=self.port)
-            self.host, self.port = self._server.sockets[0].getsockname()[:2]
-            self.address = self.address.with_port(self.port)
-        # Forked workers must close their inherited copy of the listen
-        # socket, or a stopped server's port would stay accepting for
-        # as long as any worker in the process lives (see serve.pool).
-        self._listen_fds = [sock.fileno() for sock in self._server.sockets]
-        for fd in self._listen_fds:
-            share_listener(fd)
-        return self
+        return await super().start()
 
-    async def stop(self) -> None:
-        """Hard stop: cancel loops, kill workers, close the socket."""
-        self._stopping = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            for fd in getattr(self, "_listen_fds", ()):
-                release_listener(fd)
-            self._listen_fds = []
-            if self.address.is_unix:
-                try:
-                    os.unlink(self.address.path)
-                except OSError:
-                    pass
+    async def _answer_admitted(self) -> None:
+        # A cancelled worker loop answers the request it was running
+        # (_worker_loop); what never left the queue is answered here.
         loops = list(self._loops.values())
         for task in loops:
             task.cancel()
         await asyncio.gather(*loops, return_exceptions=True)
         self._loops.clear()
-        # Connection handlers for abruptly-dropped clients can still be
-        # finishing; reap them so loop teardown never destroys a
-        # pending task.
-        conns = list(self._conn_tasks)
-        for task in conns:
-            task.cancel()
-        await asyncio.gather(*conns, return_exceptions=True)
-        self._conn_tasks.clear()
         for worker in list(self._workers.values()):
             worker.kill()
         self._workers.clear()
-        while not self._queue.empty():       # orphaned admissions, if any
-            req = self._queue.get_nowait()
-            self._resolve(req, {"status": protocol.STATUS_ERROR,
-                                "error": "server stopped"})
+        while not self._queue.empty():
+            self._resolve(self._queue.get_nowait(), _STOPPED)
+
+    async def _teardown(self) -> None:
         if self.tel is not None and self.trace_dir is not None:
             self.tel.write(os.path.join(self.trace_dir, "serve-trace.json"))
         if self.events is not None:
@@ -276,7 +228,6 @@ class SimServer:
             self.events.close()
         if self.ledger is not None:
             self.ledger.close()
-        self.stopped.set()
 
     async def drain(self) -> None:
         """Stop admitting; wait until the queue and the pool are empty."""
@@ -333,6 +284,12 @@ class SimServer:
                 self._inflight += 1
                 try:
                     await self._run_request(req, wid)
+                except asyncio.CancelledError:
+                    # stop() cancelled this loop mid-run: the client
+                    # must not be left waiting on a computation nobody
+                    # is going to finish.
+                    self._resolve(req, _STOPPED)
+                    raise
                 finally:
                     self._inflight -= 1
                     self._busy[wid] = False
@@ -501,72 +458,7 @@ class SimServer:
         if depth > self.stats.max_queue_depth:
             self.stats.max_queue_depth = depth
 
-    # -- the wire ------------------------------------------------------------
-    async def _handle_conn(self, reader: asyncio.StreamReader,
-                           writer: asyncio.StreamWriter) -> None:
-        me = asyncio.current_task()
-        if me is not None:
-            self._conn_tasks.add(me)
-            me.add_done_callback(self._conn_tasks.discard)
-        lock = asyncio.Lock()
-        tasks = set()
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                task = asyncio.ensure_future(self._serve_line(line, writer, lock))
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-        except asyncio.CancelledError:
-            # Cancelled by stop(): finish cleanly rather than letting
-            # the cancellation propagate — the streams machinery's
-            # done-callback calls task.exception() and would log a
-            # spurious CancelledError for every still-open connection.
-            if not self._stopping:
-                raise
-        finally:
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-            # close() without wait_closed(): awaiting here leaves the
-            # handler task pending across loop teardown, which asyncio's
-            # streams machinery reports as a spurious CancelledError.
-            try:
-                writer.close()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _serve_line(self, line: bytes, writer: asyncio.StreamWriter,
-                          lock: asyncio.Lock) -> None:
-        try:
-            msg = protocol.decode(line)
-        except protocol.ProtocolError as err:
-            await self._send(writer, lock, {"status": protocol.STATUS_ERROR,
-                                            "error": str(err)})
-            return
-        response = await self._dispatch(msg)
-        if "id" in msg:
-            response["id"] = msg["id"]
-        await self._send(writer, lock, response)
-
-    @staticmethod
-    async def _send(writer: asyncio.StreamWriter, lock: asyncio.Lock,
-                    obj: Dict[str, Any]) -> None:
-        try:
-            data = protocol.encode(obj)
-        except (TypeError, ValueError) as err:
-            data = protocol.encode({"status": protocol.STATUS_ERROR,
-                                    "id": obj.get("id"),
-                                    "error": f"unserializable result: {err}"})
-        async with lock:
-            try:
-                writer.write(data)
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass            # client went away; the work still completed
-
+    # -- ops -----------------------------------------------------------------
     async def _dispatch(self, msg: Dict[str, Any]) -> Dict[str, Any]:
         bad_version = protocol.check_version(msg)
         if bad_version is not None:
@@ -602,6 +494,8 @@ class SimServer:
                 "error": f"unknown op {op!r}; have: {', '.join(protocol.OPS)}"}
 
     async def _op_submit(self, msg: Dict[str, Any]) -> Dict[str, Any]:
+        """validate -> trace id -> probe -> coalesce -> admit -> await;
+        every answered request leaves through :meth:`_finish`."""
         loop = asyncio.get_running_loop()
         t0 = loop.time()
         scenario = msg.get("scenario")
@@ -609,24 +503,25 @@ class SimServer:
         deadline_s = msg.get("deadline_s")
         self.stats.submitted += 1
         if scenario not in scenario_names():
-            self.stats.errors += 1
-            self.metrics.inc("serve.requests", status="error")
-            return {"status": protocol.STATUS_ERROR,
-                    "error": f"unknown scenario {scenario!r}; "
-                             f"have: {', '.join(scenario_names())}"}
+            return self._bad_request(f"unknown scenario {scenario!r}; "
+                                     f"have: {', '.join(scenario_names())}")
         if not isinstance(params, dict):
-            self.stats.errors += 1
-            self.metrics.inc("serve.requests", status="error")
-            return {"status": protocol.STATUS_ERROR,
-                    "error": "params must be a JSON object"}
+            return self._bad_request("params must be a JSON object")
+        # Straight off the wire: anything but a finite real number (a
+        # JSON true is an int to Python, not to a caller) would raise
+        # inside the worker loop that does the deadline arithmetic.
+        if deadline_s is not None and (
+                isinstance(deadline_s, bool)
+                or not isinstance(deadline_s, (int, float))
+                or not math.isfinite(deadline_s)):
+            return self._bad_request("deadline_s must be a number")
 
         # Trace id: client-minted when present on the wire, else a
         # server fallback — but only when something will consume it.
         trace = str(msg.get("trace") or "")
         tel = self.tel
-        observing = (tel is not None or self.events is not None
-                     or self.ledger is not None)
-        if not trace and observing:
+        if not trace and (tel is not None or self.events is not None
+                          or self.ledger is not None):
             trace = trace_id("s", next(self._trace_seq))
         sid = None
         if tel is not None:
@@ -638,48 +533,22 @@ class SimServer:
             try:
                 key = cache_key(scenario, params)
             except (TypeError, ValueError) as err:
-                self.stats.errors += 1
-                self.metrics.inc("serve.requests", status="error")
-                if tel is not None:
-                    tel.annotate(sid, status="error")
-                    tel.end(sid)
-                return {"status": protocol.STATUS_ERROR,
-                        "error": f"params not cacheable: {err}"}
+                return self._bad_request(f"params not cacheable: {err}", sid)
             hit = self.cache.get(key)
+            probe = "hit" if hit is not None else "miss"
             if tel is not None:
                 tel.event(f"req:{trace}", "serve.cache.probe", trace=trace,
-                          result="hit" if hit is not None else "miss")
+                          result=probe)
+            self.metrics.inc("serve.cache", result=probe)
+            if self.events is not None:
+                self.events.emit(f"serve.cache.{probe}", trace=trace,
+                                 scenario=scenario, digest=key)
             if hit is not None:
                 self.stats.cache_hits += 1
-                self.stats.ok += 1
-                self.metrics.inc("serve.cache", result="hit")
-                self.metrics.inc("serve.requests", status="ok")
-                latency = loop.time() - t0
-                self.metrics.observe("serve.latency", latency)
-                if tel is not None:
-                    tel.annotate(sid, status="ok", cached=True)
-                    tel.end(sid)
-                if self.events is not None:
-                    self.events.emit("serve.cache.hit", trace=trace,
-                                     scenario=scenario, digest=key)
-                    self.events.emit("serve.request.completed", trace=trace,
-                                     scenario=scenario, status="ok",
-                                     cached=True, latency_s=latency)
-                if self.ledger is not None:
-                    self.ledger.record(kind="serve", scenario=scenario,
-                                       digest=key or "", status="ok",
-                                       wall_s=latency, cached=True,
-                                       trace=trace)
-                response = {"status": protocol.STATUS_OK, "result": hit,
-                            "cached": True, "latency_s": latency}
-                if trace:
-                    response["trace"] = trace
-                return response
+                return self._finish(
+                    {"status": protocol.STATUS_OK, "result": hit,
+                     "cached": True}, t0, scenario, key, trace, sid)
             self.stats.cache_misses += 1
-            self.metrics.inc("serve.cache", result="miss")
-            if self.events is not None:
-                self.events.emit("serve.cache.miss", trace=trace,
-                                 scenario=scenario, digest=key)
 
         # Single-flight: if the same cache key is already being computed,
         # coalesce onto the leader's future instead of re-running it —
@@ -692,32 +561,8 @@ class SimServer:
                 self.events.emit("serve.request.coalesced", trace=trace,
                                  scenario=scenario, digest=key)
             response = dict(await leader)
-            latency = loop.time() - t0
-            response["latency_s"] = latency
             response["coalesced"] = True
-            status = response.get("status")
-            if status == protocol.STATUS_OK:
-                self.stats.ok += 1
-                self.metrics.observe("serve.latency", latency)
-            elif status == protocol.STATUS_EXPIRED:
-                self.stats.expired += 1
-            else:
-                self.stats.errors += 1
-            self.metrics.inc("serve.requests", status=status)
-            if tel is not None:
-                tel.annotate(sid, status=status, coalesced=True)
-                tel.end(sid)
-            if self.events is not None:
-                self.events.emit("serve.request.completed", trace=trace,
-                                 scenario=scenario, status=status,
-                                 cached=False, latency_s=latency)
-            if self.ledger is not None:
-                self.ledger.record(kind="serve", scenario=scenario,
-                                   digest=key or "", status=str(status),
-                                   wall_s=latency, cached=False, trace=trace)
-            if trace:
-                response["trace"] = trace
-            return response
+            return self._finish(response, t0, scenario, key, trace, sid)
 
         reason = None
         if self._draining or self._stopping:
@@ -729,7 +574,7 @@ class SimServer:
             req = _Request(seq=next(self._seq), scenario=scenario,
                            params=params, deadline_s=deadline_s,
                            enq_t=t0, future=loop.create_future(), key=key,
-                           trace=trace, sid=sid)
+                           trace=trace)
             if tel is not None:
                 # Child span on the same track: Tracer nests it under
                 # the still-open serve.request span automatically.
@@ -745,19 +590,7 @@ class SimServer:
                     tel.end(req.sid_queue)
                     req.sid_queue = None
         if reason is not None:
-            self.stats.rejected += 1
-            self.metrics.inc("serve.requests", status="rejected")
-            if tel is not None:
-                tel.annotate(sid, status="rejected", reason=reason)
-                tel.end(sid)
-            if self.events is not None:
-                self.events.emit("serve.request.rejected", trace=trace,
-                                 scenario=scenario, reason=reason)
-            response = {"status": protocol.STATUS_REJECTED, "reason": reason,
-                        "capacity": self.capacity}
-            if trace:
-                response["trace"] = trace
-            return response
+            return self._reject(reason, scenario, trace, sid)
         self._set_depth()
         if self.events is not None:
             self.events.emit("serve.request.admitted", trace=trace,
@@ -768,7 +601,45 @@ class SimServer:
         finally:
             if key is not None and self._singleflight.get(key) is req.future:
                 del self._singleflight[key]
-        latency = loop.time() - t0
+        return self._finish(response, t0, scenario, key, trace, sid, req)
+
+    def _bad_request(self, error: str,
+                     sid: Optional[int] = None) -> Dict[str, Any]:
+        """A submit refused for its own shape; ``sid`` is its
+        ``serve.request`` span when one was already open."""
+        self.stats.errors += 1
+        self.metrics.inc("serve.requests", status="error")
+        if sid is not None:
+            self.tel.annotate(sid, status="error")
+            self.tel.end(sid)
+        return {"status": protocol.STATUS_ERROR, "error": error}
+
+    def _reject(self, reason: str, scenario: str, trace: str,
+                sid: Optional[int]) -> Dict[str, Any]:
+        """Admission control said no (draining, degraded, queue full)."""
+        self.stats.rejected += 1
+        self.metrics.inc("serve.requests", status="rejected")
+        if sid is not None:
+            self.tel.annotate(sid, status="rejected", reason=reason)
+            self.tel.end(sid)
+        if self.events is not None:
+            self.events.emit("serve.request.rejected", trace=trace,
+                             scenario=scenario, reason=reason)
+        response = {"status": protocol.STATUS_REJECTED, "reason": reason,
+                    "capacity": self.capacity}
+        if trace:
+            response["trace"] = trace
+        return response
+
+    def _finish(self, response: Dict[str, Any], t0: float, scenario: str,
+                key: Optional[str], trace: str, sid: Optional[int],
+                req: Optional[_Request] = None) -> Dict[str, Any]:
+        """The one epilogue of an answered submit — cache hit, coalesced
+        follower and the leader that ran alike; the response itself says
+        which (``cached`` / ``coalesced``).  ``req`` is the admitted
+        request when this submit was the one that ran (its event carries
+        the attempt count, its ledger row the exported sim trace)."""
+        latency = asyncio.get_running_loop().time() - t0
         response["latency_s"] = latency
         status = response.get("status")
         if status == protocol.STATUS_OK:
@@ -779,25 +650,29 @@ class SimServer:
         else:
             self.stats.errors += 1
         self.metrics.inc("serve.requests", status=status)
-        if tel is not None:
-            tel.annotate(sid, status=status)
-            tel.end(sid)
+        cached = response.get("cached") is True
+        if sid is not None:
+            marks = {k: True for k in ("cached", "coalesced")
+                     if response.get(k) is True}
+            self.tel.annotate(sid, status=status, **marks)
+            self.tel.end(sid)
         if self.events is not None:
+            ran = ({} if req is None
+                   else {"attempts": response.get("attempts")})
             self.events.emit("serve.request.completed", trace=trace,
-                             scenario=scenario, status=status, cached=False,
-                             latency_s=latency,
-                             attempts=response.get("attempts"))
+                             scenario=scenario, status=status, cached=cached,
+                             latency_s=latency, **ran)
         if self.ledger is not None:
             digest = key
-            if digest is None:
+            if digest is None:      # no cache attached: key the row anyway
                 try:
-                    digest = cache_key(scenario, params)
+                    digest = cache_key(scenario, req.params)
                 except (TypeError, ValueError):
                     digest = ""
             self.ledger.record(kind="serve", scenario=scenario,
-                               digest=digest or "", status=str(status),
-                               wall_s=latency, cached=False, trace=trace,
-                               trace_path=req.sim_trace)
+                               digest=digest, status=str(status),
+                               wall_s=latency, cached=cached, trace=trace,
+                               trace_path=req.sim_trace if req else "")
         if trace:
             response["trace"] = trace
         return response
@@ -862,72 +737,17 @@ class SimServer:
         }
 
 
-class ServerThread:
-    """Run a :class:`SimServer` on a private event loop in a thread.
-
-    For synchronous hosts — the CLI's self-hosted loadgen, tests, the
-    sync client's examples::
+class ServerThread(LoopThread):
+    """A :class:`SimServer` on a private event loop in a thread — for
+    the CLI's self-hosted loadgen, tests, the sync client's examples::
 
         with ServerThread(workers=2) as srv:
             client = ServeClient(srv.address)
     """
 
     def __init__(self, **server_kwargs: Any) -> None:
-        self._kwargs = server_kwargs
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self.server: Optional[SimServer] = None
-
-    def __enter__(self) -> "ServerThread":
-        started = threading.Event()
-        boot_error: List[BaseException] = []
-
-        def _run() -> None:
-            self._loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(self._loop)
-            try:
-                self.server = self._loop.run_until_complete(
-                    SimServer(**self._kwargs).start())
-            except BaseException as err:   # fail fast, don't hang __enter__
-                boot_error.append(err)
-                started.set()
-                return
-            started.set()
-            self._loop.run_forever()
-
-        self._thread = threading.Thread(target=_run, name="serve-server",
-                                        daemon=True)
-        self._thread.start()
-        if not started.wait(timeout=30.0):
-            raise RuntimeError("serve server failed to start within 30s")
-        if boot_error:
-            self._thread.join(timeout=10.0)
-            self._loop = None
-            raise boot_error[0]
-        return self
+        super().__init__(lambda: SimServer(**server_kwargs), "serve-server")
 
     @property
-    def address(self) -> protocol.ServeAddress:
-        return self.server.address
-
-    @property
-    def host(self) -> str:
-        return self.server.host
-
-    @property
-    def port(self) -> int:
-        return self.server.port
-
-    def call(self, coro_fn, *args: Any, timeout: float = 60.0) -> Any:
-        """Run ``coro_fn(server, *args)`` on the server's loop."""
-        fut = asyncio.run_coroutine_threadsafe(
-            coro_fn(self.server, *args), self._loop)
-        return fut.result(timeout=timeout)
-
-    def __exit__(self, *exc: Any) -> None:
-        if self._loop is not None:
-            asyncio.run_coroutine_threadsafe(
-                self.server.stop(), self._loop).result(timeout=30.0)
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=10.0)
-            self._loop.close()
+    def server(self) -> Optional[SimServer]:
+        return self._service

@@ -35,9 +35,9 @@ Robustness (docs/robustness.md):
   metric/event when a registry/event log is attached.
 * :func:`run_sweep` can **isolate point crashes** (``isolate=True``): a
   raising point yields an :func:`error_record` and the sweep completes.
-* A ``checkpoint`` JSONL file persists each completed point as it
-  finishes, so an interrupted sweep resumes where it left off (error
-  records are never checkpointed — a resume recomputes them).
+* Each completed point is written to the cache *as it finishes*, so an
+  interrupted sweep resumes by being rerun with the same ``cache=``
+  (error records are never cached — the rerun recomputes them).
 * A :class:`repro.chaos.ChaosPlan` can be injected (``chaos=``) to
   attack the cache (torn writes, corruption) and the points themselves
   (``crash_point``) deterministically.
@@ -218,8 +218,8 @@ class SweepPointCrash(RuntimeError):
 def error_record(scenario: str, err: BaseException) -> Dict[str, Any]:
     """The in-band record an isolated crashing point yields.
 
-    Error records are never cached or checkpointed, so a re-run (or a
-    checkpoint resume) recomputes exactly the failed points.
+    Error records are never cached, so a re-run with the same cache
+    recomputes exactly the failed points.
     """
     return {"sweep_error": {"scenario": scenario,
                             "type": type(err).__name__,
@@ -230,60 +230,24 @@ def is_error_record(obj: Any) -> bool:
     return isinstance(obj, dict) and "sweep_error" in obj
 
 
-def _invoke(payload: Tuple[Callable, Dict[str, Any]]) -> Any:
-    fn, params = payload
-    return fn(**params)
+def _invoke(payload: Tuple[Callable, Dict[str, Any], str, bool]
+            ) -> Tuple[Any, float]:
+    """Evaluate one point: its result and its own wall-clock seconds
+    (with ``jobs > 1`` the parent cannot time overlapping points, so
+    the child measures itself and ships the duration home).
 
-
-def _invoke_timed(payload: Tuple[Callable, Dict[str, Any]]) -> Tuple[Any, float]:
-    """:func:`_invoke` plus the point's own wall-clock seconds.
-
-    Only engaged when telemetry or a ledger is attached: with ``jobs >
-    1`` the parent cannot time individual points (they overlap), so the
-    child measures itself and ships the duration home with the result.
-    """
-    fn, params = payload
-    t0 = time.monotonic()
-    result = fn(**params)
-    return result, time.monotonic() - t0
-
-
-def _invoke_shielded(
-        payload: Tuple[Callable, Dict[str, Any], str]) -> Tuple[Any, float]:
-    """:func:`_invoke_timed` with per-point crash isolation: a raising
-    point comes back as an :func:`error_record` instead of poisoning the
-    pool.  KeyboardInterrupt/SystemExit still propagate."""
-    fn, params, scenario = payload
+    With ``isolate`` a raising point comes back as an
+    :func:`error_record` instead of poisoning the pool;
+    KeyboardInterrupt/SystemExit still propagate."""
+    fn, params, scenario, isolate = payload
     t0 = time.monotonic()
     try:
         result = fn(**params)
     except Exception as err:        # noqa: BLE001 — isolation is the point
+        if not isolate:
+            raise
         result = error_record(scenario, err)
     return result, time.monotonic() - t0
-
-
-def _load_checkpoint(path: str) -> Dict[str, Any]:
-    """Completed points from a checkpoint file, keyed by cache key.
-
-    A torn trailing line (interrupted mid-write) is skipped, matching
-    the event-log convention."""
-    out: Dict[str, Any] = {}
-    try:
-        fh = open(path)
-    except OSError:
-        return out
-    with fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(obj, dict) and "key" in obj and "result" in obj:
-                out[obj["key"]] = obj["result"]
-    return out
 
 
 def run_sweep(
@@ -295,7 +259,6 @@ def run_sweep(
     telemetry: Any = None,
     ledger: Any = None,
     isolate: bool = False,
-    checkpoint: Optional[str] = None,
     chaos: Any = None,
 ) -> List[Any]:
     """Evaluate all points; returns results in input order.
@@ -304,7 +267,10 @@ def run_sweep(
     With ``jobs > 1`` the uncached points are fanned across a
     ``multiprocessing`` pool; results are byte-identical to the serial
     run because every point is deterministic and order is restored by
-    index.  A cache, when given, is consulted first and fed afterwards.
+    index.  A cache, when given, is consulted first and fed with each
+    point *as it finishes* (atomic, checksummed writes): rerunning an
+    interrupted sweep with the same ``cache=`` recomputes only what had
+    not landed.
 
     ``telemetry`` (:class:`repro.obs.LiveTelemetry`) records one
     wall-clock ``sweep.task`` span per evaluated point on the
@@ -319,11 +285,6 @@ def run_sweep(
         and the sweep completes; without it the first crash aborts the
         sweep (the historical behavior).  Interrupts
         (KeyboardInterrupt/SystemExit) always propagate.
-    ``checkpoint=PATH``
-        Completed points are appended to a JSONL file *as they finish*;
-        a re-run with the same checkpoint loads them instead of
-        recomputing, so an interrupted sweep resumes where it left off.
-        Error records are never checkpointed.
     ``chaos=ChaosPlan``
         Consults the plan's ``sweep.point`` site once per dispatched
         point (in input order, so injections are deterministic); a
@@ -331,25 +292,13 @@ def run_sweep(
         of the computation.
     """
     tel = telemetry if (telemetry is not None and telemetry.enabled) else None
-    observed = tel is not None or ledger is not None
     results: List[Any] = [None] * len(points)
     todo: List[int] = []
     keys: Dict[int, str] = {}
-    need_keys = (cache is not None or ledger is not None
-                 or checkpoint is not None)
-    done = _load_checkpoint(checkpoint) if checkpoint else {}
+    need_keys = cache is not None or ledger is not None
     for i, pt in enumerate(points):
         if need_keys:
             keys[i] = pt.key()
-        if done and keys[i] in done:
-            results[i] = done[keys[i]]
-            if tel is not None:
-                tel.event("sweep:task", "sweep.checkpoint.hit",
-                          scenario=pt.scenario, index=i)
-            if ledger is not None:
-                ledger.record(kind="sweep", scenario=pt.scenario,
-                              digest=keys[i], wall_s=0.0, cached=True)
-            continue
         if cache is not None:
             hit = cache.get(keys[i])
             if hit is not None:
@@ -382,86 +331,55 @@ def run_sweep(
                 f"({points[i].scenario}); run with isolate=True to "
                 f"convert crashes into error records")
 
-    ckpt_fh = open(checkpoint, "a") if checkpoint else None
-
     def persist(i: int, result: Any, dt: Optional[float]) -> None:
         results[i] = result
         failed = is_error_record(result)
-        if not failed:
-            if cache is not None:
-                cache.put(keys[i], result)
-            if ckpt_fh is not None:
-                ckpt_fh.write(json.dumps(
-                    {"key": keys[i], "result": result},
-                    sort_keys=True, separators=(",", ":")) + "\n")
-                ckpt_fh.flush()
+        if cache is not None and not failed:
+            cache.put(keys[i], result)
         if ledger is not None:
             ledger.record(kind="sweep", scenario=points[i].scenario,
                           digest=keys.get(i, ""), wall_s=dt,
                           status="error" if failed else "ok", cached=False)
 
-    try:
-        if jobs <= 1 or len(todo) == 1:
-            for i in todo:
-                try:
-                    if i in crashed:
-                        raise SweepPointCrash(
-                            f"injected crash at sweep point {i}")
+    def payload(i: int) -> Tuple[Callable, Dict[str, Any], str, bool]:
+        return points[i].fn, points[i].params, points[i].scenario, isolate
+
+    def crash_record(i: int) -> Dict[str, Any]:
+        # Only reached under isolate: an unisolated crash raised above.
+        return error_record(points[i].scenario, SweepPointCrash(
+            f"injected crash at sweep point {i}"))
+
+    if jobs <= 1 or len(todo) == 1:
+        for i in todo:
+            if i in crashed:
+                result, dt = crash_record(i), 0.0
+            elif tel is not None:
+                with tel.span("sweep:task", "sweep.task",
+                              scenario=points[i].scenario, index=i):
+                    result, dt = _invoke(payload(i))
+            else:
+                result, dt = _invoke(payload(i))
+            persist(i, result, dt)
+    else:
+        # fork keeps the warm interpreter (and the imported simulator)
+        # on POSIX; spawn is the portable fallback.
+        method = mp_context or (
+            "fork" if "fork" in multiprocessing.get_all_start_methods()
+            else "spawn")
+        ctx = multiprocessing.get_context(method)
+        fanout = [i for i in todo if i not in crashed]
+        for i in sorted(crashed):
+            persist(i, crash_record(i), 0.0)
+        if fanout:
+            with ctx.Pool(processes=min(jobs, len(fanout))) as pool:
+                timed = pool.imap(_invoke, [payload(i) for i in fanout],
+                                  chunksize=1)
+                # imap streams in input order, so each completed
+                # point is cached as soon as it lands.
+                for i, (result, dt) in zip(fanout, timed):
                     if tel is not None:
-                        with tel.span("sweep:task", "sweep.task",
-                                      scenario=points[i].scenario, index=i):
-                            result, dt = _invoke_timed(
-                                (points[i].fn, points[i].params))
-                    elif observed:
-                        result, dt = _invoke_timed(
-                            (points[i].fn, points[i].params))
-                    else:
-                        result, dt = _invoke(
-                            (points[i].fn, points[i].params)), 0.0
-                except Exception as err:    # noqa: BLE001 — isolation opt-in
-                    if not isolate:
-                        raise
-                    result, dt = error_record(points[i].scenario, err), 0.0
-                persist(i, result, dt)
-        else:
-            # fork keeps the warm interpreter (and the imported simulator)
-            # on POSIX; spawn is the portable fallback.
-            method = mp_context or (
-                "fork" if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn")
-            ctx = multiprocessing.get_context(method)
-            fanout = [i for i in todo if i not in crashed]
-            for i in sorted(crashed):
-                persist(i, error_record(points[i].scenario,
-                                        SweepPointCrash(
-                                            f"injected crash at sweep "
-                                            f"point {i}")), 0.0)
-            if fanout:
-                with ctx.Pool(processes=min(jobs, len(fanout))) as pool:
-                    if isolate:
-                        payloads = [(points[i].fn, points[i].params,
-                                     points[i].scenario) for i in fanout]
-                        timed = pool.imap(_invoke_shielded, payloads,
-                                          chunksize=1)
-                    elif observed:
-                        payloads = [(points[i].fn, points[i].params)
-                                    for i in fanout]
-                        timed = pool.imap(_invoke_timed, payloads,
-                                          chunksize=1)
-                    else:
-                        payloads = [(points[i].fn, points[i].params)
-                                    for i in fanout]
-                        timed = ((r, None) for r in
-                                 pool.imap(_invoke, payloads, chunksize=1))
-                    # imap streams in input order, so each completed
-                    # point is checkpointed/cached as soon as it lands.
-                    for i, (result, dt) in zip(fanout, timed):
-                        if tel is not None:
-                            tel.event("sweep:task", "sweep.task.done",
-                                      scenario=points[i].scenario, index=i,
-                                      wall_s=round(dt, 6))
-                        persist(i, result, dt)
-    finally:
-        if ckpt_fh is not None:
-            ckpt_fh.close()
+                        tel.event("sweep:task", "sweep.task.done",
+                                  scenario=points[i].scenario, index=i,
+                                  wall_s=round(dt, 6))
+                    persist(i, result, dt)
     return results

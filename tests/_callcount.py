@@ -3,8 +3,9 @@
 Wall clock is noisy; the number of interpreted calls a run makes is not —
 it repeats exactly, so a gate on it is deterministic and a regression
 arrives attributed to the functions that grew.  Shared by the cost gates
-``tests/ompi/test_init_scaling.py`` (calls per simulated rank) and
-``tests/ompi/test_message_path_cost.py`` (calls per ob1 packet).
+``tests/ompi/test_init_scaling.py`` (calls per simulated rank),
+``tests/ompi/test_message_path_cost.py`` (calls per ob1 packet) and
+``tests/serve/test_submit_path_cost.py`` (calls per cache-hit submit).
 """
 
 from __future__ import annotations

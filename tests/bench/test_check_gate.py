@@ -1,4 +1,4 @@
-"""Tier-1 guard for the ``tools/bench.py --check`` regression gate.
+"""Tier-1 guard for the ``python -m repro bench --check`` regression gate.
 
 The gate logic (``repro.bench.perf.check_regression``) is exercised on
 canned report payloads — no wall-clock measurement, so the assertions
@@ -240,7 +240,7 @@ def test_committed_bench_pr9_is_self_consistent():
 def test_cli_check_roundtrip(tmp_path):
     """End-to-end: a real quick run gated against its own output passes;
     a doctored baseline demanding an impossible speedup fails."""
-    from tools.bench import main
+    from repro.cli.bench import main
 
     out = tmp_path / "fresh.json"
     baseline = tmp_path / "baseline.json"

@@ -81,7 +81,7 @@ class TestCsvExport:
 
         out = tmp_path / "fig.csv"
         proc = subprocess.run(
-            [sys.executable, "tools/run_figure.py", "fig6b", "--csv", str(out)],
+            [sys.executable, "-m", "repro", "figure", "fig6b", "--csv", str(out)],
             capture_output=True, text=True, timeout=600,
         )
         assert proc.returncode == 0, proc.stderr

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import asyncio
+import gc
 import socket
+import threading
 
 import pytest
 
 from repro.chaos import ChaosPlan
 from repro.serve import AsyncServeClient, ServeAddress, ServeClient, \
-    ServerThread
+    ServeConnectionError, ServerThread, protocol
 
 pytestmark = pytest.mark.chaos
 
@@ -125,3 +127,97 @@ class TestDropResubmit:
         c = ServeClient.__new__(ServeClient)
         c.retry_seed, c.retry_base = 8, 0.05
         assert a._backoff(1) != c._backoff(1)
+
+
+class _TornReplyServer:
+    """A raw socket server that answers its first connection with half
+    a reply line and EOF (a server dying mid-write), or with a reply
+    addressed to another request, and every later one properly."""
+
+    def __init__(self, first: str) -> None:
+        self.first = first
+        self.connections = 0
+        self._sock = socket.socket()
+        self._sock.bind(("127.0.0.1", 0))
+        self._sock.listen(4)
+        self.address = ServeAddress(port=self._sock.getsockname()[1])
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        while True:
+            try:
+                conn, _ = self._sock.accept()
+            except OSError:
+                return
+            with conn, conn.makefile("rwb") as fh:
+                self.connections += 1
+                request = protocol.decode(fh.readline())
+                reply = {"status": "ok", "result": {"n": self.connections},
+                         "id": request["id"]}
+                if self.connections > 1:
+                    fh.write(protocol.encode(reply))
+                elif self.first == "torn":
+                    data = protocol.encode(reply)
+                    fh.write(data[:len(data) // 2])
+                else:
+                    fh.write(protocol.encode(dict(reply, id=10_000)))
+                fh.flush()
+
+    def close(self) -> None:
+        self._sock.shutdown(socket.SHUT_RDWR)   # wakes the blocked accept()
+        self._sock.close()
+        self._thread.join(timeout=10.0)
+        assert not self._thread.is_alive()
+
+
+class TestUntrustworthyReply:
+    """A reply the client cannot decode, or one for another request,
+    is a dead connection — it must take the reconnect-and-resubmit path
+    (not escape as JSONDecodeError, not pass an ``assert`` under -O)."""
+
+    @pytest.mark.parametrize("first", ["torn", "misaddressed"])
+    def test_one_retry_recovers(self, first):
+        server = _TornReplyServer(first)
+        try:
+            with ServeClient(server.address, retries=1, retry_base=0.001,
+                             timeout=10.0) as client:
+                r = client.submit("sleep", {"seconds": 0.0})
+                assert r["status"] == "ok" and r["result"] == {"n": 2}
+                assert (client.reconnects, client.resubmits) == (1, 1)
+        finally:
+            server.close()
+
+    @pytest.mark.parametrize("first", ["torn", "misaddressed"])
+    def test_no_retries_raises_a_connection_error(self, first):
+        server = _TornReplyServer(first)
+        try:
+            with ServeClient(server.address, retries=0,
+                             timeout=10.0) as client:
+                with pytest.raises(ServeConnectionError):
+                    client.submit("sleep", {"seconds": 0.0})
+        finally:
+            server.close()
+
+    def test_async_client_fails_pending_requests_cleanly(self, caplog):
+        """Same torn line on the multiplexed client: the read loop ends
+        through its dead-connection path, failing the pending future —
+        not as an unretrieved exception in a background task."""
+        server = _TornReplyServer("torn")
+
+        async def go():
+            client = await AsyncServeClient.connect(server.address)
+            try:
+                with pytest.raises(ServeConnectionError):
+                    await client.submit("sleep", {"seconds": 0.0})
+                with pytest.raises(ServeConnectionError):
+                    await client.health()       # and it stays dead
+            finally:
+                await client.close()
+
+        try:
+            asyncio.run(go())
+        finally:
+            server.close()
+        gc.collect()
+        assert "never retrieved" not in caplog.text

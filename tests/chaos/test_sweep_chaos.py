@@ -1,4 +1,4 @@
-"""run_sweep hardening: crash isolation, checkpoint/resume, crash_point."""
+"""run_sweep hardening: crash isolation, resume-by-cache, crash_point."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ from repro.sweep import (
     SweepPointCrash,
     error_record,
     is_error_record,
+    result_digest,
     run_sweep,
 )
 
@@ -81,56 +82,81 @@ class TestIsolation:
 
 
 class TestCheckpoint:
+    """Resuming an interrupted sweep is rerunning it with the same
+    ``cache=``: every finished point was persisted as it landed, keyed
+    by ``SweepPoint.key()`` (what ``run_sweep(checkpoint=)`` used to
+    duplicate in a JSONL file)."""
+
     def test_resume_skips_completed_points(self, tmp_path):
         points = [SweepPoint("s", counting_fn,
                              {"x": i, "calls_dir": str(tmp_path)})
                   for i in range(3)]
-        ckpt = str(tmp_path / "sweep.ckpt")
-        first = run_sweep(points, checkpoint=ckpt)
+        cache_dir = str(tmp_path / "cache")
+        first = run_sweep(points, cache=SweepCache(cache_dir))
         assert [_calls(tmp_path, i) for i in range(3)] == [1, 1, 1]
-        assert run_sweep(points, checkpoint=ckpt) == first
-        # Nothing recomputed: the checkpoint answered every point.
+        assert run_sweep(points, cache=SweepCache(cache_dir)) == first
+        # Nothing recomputed: the cache answered every point.
         assert [_calls(tmp_path, i) for i in range(3)] == [1, 1, 1]
 
     def test_interrupted_sweep_resumes_where_it_left_off(self, tmp_path):
         points = [SweepPoint("s", counting_fn,
                              {"x": i, "calls_dir": str(tmp_path)})
                   for i in range(4)]
-        ckpt = str(tmp_path / "sweep.ckpt")
-        # Simulate an interrupt after two points: checkpoint only those.
-        run_sweep(points[:2], checkpoint=ckpt)
+        cache_dir = str(tmp_path / "cache")
+        # Simulate an interrupt after two points: only those landed.
+        run_sweep(points[:2], cache=SweepCache(cache_dir))
         assert [_calls(tmp_path, i) for i in range(4)] == [1, 1, 0, 0]
-        resumed = run_sweep(points, checkpoint=ckpt)
+        resumed = run_sweep(points, cache=SweepCache(cache_dir))
         assert resumed == [{"x": i} for i in range(4)]
         # Only the missing tail was computed.
         assert [_calls(tmp_path, i) for i in range(4)] == [1, 1, 1, 1]
 
+    def test_parallel_resume_matches_serial(self, tmp_path):
+        points = [SweepPoint("s", counting_fn,
+                             {"x": i, "calls_dir": str(tmp_path)})
+                  for i in range(5)]
+        cache_dir = str(tmp_path / "cache")
+        run_sweep(points[:2], cache=SweepCache(cache_dir))
+        resumed = run_sweep(points, jobs=2, cache=SweepCache(cache_dir))
+        # The fan-out computed only the three points that had not landed.
+        assert [_calls(tmp_path, i) for i in range(5)] == [1, 1, 1, 1, 1]
+        assert resumed == run_sweep(points) == [{"x": i} for i in range(5)]
+
     def test_torn_checkpoint_tail_is_skipped(self, tmp_path):
+        # An interrupt that tore the last entry it was writing: the
+        # entry is quarantined, and only its point is recomputed.
         points = [SweepPoint("s", counting_fn,
                              {"x": i, "calls_dir": str(tmp_path)})
                   for i in range(2)]
-        ckpt = tmp_path / "sweep.ckpt"
-        run_sweep(points, checkpoint=str(ckpt))
-        lines = ckpt.read_text().splitlines()
-        ckpt.write_text(lines[0] + "\n" + lines[1][:10])    # torn tail
-        resumed = run_sweep(points, checkpoint=str(ckpt))
-        assert resumed == [{"x": 0}, {"x": 1}]
+        cache_dir = tmp_path / "cache"
+        run_sweep(points, cache=SweepCache(str(cache_dir)))
+        tail = cache_dir / f"{points[1].key()}.json"
+        tail.write_text(tail.read_text()[:10])
+        cache = SweepCache(str(cache_dir))
+        assert run_sweep(points, cache=cache) == [{"x": 0}, {"x": 1}]
         assert [_calls(tmp_path, i) for i in range(2)] == [1, 2]
+        assert cache.corrupt == 1
 
     def test_error_records_not_checkpointed(self, tmp_path):
-        points = [SweepPoint("s", bomb_fn, {"x": 1})]
-        ckpt = tmp_path / "sweep.ckpt"
-        results = run_sweep(points, isolate=True, checkpoint=str(ckpt))
+        points = [SweepPoint("s", bomb_fn, {"x": 1}),
+                  SweepPoint("s", ok_fn, {"x": 2})]
+        cache_dir = tmp_path / "cache"
+        results = run_sweep(points, isolate=True,
+                            cache=SweepCache(str(cache_dir)))
         assert is_error_record(results[0])
-        assert ckpt.read_text() == ""
+        assert [p.name for p in cache_dir.iterdir()] \
+            == [f"{points[1].key()}.json"]
 
     def test_checkpoint_lines_are_canonical_json(self, tmp_path):
+        # What a resume reads back: one checksummed envelope per point,
+        # named by the point's own key, holding exactly its result.
         points = [SweepPoint("s", ok_fn, {"x": 0})]
-        ckpt = tmp_path / "sweep.ckpt"
-        run_sweep(points, checkpoint=str(ckpt))
-        (line,) = ckpt.read_text().splitlines()
-        obj = json.loads(line)
-        assert obj == {"key": points[0].key(), "result": {"x": 0}}
+        run_sweep(points, cache=SweepCache(str(tmp_path)))
+        (entry,) = tmp_path.iterdir()
+        assert entry.name == f"{points[0].key()}.json"
+        obj = json.loads(entry.read_text())
+        assert obj["result"] == {"x": 0}
+        assert obj["sha256"] == result_digest({"x": 0})
 
 
 class TestCrashPoint:
@@ -155,11 +181,12 @@ class TestCrashPoint:
         points = [SweepPoint("s", counting_fn,
                              {"x": i, "calls_dir": str(tmp_path)})
                   for i in range(3)]
-        ckpt = str(tmp_path / "sweep.ckpt")
+        cache_dir = str(tmp_path / "cache")
         plan = ChaosPlan().crash_point(after_count=2)
-        first = run_sweep(points, isolate=True, checkpoint=ckpt, chaos=plan)
+        first = run_sweep(points, isolate=True, cache=SweepCache(cache_dir),
+                          chaos=plan)
         assert is_error_record(first[1])
         # The resume recomputes exactly the crashed point.
-        resumed = run_sweep(points, checkpoint=ckpt)
+        resumed = run_sweep(points, cache=SweepCache(cache_dir))
         assert resumed == [{"x": i} for i in range(3)]
         assert [_calls(tmp_path, i) for i in range(3)] == [1, 1, 1]

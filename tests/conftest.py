@@ -8,9 +8,12 @@ Marker map (registered in pyproject.toml ``[tool.pytest.ini_options]``):
 * ``bench``       — wall-clock performance benches; not part of tier-1.
   Their deterministic counterparts carry no marker and *are* tier-1:
   the call-count gates ``tests/ompi/test_init_scaling.py`` (calls per
-  simulated rank) and ``tests/ompi/test_message_path_cost.py`` (calls
-  per ob1 packet), both on the shared ``sys.setprofile`` counter in
-  ``tests/_callcount.py``; the footprint gate
+  simulated rank), ``tests/ompi/test_message_path_cost.py`` (calls per
+  ob1 packet) and ``tests/serve/test_submit_path_cost.py`` (calls per
+  cache-hit submit — the deterministic stand-in for the benchmark's
+  ``serve-hot`` row; it carries the ``serve`` marker), all three on the
+  shared ``sys.setprofile`` counter in ``tests/_callcount.py``; the
+  footprint gate
   ``tests/ompi/test_rank_footprint.py`` (GC-tracked objects and
   ``tracemalloc`` KB per simulated rank) on ``tests/_objcount.py``
   (both helper modules, not test files); the import-path check
@@ -18,12 +21,15 @@ Marker map (registered in pyproject.toml ``[tool.pytest.ini_options]``):
   plain job pulls numpy in); and the paper-shape contract
   ``tests/bench/test_fig3_contract.py`` (Fig 3 ratio and handle share
   in simulated time, no ``pytest-benchmark`` fixture).
-* ``serve``       — serving-layer tests incl. the loadgen smoke.
+* ``serve``       — serving-layer tests incl. the loadgen smoke
+  (tests/serve/, and ``TestServeCLI`` in tests/test_tools.py, which
+  drives ``python -m repro serve`` as a subprocess like the rest of
+  that file drives the other subcommands).
 * ``chaos``       — operational fault injection (tests/chaos/): the
   ``repro.chaos`` plan model, cache corruption/quarantine, client
   reconnect-and-resubmit, the circuit breaker, and sweep crash
   isolation.  The default-sized subset runs in tier-1 as the chaos
-  smoke; ``tools/run_chaos.py`` is the full soak.
+  smoke; ``python -m repro chaos`` is the full soak.
 * ``dsim``        — the partitioned-simulation suite (tests/dsim/):
   running one world across N forked worker partitions (``repro.dsim``)
   must be bit-equivalent to one process — results, traces (canonically

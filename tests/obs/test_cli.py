@@ -14,7 +14,7 @@ _VALID_PHASES = {"B", "E", "X", "i", "I", "M", "s", "t", "f", "C"}
 class TestObsReport:
     def run(self, *args):
         return subprocess.run(
-            [sys.executable, "tools/obs_report.py", *args],
+            [sys.executable, "-m", "repro", "obs", *args],
             capture_output=True, text=True, timeout=600, cwd=".",
         )
 
@@ -62,7 +62,7 @@ class TestObsReport:
 class TestRunFigureObs:
     def run(self, *args):
         return subprocess.run(
-            [sys.executable, "tools/run_figure.py", *args],
+            [sys.executable, "-m", "repro", "figure", *args],
             capture_output=True, text=True, timeout=600, cwd=".",
         )
 

@@ -6,7 +6,7 @@ job must shrink around the damage and finish a correct allreduce over
 the shrunk communicator, inside the simulated-time bound, with a
 byte-deterministic outcome per seed.
 
-The 20-seed sweep here is the tier-1 slice; ``tools/run_recovery.py``
+The 20-seed sweep here is the tier-1 slice; ``python -m repro recovery``
 runs the full 50-seed acceptance soak.
 """
 

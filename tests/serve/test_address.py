@@ -1,5 +1,5 @@
-"""The unified endpoint API: ServeAddress, the legacy host/port shim,
-and the wire-protocol version handshake."""
+"""The unified endpoint API: ServeAddress, the one spelling of an
+``address`` argument, and the wire-protocol version handshake."""
 
 from __future__ import annotations
 
@@ -55,10 +55,8 @@ class TestServeAddress:
 
 
 class TestLegacyShim:
-    def test_separate_host_port_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="host/port"):
-            addr = as_address("127.0.0.1", 7077, caller="test")
-        assert addr == ServeAddress(host="127.0.0.1", port=7077)
+    """Named for the host/port shim this class used to pin; what is
+    left is its replacement's contract: one ``address`` argument."""
 
     def test_string_and_address_pass_through_silently(self):
         import warnings
@@ -67,20 +65,18 @@ class TestLegacyShim:
             assert as_address("host:1") == ServeAddress(host="host", port=1)
             addr = ServeAddress(port=5)
             assert as_address(addr) is addr
+            assert as_address(None) == ServeAddress()
 
     def test_mixing_address_and_legacy_is_an_error(self):
+        # The separate host/port spellings are gone, not deprecated.
         with pytest.raises(TypeError):
             as_address(ServeAddress(port=5), 7077, caller="test")
-
-    def test_client_and_server_accept_legacy_kwargs(self):
-        with pytest.warns(DeprecationWarning):
-            server = SimServer(workers=1, host="127.0.0.1", port=0)
-        assert server.address == ServeAddress(host="127.0.0.1", port=0)
-        with ServerThread(workers=1) as srv:
-            with pytest.warns(DeprecationWarning):
-                client = ServeClient(host=srv.host, port=srv.port)
-            with client:
-                assert client.health()["status"] == "ok"
+        with pytest.raises(TypeError):
+            as_address(("127.0.0.1", 7077), caller="test")
+        with pytest.raises(TypeError):
+            SimServer(workers=1, host="127.0.0.1", port=0)
+        with pytest.raises(TypeError):
+            ServeClient("127.0.0.1", 7077)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ the concurrency machinery without burning CPU.
 from __future__ import annotations
 
 import asyncio
+import gc
+import threading
 import time
 
 import pytest
@@ -17,6 +19,7 @@ from repro.api import SimSpec
 from repro.ompi.config import MpiConfig
 from repro.serve import (
     AsyncServeClient,
+    FleetThread,
     ServeClient,
     ServerThread,
     SimServer,
@@ -181,6 +184,88 @@ def test_deadline_expires_mid_run():
     assert "mid-run" in doomed["reason"]
     assert ok_after["status"] == "ok"       # a fresh worker took over
     assert stats["worker_spawns"] >= 2
+
+
+@pytest.mark.parametrize("bad", ["soon", True, [1], float("inf")])
+def test_malformed_deadline_is_refused_at_admission(bad):
+    """``deadline_s`` comes off the wire: a non-number must be answered
+    ``error`` at admission, not reach the deadline arithmetic of the
+    (only) worker loop and kill it."""
+    with ServerThread(workers=1, capacity=4) as srv:
+        with ServeClient(srv.address, timeout=20.0) as client:
+            refused = client.submit("sleep", {"seconds": 0.01},
+                                    deadline_s=bad)
+            ok_after = client.submit("sleep", {"seconds": 0.01},
+                                     deadline_s=5)
+            stats = client.stats()["stats"]
+            metrics = client.metrics()["prometheus"]
+    assert refused["status"] == "error"
+    assert refused["error"] == "deadline_s must be a number"
+    assert ok_after["status"] == "ok"       # the worker loop survived
+    assert (stats["errors"], stats["ok"]) == (1, 1)
+    assert 'serve_requests{status="error"} 1' in metrics
+
+
+def _stop_with_work_in_flight(stop, host=None):
+    """One worker; one ``sleep`` running and one queued; then ``stop``
+    the server 0.3 s in.  Returns (seconds the stop took, the replies)."""
+    replies = {}
+
+    def submit(address, name):
+        with ServeClient(address, timeout=20.0, retries=0) as client:
+            replies[name] = client.submit("sleep", {"seconds": 30.0,
+                                                    "tag": name})
+
+    srv = host or ServerThread(workers=1, capacity=4)
+    srv.__enter__()
+    threads = [threading.Thread(target=submit, args=(srv.address, name),
+                                daemon=True)
+               for name in ("running", "queued")]
+    try:
+        for thread in threads:
+            thread.start()
+            time.sleep(0.15)            # the first reaches the worker
+        t0 = time.monotonic()
+        stop(srv)
+    finally:
+        srv.__exit__(None, None, None)
+    took = time.monotonic() - t0
+    for thread in threads:
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+    return took, replies
+
+
+@pytest.mark.parametrize("how", ["exit", "shutdown-op"])
+def test_stop_answers_running_and_queued_requests(how, caplog):
+    """stop() resolves every admitted request before it reaps the
+    connection handlers that are waiting to write those replies — or it
+    waits on itself for the full 30 s host timeout."""
+    def stop(srv):
+        if how == "shutdown-op":
+            with ServeClient(srv.address, timeout=20.0) as admin:
+                assert admin.shutdown()["stopping"] is True
+
+    took, replies = _stop_with_work_in_flight(stop)
+    assert took < 5.0
+    assert set(replies) == {"running", "queued"}
+    for name, reply in replies.items():
+        assert reply["status"] == "error", (name, reply)
+        assert reply["error"] == "server stopped", (name, reply)
+    gc.collect()        # "Task was destroyed but it is pending" logs here
+    assert "destroyed" not in caplog.text
+
+
+def test_fleet_stop_answers_forwards_in_flight():
+    """Same contract one hop out: a fleet stops its shards first, so a
+    forward the router is holding is answered, not waited on."""
+    took, replies = _stop_with_work_in_flight(
+        lambda fleet: None, FleetThread(shards=1, workers=1, capacity=4))
+    assert took < 5.0
+    assert {name: (r["status"], r.get("error"), r.get("forwarded"))
+            for name, r in replies.items()} \
+        == {"running": ("error", "server stopped", True),
+            "queued": ("error", "server stopped", True)}
 
 
 def test_server_thread_boot_failure_raises_immediately():

@@ -1,9 +1,9 @@
 """SimSpec: the unified run description (repro.api.SimSpec).
 
-Covers the wire round-trip, the frozen/equality contract, the legacy-
-kwargs deprecation shim, and spec-vs-legacy equivalence — including the
-``run_mpi`` gap the old kwargs API had (``recovery``/``recovery_seed``/
-``engine_compat`` were silently dropped).
+Covers the wire round-trip, the frozen/equality contract, and the one
+call shape ``make_world``/``run_mpi`` accept — a :class:`SimSpec`,
+positionally or as ``spec=``, every field of which reaches the cluster
+(``recovery``/``recovery_seed``/``engine_compat`` included).
 """
 
 from __future__ import annotations
@@ -97,67 +97,48 @@ class TestPayloadRoundTrip:
 
 
 # ---------------------------------------------------------------------------
-# the deprecation shim
+# the one call shape (this class used to pin the loose-kwargs shim)
 # ---------------------------------------------------------------------------
 class TestLegacyShim:
-    def test_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="SimSpec"):
-            make_world(2, ppn=2)
-        with pytest.warns(DeprecationWarning, match="SimSpec"):
-            run_mpi(2, _main, grpcomm_mode="flat")
-
     def test_spec_path_is_warning_free(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             make_world(spec=SimSpec(nprocs=2, ppn=2))
             run_mpi(SimSpec(nprocs=2), _main)
 
-    def test_bare_nprocs_is_warning_free(self):
-        # Plain make_world(4) never used the loose kwargs; no nagging.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
+    def test_non_spec_first_argument_names_simspec(self):
+        with pytest.raises(TypeError, match="SimSpec"):
             make_world(4)
+        with pytest.raises(TypeError, match="SimSpec"):
+            run_mpi(2, _main)
 
     def test_spec_and_legacy_kwargs_rejected(self):
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="ppn"):
             make_world(spec=SimSpec(nprocs=2), ppn=1)
+        with pytest.raises(TypeError, match="grpcomm_mode"):
+            run_mpi(SimSpec(nprocs=2), _main, grpcomm_mode="flat")
 
     def test_spec_passed_twice_rejected(self):
-        with pytest.raises(TypeError, match="twice"):
+        with pytest.raises(TypeError, match="multiple values"):
             make_world(SimSpec(nprocs=2), spec=SimSpec(nprocs=2))
 
     def test_nprocs_conflict_rejected(self):
-        with pytest.raises(ValueError, match="conflicts"):
+        with pytest.raises(TypeError, match="multiple values"):
             make_world(4, spec=SimSpec(nprocs=2))
 
     def test_missing_nprocs_rejected(self):
-        with pytest.raises(TypeError, match="nprocs or a SimSpec"):
+        with pytest.raises(TypeError, match="spec"):
             make_world()
 
 
 # ---------------------------------------------------------------------------
-# spec vs legacy equivalence
+# positional spec vs spec=: one parameter path
 # ---------------------------------------------------------------------------
 class TestEquivalence:
-    def test_make_world_spec_matches_legacy(self):
-        spec = SimSpec(nprocs=4, machine=laptop(num_nodes=2), ppn=2,
-                       config=MpiConfig.sessions_prototype(),
-                       grpcomm_mode="flat")
-        with pytest.warns(DeprecationWarning):
-            legacy = make_world(4, machine=laptop(num_nodes=2), ppn=2,
-                                config=MpiConfig.sessions_prototype(),
-                                grpcomm_mode="flat")
-        modern = make_world(spec=spec)
-        assert modern.spec == legacy.spec == spec
-        assert modern.num_ranks == legacy.num_ranks == 4
-        assert [rt.rank_in_job for rt in modern.runtimes] \
-            == [rt.rank_in_job for rt in legacy.runtimes]
-
     def test_run_mpi_results_identical(self):
         spec = SimSpec(nprocs=4, machine=laptop(num_nodes=2), ppn=2)
-        with pytest.warns(DeprecationWarning):
-            legacy = run_mpi(4, _main, machine=laptop(num_nodes=2), ppn=2)
-        assert run_mpi(spec, _main) == legacy == [6, 6, 6, 6]
+        assert run_mpi(spec, _main) == run_mpi(spec=spec, main=_main) \
+            == [6, 6, 6, 6]
 
     def test_run_mpi_no_longer_drops_recovery_and_engine_flags(self):
         # The old kwargs API accepted but never forwarded these.
@@ -166,10 +147,6 @@ class TestEquivalence:
         _, world = run_mpi(spec, _main, return_world=True)
         assert world.cluster.recovery is True
         assert world.cluster.engine.compat is True
-        # And the legacy spelling now reaches the cluster too.
-        with pytest.warns(DeprecationWarning):
-            _, world = run_mpi(2, _main, recovery=True, return_world=True)
-        assert world.cluster.recovery is True
 
     def test_world_remembers_its_spec(self):
         spec = SimSpec(nprocs=2)

@@ -1,4 +1,4 @@
-"""The unified ``python -m repro`` CLI: dispatch, shims, fleet loadgen."""
+"""The unified ``python -m repro`` CLI: dispatch and fleet loadgen."""
 
 import json
 import subprocess
@@ -27,14 +27,6 @@ class TestDispatch:
         assert proc.returncode == 2
         assert "unknown subcommand" in proc.stderr
 
-    def test_figure_list_matches_legacy_tool(self):
-        new = run_cli("figure", "--list")
-        old = subprocess.run(
-            [sys.executable, "tools/run_figure.py", "--list"],
-            capture_output=True, text=True, timeout=600, cwd=".")
-        assert new.returncode == old.returncode == 0
-        assert new.stdout == old.stdout
-
     def test_faults_list(self):
         proc = run_cli("faults", "--list")
         assert proc.returncode == 0
@@ -43,29 +35,6 @@ class TestDispatch:
     def test_subcommand_help_exits_zero(self):
         for name in ("figure", "bench", "serve", "obs"):
             assert run_cli(name, "--help").returncode == 0
-
-
-class TestShims:
-    def test_tools_forward_to_cli_modules(self):
-        # Each shim re-exports the package main, so flags/exit codes
-        # cannot drift between the two entry points.
-        import tools.bench
-        import tools.obs_report
-        import tools.run_chaos
-        import tools.run_faults
-        import tools.run_figure
-        import tools.run_recovery
-        import tools.serve
-        from repro.cli import (bench, chaos, faults, figure, obs,
-                               recovery, serve)
-
-        assert tools.bench.main is bench.main
-        assert tools.obs_report.main is obs.main
-        assert tools.run_chaos.main is chaos.main
-        assert tools.run_faults.main is faults.main
-        assert tools.run_figure.main is figure.main
-        assert tools.run_recovery.main is recovery.main
-        assert tools.serve.main is serve.main
 
 
 class TestServeLoadgenFleet:

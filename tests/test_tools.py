@@ -1,4 +1,6 @@
-"""The developer tools: figure runner and experiments-report generator."""
+"""Behaviour of the ``python -m repro`` subcommands, each driven as a
+subprocess the way a shell user would (dispatch itself is
+tests/test_cli.py), plus the experiments-report generator in tools/."""
 
 import json
 import subprocess
@@ -10,7 +12,7 @@ import pytest
 class TestRunFigure:
     def run(self, *args):
         return subprocess.run(
-            [sys.executable, "tools/run_figure.py", *args],
+            [sys.executable, "-m", "repro", "figure", *args],
             capture_output=True, text=True, timeout=600, cwd=".",
         )
 
@@ -57,7 +59,7 @@ class TestRunFigure:
 class TestRunRecovery:
     def run(self, *args):
         return subprocess.run(
-            [sys.executable, "tools/run_recovery.py", *args],
+            [sys.executable, "-m", "repro", "recovery", *args],
             capture_output=True, text=True, timeout=600, cwd=".",
         )
 
@@ -82,7 +84,7 @@ class TestRunRecovery:
 class TestBench:
     def run(self, *args):
         return subprocess.run(
-            [sys.executable, "tools/bench.py", "--quick", "--repeats", "1",
+            [sys.executable, "-m", "repro", "bench", "--quick", "--repeats", "1",
              "--cases", "comm-dup", *args],
             capture_output=True, text=True, timeout=600, cwd=".",
         )
@@ -110,7 +112,7 @@ class TestBench:
         assert again.returncode == 0, again.stderr
 
         report = subprocess.run(
-            [sys.executable, "tools/obs_report.py", "--runs", str(ledger)],
+            [sys.executable, "-m", "repro", "obs", "--runs", str(ledger)],
             capture_output=True, text=True, timeout=120, cwd=".",
         )
         assert report.returncode == 0, report.stderr
@@ -118,7 +120,7 @@ class TestBench:
 
     def test_runs_mode_missing_ledger_exits_2(self, tmp_path):
         proc = subprocess.run(
-            [sys.executable, "tools/obs_report.py", "--runs",
+            [sys.executable, "-m", "repro", "obs", "--runs",
              str(tmp_path / "nope.sqlite")],
             capture_output=True, text=True, timeout=120, cwd=".",
         )
@@ -130,7 +132,7 @@ class TestBench:
 class TestServeCLI:
     def run(self, *args, timeout=600):
         return subprocess.run(
-            [sys.executable, "tools/serve.py", *args],
+            [sys.executable, "-m", "repro", "serve", *args],
             capture_output=True, text=True, timeout=timeout, cwd=".",
         )
 
@@ -154,19 +156,19 @@ class TestServeCLI:
 
     def test_start_submit_shutdown_round_trip(self):
         server = subprocess.Popen(
-            [sys.executable, "tools/serve.py", "start", "--port", "0",
+            [sys.executable, "-m", "repro", "serve", "start", "--addr", "127.0.0.1:0",
              "--jobs", "1"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, cwd=".",
         )
         try:
             banner = server.stderr.readline()       # "serving on host:port ..."
             assert "serving on" in banner, banner
-            port = banner.split()[2].rsplit(":", 1)[1]
+            addr = banner.split()[2]
             submit = self.run("submit", "sleep", "--param", "seconds=0.01",
-                              "--port", port, "--json")
+                              "--addr", addr, "--json")
             assert submit.returncode == 0, submit.stderr
             assert json.loads(submit.stdout)["status"] == "ok"
-            down = self.run("shutdown", "--port", port)
+            down = self.run("shutdown", "--addr", addr)
             assert down.returncode == 0
             assert server.wait(timeout=30) == 0     # start exits after the op
         finally:
@@ -180,43 +182,43 @@ class TestServeCLI:
         up holding the event log, the ledger, and the wall trace."""
         tel_dir = tmp_path / "tel"
         server = subprocess.Popen(
-            [sys.executable, "tools/serve.py", "start", "--port", "0",
+            [sys.executable, "-m", "repro", "serve", "start", "--addr", "127.0.0.1:0",
              "--jobs", "1", "--telemetry", str(tel_dir)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, cwd=".",
         )
         try:
             banner = server.stderr.readline()
             assert "serving on" in banner, banner
-            port = banner.split()[2].rsplit(":", 1)[1]
+            addr = banner.split()[2]
             assert "telemetry" in server.stderr.readline()
 
             submit = self.run("submit", "sleep", "--param", "seconds=0.01",
-                              "--port", port, "--json")
+                              "--addr", addr, "--json")
             assert submit.returncode == 0, submit.stderr
             assert json.loads(submit.stdout)["status"] == "ok"
 
-            stats = self.run("stats", "--port", port, "--json")
+            stats = self.run("stats", "--addr", addr, "--json")
             assert stats.returncode == 0, stats.stderr
             payload = json.loads(stats.stdout)        # --json is valid JSON
             assert payload["status"] == "ok"
             assert payload["stats"]["submitted"] == 1
             assert payload["stats"]["ok"] == 1
 
-            human = self.run("stats", "--port", port)
+            human = self.run("stats", "--addr", addr)
             assert human.returncode == 0
             assert "submitted: 1" in human.stdout
             assert not human.stdout.lstrip().startswith("{")
 
-            health = self.run("health", "--port", port, "--json")
+            health = self.run("health", "--addr", addr, "--json")
             assert health.returncode == 0
             hp = json.loads(health.stdout)
             assert hp["status"] == "ok" and hp["workers"] >= 1
 
-            metrics = self.run("metrics", "--port", port)
+            metrics = self.run("metrics", "--addr", addr)
             assert metrics.returncode == 0, metrics.stderr
             assert "# TYPE serve_requests counter" in metrics.stdout
 
-            down = self.run("shutdown", "--port", port)
+            down = self.run("shutdown", "--addr", addr)
             assert down.returncode == 0
             assert server.wait(timeout=30) == 0
         finally:
@@ -228,7 +230,7 @@ class TestServeCLI:
         assert (tel_dir / "ledger.sqlite").exists()
         assert (tel_dir / "serve-trace.json").exists()
         runs = subprocess.run(
-            [sys.executable, "tools/obs_report.py", "--runs",
+            [sys.executable, "-m", "repro", "obs", "--runs",
              str(tel_dir / "ledger.sqlite")],
             capture_output=True, text=True, timeout=120, cwd=".",
         )
@@ -236,7 +238,7 @@ class TestServeCLI:
         assert "serve" in runs.stdout and "sleep" in runs.stdout
 
     def test_submit_unreachable_server_fails_cleanly(self):
-        proc = self.run("submit", "sleep", "--port", "1")    # nothing there
+        proc = self.run("submit", "sleep", "--addr", "127.0.0.1:1")    # nothing there
         assert proc.returncode == 1
         assert "cannot reach server" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -244,7 +246,7 @@ class TestServeCLI:
     def test_all_client_commands_fail_cleanly_when_server_down(self):
         for cmd in (["stats"], ["health"], ["metrics"], ["drain"],
                     ["shutdown"], ["resize", "2"]):
-            proc = self.run(*cmd, "--port", "1")
+            proc = self.run(*cmd, "--addr", "127.0.0.1:1")
             assert proc.returncode == 1, (cmd, proc.stderr)
             assert "cannot reach server" in proc.stderr, cmd
             assert "Traceback" not in proc.stderr, cmd
@@ -253,7 +255,7 @@ class TestServeCLI:
 class TestRunChaos:
     def run(self, *args):
         return subprocess.run(
-            [sys.executable, "tools/run_chaos.py", *args],
+            [sys.executable, "-m", "repro", "chaos", *args],
             capture_output=True, text=True, timeout=600, cwd=".",
         )
 
@@ -298,7 +300,5 @@ class TestExperimentsReport:
 
 def test_tools_importable_as_modules():
     import tools.make_experiments_report
-    import tools.run_figure
 
-    assert callable(tools.run_figure.main)
     assert callable(tools.make_experiments_report.main)
