@@ -55,7 +55,6 @@ derives such a plan from a seed; same seed, same plan, same injections.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import random
@@ -328,6 +327,8 @@ def chaos_plan(
 # ---------------------------------------------------------------------------
 def _digest(obj: Any) -> str:
     """sha256 of the canonical JSON — byte-parity is digest equality."""
+    import hashlib     # kept off the import path of a plain simulation
+
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 

@@ -71,6 +71,28 @@ class Cluster:
             for daemon in self.dvm.daemons:
                 daemon.grpcomm.recovery = True
 
+    def __del__(self) -> None:
+        """The DVM goes down with the last reference to its cluster.
+
+        Daemons, servers and the routing layer necessarily point at each
+        other (they exchange messages), so the booted machine is one
+        reference cycle; nothing in it points back at the ``Cluster``.
+        Cutting the parts' references to each other here (what each part
+        knows of itself stays readable) lets reference counting free the
+        machine the moment the cluster is dropped, instead of leaving it
+        to a later collector pass.
+        """
+        dvm = self.__dict__.get("dvm")
+        if dvm is None:
+            return      # construction failed before the DVM booted
+        dvm.rml._daemons.clear()
+        dvm.rml.faults = dvm.faults = None
+        for daemon in dvm.daemons:
+            daemon._handlers.clear()
+            daemon.dvm = daemon.grpcomm.daemon = None
+            if daemon.pmix_server is not None:
+                daemon.pmix_server.daemon = None
+
     @classmethod
     def from_spec(cls, spec) -> "Cluster":
         """Boot a cluster from a :class:`repro.api.SimSpec`.
@@ -101,7 +123,7 @@ class Cluster:
         spec = JobSpec(num_ranks=num_ranks, ppn=ppn, psets=psets or {}, nspace=nspace)
         job = self.launcher.launch(spec)
         if self.faults.default_job is None:
-            self.faults.default_job = job
+            self.faults.default_job = (job.nspace, job.topology)
         return job
 
     def install_faults(self, plan: FaultPlan) -> None:

@@ -88,10 +88,10 @@ def build_partition(pid: int, pmap: PartitionMap, setup: WorkerSetup) -> WorkerS
 
     topo = world.job.topology
     local = [r for r in range(world.num_ranks) if ctx.owns_node(topo.node_of(r))]
-    # MPI runtimes observe peer failures (one notification event per
-    # runtime per death); restrict to local ranks so the per-partition
-    # counts sum to the single-process R notifications.
-    cluster.faults._runtimes = [world.runtimes[r] for r in local]
+    # A death costs one notification event per MPI rank; count only the
+    # local ranks so the per-partition counts sum to the single-process
+    # R notifications.
+    cluster.faults.mpi_ranks = len(local)
 
     if setup.metrics_on:
         cluster.metrics.enabled = True

@@ -28,7 +28,7 @@ deterministic: same seed + same plan = same event sequence.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.pmix.types import PMIX_ERR_PROC_ABORTED, PmixProc
 from repro.simtime.faults import (  # re-exported: the public fault API
@@ -53,15 +53,31 @@ class FaultManager:
     """Per-cluster fault state: the plan, the dead, and the fault points."""
 
     def __init__(self, cluster) -> None:
-        self.cluster = cluster
+        # The pieces of the cluster it acts on, never the cluster: the
+        # cluster owns this manager, not the other way round.
         self.engine = cluster.engine
         self.machine = cluster.machine
+        self.dvm = cluster.dvm
+        self.servers = cluster.servers
         self.plan: Optional[FaultPlan] = None
-        self.default_job = None            # bound by Cluster.launch
+        # (nspace, topology) of the job a plan's ``kill_proc`` names, bound
+        # by Cluster.launch.  Not the Job: that would keep it registered.
+        self.default_job: Optional[tuple] = None
         self.dead_procs: set = set()       # PmixProc
         self.dead_nodes: set = set()       # node ids
+        # What a kill acts on: a rank's SimProcess for as long as its job
+        # is registered (a kill of a finished rank still names its span),
+        # its MpiRuntime while its MPI instance is up.  A job that is gone
+        # leaves nothing here (:meth:`forget_namespace`).
         self._rank_procs: Dict[PmixProc, Any] = {}   # PmixProc -> SimProcess
-        self._runtimes: List[Any] = []     # MpiRuntime observers
+        self._runtimes: Dict[PmixProc, Any] = {}     # PmixProc -> MpiRuntime
+        # Deaths the MPI libraries of this cluster know of: all of them
+        # learn at the same instant (one detection latency), initialized
+        # or not, so this is ``MpiRuntime.failed_procs`` for every rank.
+        self.detected: set = set()
+        # MPI ranks launched here.  A death costs one logical
+        # notification event per rank, initialized or not at the time.
+        self.mpi_ranks = 0
         self.stats: Counter = Counter()
         # Once any fault has happened (or a plan is installed), servers
         # arm per-collective timeout timers so no protocol race can hang
@@ -81,10 +97,9 @@ class FaultManager:
             return True
         if act.kind == "kill_node":
             return self.dsim.owns_node(act.node)
-        job = self.default_job
-        if job is None:
+        if self.default_job is None:
             return self.dsim.pid == 0
-        return self.dsim.owns_node(job.topology.node_of(act.rank))
+        return self.dsim.owns_node(self.default_job[1].node_of(act.rank))
 
     # -- wiring ------------------------------------------------------------
     def install(self, plan: FaultPlan) -> None:
@@ -94,7 +109,7 @@ class FaultManager:
         self.plan = plan
         self.active = True
         if self.dsim is None or self.dsim.pid == 0:
-            self.cluster.trace("faults", "plan_installed", plan=plan.describe())
+            self.trace("plan_installed", plan=plan.describe())
         for act in plan.timed_kills():
             when = max(self.engine.now, act.at_time)
             if self._owns_kill(act):
@@ -108,11 +123,27 @@ class FaultManager:
                     self._execute(a)
                 self.engine.post_at(when, run_silent)
 
+    def trace(self, event: str, **detail) -> None:
+        self.engine.tracer.emit(self.engine.now, "faults", event, **detail)
+
     def register_runtime(self, runtime) -> None:
-        self._runtimes.append(runtime)
+        """The rank's MPI instance came up: it is told of peer deaths
+        until :meth:`deregister_runtime` (its last release)."""
+        self._runtimes[runtime.proc] = runtime
+
+    def deregister_runtime(self, runtime) -> None:
+        self._runtimes.pop(runtime.proc, None)
 
     def register_rank_proc(self, proc: PmixProc, sim_proc) -> None:
+        """``sim_proc`` is what a kill of ``proc`` terminates."""
         self._rank_procs[proc] = sim_proc
+
+    def forget_namespace(self, nspace: str) -> None:
+        """The job is gone (``Launcher.retire``): so is what a kill of
+        one of its ranks would have acted on."""
+        for table in (self._rank_procs, self._runtimes):
+            for proc in [p for p in table if p.nspace == nspace]:
+                del table[proc]
 
     # -- queries -----------------------------------------------------------
     def is_dead_proc(self, proc: PmixProc) -> bool:
@@ -147,16 +178,16 @@ class FaultManager:
             # Kill kinds are counted by kill_rank/kill_node themselves.
             if kind not in ("kill_proc", "kill_node"):
                 self.stats[kind] += 1
-        self.cluster.trace(
-            "faults", "msg_fault", layer=layer, src=str(src), dst=str(dst),
+        self.trace(
+            "msg_fault", layer=layer, src=str(src), dst=str(dst),
             tag=str(tag), matched=tuple(disp.matched), flow=fid,
         )
         # One event per message-fault kind, so each injected action is
         # individually visible in the timeline next to its flow arrow.
         for kind in disp.matched:
             if kind in ("drop_msg", "delay_msg", "dup_msg"):
-                self.cluster.trace("faults", kind, layer=layer, src=str(src),
-                                   dst=str(dst), tag=str(tag), flow=fid)
+                self.trace(kind, layer=layer, src=str(src), dst=str(dst),
+                           tag=str(tag), flow=fid)
         for act in disp.kills:
             self._execute(act)
         return disp
@@ -164,18 +195,17 @@ class FaultManager:
     def dead_drop(self, layer: str, src, dst, fid: int = 0) -> None:
         """Account for a message silently dropped at a dead endpoint."""
         self.stats["dead_drop"] += 1
-        self.cluster.trace("faults", "dead_drop", layer=layer, src=str(src),
-                           dst=str(dst), flow=fid)
+        self.trace("dead_drop", layer=layer, src=str(src), dst=str(dst),
+                   flow=fid)
 
     # -- kill execution ----------------------------------------------------
     def _execute(self, act: FaultAction) -> None:
         if act.kind == "kill_proc":
-            job = self.default_job
-            if job is None:
-                self.cluster.trace("faults", "kill_skipped", reason="no job bound",
-                                   rank=act.rank)
+            if self.default_job is None:
+                self.trace("kill_skipped", reason="no job bound", rank=act.rank)
                 return
-            self.kill_rank(job, act.rank)
+            nspace, topology = self.default_job
+            self._kill(PmixProc(nspace, act.rank), topology.node_of(act.rank))
         else:
             self.kill_node(act.node)
 
@@ -188,12 +218,15 @@ class FaultManager:
         for backward compatibility); the server always marks the proc
         dead either way.
         """
-        proc = job.proc(rank)
+        self._kill(job.proc(rank), job.topology.node_of(rank), sim_proc, code, reason)
+
+    def _kill(self, proc: PmixProc, node: int, sim_proc=None,
+              code: Optional[int] = None, reason: str = "injected failure") -> None:
+        rank = proc.rank
         if proc in self.dead_procs:
             return
         self.active = True
         self.dead_procs.add(proc)
-        node = job.topology.node_of(rank)
         if self.dsim is not None and not self.dsim.owns_node(node):
             # Remote kill: replicate liveness only.  Stats, traces, the
             # SimProcess kill and the PMIx abort belong to the owner;
@@ -202,17 +235,16 @@ class FaultManager:
             return
         self.stats["kill_proc"] += 1
         sim = sim_proc if sim_proc is not None else self._rank_procs.get(proc)
-        self.cluster.trace("faults", "kill_proc", proc=str(proc), rank=rank,
-                           reason=reason,
-                           span=getattr(sim, "obs_span", 0) if sim else 0)
+        self.trace("kill_proc", proc=str(proc), rank=rank, reason=reason,
+                   span=getattr(sim, "obs_span", 0) if sim else 0)
         if sim is not None:
             sim.kill(f"fault injection: {reason} (rank {rank})")
-        self.cluster.servers[node].client_aborted(proc, code=code)
+        self.servers[node].client_aborted(proc, code=code)
         self._notify_runtimes(proc)
 
     def kill_node(self, node: int, reason: str = "injected node failure") -> None:
         """Kill a whole node: daemon, PMIx server, and its rank processes."""
-        dvm = self.cluster.dvm
+        dvm = self.dvm
         if node == dvm.hnp_node:
             raise ValueError(
                 "cannot kill the HNP node (node 0): the model has no HNP "
@@ -225,7 +257,7 @@ class FaultManager:
         owner = self.dsim is None or self.dsim.owns_node(node)
         if owner:
             self.stats["kill_node"] += 1
-            self.cluster.trace("faults", "kill_node", node=node, reason=reason)
+            self.trace("kill_node", node=node, reason=reason)
         daemon = dvm.daemon_for(node)
         daemon.alive = False
 
@@ -233,7 +265,7 @@ class FaultManager:
         # own server does no broadcasting — survivors learn through the
         # HNP's daemon_down announcement below.
         victims = []
-        server = self.cluster.servers[node]
+        server = self.servers[node]
         for nspace, rank_map in server.job_maps.items():
             for rank, home in rank_map.items():
                 if home == node:
@@ -260,6 +292,16 @@ class FaultManager:
 
     # -- MPI-runtime notification ------------------------------------------
     def _notify_runtimes(self, proc: PmixProc) -> None:
-        latency = self.machine.daemon_failure_detect
-        for rt in list(self._runtimes):
-            self.engine.call_later(latency, lambda r=rt: r.peer_failed(proc))
+        ranks = self.mpi_ranks
+        if not ranks:
+            return
+
+        def notify() -> None:
+            self.engine.charge_events(ranks - 1)
+            self.detected.add(proc)
+            # In process order, whatever order the instances came up in.
+            for _peer, runtime in sorted(self._runtimes.items()):
+                runtime.peer_failed(proc)
+
+        self.engine.post_at(
+            self.engine.now + self.machine.daemon_failure_detect, notify)

@@ -26,10 +26,12 @@ can be written from the serve loop thread and read from the CLI.
 from __future__ import annotations
 
 import json
-import sqlite3
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
+
+if TYPE_CHECKING:  # the first connection imports it, not a plain simulation
+    import sqlite3
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS runs (
@@ -65,6 +67,8 @@ class RunLedger:
 
     def _connect(self) -> sqlite3.Connection:
         if self._conn is None:
+            import sqlite3
+
             # check_same_thread=False + our own lock: the serve loop
             # thread records while the owning thread closes/queries.
             self._conn = sqlite3.connect(self.path, check_same_thread=False)

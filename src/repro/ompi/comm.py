@@ -46,6 +46,9 @@ from repro.ompi.status import Status
 from repro.simtime.process import SLEEP0, Sleep, Spawn, Wait
 
 
+_NO_RANKS: frozenset = frozenset()     # what a healthy communicator shares
+
+
 class Communicator:
     """A communication context over an ordered group of processes."""
 
@@ -77,21 +80,22 @@ class Communicator:
         # failed.  A communicator with failed peers is *damaged* — every
         # new operation on it raises MPI_ERR_PROC_FAILED rather than
         # risking a hang on a peer that will never answer.
-        self.failed_peers: set = set()
+        self.failed_peers = _NO_RANKS   # a set once the first peer fails
         for p in getattr(runtime, "failed_procs", ()):
             r = group.rank_of(p)
-            if r >= 0:
-                self.failed_peers.add(r)
+            if r >= 0 and r != self.rank:
+                self._mark_failed(r)
         # ULFM-lite recovery state (docs/recovery.md): a revoked comm
         # fails every operation with MPI_ERR_REVOKED; _ft_mode lets the
         # recovery collectives (agree/shrink) run on a damaged comm.
         self.revoked = False
         self._ft_mode = False
-        self._ulfm_serial = itertools.count()
+        self._ulfm_serial = 0
         # exCID handshake state (paper §III-B4).
         self.peer_cids: dict = {}      # peer rank -> peer's local CID
-        self.acks_sent: set = set()    # peer ranks we already ACKed
-        self._dup_serial = itertools.count()
+        self.acks_sent = _NO_RANKS     # peer ranks we already ACKed (a set
+                                       # once there is one)
+        self._dup_serial = 0
         # Globally consistent identity (cached: used per-message for the
         # per-(pair, communicator) ordering key).
         if self.excid_state is not None:
@@ -113,6 +117,11 @@ class Communicator:
     # ------------------------------------------------------------------
     # fault state
     # ------------------------------------------------------------------
+    def _mark_failed(self, rank: int) -> None:
+        if self.failed_peers is _NO_RANKS:
+            self.failed_peers = set()
+        self.failed_peers.add(rank)
+
     def _damage_error(self) -> MPIErrProcFailed:
         return MPIErrProcFailed(
             f"{self.name}: peer rank(s) {sorted(self.failed_peers)} failed"
@@ -151,7 +160,7 @@ class Communicator:
         """
         if self.freed or rank in self.failed_peers:
             return
-        self.failed_peers.add(rank)
+        self._mark_failed(rank)
         self.runtime.cluster.trace(
             "faults", "comm_damaged", comm=self.name, rank=self.rank, failed=rank
         )
@@ -565,7 +574,8 @@ class Communicator:
             return child
         # Acquire a fresh PGCID via PMIx group construction (what the
         # measured prototype did on every dup — Fig 4).
-        serial = next(self._dup_serial)
+        serial = self._dup_serial
+        self._dup_serial += 1
         gid = f"dup:{self.identity()}:{serial}"
         pgcid = yield from runtime.pmix.group_construct(gid, self.group.members())
         return ExcidState.from_pgcid(pgcid)
@@ -775,7 +785,8 @@ class Communicator:
         self._check()
         rt = self.runtime
         sid = self._obs_begin("recovery.comm.agree", flag=bool(flag))
-        serial = next(self._ulfm_serial)
+        serial = self._ulfm_serial
+        self._ulfm_serial += 1
         key = f"ulfm.agree.{self.identity()}.{serial}"
         rt.pmix.put(key, bool(flag))
         yield from rt.pmix.commit()
@@ -793,7 +804,7 @@ class Communicator:
                 # Dead (absent or marker) — record and exclude.
                 r = self.group.rank_of(proc)
                 if r >= 0:
-                    self.failed_peers.add(r)
+                    self._mark_failed(r)
                 continue
             out = out and bool(blob[key])
         rt.cluster.recovery_stats["agree"] += 1
@@ -814,7 +825,8 @@ class Communicator:
 
         rt = self.runtime
         sid = self._obs_begin("recovery.comm.shrink")
-        serial = next(self._ulfm_serial)
+        serial = self._ulfm_serial
+        self._ulfm_serial += 1
         members = self.group.members().canonical()
         try:
             result = yield from rt.pmix.fence_retry(members, collect=False)
@@ -825,7 +837,7 @@ class Communicator:
                 if proc not in result.data:
                     r = self.group.rank_of(proc)
                     if r >= 0:
-                        self.failed_peers.add(r)
+                        self._mark_failed(r)
             new_group = Group(survivors)
             name = f"{self.name}.shrink"
             if not rt.excid_enabled:

@@ -45,67 +45,51 @@ MCA_COMPONENTS = {
 
 
 def instance_acquire(runtime):
-    """Sub-generator: retain (initializing on first use) every subsystem."""
-    if not runtime.engine.compat:
-        yield from _instance_acquire_fast(runtime)
-        runtime.instance_refcount += 1
-        return
-    for name in SUBSYSTEMS:
-        init_fn, cleanup_fn = _LIFECYCLE.get(name, (_generic_init, None))
-        yield from runtime.subsystems.acquire(name, init_fn, cleanup_fn, runtime)
+    """Sub-generator: retain the instance's subsystems, initializing all
+    of them on the first acquire of an epoch."""
+    reg = runtime.subsystems
+    if not reg.is_initialized("pml_ob1"):
+        if runtime.engine.compat:
+            for name in SUBSYSTEMS:
+                yield from _INIT.get(name, _generic_init)(runtime)
+        else:
+            yield from _init_fused(runtime)
+        reg.mark_all_initialized(runtime)
+    reg.retain("pml_ob1")       # one record for all of SUBSYSTEMS
     runtime.instance_refcount += 1
 
 
-def _instance_acquire_fast(runtime):
-    """Fast-path acquire: fuse consecutive first-init subsystem sleeps.
+#: Subsystems up to and including ``pml_ob1``, and the ones after it.
+_THROUGH_PML = SUBSYSTEMS.index("pml_ob1") + 1
+_AFTER_PML = len(SUBSYSTEMS) - _THROUGH_PML
 
-    The reference charges one ``session_subsys_init`` sleep per cold
+
+def _init_fused(runtime):
+    """Fast-path cold init: fuse consecutive subsystem sleeps.
+
+    The reference charges one ``session_subsys_init`` sleep per
     subsystem, with only process-local bookkeeping between the resumes
-    (MCA registration, refcounts, cleanup registration).  Nothing outside
-    this rank can observe those intermediate instants, so a run of cold
-    subsystems collapses into a single :class:`SleepUntil` at the run's
-    final resume time — computed with the reference's exact float-add
-    sequence so timestamps stay byte-identical — followed by the same
-    bookkeeping in the same order.  A cold ``pml_ob1`` terminates a run:
-    its init registers the endpoint with the fabric and commits the modex
-    blob (an RPC), and the reference performs both at exactly the fused
-    run's end time anyway.  Warm subsystems sleep in neither mode, so
-    a warm entry between cold ones does not break fusion.
+    (MCA registration).  Nothing outside this rank can observe those
+    intermediate instants, so a run of subsystems collapses into a single
+    :class:`SleepUntil` at the run's final resume time — computed with
+    the reference's exact float-add sequence so timestamps stay
+    byte-identical.  ``pml_ob1`` ends the first run: its init registers
+    the endpoint with the fabric and commits the modex blob (an RPC), and
+    the reference performs both at exactly the fused run's end time.
     """
-    reg = runtime.subsystems
     engine = runtime.engine
     d = runtime.machine.session_subsys_init
-    names = SUBSYSTEMS
-    n = len(names)
-    i = 0
-    while i < n:
-        seg = []                # (name, cold) in subsystem order
-        cold_sleeps = 0
-        t = engine.now
-        while i < n:
-            name = names[i]
-            cold = not reg.is_initialized(name)
-            seg.append((name, cold))
-            i += 1
-            if cold:
-                t = t + d       # replay the reference's exact float adds
-                cold_sleeps += 1
-                if name == "pml_ob1":
-                    break       # observable init work ends this segment
-        if cold_sleeps:
-            yield SleepUntil(t, cold_sleeps - 1)
-        for name, cold in seg:
-            if cold:
-                if name == "mca_base":
-                    _mca_register(runtime)
-                    reg.mark_initialized(name, _mca_cleanup, runtime)
-                elif name == "pml_ob1":
-                    _pml_setup(runtime)
-                    yield from runtime.pmix.commit()
-                    reg.mark_initialized(name, _pml_cleanup, runtime)
-                else:
-                    reg.mark_initialized(name)
-            reg.retain(name)
+    t = engine.now
+    for _ in range(_THROUGH_PML):
+        t = t + d               # replay the reference's exact float adds
+    yield SleepUntil(t, _THROUGH_PML - 1)
+    _mca_register(runtime)
+    _pml_setup(runtime)
+    yield from runtime.pmix.commit()
+    t = engine.now
+    for _ in range(_AFTER_PML):
+        t = t + d
+    yield SleepUntil(t, _AFTER_PML - 1)
 
 
 def instance_release(runtime):
@@ -115,8 +99,7 @@ def instance_release(runtime):
         from repro.ompi.errors import MPIErrIntern
 
         raise MPIErrIntern("instance released more times than acquired")
-    for name in SUBSYSTEMS:
-        runtime.subsystems.release(name)
+    runtime.subsystems.release("pml_ob1")
     runtime.instance_refcount -= 1
     if runtime.instance_refcount == 0:
         yield Sleep(runtime.machine.proc_local_init / 2)  # teardown work
@@ -162,10 +145,15 @@ def _pml_init(runtime):
 
 def _pml_setup(runtime):
     """The non-sleeping setup of :func:`_pml_init` (shared with the fused
-    fast path): create the endpoint and stage our modex blob."""
+    fast path): create the endpoint — from here until :func:`_pml_cleanup`
+    the fabric delivers to this rank and the fault manager tells it of
+    peer deaths — and stage our modex blob."""
     from repro.ompi.pml.ob1 import ENDPOINT_KEY, Ob1Endpoint
 
     runtime.endpoint = Ob1Endpoint(runtime)
+    faults = runtime.fabric.faults
+    if faults is not None:
+        faults.register_runtime(runtime)
     runtime.pmix.put(
         ENDPOINT_KEY, {"node": runtime.node, "addr": f"ob1-{runtime.proc.rank}"}
     )
@@ -177,13 +165,20 @@ def _pml_cleanup(runtime):
         if m is not None and m.enabled:
             runtime.endpoint.harvest_metrics(m)
         runtime.fabric.deregister(runtime.proc)
+        faults = runtime.fabric.faults
+        if faults is not None:
+            faults.deregister_runtime(runtime)
         runtime.endpoint = None
     runtime.reset_cid_state()
 
 
-#: subsystem -> (init sub-generator, cleanup), each called with the
-#: runtime; every other subsystem only charges its init time.
-_LIFECYCLE = {
-    "mca_base": (_mca_init, _mca_cleanup),
-    "pml_ob1": (_pml_init, _pml_cleanup),
-}
+#: What the reference path runs per subsystem (with the runtime); every
+#: other subsystem only charges its init time.
+_INIT = {"mca_base": _mca_init, "pml_ob1": _pml_init}
+
+#: The teardown every rank registers by reference: ``(name, cleanup)``
+#: rows, newest subsystem first, ``cleanup(runtime)`` where there is one.
+TEARDOWN = tuple(
+    (name, {"mca_base": _mca_cleanup, "pml_ob1": _pml_cleanup}.get(name))
+    for name in reversed(SUBSYSTEMS)
+)

@@ -27,30 +27,39 @@ class CleanupFramework:
     __slots__ = ("_callbacks", "epochs_completed")
 
     def __init__(self) -> None:
-        self._callbacks: List[tuple] = []     # (name, fn, *args), oldest first
+        # (rows, *args), oldest first; rows = ((name, fn or None), ...)
+        self._callbacks: List[tuple] = []
         self.epochs_completed = 0
 
-    def register(self, name: str, fn: Callable[..., None], *args) -> None:
+    def register(self, name: str, fn: Optional[Callable[..., None]], *args) -> None:
         """``fn(*args)`` runs at teardown.  The stack holds plain data —
-        one flat tuple per registration, no closure over the caller."""
-        self._callbacks.append((name, fn, *args))
+        flat tuples, no closure over the caller."""
+        self.register_table(((name, fn),), *args)
+
+    def register_table(self, rows: Tuple[Tuple[str, Optional[Callable]], ...],
+                       *args) -> None:
+        """One registration for a whole table of ``(name, fn)`` rows, torn
+        down in row order by ``fn(*args)`` (``None``: nothing to run).
+        Subsystems that always come up together share the table — every
+        rank of every world holds the same one — instead of costing each
+        rank a registration per subsystem."""
+        self._callbacks.append((rows, *args))
 
     @property
     def pending(self) -> int:
-        return len(self._callbacks)
+        return sum(len(entry[0]) for entry in self._callbacks)
 
     def run_all(self) -> List[str]:
         """Run and clear every callback, newest first; returns the order."""
         order: List[str] = []
         while self._callbacks:
-            name, fn, *args = self._callbacks.pop()
-            fn(*args)
-            order.append(name)
+            rows, *args = self._callbacks.pop()
+            for name, fn in rows:
+                if fn is not None:
+                    fn(*args)
+                order.append(name)
         self.epochs_completed += 1
         return order
-
-
-_COLD = -1      # refcount of a subsystem that is not initialized
 
 
 class SubsystemRegistry:
@@ -64,37 +73,56 @@ class SubsystemRegistry:
     *framework* runs (i.e. at last-session-finalize), mirroring the
     prototype.
 
-    State is one small table indexed by subsystem: ``names`` (a tuple
-    every rank of a world shares) gives the slot, and per slot this
-    registry keeps a refcount (``_COLD`` while not initialized) and the
-    number of times the subsystem was ever initialized.  A name outside
-    ``names`` gets a slot on first use.
+    A subsystem's record is ``[refcount, times initialized, cleanup epoch
+    it was last initialized in]``: it is initialized from the moment it
+    is marked so until the cleanup framework next runs, so teardown needs
+    no callback into the registry.  ``names`` are subsystems that are
+    always brought up, retained, released and torn down **together** (the
+    MPI instance's): they share one record and one ``teardown`` table
+    (``(name, cleanup_fn)`` rows, newest first, the same object for every
+    rank): :meth:`mark_all_initialized` brings them up, and retaining or
+    releasing any one of them does so for all.  Any other name gets a
+    record of its own on first use.
     """
 
-    __slots__ = ("cleanup", "_names", "_refcounts", "_epochs")
+    __slots__ = ("cleanup", "_names", "_teardown", "_shared", "_own")
 
-    def __init__(self, cleanup: CleanupFramework, names: Tuple[str, ...] = ()) -> None:
+    def __init__(self, cleanup: CleanupFramework, names: Tuple[str, ...] = (),
+                 teardown: Tuple[Tuple[str, Optional[Callable]], ...] = ()) -> None:
         self.cleanup = cleanup
         self._names = names
-        self._refcounts = [_COLD] * len(names)
-        self._epochs = [0] * len(names)
+        self._teardown = teardown
+        self._shared = [0, 0, -1]
+        self._own: Optional[Dict[str, list]] = None
+
+    def _live(self, name: str) -> Optional[list]:
+        """The record of ``name`` if it is initialized now."""
+        record = self._shared if name in self._names else (self._own or _NONE).get(name)
+        if record is not None and record[2] == self.cleanup.epochs_completed:
+            return record
+        return None
 
     def refcount(self, name: str) -> int:
-        names = self._names
-        return max(self._refcounts[names.index(name)], 0) if name in names else 0
+        record = self._live(name)
+        return record[0] if record else 0
 
     def is_initialized(self, name: str) -> bool:
-        names = self._names
-        return name in names and self._refcounts[names.index(name)] != _COLD
+        return self._live(name) is not None
 
     @property
     def init_epochs(self) -> Dict[str, int]:
         """name -> times initialized ever (names never initialized are absent)."""
-        return {n: e for n, e in zip(self._names, self._epochs) if e}
+        epochs = {**dict.fromkeys(self._names, self._shared[1]),
+                  **{name: record[1] for name, record in (self._own or _NONE).items()}}
+        return {name: n for name, n in epochs.items() if n}
 
     @property
     def live_subsystems(self) -> List[str]:
-        return sorted(n for n, c in zip(self._names, self._refcounts) if c > 0)
+        return sorted(name for name in (*self._names, *(self._own or ()))
+                      if self.refcount(name) > 0)
+
+    def all_released(self) -> bool:
+        return not self.live_subsystems
 
     def acquire(self, name: str, init_fn: Optional[Callable] = None,
                 cleanup_fn: Optional[Callable[..., None]] = None, *args):
@@ -114,43 +142,42 @@ class SubsystemRegistry:
         return
         yield  # pragma: no cover - makes this a generator even on fast path
 
+    def _born(self, record: list) -> None:
+        record[:] = 0, record[1] + 1, self.cleanup.epochs_completed
+
     def mark_initialized(self, name: str,
                          cleanup_fn: Optional[Callable[..., None]] = None,
                          *args) -> None:
         """Bookkeeping half of :meth:`acquire`, for callers that already
-        ran the init work themselves (the fused-sleep fast path in
-        :mod:`repro.ompi.instance`): record the init epoch and register
+        ran the init work themselves: record the init epoch and register
         the teardown (which runs ``cleanup_fn(*args)``)."""
-        if name not in self._names:
-            self._names += (name,)      # a new tuple: the shared one is untouched
-            self._refcounts.append(_COLD)
-            self._epochs.append(0)
-        slot = self._names.index(name)
-        self._refcounts[slot] = 0
-        self._epochs[slot] += 1
-        # The plain function plus ``self`` as data: a bound method would
-        # be one more object per subsystem per rank.
-        self.cleanup.register(name, SubsystemRegistry._teardown, self, slot,
-                              cleanup_fn, *args)
+        if name in self._names:
+            raise CleanupError(f"{name!r} comes up with {self._names}, not alone")
+        if self._own is None:
+            self._own = {}
+        self._born(self._own.setdefault(name, [0, 0, -1]))
+        self.cleanup.register(name, cleanup_fn, *args)
 
-    def _teardown(self, slot: int, cleanup_fn: Optional[Callable[..., None]],
-                  *args) -> None:
-        self._refcounts[slot] = _COLD
-        if cleanup_fn is not None:
-            cleanup_fn(*args)
+    def mark_all_initialized(self, *args) -> None:
+        """The same for all of ``names`` at once, the caller having run
+        the init work of each: one registration of the shared teardown
+        table (its functions run as ``fn(*args)``)."""
+        self._born(self._shared)
+        self.cleanup.register_table(self._teardown, *args)
 
     def retain(self, name: str) -> None:
-        """Bump the refcount of an already-initialized subsystem."""
-        names, counts = self._names, self._refcounts
-        if name not in names or counts[names.index(name)] == _COLD:
+        """Bump the refcount of an already-initialized subsystem — of all
+        of ``names`` when it is one of them."""
+        record = self._live(name)
+        if record is None:
             raise CleanupError(f"retain of uninitialized subsystem {name!r}")
-        counts[names.index(name)] += 1
+        record[0] += 1
 
     def release(self, name: str) -> None:
-        names, counts = self._names, self._refcounts
-        if name not in names or counts[names.index(name)] <= 0:
+        record = self._live(name)
+        if record is None or record[0] <= 0:
             raise CleanupError(f"release of unacquired subsystem {name!r}")
-        counts[names.index(name)] -= 1
+        record[0] -= 1
 
-    def all_released(self) -> bool:
-        return all(c <= 0 for c in self._refcounts)
+
+_NONE: Dict[str, list] = {}

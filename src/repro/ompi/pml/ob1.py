@@ -529,6 +529,8 @@ class Ob1Endpoint:
             if src not in comm.peer_cids:
                 comm.peer_cids[src] = sender_cid
             if src not in comm.acks_sent:
+                if not comm.acks_sent:
+                    comm.acks_sent = set()
                 comm.acks_sent.add(src)
                 self._send_ack(comm, src)
             cid = comm.local_cid

@@ -31,7 +31,7 @@ from repro.ompi.errors import (
 )
 from repro.ompi.excid import ExcidState
 from repro.ompi.group import Group
-from repro.ompi.instance import SUBSYSTEMS, instance_acquire, instance_release
+from repro.ompi.instance import SUBSYSTEMS, TEARDOWN, instance_acquire, instance_release
 from repro.ompi.opal.cleanup import CleanupFramework, SubsystemRegistry
 from repro.ompi.opal.mca import MCARegistry
 from repro.ompi.session import Session
@@ -57,7 +57,7 @@ class MpiRuntime:
         "_early_cid_pkts",
         "instance_refcount", "sessions", "world_session", "world_finalized",
         "thread_level", "COMM_WORLD", "COMM_SELF", "_binary_loaded",
-        "live_comms", "failed_procs", "_pending_revokes",
+        "live_comms", "_pending_revokes",
     )
 
     def __init__(self, cluster, job, fabric, rank: int, config: Optional[MpiConfig] = None) -> None:
@@ -76,7 +76,7 @@ class MpiRuntime:
         # Pre-init-usable state (paper §III-B5).
         self.keyvals = KeyvalRegistry()
         self.cleanup = CleanupFramework()
-        self.subsystems = SubsystemRegistry(self.cleanup, SUBSYSTEMS)
+        self.subsystems = SubsystemRegistry(self.cleanup, SUBSYSTEMS, TEARDOWN)
         self.mca = MCARegistry()
 
         # Messaging state (populated by the pml subsystem).
@@ -97,15 +97,11 @@ class MpiRuntime:
         self._binary_loaded = False
         self.live_comms: List[Communicator] = []
 
-        # Fault state: peers this runtime has been told are dead (fed by
-        # the cluster's FaultManager, docs/faults.md).  Communicators
-        # created after a failure inherit it via their constructor.
-        self.failed_procs: set = set()
         # Revocations that arrived before the matching communicator was
         # registered here (a same-node peer's revoke can beat the tail
         # of our own mpi_init) — applied, then discarded, at
-        # register_comm time.
-        self._pending_revokes: set = set()
+        # register_comm time.  A set, made by the first such arrival.
+        self._pending_revokes: Optional[set] = None
 
     # ------------------------------------------------------------------
     # small helpers used across the library
@@ -129,6 +125,15 @@ class MpiRuntime:
         the original consensus algorithm." """
         return self.config.cid_mode == "excid" and self.config.pml == "ob1"
 
+    @property
+    def failed_procs(self) -> set:
+        """Peers this rank's library knows are dead.  Every library of a
+        cluster is told of a death at the same instant (one detection
+        latency), so the knowledge is the fault manager's, not a copy per
+        rank; communicators created after a failure inherit it via their
+        constructor (docs/faults.md)."""
+        return self.cluster.faults.detected
+
     def wtime(self) -> float:
         """MPI_Wtime: the simulated clock in seconds."""
         return self.engine.now
@@ -137,7 +142,7 @@ class MpiRuntime:
     def register_comm(self, comm: Communicator) -> None:
         self.cid_table.reserve(comm.local_cid, comm)
         self.live_comms.append(comm)
-        if comm.identity() in self._pending_revokes:
+        if self._pending_revokes and comm.identity() in self._pending_revokes:
             self._pending_revokes.discard(comm.identity())
             comm._apply_revoke()
         if comm.excid is not None:
@@ -171,9 +176,8 @@ class MpiRuntime:
         elapsed (mirrors the PMIx PROC_ABORTED event reaching the RTE
         thread in real Open MPI).
         """
-        if proc == self.proc or proc in self.failed_procs:
+        if proc == self.proc:
             return
-        self.failed_procs.add(proc)
         if self.endpoint is not None:
             self.endpoint.peer_failed(proc)
         for comm in list(self.live_comms):
@@ -192,6 +196,8 @@ class MpiRuntime:
                 return
         # Not registered yet (we may still be in the tail of mpi_init):
         # park the revocation for register_comm to apply.
+        if self._pending_revokes is None:
+            self._pending_revokes = set()
         self._pending_revokes.add(identity)
 
     def comm_by_cid(self, cid: int) -> Optional[Communicator]:

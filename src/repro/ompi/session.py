@@ -152,7 +152,8 @@ class Session:
                 raise MPIErrArg(f"unknown process set {name!r}") from None
         if self._failed_excluded:
             failed = getattr(self.runtime, "failed_procs", set())
-            live = [p for p in members if p not in failed]
+            me = self.runtime.proc
+            live = [p for p in members if p not in failed or p == me]
             if len(live) != len(members):
                 members = ProcSet(live)
         return members

@@ -128,6 +128,15 @@ class PmixServer(AsyncGroupServerMixin):
         for key, value in job_info.items():
             self.datastore.put_job(nspace, key, value)
 
+    def deregister_namespace(self, nspace: str, cut: Optional[Dict] = None) -> None:
+        """The job is over: forget its procs, its map, its data and the
+        groups it formed (``cut``: see :meth:`Datastore.drop_namespace`)."""
+        self.job_procs.pop(nspace, None)
+        self.job_maps.pop(nspace, None)
+        self.datastore.drop_namespace(nspace, cut)
+        self.groups = {gid: record for gid, record in self.groups.items()
+                       if not any(p.nspace == nspace for p in record.members)}
+
     def register_client(self, client: Any) -> None:
         self.local_clients[client.proc] = client
 
@@ -279,11 +288,8 @@ class PmixServer(AsyncGroupServerMixin):
         self._collectives.pop(state.sig, None)
         self._cancel_fault_timer(state)
         failed = []
-        if (getattr(result, "status", 0) == 0
-                and ABORTED_MARKER in result.data.values()):
-            failed = sorted(
-                p for p, v in result.data.items() if v == ABORTED_MARKER
-            )
+        if getattr(result, "status", 0) == 0:
+            failed = sorted(result.data.aborted)
         if getattr(result, "status", 0) != 0 or failed:
             status = getattr(result, "status", 0) or PMIX_ERR_PROC_ABORTED
             message = f"collective {state.sig!r} aborted"
@@ -344,7 +350,7 @@ class PmixServer(AsyncGroupServerMixin):
     def _trace(self, event: str, **detail) -> None:
         faults = self._faults()
         if faults is not None:
-            faults.cluster.trace("faults", event, node=self.node, **detail)
+            faults.trace(event, node=self.node, **detail)
 
     def _arm_fault_timer(self, state: _LocalCollective) -> None:
         """Bounded termination: once faults are active, no collective may

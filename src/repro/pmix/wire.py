@@ -10,7 +10,9 @@ of re-walked by every message that carries it.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any, Iterable, Tuple
+
+from repro.pmix.types import ABORTED_MARKER
 
 
 def wire_size(value: Any) -> int:
@@ -31,19 +33,21 @@ def _entries_size(entries: dict) -> int:
 
 
 class SizedDict(dict):
-    """A payload dict that knows its :func:`wire_size`.
+    """A payload dict that knows its :func:`wire_size` and which of its
+    entries are aborted markers (a dead participant's stand-in).
 
-    ``nbytes`` is computed once, by the constructor; :meth:`union` adds
-    up the sizes of its parts instead of walking them again.  Frozen by
-    convention once built (a payload never changes after it is sent):
-    build a new one rather than assigning into it.
+    ``nbytes`` and ``aborted`` are computed once, by the constructor;
+    :meth:`union` adds up those of its parts instead of walking them
+    again.  Frozen by convention once built (a payload never changes
+    after it is sent): build a new one rather than assigning into it.
     """
 
-    __slots__ = ("nbytes",)
+    __slots__ = ("nbytes", "aborted")
 
     def __init__(self, *args, **kwargs) -> None:
         dict.__init__(self, *args, **kwargs)
         self.nbytes = _entries_size(self)
+        self.aborted = _aborted_keys(self)
 
     @classmethod
     def of(cls, payload: dict) -> "SizedDict":
@@ -57,11 +61,20 @@ class SizedDict(dict):
         exchange — cost one addition each; an overridden key (an aborted
         marker standing in for a blob) falls back to a recount."""
         out = cls.__new__(cls)
-        nbytes, entries = 8, 0
+        nbytes, entries, aborted = 8, 0, ()
         for part in parts:
             part = cls.of(part)
             dict.update(out, part)
             nbytes += part.nbytes - 8
             entries += len(part)
-        out.nbytes = nbytes if len(out) == entries else _entries_size(out)
+            aborted += part.aborted
+        if len(out) == entries:
+            out.nbytes, out.aborted = nbytes, aborted
+        else:
+            out.nbytes, out.aborted = _entries_size(out), _aborted_keys(out)
         return out
+
+
+def _aborted_keys(entries: dict) -> Tuple:
+    return tuple(k for k, v in entries.items()
+                 if v.__class__ is str and v == ABORTED_MARKER)

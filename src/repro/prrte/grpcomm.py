@@ -376,7 +376,12 @@ class GrpcommModule:
             # Flat non-root: completion happens via the root's grpcomm_down.
             return
         self._instances.pop(inst.sig, None)
-        self._done_sigs.add(inst.sig)
+        # It takes a fault (or a recovery restart) for a message to be
+        # late or duplicated: a fault-free DVM remembers no signature, so
+        # hosting job after job costs it nothing.
+        faults = getattr(self.daemon.dvm, "faults", None)
+        if self.recovery or faults is None or faults.active:
+            self._done_sigs.add(inst.sig)
         if self.recovery and result.status == 0:
             self._results[inst.sig] = result
         self.daemon.engine.tracer.end(self.daemon.engine.now, inst.obs_span)

@@ -9,7 +9,7 @@ its world on top of the returned :class:`Job`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.machine.topology import Topology
 from repro.pmix.client import PmixClient
@@ -44,6 +44,14 @@ class Job:
     # one shared ProcSet: the value ``mpi://world`` groups, whole-job
     # fences and every PMIx server of the world hold, never a copy.
     all_procs: ProcSet
+    # Who registered the namespace and the process sets defined with it:
+    # both stay registered for as long as this job is referenced.
+    launcher: Optional["Launcher"] = None
+    psets: Tuple[str, ...] = ()
+
+    def __del__(self) -> None:
+        if self.launcher is not None:
+            self.launcher.retire(self.nspace, self.psets)
 
     @property
     def num_ranks(self) -> int:
@@ -102,4 +110,19 @@ class Launcher:
             tr.event(self.dvm.engine.now, track_for_daemon(self.dvm.hnp_node),
                      "prrte.dvm.launch", nspace=nspace,
                      ranks=topo.num_ranks, nodes=topo.num_nodes)
-        return Job(nspace=nspace, topology=topo, clients=clients, all_procs=procs)
+        return Job(nspace=nspace, topology=topo, clients=clients, all_procs=procs,
+                   launcher=self, psets=tuple(spec.psets))
+
+    def retire(self, nspace: str, psets: Sequence[str]) -> None:
+        """The job is gone (nobody can run a rank of it any more): what
+        :meth:`launch` registered for it is dropped, so a DVM that hosts
+        job after job holds the running ones only."""
+        cut: Dict = {}
+        for daemon in self.dvm.daemons:
+            if daemon.pmix_server is not None:
+                daemon.pmix_server.deregister_namespace(nspace, cut)
+        for name in psets:
+            self.psets.undefine(name)
+        faults = getattr(self.dvm, "faults", None)
+        if faults is not None:
+            faults.forget_namespace(nspace)

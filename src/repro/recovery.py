@@ -19,7 +19,6 @@ Shared by ``python -m repro recovery`` (the chaos-soak CLI) and
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 from typing import Any, Dict, Optional
@@ -340,6 +339,8 @@ def _soak_run_partitioned(
 def digest(record: Dict[str, Any]) -> str:
     """Canonical sha256 over a result record (minus any digest field):
     two runs of the same seed must produce the same digest."""
+    import hashlib     # kept off the import path of a plain simulation
+
     clean = {k: v for k, v in record.items() if k != "digest"}
     blob = json.dumps(clean, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import asyncio
 import bisect
-import hashlib
 from dataclasses import replace
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -40,6 +39,8 @@ from repro.sweep import cache_key
 
 
 def _ring_hash(text: str) -> int:
+    import hashlib     # kept off the import path of a plain simulation
+
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 

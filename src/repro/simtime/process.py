@@ -152,6 +152,16 @@ SELF = Self()
 SLEEP0 = Sleep(0.0)
 
 
+def _nothing() -> Generator:
+    yield  # pragma: no cover
+
+
+#: What a finished process holds in place of its generator: closed like
+#: the one it replaces, so a stale resume stays the no-op it was.
+_FINISHED_GEN = _nothing()
+_FINISHED_GEN.close()
+
+
 class SimProcess:
     """A generator being trampolined by the engine."""
 
@@ -523,6 +533,11 @@ class SimProcess:
             self.engine.tracer.end(self.engine.now, self.obs_span)
         self.engine._process_finished(self)
         self.gen.close()
+        # A finished process is a result, not a program: it lets go of
+        # its generator and of the pre-bound callbacks that point back at
+        # it, so whoever holds the process holds no cycle.
+        self.gen = _FINISHED_GEN
+        self._resume_cb = self._event_cb = self._pending_timer = None
         if exc is not None:
             if self.done.has_waiters or self._defused:
                 self.done.fail(exc)

@@ -45,7 +45,6 @@ Robustness (docs/robustness.md):
 
 from __future__ import annotations
 
-import hashlib
 import json
 import multiprocessing
 import os
@@ -62,6 +61,8 @@ def source_digest() -> str:
     """Content hash of the simulator source tree (cached per process)."""
     global _source_digest_cache
     if _source_digest_cache is None:
+        import hashlib
+
         h = hashlib.sha256()
         for dirpath, dirnames, filenames in sorted(os.walk(_SRC_ROOT)):
             dirnames.sort()
@@ -80,6 +81,8 @@ def source_digest() -> str:
 
 def cache_key(scenario: str, params: Dict[str, Any]) -> str:
     """Stable key for one sweep point: (scenario, params, source digest)."""
+    import hashlib     # kept off the import path of a plain simulation
+
     blob = json.dumps(
         {"scenario": scenario, "params": params, "source": source_digest()},
         sort_keys=True, separators=(",", ":"),
@@ -94,6 +97,8 @@ ENVELOPE_VERSION = 1
 
 def result_digest(result: Any) -> str:
     """sha256 over the canonical JSON of a cached result payload."""
+    import hashlib
+
     blob = json.dumps(result, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 

@@ -10,12 +10,16 @@ leaves out everything that is paid once per process or per world
 (imports, the engine, the DVM), so what remains is what a rank costs.
 
 Shared by ``tests/ompi/test_rank_footprint.py`` (the tier-1 gate and its
-``slow`` recording twin).
+``slow`` recording twin) and ``tests/ompi/test_world_lifetime.py`` (what
+is left of a rank once its world is dropped: :func:`survivors`).
 """
 
 from __future__ import annotations
 
 import gc
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import dataclass
@@ -166,6 +170,30 @@ def marginal(small: Sample, large: Sample) -> Marginal:
                     per_rank(large.closures, small.closures), sites)
 
 
+def survivors(job: str, nodes: int) -> Counter:
+    """What outlives a finished, dropped world when nobody collects: type
+    name -> GC-tracked objects alive after the job that were not there
+    before it, with the collector disabled throughout.  Whatever is
+    counted here is a reference cycle (or a registration nobody undid):
+    reference counting alone did not free it."""
+    _run(job, 1, lambda: None)      # lazy imports and caches are not survivors
+
+    def census() -> Counter:
+        return Counter(type(obj).__name__ for obj in gc.get_objects())
+
+    census()                        # nor are the ABC caches a first census fills
+    gc.collect()
+    gc.disable()
+    try:
+        before = census()
+        _run(job, nodes, lambda: None)
+        after = census()
+    finally:
+        gc.enable()
+    after.subtract(before)
+    return +after
+
+
 def gc_passes(job: str, nodes: int) -> Tuple[int, int, int]:
     """Collector passes per generation over one whole job, world
     construction to quiescence, untraced and unsampled."""
@@ -173,3 +201,35 @@ def gc_passes(job: str, nodes: int) -> Tuple[int, int, int]:
     _run(job, nodes, lambda: None)
     return tuple(gen["collections"] - b
                  for gen, b in zip(gc.get_stats(), before))
+
+
+_PAIR = """
+import gc, os, sys, time
+os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+from tests._objcount import JOBS, _run
+nodes = int(sys.argv[1])
+for job in sorted(JOBS):
+    _run(job, 1, lambda: None)
+wall = 0.0
+for job in sorted(JOBS):
+    gc.collect()
+    t0 = time.perf_counter()
+    _run(job, nodes, lambda: None)
+    wall += time.perf_counter() - t0
+print(wall / (2 * nodes * 16) * 1e6)
+"""
+
+
+def fresh_pair_us_per_rank(nodes: int) -> float:
+    """Wall microseconds per rank of one ``MPI_Init`` + one Sessions job
+    on ``nodes`` x 16 ranks, collector on, in a fresh interpreter pinned
+    to one CPU (``gc.collect()`` before each job, a 16-rank warm-up of
+    each first): the protocol of docs/performance.md, "Footprint of one
+    rank"."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (root, os.path.dirname(SRC.rstrip(os.sep)), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", _PAIR, str(nodes)], env=env,
+                         capture_output=True, text=True, timeout=600, check=True)
+    return float(out.stdout.strip())

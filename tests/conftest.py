@@ -15,10 +15,14 @@ Marker map (registered in pyproject.toml ``[tool.pytest.ini_options]``):
   shared ``sys.setprofile`` counter in ``tests/_callcount.py``; the
   footprint gate
   ``tests/ompi/test_rank_footprint.py`` (GC-tracked objects and
-  ``tracemalloc`` KB per simulated rank) on ``tests/_objcount.py``
-  (both helper modules, not test files); the import-path check
-  ``tests/test_numpy_lazy.py`` (fresh interpreters: no import and no
-  plain job pulls numpy in); and the paper-shape contract
+  ``tracemalloc`` KB per simulated rank) and the lifetime gate
+  ``tests/ompi/test_world_lifetime.py`` (objects per rank that outlive
+  a dropped world with the collector off: ``survivors``), both on
+  ``tests/_objcount.py`` (helper modules, not test files); the
+  import-path checks ``tests/test_numpy_lazy.py`` and
+  ``tests/test_import_footprint.py`` (fresh interpreters: no import and
+  no plain job pulls in numpy, ``hashlib`` or ``sqlite3``); and the
+  paper-shape contract
   ``tests/bench/test_fig3_contract.py`` (Fig 3 ratio and handle share
   in simulated time, no ``pytest-benchmark`` fixture).
 * ``serve``       — serving-layer tests incl. the loadgen smoke
@@ -50,8 +54,9 @@ Marker map (registered in pyproject.toml ``[tool.pytest.ini_options]``):
   not otherwise deselected.
 * ``slow``        — large-scale runs (1k+ simulated ranks, bigger parity
   sweeps; the 64 -> 4096 twin of the call-count gate and the 1024/4096
-  recording twin of the footprint gate, which prints objects, KB and
-  gen-0/1/2 collector passes per rank instead of gating them).
+  recording twins of the footprint gate, which print objects, KB,
+  gen-0/1/2 collector passes, survivors of a dropped world and the
+  4096-vs-64-rank wall per rank instead of gating them).
   Excluded from tier-1 by ``addopts = -m "not slow"``; opt in with
   ``pytest -m slow`` (or ``-m ""`` to run the whole matrix).
 """

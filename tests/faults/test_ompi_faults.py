@@ -249,3 +249,50 @@ class TestPmlMessageFaults:
         with pytest.raises(DeadlockError):
             world.run()
         assert world.cluster.faults.stats["drop_msg"] == 1
+
+
+# ---------------------------------------------------------------------------
+# kill_proc x a rank that already ran to completion
+# ---------------------------------------------------------------------------
+def test_kill_of_a_finished_rank_is_a_traced_no_op():
+    """The fault manager lets go of a rank's MPI instance at its last
+    release, but a late kill still finds the finished process: the trace
+    names its span, nothing is thrown into it, and every survivor's
+    library still pays (and counts) one notification."""
+    from repro.simtime.trace import Tracer
+
+    tracer = Tracer()
+    world = make_world(spec=SimSpec(nprocs=4, machine=laptop(num_nodes=2),
+                                    ppn=2, tracer=tracer))
+    faults = world.cluster.faults
+
+    def main(mpi):
+        yield from mpi.mpi_init()
+        yield from mpi.mpi_finalize()
+        return "done"
+
+    procs = _spawn(world, [main(rt) for rt in world.runtimes])
+    assert all(p.obs_span for p in procs)
+
+    def late():
+        while not all(p.finished for p in procs):
+            yield Sleep(50e-6)
+        before = world.cluster.engine.events_executed
+        faults.kill_rank(world.job, 3)
+        yield Sleep(2 * world.cluster.machine.daemon_failure_detect)
+        return world.cluster.engine.events_executed - before
+
+    watcher = world.cluster.spawn(late(), name="late")
+    _run_bounded(world)
+
+    assert not faults._runtimes                     # every instance was released
+    assert [(p.result, p.exception) for p in procs] == [("done", None)] * 4
+    (kill,) = tracer.find("faults", "kill_proc")
+    assert kill.detail == {"proc": str(world.job.proc(3)), "rank": 3,
+                           "reason": "injected failure", "span": procs[3].obs_span}
+    assert faults.stats["kill_proc"] == 1
+    assert world.job.proc(3) in world.runtimes[0].failed_procs
+    # Events the kill cost, unchanged from when every library ever
+    # created was walked: one logical notification per launched rank (4)
+    # plus the PMIx event broadcast and the watcher's own wake-up.
+    assert watcher.result == 9

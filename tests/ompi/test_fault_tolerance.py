@@ -164,3 +164,78 @@ def test_session_isolation_under_failure():
 
     assert procs[0].result == "ok" and procs[1].result == "ok"
     assert out[0] == 2 and out[1] == 2
+
+
+def test_reinit_after_last_finalize_still_hears_of_peer_failures():
+    """A rank's registrations live exactly as long as its MPI instance:
+    they are dropped by the release that finalizes its last session and
+    made again by the next ``session_init``.  A peer that dies after the
+    re-init must still reach it — as the PMIx ``PROC_ABORTED`` event and
+    as ``MPIErrProcFailed`` on the communicator the death damaged."""
+    from repro.ompi.errors import ERRORS_RETURN, MPIErrProcFailed
+    from repro.pmix.types import PMIX_ERR_PROC_ABORTED
+
+    world = make_world(spec=SimSpec(
+        nprocs=3, machine=laptop(num_nodes=2), ppn=2,
+        config=MpiConfig.sessions_prototype(),
+    ))
+    faults = world.cluster.faults
+    registered = []
+    ready = []
+    out = {}
+
+    def epoch(mpi, tag):
+        session = yield from mpi.session_init()
+        group = yield from session.group_from_pset("mpi://world")
+        comm = yield from mpi.comm_create_from_group(
+            group, tag, errhandler=ERRORS_RETURN)
+        total = yield from comm.allreduce(1, op=SUM)
+        assert total == 3
+        return session, comm
+
+    def survivor(mpi):
+        session, comm = yield from epoch(mpi, "epoch1")
+        comm.free()
+        yield from session.finalize()       # the last one: back to uninitialized
+        registered.append((mpi.proc in faults._runtimes,
+                           mpi.proc in mpi.fabric._endpoints,
+                           mpi.proc in mpi.pmix.server.local_clients))
+
+        session, comm = yield from epoch(mpi, "epoch2")
+        notified = []
+        mpi.pmix.register_event_handler(
+            [PMIX_ERR_PROC_ABORTED], lambda code, src, info: notified.append(src.rank))
+        ready.append(mpi.rank_in_job)
+        for _ in range(200):        # 10 ms: a lost notification fails, not hangs
+            if notified and comm.failed_peers:
+                break
+            yield Sleep(50e-6)
+        with pytest.raises(MPIErrProcFailed):
+            yield from comm.allreduce(1, op=SUM)
+        out[mpi.rank_in_job] = (notified, sorted(comm.failed_peers))
+        comm.free()
+        yield from session.finalize()
+        return "survived"
+
+    def victim(mpi):
+        session, comm = yield from epoch(mpi, "epoch1")
+        comm.free()
+        yield from session.finalize()
+        yield from epoch(mpi, "epoch2")
+        yield Sleep(1e9)                    # killed below
+
+    procs = world.spawn_ranks(lambda mpi: (victim if mpi.rank_in_job == 2
+                                           else survivor)(mpi))
+
+    def chaos():
+        while len(ready) < 2:
+            yield Sleep(50e-6)
+        faults.kill_rank(world.job, 2)
+
+    world.cluster.spawn(chaos(), "chaos")
+    world.run()
+
+    assert registered == [(False, False, False)] * 2
+    assert [p.result for p in procs[:2]] == ["survived"] * 2
+    assert out == {0: ([2], [2]), 1: ([2], [2])}
+    assert sorted(faults._runtimes) == [world.job.proc(2)]   # the one never released

@@ -61,10 +61,18 @@ def calls_per_rank(job: str, nodes: int) -> float:
     return calls / (nodes * PPN)
 
 
+#: Calls per rank at 128 ranks may not rise either; achieved 545.4 and
+#: 384.1 (584.6 / 423.8 while a rank registered ten cleanup entries and
+#: every server merged a collected fence entry by entry).
+CEILING = {"sessions": 550, "mpi_init": 390}
+
+
 @pytest.mark.parametrize("job", sorted(JOBS))
 def test_calls_per_rank_flat_128_to_512(job):
     small = calls_per_rank(job, 8)
     large = calls_per_rank(job, 32)
+    assert small <= CEILING[job], (
+        f"{job}: {small:.1f} calls/rank at 128 ranks (ceiling {CEILING[job]})")
     assert large <= 1.25 * small, (
         f"{job}: {large:.0f} calls/rank at 512 ranks vs {small:.0f} at 128 "
         f"({large / small:.2f}x): something re-derives world-sized facts per rank"

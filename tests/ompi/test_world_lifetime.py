@@ -1,0 +1,39 @@
+"""A finished rank leaves nothing behind (paper §III-B5: the last
+``MPI_Session_finalize`` returns the library "to a truly uninitialized
+state"; Zhou et al.: no hidden state survives a session).
+
+Per-rank state is acyclic and singly owned: once a rank's last release
+has run and its process has finished, its records point at nothing that
+points back, and every registration made for it (fault manager, PMIx
+server, fabric) has been undone.  So dropping a world frees it by
+reference counting — measured here with the collector *disabled*
+(``tests/_objcount.survivors``), at 128 and at 512 ranks: the marginal
+survivors per rank must be (next to) zero.  Before, 35.9 (Sessions) and
+38.8 (``MPI_Init``) GC-tracked objects per rank waited for a gen-2 pass:
+``SimProcess`` <-> its resume ``partial``, ``MpiRuntime``, ``PmixClient``,
+three ``MCAFramework``, six lists, six dicts...
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from tests._objcount import JOBS, survivors
+
+#: Marginal survivors per rank; achieved 0.0 for both jobs.
+LIMIT = 1.0
+
+
+@pytest.mark.parametrize("job", sorted(JOBS))
+def test_a_dropped_world_is_freed_without_the_collector_128_to_512(job):
+    small, large = survivors(job, 8), survivors(job, 32)
+    per_rank = {kind: (large[kind] - small[kind]) / (32 * 16 - 8 * 16)
+                for kind in set(small) | set(large) if large[kind] != small[kind]}
+    total = sum(per_rank.values())
+    kinds = "\n".join(f"  {n:8.2f} x {kind}" for kind, n in
+                      sorted(per_rank.items(), key=lambda kv: -kv[1]))
+    assert total <= LIMIT, (
+        f"{job}: {total:.1f} GC-tracked objects per rank outlive a dropped "
+        f"world with the collector off (limit {LIMIT}); surviving types per "
+        f"rank:\n{kinds}"
+    )

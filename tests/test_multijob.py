@@ -93,3 +93,49 @@ def test_machine_and_cluster_conflict_rejected():
     with pytest.raises(ValueError):
         make_world(spec=SimSpec(nprocs=2, machine=laptop(num_nodes=2)),
                    cluster=cluster)
+
+
+def test_finished_jobs_do_not_accumulate_on_a_shared_cluster():
+    """A DVM that hosts job after job holds the running ones only: once a
+    finished world is dropped, its runtimes, clients and processes — and
+    everything the servers kept of its namespace — are gone."""
+    import gc
+    from collections import Counter
+
+    from repro.machine.presets import jupiter
+    from tests._objcount import JOBS
+
+    cluster = Cluster(machine=jupiter(4))
+
+    def run_job(name):
+        main, config = JOBS[name]
+        world = make_world(SimSpec(nprocs=64, ppn=16, config=config()),
+                           cluster=cluster)
+        procs = world.spawn_ranks(main, args=(lambda: None,))
+        cluster.run()
+        for proc in procs:
+            if proc.exception is not None:
+                raise proc.exception
+
+    def census():
+        for _ in range(3):      # nested atomic tuples untrack one level per pass
+            gc.collect()
+        # A plain dict of ints is not itself a GC-tracked object.
+        return dict(Counter(type(obj).__name__ for obj in gc.get_objects()))
+
+    kinds2 = census()       # discarded: a first census fills ABC caches
+    for job in range(1, 7):
+        run_job(("sessions", "mpi_init")[job % 2])
+        if job == 2:
+            kinds2 = census()
+    kinds6 = census()
+    grown = {kind: n - kinds2.get(kind, 0) for kind, n in kinds6.items()
+             if n != kinds2.get(kind, 0)}
+    # MpiRuntime / PmixClient / SimProcess first of all: +256 each at the
+    # parent of this test, which pruned neither FaultManager table.
+    assert not grown, f"four more finished jobs left behind {grown}"
+    # The first job is no exception: the fault manager's default job is
+    # its coordinates, not the ``Job``.
+    alive = {kind: kinds6.get(kind, 0)
+             for kind in ("MpiRuntime", "PmixClient", "SimProcess", "Job")}
+    assert not any(alive.values()), alive
