@@ -185,7 +185,7 @@ def make_world(spec: SimSpec, *, cluster: Optional[Cluster] = None,
     config = spec.config or MpiConfig.baseline()
     runtimes = [MpiRuntime(cluster, job, fabric, r, config)
                 for r in range(spec.nprocs)]
-    cluster.faults.mpi_ranks += spec.nprocs
+    cluster.faults.mpi_ranks[job.nspace] = spec.nprocs
     return MpiWorld(cluster=cluster, job=job, fabric=fabric,
                     runtimes=runtimes, spec=spec)
 

@@ -14,8 +14,7 @@ here:
 Keeping the definitions in one module keeps help strings, metavars and
 defaults from drifting between the subcommand modules
 (``repro.cli.figure``, ``repro.cli.recovery``, ``repro.cli.chaos``,
-``repro.cli.faults``, ``repro.cli.bench``, ``repro.cli.obs``,
-``repro.cli.serve``).
+``repro.cli.faults``, ``repro.cli.obs``, ``repro.cli.serve``).
 """
 
 from __future__ import annotations

@@ -1,10 +1,9 @@
-"""The ``python -m repro`` dispatcher: one entry point, seven subcommands.
+"""The ``python -m repro`` dispatcher: one entry point, six subcommands.
 
 Usage::
 
     python -m repro <subcommand> [args...]
     python -m repro figure fig3b
-    python -m repro bench --fleet --check
     python -m repro serve loadgen --shards 2 --requests 16
 
 Each subcommand lives in its own ``repro.cli.<module>`` and is imported
@@ -24,8 +23,6 @@ COMMANDS = {
                  "chaos-soak the fault-recovery layer"),
     "chaos": ("repro.cli.chaos", "chaos-soak the serve/sweep/cache stack"),
     "faults": ("repro.cli.faults", "run one fault-injection scenario"),
-    "bench": ("repro.cli.bench",
-              "wall-clock benchmarks and regression gates"),
     "obs": ("repro.cli.obs",
             "observability reports and run-ledger queries"),
     "serve": ("repro.cli.serve", "operate the simulation-serving layer"),

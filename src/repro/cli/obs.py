@@ -20,7 +20,7 @@ in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``;
 metric rows, critical-path stages).
 
 ``--runs LEDGER`` switches to the run-ledger query mode
-(docs/observability.md): print the recorded serve/sweep/bench runs —
+(docs/observability.md): print the recorded serve/sweep runs —
 filter by ``--kind``, ``--run-scenario``, ``--digest`` prefix and
 ``--since``; ``--trend`` aggregates per (kind, scenario) instead.
 """
@@ -105,7 +105,7 @@ def main(argv=None) -> int:
     runs.add_argument("--runs", metavar="LEDGER",
                       help="query a RunLedger sqlite file instead of "
                            "running a scenario")
-    runs.add_argument("--kind", choices=["serve", "sweep", "bench"],
+    runs.add_argument("--kind", choices=["serve", "sweep"],
                       help="filter ledger rows by producer kind")
     runs.add_argument("--run-scenario", metavar="NAME",
                       help="filter ledger rows by scenario name")

@@ -12,7 +12,7 @@ Usage::
     python -m repro serve drain --addr :7077
     python -m repro serve resize 8 --addr :7077
     python -m repro serve shutdown --addr :7077
-    python -m repro serve loadgen --clients 4 --requests 32 --out BENCH_PR5.json
+    python -m repro serve loadgen --clients 4 --requests 32
     python -m repro serve loadgen --shards 2 --requests 32 --out fleet.json
 
 Every subcommand names its endpoint the same way: ``--addr host:port``
@@ -31,23 +31,24 @@ event log to ``DIR/events.jsonl``, and the run ledger to
 ``start`` runs a server in the foreground until interrupted.  The
 other subcommands are thin wrappers over one wire op each.  ``loadgen``
 self-hosts an in-process server (unless ``--addr`` points at a running
-one, or ``--shards N`` self-hosts an N-shard fleet) and writes the
-closed-loop throughput/latency/backpressure/determinism report — the committed ``BENCH_PR5.json``; see docs/serving.md for how
-to read it.
+one, or ``--shards N`` self-hosts an N-shard fleet), drives the
+closed-loop load generator at it and prints throughput and latency
+percentiles (``--out FILE`` keeps the full report); it exits 1 when any
+request went unanswered.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
+import contextlib
 import json
 import sys
 
 from repro import cli
 from repro.serve import FleetThread, ServeClient, ServeConnectionError, \
-    SimServer, scenario_names
-from repro.serve.loadgen import bench_report, fleet_snapshot, \
-    run_loadgen, sim_workload
+    ServerThread, SimServer, scenario_names
+from repro.serve.loadgen import fleet_snapshot, run_loadgen, sim_workload
 
 
 def _fmt(value) -> str:
@@ -163,7 +164,7 @@ def main(argv=None) -> int:
     p.add_argument("workers", type=cli.positive_int)
     cli.add_addr(p)
 
-    p = sub.add_parser("loadgen", help="closed-loop load test -> BENCH_PR5.json")
+    p = sub.add_parser("loadgen", help="closed-loop load test")
     p.add_argument("--clients", type=cli.positive_int, default=4, metavar="N",
                    help="concurrent closed-loop clients (default: %(default)s)")
     p.add_argument("--requests", type=cli.positive_int, default=32, metavar="N",
@@ -178,8 +179,8 @@ def main(argv=None) -> int:
                         "router instead of a single server")
     cli.add_cache_dir(p, help="serve through an on-disk result cache")
     cli.add_seed(p, help="workload seed (default: %(default)s)")
-    p.add_argument("--out", default="BENCH_PR5.json", metavar="FILE",
-                   help="report path (default: %(default)s)")
+    p.add_argument("--out", metavar="FILE",
+                   help="write the full report as JSON to FILE")
     cli.add_addr(p, default=None,
                  help="drive an already-running server or fleet router at "
                       "host:port or unix:/path instead of self-hosting one")
@@ -276,30 +277,25 @@ def _run(args) -> int:
         return 0 if response.get("status") == "ok" else 1
 
     if args.cmd == "loadgen":
+        workload = sim_workload(args.requests, seed=args.seed,
+                                nprocs=args.nprocs)
         if args.addr:                   # target an already-running endpoint
-            workload = sim_workload(args.requests, seed=args.seed,
-                                    nprocs=args.nprocs)
-            report = {"bench": "serve-loadgen",
-                      "target": str(args.addr),
-                      "loadgen": run_loadgen(args.addr, workload,
-                                             clients=args.clients)}
+            host = contextlib.nullcontext()
+            report = {"bench": "serve-loadgen", "target": str(args.addr)}
         elif args.shards:               # self-host a sharded fleet
-            workload = sim_workload(args.requests, seed=args.seed,
-                                    nprocs=args.nprocs)
-            with FleetThread(shards=args.shards, workers=args.jobs,
-                             capacity=args.capacity,
-                             cache_dir=args.cache_dir) as fleet:
-                lg = run_loadgen(fleet.address, workload,
-                                 clients=args.clients)
-                snap = fleet.call(fleet_snapshot)
-            report = {"bench": "serve-fleet-loadgen", "shards": args.shards,
-                      "loadgen": lg, "fleet": snap}
-        else:
-            report = bench_report(
-                clients=args.clients, requests=args.requests,
-                workers=args.jobs, capacity=args.capacity,
-                nprocs=args.nprocs, seed=args.seed, cache_dir=args.cache_dir)
-        lg = report["loadgen"]
+            host = FleetThread(shards=args.shards, workers=args.jobs,
+                               capacity=args.capacity,
+                               cache_dir=args.cache_dir)
+            report = {"bench": "serve-fleet-loadgen", "shards": args.shards}
+        else:                           # self-host a single server
+            host = ServerThread(workers=args.jobs, capacity=args.capacity,
+                                cache_dir=args.cache_dir)
+            report = {"bench": "serve-loadgen"}
+        with host as hosted:
+            lg = report["loadgen"] = run_loadgen(
+                args.addr or hosted.address, workload, clients=args.clients)
+            if "shards" in report:
+                report["fleet"] = hosted.call(fleet_snapshot)
         lat = lg["latency_s"]
         print(f"{lg['completed']} requests, {lg['clients']} clients: "
               f"{lg['throughput_rps']:.1f} req/s  "
@@ -313,24 +309,16 @@ def _run(args) -> int:
                   " ".join(f"shard{sid}={routed[sid]}"
                            for sid in sorted(routed)) +
                   f", coalesced {fl.get('coalesced', 0)}")
-        if "backpressure" in report:
-            bp = report["backpressure"]
-            print(f"backpressure: {bp['rejected']}/{bp['burst']} rejected at "
-                  f"{bp['oversubscription']}x oversubscription, max queue "
-                  f"depth {bp['max_queue_depth']}/{bp['capacity']}")
-        if "determinism" in report:
-            det = report["determinism"]
-            verdict = "byte-identical" if det["serve_matches_serial_sweep"] \
-                else f"MISMATCH: {det['mismatched_seeds']} {det['errors']}"
-            print(f"determinism: served soak seeds {det['seeds']} vs serial "
-                  f"sweep: {verdict}")
-        rc = cli.write_json(args.out, report)
-        if rc:
-            return rc
-        ok = report.get("determinism", {}).get("serve_matches_serial_sweep",
-                                               True)
-        bounded = report.get("backpressure", {}).get("bounded", True)
-        return 0 if (ok and bounded) else 1
+        if args.out:
+            rc = cli.write_json(args.out, report)
+            if rc:
+                return rc
+        if lg["client_errors"] or lg["completed"] < lg["requests"]:
+            print(f"only {lg['completed']} of {lg['requests']} requests "
+                  f"answered", *lg["client_errors"][:1], sep=": ",
+                  file=sys.stderr)
+            return 1
+        return 0
 
     return 2
 

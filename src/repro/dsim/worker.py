@@ -91,7 +91,7 @@ def build_partition(pid: int, pmap: PartitionMap, setup: WorkerSetup) -> WorkerS
     # A death costs one notification event per MPI rank; count only the
     # local ranks so the per-partition counts sum to the single-process
     # R notifications.
-    cluster.faults.mpi_ranks = len(local)
+    cluster.faults.mpi_ranks[world.job.nspace] = len(local)
 
     if setup.metrics_on:
         cluster.metrics.enabled = True

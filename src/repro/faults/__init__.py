@@ -75,9 +75,10 @@ class FaultManager:
         # learn at the same instant (one detection latency), initialized
         # or not, so this is ``MpiRuntime.failed_procs`` for every rank.
         self.detected: set = set()
-        # MPI ranks launched here.  A death costs one logical
-        # notification event per rank, initialized or not at the time.
-        self.mpi_ranks = 0
+        # MPI ranks launched here, per registered namespace.  A death
+        # costs one logical notification event per rank, initialized or
+        # not at the time.
+        self.mpi_ranks: Dict[str, int] = {}
         self.stats: Counter = Counter()
         # Once any fault has happened (or a plan is installed), servers
         # arm per-collective timeout timers so no protocol race can hang
@@ -140,7 +141,9 @@ class FaultManager:
 
     def forget_namespace(self, nspace: str) -> None:
         """The job is gone (``Launcher.retire``): so is what a kill of
-        one of its ranks would have acted on."""
+        one of its ranks would have acted on, and its share of the
+        ranks a death is announced to."""
+        self.mpi_ranks.pop(nspace, None)
         for table in (self._rank_procs, self._runtimes):
             for proc in [p for p in table if p.nspace == nspace]:
                 del table[proc]
@@ -292,7 +295,7 @@ class FaultManager:
 
     # -- MPI-runtime notification ------------------------------------------
     def _notify_runtimes(self, proc: PmixProc) -> None:
-        ranks = self.mpi_ranks
+        ranks = sum(self.mpi_ranks.values())
         if not ranks:
             return
 

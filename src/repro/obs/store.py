@@ -2,16 +2,14 @@
 
 The ROADMAP's campaign-manager item calls for "a persistent results
 database (sqlite) that indexes every run by spec digest, scenario,
-seed, and metrics"; :class:`RunLedger` is that substrate.  Three
+seed, and metrics"; :class:`RunLedger` is that substrate.  Two
 producers write to it:
 
 * :class:`repro.serve.server.SimServer` — one row per completed
   request (``kind="serve"``), carrying the request's cache-key digest,
   wall-clock latency, cache status, trace id and sim-trace pointer;
 * :func:`repro.sweep.run_sweep` — one row per evaluated point
-  (``kind="sweep"``);
-* ``python -m repro bench`` — one row per bench case (``kind="bench"``) via
-  :func:`repro.bench.perf.ledger_records`.
+  (``kind="sweep"``).
 
 ``python -m repro obs --runs LEDGER`` queries it (filter by scenario /
 digest / time window, per-scenario trend summary).  The schema is
@@ -58,7 +56,7 @@ _COLUMNS = ("id", "ts", "kind", "scenario", "digest", "seed", "status",
 
 
 class RunLedger:
-    """Append-only sqlite store of serve/sweep/bench runs."""
+    """Append-only sqlite store of serve/sweep runs."""
 
     def __init__(self, path: str) -> None:
         self.path = path

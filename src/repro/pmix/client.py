@@ -56,6 +56,7 @@ class PmixClient:
         the MPI layer tracks its own refcounts; a second init is an error)."""
         if self.initialized:
             raise PmixError(PMIX_ERR_NOT_FOUND, "client already initialized")
+        self.server.check_registered(self.proc.nspace)
         tr = self.engine.tracer
         sid = tr.begin(self.engine.now, self.obs_track, "pmix.client.init")
         yield Sleep(self.machine.local_rpc_cost)
@@ -87,6 +88,7 @@ class PmixClient:
 
     def get(self, proc: PmixProc, key: str):
         """PMIx_Get: local lookup, falling back to direct modex."""
+        self.server.check_registered(self.proc.nspace)
         yield Sleep(self.machine.local_rpc_cost)
         found, value = self.server.datastore.get(proc, key)
         if found:
@@ -115,6 +117,7 @@ class PmixClient:
         for its order and fingerprint once.  The whole-namespace form
         sends none — servers use the job's own proc set.
         """
+        self.server.check_registered(self.proc.nspace)
         if procs:
             participants: Optional[ProcSet] = ProcSet(procs).canonical()
             member_key: Hashable = participants.member_key
@@ -197,6 +200,7 @@ class PmixClient:
         if any participant fails to arrive in time this raises
         ``PmixError(PMIX_ERR_TIMEOUT)``.
         """
+        self.server.check_registered(self.proc.nspace)
         directives = info_dict(directives)
         participants = ProcSet(procs).canonical()
         if self.proc not in participants:

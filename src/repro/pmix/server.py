@@ -137,6 +137,15 @@ class PmixServer(AsyncGroupServerMixin):
         self.groups = {gid: record for gid, record in self.groups.items()
                        if not any(p.nspace == nspace for p in record.members)}
 
+    def check_registered(self, nspace: str) -> None:
+        """A client's own namespace is registered before the client
+        exists, so it can only be missing because it was retired."""
+        if nspace not in self.job_maps:
+            raise PmixError(
+                PMIX_ERR_NOT_FOUND,
+                f"namespace {nspace} was retired: its Job was dropped while "
+                f"ranks still use it")
+
     def register_client(self, client: Any) -> None:
         self.local_clients[client.proc] = client
 

@@ -1,23 +1,19 @@
-"""Closed-loop load generator for ``repro.serve`` (BENCH_PR5.json).
+"""Closed-loop load generator for ``repro.serve``.
 
-Drives N concurrent synchronous clients against a server — each client
-submits its next request the moment the previous one completes (closed
-loop), so offered load tracks service capacity and the latency numbers
-are honest queueing numbers, not coordinated-omission artifacts.
+:func:`run_loadgen` drives N concurrent synchronous clients against a
+server — each client submits its next request the moment the previous
+one completes (closed loop), so offered load tracks service capacity
+and the latency numbers are honest queueing numbers, not
+coordinated-omission artifacts.  ``python -m repro serve loadgen`` is
+its shell front-end.
 
-:func:`bench_report` is the committed-benchmark entry point
-(``python -m repro bench --serve`` / ``python -m repro serve loadgen``).  It
-self-hosts an in-process server and produces the three sections of
-``BENCH_PR5.json``:
+Two self-hosting probes sit beside it (``tests/serve/`` runs both):
 
-``loadgen``
-    Closed-loop throughput (requests/s) and the client-observed
-    latency histogram (p50/p90/p99) over a seeded ``sim`` workload.
-``backpressure``
+:func:`backpressure_probe`
     A 4x-oversubscription burst against a tiny queue: proves admission
     control rejects the overflow while the queue depth never exceeds
     its bound.
-``determinism``
+:func:`determinism_check`
     The same chaos-soak seeds submitted concurrently through the
     server and run serially through ``repro.sweep`` — the two result
     sets must be byte-identical (canonical JSON).
@@ -26,7 +22,6 @@ self-hosts an in-process server and produces the three sections of
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -119,8 +114,7 @@ def run_loadgen(address: Union[ServeAddress, str], workload: Workload, *,
 
 
 def backpressure_probe(*, capacity: int = 4, oversubscription: int = 4,
-                       hold_s: float = 0.2,
-                       mp_context: Optional[str] = None) -> Dict[str, Any]:
+                       hold_s: float = 0.2) -> Dict[str, Any]:
     """Burst ``oversubscription * capacity`` concurrent one-shot submits
     at a single-worker server whose queue holds ``capacity``.
 
@@ -131,8 +125,7 @@ def backpressure_probe(*, capacity: int = 4, oversubscription: int = 4,
     maximum as proof).
     """
     burst = oversubscription * capacity
-    with ServerThread(workers=1, capacity=capacity,
-                      mp_context=mp_context) as srv:
+    with ServerThread(workers=1, capacity=capacity) as srv:
         with ServeClient(srv.address) as warm:
             # Pin the worker so every burst submit meets a busy server.
             pin = threading.Thread(
@@ -177,15 +170,14 @@ def backpressure_probe(*, capacity: int = 4, oversubscription: int = 4,
 
 def determinism_check(seeds: Sequence[int], *, workers: int = 2,
                       clients: int = 2, num_nodes: int = 2,
-                      num_ranks: int = 4,
-                      mp_context: Optional[str] = None) -> Dict[str, Any]:
+                      num_ranks: int = 4) -> Dict[str, Any]:
     """Serve the chaos-soak seeds concurrently; rerun them serially via
     ``repro.sweep``; compare canonical JSON byte-for-byte."""
     params = [{"seed": s, "num_nodes": num_nodes, "num_ranks": num_ranks}
               for s in seeds]
     workload: Workload = [("recovery-soak", p) for p in params]
-    with ServerThread(workers=workers, capacity=max(len(seeds), 1),
-                      mp_context=mp_context) as srv:
+    with ServerThread(workers=workers,
+                      capacity=max(len(seeds), 1)) as srv:
         served: Dict[int, Any] = {}
         errors: List[str] = []
 
@@ -226,150 +218,6 @@ def determinism_check(seeds: Sequence[int], *, workers: int = 2,
     }
 
 
-def bench_report(*, clients: int = 4, requests: int = 32, workers: int = 2,
-                 capacity: int = 16, nprocs: int = 4, seed: int = 0,
-                 soak_seeds: int = 3, cache_dir: Optional[str] = None,
-                 mp_context: Optional[str] = None) -> Dict[str, Any]:
-    """The full BENCH_PR5 run: loadgen + backpressure + determinism."""
-    workload = sim_workload(requests, seed=seed, nprocs=nprocs)
-    with ServerThread(workers=workers, capacity=capacity,
-                      cache_dir=cache_dir, mp_context=mp_context) as srv:
-        loadgen = run_loadgen(srv.address, workload, clients=clients)
-        with ServeClient(srv.address) as client:
-            server_stats = client.stats()["stats"]
-
-    return {
-        "bench": "serve-loadgen",
-        "workers": workers,
-        "capacity": capacity,
-        "scenario": "sim",
-        "nprocs": nprocs,
-        "seed": seed,
-        "loadgen": loadgen,
-        "server_stats": server_stats,
-        "backpressure": backpressure_probe(mp_context=mp_context),
-        "determinism": determinism_check(list(range(soak_seeds)),
-                                         mp_context=mp_context),
-    }
-
-
-# ---------------------------------------------------------------------------
-# fleet cases (BENCH_PR10.json)
-# ---------------------------------------------------------------------------
-def run_fleet_case(shards: int, *, requests: int = 48, clients: int = 4,
-                   workers: int = 1, capacity: int = 32, nprocs: int = 2,
-                   seed: int = 0, repeat_every: int = 4,
-                   hot_capacity: int = 256,
-                   min_speedup: Optional[float] = None,
-                   mp_context: Optional[str] = None) -> Dict[str, Any]:
-    """One fleet bench point: the same seeded ``sim`` workload through a
-    single server and an ``shards``-shard fleet, both memoizing through
-    a fresh two-tier :class:`~repro.serve.store.ResultStore`.
-
-    The record carries the three fleet health numbers the ISSUE asks
-    for — per-shard balance, fleet-wide dedup (coalesced) hit rate, and
-    the hot-tier hit rate — plus ``speedup`` (single wall over fleet
-    wall).  Like the partitioned cases, a scaling claim is a property
-    of the host: ``enforced`` is only true when ``cores >= shards``
-    (docs/performance.md precedent), so a 1-core CI box records the
-    trajectory honestly without gating on parallelism it cannot have.
-    """
-    from repro.serve.fleet import FleetThread
-    from repro.serve.store import ResultStore
-
-    workload = sim_workload(requests, seed=seed, nprocs=nprocs,
-                            repeat_every=repeat_every)
-
-    single_store = ResultStore(None, hot_capacity=hot_capacity)
-    with ServerThread(workers=workers, capacity=capacity, store=single_store,
-                      mp_context=mp_context) as srv:
-        t0 = time.monotonic()
-        single = run_loadgen(srv.address, workload, clients=clients)
-        single_s = max(time.monotonic() - t0, 1e-9)
-
-    with FleetThread(shards=shards, workers=workers, capacity=capacity,
-                     hot_capacity=hot_capacity, mp_context=mp_context) as fl:
-        t0 = time.monotonic()
-        fleet = run_loadgen(fl.address, workload, clients=clients)
-        fleet_s = max(time.monotonic() - t0, 1e-9)
-        snap = fl.call(fleet_snapshot)
-
-    ok_single = single["by_status"].get("ok", 0)
-    ok_fleet = fleet["by_status"].get("ok", 0)
-    if ok_single != ok_fleet:
-        raise RuntimeError(
-            f"fleet-{shards}: ok counts diverge single={ok_single} "
-            f"fleet={ok_fleet} — routing must not change outcomes")
-    routed = {str(k): v for k, v in sorted(snap["routed"].items())}
-    counts = list(routed.values()) or [0]
-    mean = sum(counts) / len(counts)
-    hot = snap["store"]["hot"]
-    cores = os.cpu_count() or 1
-    return {
-        "kind": "fleet",
-        "params": {"shards": shards, "requests": requests,
-                   "clients": clients, "workers": workers,
-                   "nprocs": nprocs, "seed": seed,
-                   "repeat_every": repeat_every},
-        "shards": shards,
-        "cores": cores,
-        "events": ok_fleet,
-        "single_s": single_s,
-        "fleet_s": fleet_s,
-        "speedup": single_s / fleet_s,
-        "balance": {
-            "routed": routed,
-            "max_over_mean": (max(counts) / mean) if mean else 0.0,
-        },
-        "dedup": {
-            "coalesced": snap["coalesced"],
-            "hit_rate": snap["coalesced"] / requests if requests else 0.0,
-        },
-        "hot": {
-            "hits": hot["hits"],
-            "misses": hot["misses"],
-            "hit_rate": hot["hit_rate"],
-            "evictions": hot["evictions"],
-        },
-        "throughput_rps": fleet["throughput_rps"],
-        "min_speedup": min_speedup,
-        "enforced": min_speedup is not None and cores >= shards,
-    }
-
-
 async def fleet_snapshot(fleet: Any) -> Dict[str, Any]:
     """``SimFleet.snapshot()`` in the shape ``FleetThread.call`` takes."""
     return fleet.snapshot()
-
-
-#: The committed fleet trajectory: shards -> acceptance bar (None =
-#: tracked only; the 4-shard scaling bar is enforced only on hosts with
-#: at least 4 cores, mirroring the partitioned-case precedent).
-FLEET_CASES: List[Tuple[int, Optional[float]]] = [
-    (1, None),
-    (2, None),
-    (4, 1.5),
-]
-
-
-def fleet_report(*, quick: bool = False,
-                 shards_list: Optional[Sequence[int]] = None,
-                 mp_context: Optional[str] = None) -> Dict[str, Any]:
-    """The BENCH_PR10 payload: fleet records at 1/2/4 shards, shaped so
-    :func:`repro.bench.perf.check_regression` gates them directly."""
-    import sys as _sys
-
-    bars = dict(FLEET_CASES)
-    chosen = list(shards_list) if shards_list is not None else sorted(bars)
-    kwargs = dict(requests=16, clients=2, nprocs=2) if quick else {}
-    cases = {
-        f"fleet-{n}": run_fleet_case(n, min_speedup=bars.get(n),
-                                     mp_context=mp_context, **kwargs)
-        for n in chosen
-    }
-    return {
-        "bench": "serve-fleet",
-        "mode": "quick" if quick else "full",
-        "python": _sys.version.split()[0],
-        "cases": cases,
-    }

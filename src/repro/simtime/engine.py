@@ -19,7 +19,7 @@ Two scheduler implementations share that contract (docs/performance.md):
 * the **compat path** (``Engine(compat=True)``) is the original
   pure-heap scheduler: every event goes through ``heapq``.  It is kept
   as the reference implementation for the golden-trace equivalence
-  tests and as the baseline for ``python -m repro bench``.
+  tests.
 
 Canceled timers are lazily deleted (cancel is O(1)); a cancellation
 counter triggers an in-place compaction of the heap once canceled

@@ -22,9 +22,11 @@ Marker map (registered in pyproject.toml ``[tool.pytest.ini_options]``):
   import-path checks ``tests/test_numpy_lazy.py`` and
   ``tests/test_import_footprint.py`` (fresh interpreters: no import and
   no plain job pulls in numpy, ``hashlib`` or ``sqlite3``); and the
-  paper-shape contract
-  ``tests/bench/test_fig3_contract.py`` (Fig 3 ratio and handle share
-  in simulated time, no ``pytest-benchmark`` fixture).
+  paper-shape contracts
+  ``tests/bench/test_fig3_contract.py`` (Fig 3 ratio and handle share)
+  and ``tests/bench/test_fig4_contract.py`` (Fig 4 dup ratio and its
+  one-PGCID-per-dup attribution), both in simulated time with no
+  ``pytest-benchmark`` fixture.
 * ``serve``       — serving-layer tests incl. the loadgen smoke
   (tests/serve/, and ``TestServeCLI`` in tests/test_tools.py, which
   drives ``python -m repro serve`` as a subprocess like the rest of
@@ -45,7 +47,7 @@ Marker map (registered in pyproject.toml ``[tool.pytest.ini_options]``):
   byte identity, fleet-wide single-flight coalescing, shard-death
   failover to the ring successor, and the two-tier result store's hit
   accounting.  The small-scale subset runs in tier-1 as the fleet
-  smoke; ``python -m repro bench --fleet`` is the scaling benchmark.
+  smoke.
 * ``stackparity`` — the differential fast-vs-compat parity suite
   (tests/stackparity/): every registered scenario and the recovery soak
   run on both the optimized engine and ``Engine(compat=True)``, and the

@@ -61,8 +61,9 @@ def calls_per_rank(job: str, nodes: int) -> float:
     return calls / (nodes * PPN)
 
 
-#: Calls per rank at 128 ranks may not rise either; achieved 545.4 and
-#: 384.1 (584.6 / 423.8 while a rank registered ten cleanup entries and
+#: Calls per rank at 128 ranks may not rise either; achieved 547.5 and
+#: 387.0, of which 2-3 are the retired-namespace check of each PMIx call
+#: (584.6 / 423.8 while a rank registered ten cleanup entries and
 #: every server merged a collected fence entry by entry).
 CEILING = {"sessions": 550, "mpi_init": 390}
 

@@ -37,3 +37,33 @@ def test_a_dropped_world_is_freed_without_the_collector_128_to_512(job):
         f"world with the collector off (limit {LIMIT}); surviving types per "
         f"rank:\n{kinds}"
     )
+
+
+def test_a_pmix_call_on_a_retired_namespace_names_the_dropped_job():
+    """Holding ``job.clients`` does not hold the ``Job``: once it is
+    dropped its namespace is retired, and the first PMIx call of any of
+    its ranks says so rather than failing at whichever lookup misses."""
+    from repro.api import SimSpec, make_world
+    from repro.machine.presets import laptop
+    from repro.pmix.types import PMIX_ERR_NOT_FOUND, PmixError
+
+    world = make_world(SimSpec(nprocs=2, machine=laptop(num_nodes=1)))
+    cluster, clients = world.cluster, world.job.clients
+    nspace = world.job.nspace
+    del world
+
+    def rank(client, call):
+        with pytest.raises(PmixError) as err:
+            yield from call(client)
+        assert err.value.status == PMIX_ERR_NOT_FOUND
+        assert str(err.value).endswith(
+            f"namespace {nspace} was retired: its Job was dropped while "
+            f"ranks still use it")
+        return "named"
+
+    calls = [lambda c: c.init(), lambda c: c.fence(),
+             lambda c: c.get(c.proc, "pmix.job.size"),
+             lambda c: c.group_construct("g", [c.proc])]
+    procs = [cluster.spawn(rank(clients[0], call)) for call in calls]
+    cluster.run()
+    assert [p.result for p in procs] == ["named"] * 4

@@ -18,14 +18,14 @@ class TestDispatch:
     def test_no_args_prints_usage(self):
         proc = run_cli()
         assert proc.returncode == 0
-        for name in ("figure", "recovery", "chaos", "faults", "bench",
-                     "obs", "serve"):
+        for name in ("figure", "recovery", "chaos", "faults", "obs", "serve"):
             assert name in proc.stdout
 
     def test_unknown_subcommand_exits_2(self):
-        proc = run_cli("frobnicate")
-        assert proc.returncode == 2
-        assert "unknown subcommand" in proc.stderr
+        for name in ("frobnicate", "bench"):    # never was / retired
+            proc = run_cli(name)
+            assert proc.returncode == 2
+            assert "unknown subcommand" in proc.stderr
 
     def test_faults_list(self):
         proc = run_cli("faults", "--list")
@@ -33,8 +33,14 @@ class TestDispatch:
         assert "fence-kill" in proc.stdout
 
     def test_subcommand_help_exits_zero(self):
-        for name in ("figure", "bench", "serve", "obs"):
+        for name in ("figure", "serve", "obs"):
             assert run_cli(name, "--help").returncode == 0
+
+    def test_runs_mode_missing_ledger_exits_2(self, tmp_path):
+        proc = run_cli("obs", "--runs", str(tmp_path / "nope.sqlite"),
+                       timeout=120)
+        assert proc.returncode == 2
+        assert "no ledger" in proc.stderr
 
 
 class TestServeLoadgenFleet:
@@ -67,3 +73,14 @@ class TestServeLoadgenFleet:
         assert report["loadgen"]["by_status"] == {"ok": 8}
         assert report["fleet"]["live"] == 2
         assert sum(report["fleet"]["routed"].values()) == 8
+
+    def test_loadgen_against_a_dead_address_exits_1(self):
+        """Nothing listens on port 1: no request is answered, so the run
+        must not read as a success (and, without --out, writes nothing)."""
+        proc = run_cli("serve", "loadgen", "--addr", "127.0.0.1:1",
+                       "--requests", "4", timeout=120)
+        assert proc.returncode == 1, proc.stdout
+        assert "only 0 of 4 requests answered" in proc.stderr
+        assert "ConnectionRefusedError" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "wrote" not in proc.stdout

@@ -139,3 +139,38 @@ def test_finished_jobs_do_not_accumulate_on_a_shared_cluster():
     alive = {kind: kinds6.get(kind, 0)
              for kind in ("MpiRuntime", "PmixClient", "SimProcess", "Job")}
     assert not any(alive.values()), alive
+
+
+def test_a_kill_is_announced_to_the_ranks_of_registered_jobs_only():
+    """A death costs one logical notification event per MPI rank of the
+    jobs still registered: a finished job that was dropped gives its
+    ranks back (at the parent of this test the kill below cost 15)."""
+    from repro.simtime.process import Sleep
+
+    cluster = Cluster(machine=laptop(num_nodes=2))
+
+    def main(mpi):
+        yield from mpi.mpi_init()
+        yield from mpi.mpi_finalize()
+
+    first = make_world(SimSpec(nprocs=6, ppn=3), cluster=cluster)
+    first.spawn_ranks(main)
+    cluster.run()
+    del first
+
+    world = make_world(SimSpec(nprocs=4, ppn=2), cluster=cluster)
+    procs = world.spawn_ranks(main)
+
+    def late():
+        while not all(p.finished for p in procs):
+            yield Sleep(50e-6)
+        before = cluster.engine.events_executed
+        cluster.faults.kill_rank(world.job, 3)
+        yield Sleep(2 * cluster.machine.daemon_failure_detect)
+        return cluster.engine.events_executed - before
+
+    watcher = cluster.spawn(late(), name="late")
+    cluster.run()
+    # As on a cluster of its own (tests/faults/test_ompi_faults.py): one
+    # notification per rank (4) + the PMIx event broadcast + the wake-up.
+    assert watcher.result == 9
