@@ -11,6 +11,7 @@ Usage::
     python -m repro obs --runs obs/ledger.sqlite --trend
     python -m repro obs --runs obs/ledger.sqlite --kind serve \\
         --run-scenario sim --digest b7f0b9 --json runs.json
+    python -m repro obs --identity --seeds 0:450
 
 The report has four sections: end-to-end timing, the span flamegraph,
 the metrics table, and the critical path through the span/causality DAG.
@@ -23,6 +24,11 @@ metric rows, critical-path stages).
 (docs/observability.md): print the recorded serve/sweep runs —
 filter by ``--kind``, ``--run-scenario``, ``--digest`` prefix and
 ``--since``; ``--trend`` aggregates per (kind, scenario) instead.
+
+``--identity`` prints the byte-identity fingerprint
+(:mod:`repro.obs.identity`): every scenario on both engines, plus the
+soak seeds ``A..B-1`` of ``--seeds A:B``.  ``diff`` the text of two
+trees to prove a change left the simulation alone.
 """
 
 from __future__ import annotations
@@ -88,6 +94,14 @@ def _runs_mode(args) -> int:
     return 0
 
 
+def _seed_range(text: str) -> range:
+    try:
+        first, _, last = text.partition(":")
+        return range(int(first), int(last))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected A:B, got {text!r}") from None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scenario", help="scenario name (see --list)")
@@ -119,10 +133,22 @@ def main(argv=None) -> int:
     runs.add_argument("--trend", action="store_true",
                       help="aggregate per (kind, scenario) instead of "
                            "listing rows")
+    parser.add_argument("--identity", action="store_true",
+                        help="print the byte-identity fingerprint and exit")
+    parser.add_argument("--seeds", type=_seed_range, default=range(0),
+                        metavar="A:B", help="with --identity: also one line "
+                                            "per soak seed in [A, B)")
     args = parser.parse_args(argv)
 
     if args.runs:
         return _runs_mode(args)
+
+    if args.identity:
+        from repro.obs.identity import identity_lines
+
+        for line in identity_lines(args.seeds):
+            print(line, flush=True)
+        return 0
 
     if args.list or not args.scenario:
         for name in scenario_names():

@@ -58,6 +58,22 @@ class TestObsReport:
         flows = [e for e in obj["traceEvents"] if e["ph"] == "s"]
         assert any(e["name"].startswith("pml.") for e in flows)
 
+    def test_identity_prints_the_same_text_twice(self):
+        first = self.run("--identity", "--seeds", "0:3")
+        assert first.returncode == 0, first.stderr
+        lines = first.stdout.splitlines()
+        from repro.obs.scenarios import scenario_names
+
+        assert [ln.split()[:2] for ln in lines[:-3]] == [
+            [name, engine] for name in scenario_names()
+            for engine in ("fast", "compat")]
+        assert [ln.split()[0] for ln in lines[-3:]] == [
+            "soak/0", "soak/1", "soak/2"]
+        # name engine sha256 events clock: the engines agree on the last three.
+        assert all(a.split()[2:] == b.split()[2:]
+                   for a, b in zip(lines[:-3:2], lines[1:-3:2]))
+        assert self.run("--identity", "--seeds", "0:3").stdout == first.stdout
+
 
 class TestRunFigureObs:
     def run(self, *args):
