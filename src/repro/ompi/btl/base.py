@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from repro.machine.model import MachineModel
 
 
 class BTL:
-    """A transport with an injection cost and a wire cost.
+    """A transport with an injection cost and a wire cost, answered
+    together by :meth:`times` (one call per packet):
 
-    * ``injection_time``: how long the sending process's CPU/NIC is busy
+    * *injection*: how long the sending process's CPU/NIC is busy
       pushing the message out (serializes consecutive sends — this is
       what bounds message rate).
-    * ``wire_time``: additional in-flight time before the first byte can
+    * *flight*: additional in-flight time before the first byte can
       be matched at the receiver (does not occupy the sender).
     """
 
@@ -20,10 +23,8 @@ class BTL:
     def __init__(self, machine: MachineModel) -> None:
         self.machine = machine
 
-    def injection_time(self, nbytes: int) -> float:
-        raise NotImplementedError
-
-    def wire_time(self, nbytes: int) -> float:
+    def times(self, nbytes: int) -> Tuple[float, float]:
+        """``(injection, flight)`` seconds for ``nbytes`` on the wire."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover

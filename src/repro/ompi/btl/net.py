@@ -7,15 +7,14 @@ swapping the machine constants (see ``machine.presets.laptop``).
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from repro.ompi.btl.base import BTL
 
 
 class NetworkBTL(BTL):
     name = "net"
 
-    def injection_time(self, nbytes: int) -> float:
+    def times(self, nbytes: int) -> Tuple[float, float]:
         m = self.machine
-        return m.send_overhead + nbytes / m.inter_node_bandwidth
-
-    def wire_time(self, nbytes: int) -> float:
-        return self.machine.inter_node_latency
+        return m.send_overhead + nbytes / m.inter_node_bandwidth, m.inter_node_latency

@@ -7,15 +7,14 @@ segment; wire time is the copy-out latency.  Single-copy mechanisms
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from repro.ompi.btl.base import BTL
 
 
 class SharedMemoryBTL(BTL):
     name = "sm"
 
-    def injection_time(self, nbytes: int) -> float:
+    def times(self, nbytes: int) -> Tuple[float, float]:
         m = self.machine
-        return m.send_overhead + nbytes / m.intra_node_bandwidth
-
-    def wire_time(self, nbytes: int) -> float:
-        return self.machine.intra_node_latency
+        return m.send_overhead + nbytes / m.intra_node_bandwidth, m.intra_node_latency

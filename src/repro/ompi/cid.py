@@ -30,48 +30,51 @@ MAX_CID = 2**16
 
 
 class CidTable:
-    """Per-process array of communicators indexed by local CID."""
+    """Per-process array of communicators indexed by local CID.
 
-    __slots__ = ("_table",)
+    ``comms[cid]`` is the communicator or ``None`` for a free index; ob1
+    indexes the list itself once per arriving message."""
+
+    __slots__ = ("comms",)
 
     def __init__(self) -> None:
-        self._table: List[Optional[object]] = []
+        self.comms: List[Optional[object]] = []
 
     def lowest_free(self, at_least: int = 0) -> int:
-        for idx in range(at_least, len(self._table)):
-            if self._table[idx] is None:
+        for idx in range(at_least, len(self.comms)):
+            if self.comms[idx] is None:
                 return idx
-        idx = max(at_least, len(self._table))
+        idx = max(at_least, len(self.comms))
         if idx >= MAX_CID:
             raise MPIErrIntern("communicator id space exhausted")
         return idx
 
     def is_free(self, cid: int) -> bool:
-        return cid >= len(self._table) or self._table[cid] is None
+        return cid >= len(self.comms) or self.comms[cid] is None
 
     def reserve(self, cid: int, comm: object) -> None:
         if not self.is_free(cid):
             raise MPIErrIntern(f"CID {cid} already in use")
-        while len(self._table) <= cid:
-            self._table.append(None)
-        self._table[cid] = comm
+        while len(self.comms) <= cid:
+            self.comms.append(None)
+        self.comms[cid] = comm
 
     def release(self, cid: int) -> None:
-        if cid >= len(self._table) or self._table[cid] is None:
+        if cid >= len(self.comms) or self.comms[cid] is None:
             raise MPIErrIntern(f"release of free CID {cid}")
-        self._table[cid] = None
+        self.comms[cid] = None
 
     def get(self, cid: int) -> Optional[object]:
-        if 0 <= cid < len(self._table):
-            return self._table[cid]
+        if 0 <= cid < len(self.comms):
+            return self.comms[cid]
         return None
 
     @property
     def live_count(self) -> int:
-        return sum(1 for c in self._table if c is not None)
+        return sum(1 for c in self.comms if c is not None)
 
     def __len__(self) -> int:
-        return len(self._table)
+        return len(self.comms)
 
 
 def allocate_consensus_cid(parent_comm):

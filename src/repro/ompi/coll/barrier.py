@@ -55,8 +55,7 @@ def _tree_barrier(comm, tag: int):
 
 def ibarrier_runner(comm, request):
     """Generator run in a helper process to back MPI_Ibarrier."""
+    from repro.ompi.coll.nonblocking import runner
     from repro.ompi.constants import _TAG_IBARRIER
-    from repro.ompi.status import Status
 
-    yield from barrier(comm, tag=_TAG_IBARRIER)
-    request.complete(Status())
+    return runner(barrier(comm, tag=_TAG_IBARRIER), request)

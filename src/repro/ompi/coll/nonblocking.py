@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from repro.ompi import coll
 from repro.ompi.constants import Op
+from repro.ompi.errors import MPIError
 from repro.ompi.status import Status
 
 _TAG_IBCAST = -30
@@ -22,10 +23,18 @@ _TAG_IGATHER = -32
 _TAG_IALLGATHER = -33
 
 
-def _runner(gen, request):
+def runner(gen, request):
+    """The helper process's body: run ``gen`` and complete ``request``
+    with its result — or fail it with the MPI error ``gen`` raised."""
     def run():
-        result = yield from gen
-        request.complete(Status(), payload=result)
+        try:
+            result = yield from gen
+        except MPIError as err:
+            # The operation's error belongs to its request: the wait or
+            # test that observes the request raises it.
+            request.fail(err)
+        else:
+            request.complete(Status(), payload=result)
 
     return run()
 
@@ -37,7 +46,7 @@ def ibcast(comm, obj, root: int = 0, nbytes=None):
 
     req = Request("ibcast")
     gen = coll.bcast(comm, obj, root, nbytes, tag=_TAG_IBCAST)
-    yield Spawn(_runner(gen, req), name=f"ibcast-{comm.name}-r{comm.rank}")
+    yield Spawn(runner(gen, req), name=f"ibcast-{comm.name}-r{comm.rank}")
     return req
 
 
@@ -48,7 +57,7 @@ def iallreduce(comm, value, op: Op, nbytes=None):
 
     req = Request("iallreduce")
     gen = coll.allreduce(comm, value, op, nbytes, tag=_TAG_IALLREDUCE)
-    yield Spawn(_runner(gen, req), name=f"iallreduce-{comm.name}-r{comm.rank}")
+    yield Spawn(runner(gen, req), name=f"iallreduce-{comm.name}-r{comm.rank}")
     return req
 
 
@@ -59,7 +68,7 @@ def igather(comm, value, root: int = 0, nbytes=None):
 
     req = Request("igather")
     gen = coll.gather(comm, value, root, nbytes, tag=_TAG_IGATHER)
-    yield Spawn(_runner(gen, req), name=f"igather-{comm.name}-r{comm.rank}")
+    yield Spawn(runner(gen, req), name=f"igather-{comm.name}-r{comm.rank}")
     return req
 
 
@@ -70,5 +79,5 @@ def iallgather(comm, value, nbytes=None):
 
     req = Request("iallgather")
     gen = coll.allgather(comm, value, nbytes, tag=_TAG_IALLGATHER)
-    yield Spawn(_runner(gen, req), name=f"iallgather-{comm.name}-r{comm.rank}")
+    yield Spawn(runner(gen, req), name=f"iallgather-{comm.name}-r{comm.rank}")
     return req

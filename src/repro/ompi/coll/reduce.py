@@ -98,7 +98,8 @@ def allreduce_indexed(comm, members, my_idx: int, value, op: Op, nbytes=None,
         # Exchange: send then receive (packets don't deadlock in the sim
         # since isend is buffered/eager for these sizes, and rendezvous
         # RTS/CTS also cannot deadlock — both posts happen eventually).
-        comm._check_damage()
+        if comm.revoked or comm.failed_peers:
+            comm._check_damage()
         peer = ep.send_peer(comm, partner)
         if not peer.known:
             yield from ep.discover(peer)
@@ -107,9 +108,9 @@ def allreduce_indexed(comm, members, my_idx: int, value, op: Op, nbytes=None,
         if busy > 0:
             yield Sleep(busy)
         rreq = comm._irecv_internal(partner, tag)
-        yield Wait(rreq.event)
+        yield Wait(rreq)
         contrib = rreq.payload
-        yield SLEEP0 if eager else Wait(sreq.event)
+        yield SLEEP0 if eager else Wait(sreq)
         # Order the combination by index so the parenthesization is
         # identical on both partners (deterministic for exact types).
         acc = op(acc, contrib) if my_idx < partner_idx else op(contrib, acc)

@@ -95,6 +95,9 @@ class Communicator:
         self.peer_cids: dict = {}      # peer rank -> peer's local CID
         self.acks_sent = _NO_RANKS     # peer ranks we already ACKed (a set
                                        # once there is one)
+        # Destination rank -> the endpoint's peer record, filled by
+        # Ob1Endpoint.send_peer; None until the first send.
+        self._send_peers: Optional[dict] = None
         self._dup_serial = 0
         # Globally consistent identity (cached: used per-message for the
         # per-(pair, communicator) ordering key).
@@ -167,9 +170,9 @@ class Communicator:
         endpoint = self.runtime.endpoint
         if endpoint is not None:
             err = MPIErrProcFailed(f"{self.name}: peer rank {rank} ({proc}) failed")
-            for posted in endpoint.matching.cancel_posted(self.local_cid):
-                if posted.request is not None and not posted.request.completed:
-                    posted.request.fail(err)
+            for request in endpoint.matching.cancel_posted(self.local_cid):
+                if not request.triggered:
+                    request.fail(err)
             endpoint.comm_failed(self)
 
     # ------------------------------------------------------------------
@@ -223,6 +226,9 @@ class Communicator:
     # ------------------------------------------------------------------
     # point-to-point (user tags must be >= 0)
     # ------------------------------------------------------------------
+    # The four _check* helpers re-test what their callers on the message
+    # path have already tested inline: a healthy call pays no frame for
+    # them, they are entered only to raise.
     def _check_user_tag(self, tag: int, recv: bool = False) -> None:
         if recv and tag == ANY_TAG:
             return
@@ -237,9 +243,12 @@ class Communicator:
 
     def isend(self, obj, dest: int, tag: int = 0, nbytes: Optional[int] = None):
         """Sub-generator: start a nonblocking send; returns a Request."""
-        self._check()
-        self._check_user_tag(tag)
-        self._check_peer(dest)
+        if self.freed:
+            self._check()
+        if tag < 0:
+            self._check_user_tag(tag)
+        if not 0 <= dest < self.size:
+            self._check_peer(dest)
         try:
             return (yield from self._isend_internal(obj, dest, tag, nbytes))
         except MPIErrProcFailed as err:
@@ -249,24 +258,29 @@ class Communicator:
         """Returns the endpoint's send sub-generator (evaluates to the
         Request) — not a generator itself, so a send costs one generator
         frame here, not two."""
-        self._check_damage()
+        if self.revoked or self.failed_peers:
+            self._check_damage()
         size = nbytes if nbytes is not None else sizeof_payload(obj)
         return self.runtime.endpoint.isend(self, obj, dest, tag, size, Request("send"))
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """Post a nonblocking receive (instantaneous); returns a Request."""
-        self._check()
-        self._check_user_tag(tag, recv=True)
-        self._check_peer(source, recv=True)
+        if self.freed:
+            self._check()
+        if tag < 0 and tag != ANY_TAG:
+            self._check_user_tag(tag, recv=True)
+        if not 0 <= source < self.size and source != ANY_SOURCE:
+            self._check_peer(source, recv=True)
         try:
             return self._irecv_internal(source, tag)
         except MPIErrProcFailed as err:
             self.errhandler.invoke(self, err)
 
     def _irecv_internal(self, source: int, tag: int) -> Request:
-        self._check_damage()
-        req = Request("recv")
-        self.runtime.endpoint.irecv(self, source, tag, req)
+        if self.revoked or self.failed_peers:
+            self._check_damage()
+        req = Request("recv", source, tag)
+        self.runtime.endpoint.irecv(self, req)
         return req
 
     def send(self, obj, dest: int, tag: int = 0, nbytes: Optional[int] = None):
@@ -285,7 +299,8 @@ class Communicator:
         eager send does not need: no Request/SimEvent/Status, and a
         zero-sleep stands in for the wait on the already-complete
         request (docs/performance.md)."""
-        self._check_damage()
+        if self.revoked or self.failed_peers:
+            self._check_damage()
         size = nbytes if nbytes is not None else sizeof_payload(obj)
         ep = self.runtime.endpoint
         peer = ep.send_peer(self, dest)
@@ -295,7 +310,7 @@ class Communicator:
         busy = ep.start_send(self, obj, dest, tag, size, req, peer)
         if busy > 0:
             yield Sleep(busy)
-        yield SLEEP0 if req is None else Wait(req.event)
+        yield SLEEP0 if req is None else Wait(req)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG, status: Optional[Status] = None):
         """Sub-generator: blocking receive; returns the payload."""
@@ -324,9 +339,12 @@ class Communicator:
         nbytes: Optional[int] = None,
     ):
         """Sub-generator: simultaneous send + receive (deadlock-free)."""
-        self._check()
-        self._check_peer(dest)
-        self._check_peer(recvsource, recv=True)
+        if self.freed:
+            self._check()
+        if not 0 <= dest < self.size:
+            self._check_peer(dest)
+        if not 0 <= recvsource < self.size and recvsource != ANY_SOURCE:
+            self._check_peer(recvsource, recv=True)
         try:
             rreq = self._irecv_internal(recvsource, recvtag)
             sreq = yield from self._isend_internal(sendobj, dest, sendtag, nbytes)
@@ -768,9 +786,9 @@ class Communicator:
         err = self._revoked_error()
         endpoint = self.runtime.endpoint
         if endpoint is not None:
-            for posted in endpoint.matching.cancel_posted(self.local_cid):
-                if posted.request is not None and not posted.request.completed:
-                    posted.request.fail(err)
+            for request in endpoint.matching.cancel_posted(self.local_cid):
+                if not request.triggered:
+                    request.fail(err)
             endpoint.comm_failed(self)
 
     def agree(self, flag: bool):
@@ -888,6 +906,7 @@ class Communicator:
         self._check()
         self.attrs.clear()
         self.runtime.deregister_comm(self)
+        self._send_peers = None
         self.freed = True
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -922,12 +941,8 @@ class MatchedMessage:
         if self.consumed:
             raise MPIErrArg("matched message received twice")
         self.consumed = True
-        from repro.ompi.pml.matching import PostedRecv
-
-        req = Request("recv")
-        endpoint = self.comm.runtime.endpoint
-        posted = PostedRecv(src=self._msg.src, tag=self._msg.tag, request=req)
-        endpoint._consume_match(self.comm, posted, self._msg)
+        req = Request("recv", self._msg.src, self._msg.tag)
+        self.comm.runtime.endpoint._consume_match(self.comm, req, self._msg)
         st = yield from req.wait()
         if status is not None:
             status.source, status.tag, status.count = st.source, st.tag, st.count

@@ -6,7 +6,12 @@ number, packed tight to keep short-message overhead low.  The sessions
 prototype *prepends* an extended header on the first message(s) of a
 communicator with an exCID: the full 128-bit exCID plus the sender's
 local CID (§III-B4), ~20 bytes — both are modeled here as sized
-dataclasses so the cost model charges exactly the extra bytes."""
+dataclasses so the cost model charges exactly the extra bytes.
+
+In memory the default engine carries the match header as the plain tuple
+``(ctx, src, tag, seq)`` and the extension as ``(excid_key, sender_cid)``
+(:class:`~repro.ompi.pml.ob1.Packet`); the dataclasses below are the
+compat reference's form of the same fields."""
 
 from __future__ import annotations
 
@@ -47,58 +52,3 @@ class ExtendedHeader:
 def header_bytes(ext: Optional[ExtendedHeader]) -> int:
     """Total header bytes for a message with/without the extension."""
     return MATCH_HEADER_BYTES + (ext.nbytes if ext is not None else 0)
-
-
-# ---------------------------------------------------------------------------
-# Packed wire form (fast path).
-#
-# The fast engine mode carries the match header as a single packed int
-# instead of a frozen dataclass — one allocation-free value per message
-# on the hot delivery path, unpacked once at the receiver.  The compat
-# reference keeps the dataclass form; the differential stack-parity
-# suite and the Hypothesis round-trip tests prove the two encodings
-# carry identical fields.
-#
-# Field layout (LSB first).  ``tag`` is signed — internal collective
-# tags are negative — so it is stored biased; ``seq`` is unbounded (a
-# per-peer message counter) and lives in the top, arbitrarily wide
-# position Python ints give us for free.
-# ---------------------------------------------------------------------------
-
-_CTX_BITS = 16                      # matches the modeled 16-bit CID field
-_SRC_BITS = 24                      # rank within the communicator
-_TAG_BITS = 33                      # signed 32-bit tag, biased
-_TAG_BIAS = 1 << 32
-_SRC_SHIFT = _CTX_BITS
-_TAG_SHIFT = _CTX_BITS + _SRC_BITS
-_SEQ_SHIFT = _CTX_BITS + _SRC_BITS + _TAG_BITS
-_CTX_MASK = (1 << _CTX_BITS) - 1
-_SRC_MASK = (1 << _SRC_BITS) - 1
-_TAG_MASK = (1 << _TAG_BITS) - 1
-
-
-def pack_match(ctx: int, src: int, tag: int, seq: int) -> int:
-    """Pack match-header fields into one int (fast-path wire form)."""
-    return (ctx
-            | (src << _SRC_SHIFT)
-            | ((tag + _TAG_BIAS) << _TAG_SHIFT)
-            | (seq << _SEQ_SHIFT))
-
-
-def unpack_match(word: int) -> Tuple[int, int, int, int]:
-    """Inverse of :func:`pack_match`: returns (ctx, src, tag, seq)."""
-    return (word & _CTX_MASK,
-            (word >> _SRC_SHIFT) & _SRC_MASK,
-            ((word >> _TAG_SHIFT) & _TAG_MASK) - _TAG_BIAS,
-            word >> _SEQ_SHIFT)
-
-
-def pack_from_header(hdr: MatchHeader) -> int:
-    """Pack a :class:`MatchHeader` (compat form) into the wire int."""
-    return pack_match(hdr.ctx, hdr.src, hdr.tag, hdr.seq)
-
-
-def header_from_packed(word: int) -> MatchHeader:
-    """Expand the wire int back into the compat dataclass form."""
-    ctx, src, tag, seq = unpack_match(word)
-    return MatchHeader(ctx=ctx, src=src, tag=tag, seq=seq)

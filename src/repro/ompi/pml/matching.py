@@ -19,47 +19,13 @@ from typing import Any, Dict, List, Optional
 
 from repro.ompi.constants import ANY_SOURCE, ANY_TAG
 
-
-class PostedRecv:
-    """A receive waiting for a message."""
-
-    __slots__ = ("src", "tag", "request", "cb")
-
-    def __init__(self, src: int, tag: int, request: Any, cb: Any = None) -> None:
-        self.src = src
-        self.tag = tag
-        self.request = request         # ompi Request
-        self.cb = cb                   # protocol callback on match
-
-
-class IncomingMsg:
-    """An arrived message (or rendezvous RTS) awaiting a receive."""
-
-    __slots__ = ("src", "tag", "seq", "nbytes", "payload", "protocol",
-                 "sender", "sender_req", "extended", "arrival")
-
-    def __init__(self, src: int, tag: int, seq: int, nbytes: int,
-                 payload: Any = None, protocol: str = "eager",
-                 sender: Any = None, sender_req: Any = None,
-                 extended: bool = False, arrival: float = 0.0) -> None:
-        self.src = src
-        self.tag = tag
-        self.seq = seq
-        self.nbytes = nbytes           # user payload bytes
-        self.payload = payload
-        self.protocol = protocol       # "eager" | "rts"
-        self.sender = sender           # sender proc id (for CTS routing)
-        self.sender_req = sender_req   # sender-side request (rendezvous)
-        self.extended = extended       # carried an extended header
-        self.arrival = arrival
-
-
-def _compatible(posted: PostedRecv, msg: IncomingMsg) -> bool:
-    if posted.src != ANY_SOURCE and posted.src != msg.src:
-        return False
-    if posted.tag == ANY_TAG:
-        return msg.tag >= 0
-    return posted.tag == msg.tag
+# The engine is duck-typed: a *posted receive* and an *arrived message*
+# are any objects with ``src`` and ``tag`` (ob1 queues the receive's
+# Request and the arrived Packet themselves).  The compatibility rule,
+# written out in each search loop below (once per queued entry):
+#
+#     (posted.src == ANY_SOURCE or posted.src == msg.src) and
+#     (msg.tag >= 0 if posted.tag == ANY_TAG else posted.tag == msg.tag)
 
 
 class _CommQueues:
@@ -69,8 +35,8 @@ class _CommQueues:
     __slots__ = ("posted", "unexpected")
 
     def __init__(self) -> None:
-        self.posted: List[PostedRecv] = []
-        self.unexpected: List[IncomingMsg] = []
+        self.posted: List[Any] = []
+        self.unexpected: List[Any] = []
 
 
 class MatchingEngine:
@@ -90,7 +56,7 @@ class MatchingEngine:
             self._by_cid[cid] = q
         return q
 
-    def post_recv(self, cid: int, posted: PostedRecv) -> Optional[IncomingMsg]:
+    def post_recv(self, cid: int, posted: Any) -> Optional[Any]:
         """Post a receive; returns the matched unexpected message if any
         (already removed from the queue), else enqueues the receive."""
         # _queues() inlined here and in incoming(): once per message.
@@ -98,53 +64,57 @@ class MatchingEngine:
         if q is None:
             q = self._by_cid[cid] = _CommQueues()
         unexpected = q.unexpected
+        src, tag = posted.src, posted.tag
         for i, msg in enumerate(unexpected):
-            if _compatible(posted, msg):
-                del unexpected[i]
-                self.matches += 1
-                self.unexpected_hits += 1
-                return msg
+            if src == msg.src or src == ANY_SOURCE:
+                if (msg.tag >= 0 if tag == ANY_TAG else tag == msg.tag):
+                    del unexpected[i]
+                    self.matches += 1
+                    self.unexpected_hits += 1
+                    return msg
         q.posted.append(posted)
         return None
 
-    def incoming(self, cid: int, msg: IncomingMsg) -> Optional[PostedRecv]:
+    def incoming(self, cid: int, msg: Any) -> Optional[Any]:
         """An arriving message; returns the matched posted receive if any
         (already removed), else enqueues as unexpected."""
         q = self._by_cid.get(cid)
         if q is None:
             q = self._by_cid[cid] = _CommQueues()
         waiting = q.posted
+        src, tag = msg.src, msg.tag
         for i, posted in enumerate(waiting):
-            if _compatible(posted, msg):
-                del waiting[i]
-                self.matches += 1
-                return posted
+            want = posted.src
+            if want == src or want == ANY_SOURCE:
+                want = posted.tag
+                if (tag >= 0 if want == ANY_TAG else want == tag):
+                    del waiting[i]
+                    self.matches += 1
+                    return posted
         q.unexpected.append(msg)
         return None
 
-    def probe(self, cid: int, src: int, tag: int) -> Optional[IncomingMsg]:
-        """Non-destructive search of the unexpected queue (MPI_Iprobe)."""
-        fake = PostedRecv(src=src, tag=tag, request=None)
+    def probe(self, cid: int, src: int, tag: int) -> Optional[Any]:
+        """Non-destructive search of the unexpected queue (MPI_Iprobe):
+        the earliest message a receive of ``(src, tag)`` would match."""
         for msg in self._queues(cid).unexpected:
-            if _compatible(fake, msg):
-                return msg
+            if src == msg.src or src == ANY_SOURCE:
+                if (msg.tag >= 0 if tag == ANY_TAG else tag == msg.tag):
+                    return msg
         return None
 
-    def mprobe(self, cid: int, src: int, tag: int) -> Optional[IncomingMsg]:
+    def mprobe(self, cid: int, src: int, tag: int) -> Optional[Any]:
         """Matched probe (MPI_Improbe): REMOVE and return the earliest
         compatible unexpected message.  Once removed, no other receive
         can steal it — the thread-safe claim MPI-3 added mprobe for."""
-        q = self._queues(cid)
-        fake = PostedRecv(src=src, tag=tag, request=None)
-        for i, msg in enumerate(q.unexpected):
-            if _compatible(fake, msg):
-                del q.unexpected[i]
-                self.matches += 1
-                self.unexpected_hits += 1
-                return msg
-        return None
+        msg = self.probe(cid, src, tag)
+        if msg is not None:
+            self._queues(cid).unexpected.remove(msg)
+            self.matches += 1
+            self.unexpected_hits += 1
+        return msg
 
-    def cancel_posted(self, cid: int) -> List[PostedRecv]:
+    def cancel_posted(self, cid: int) -> List[Any]:
         """Remove and return every posted receive for ``cid`` (peer
         failure: the communicator fails them with MPI_ERR_PROC_FAILED)."""
         q = self._by_cid.get(cid)
@@ -153,17 +123,6 @@ class MatchingEngine:
         cancelled = list(q.posted)
         q.posted.clear()
         return cancelled
-
-    def remove_posted(self, cid: int, posted: PostedRecv) -> bool:
-        """Un-post one receive (it is being failed instead of matched)."""
-        q = self._by_cid.get(cid)
-        if q is None:
-            return False
-        try:
-            q.posted.remove(posted)
-            return True
-        except ValueError:
-            return False
 
     def pending_posted(self, cid: int) -> int:
         return len(self._queues(cid).posted)

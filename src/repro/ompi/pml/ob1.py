@@ -37,10 +37,8 @@ from repro.ompi.pml.headers import (
     MATCH_HEADER_BYTES,
     ExtendedHeader,
     MatchHeader,
-    pack_match,
-    unpack_match,
 )
-from repro.ompi.pml.matching import IncomingMsg, MatchingEngine, PostedRecv
+from repro.ompi.pml.matching import MatchingEngine
 from repro.ompi.status import Status
 from repro.pmix.types import PmixProc
 from repro.simtime.process import Sleep, Wait
@@ -51,20 +49,25 @@ FIRST_PEER_SETUP = 1.0e-6         # one-time add_procs cost per new peer
 
 
 class Packet:
-    """One fabric packet.
+    """One fabric packet — and, once a user packet has arrived, the
+    message itself: :meth:`Ob1Endpoint.deliver_user` writes the header's
+    ``src``/``tag`` onto it and hands *it* to the matching engine, so an
+    unexpected message is the packet that carried it.
 
-    ``hdr``/``ext`` come in two equivalent wire forms, chosen in
-    :meth:`Ob1Endpoint.start_send`: the default engine carries the
-    packed int from :func:`pack_match` and an ``(excid_key,
-    sender_cid)`` tuple, the compat reference carries the
-    :class:`MatchHeader`/:class:`ExtendedHeader` dataclasses.
-    Consumers branch on the concrete type; the stack-parity suite proves
-    both forms produce identical behavior.
+    ``hdr``/``ext`` come in two equivalent in-memory forms, chosen in
+    :meth:`Ob1Endpoint.start_send`: the default engine carries the plain
+    tuples ``(ctx, src, tag, seq)`` and ``(excid_key, sender_cid)``, the
+    compat reference carries the :class:`MatchHeader`/
+    :class:`ExtendedHeader` dataclasses.  Consumers branch on the
+    concrete type; the stack-parity suite proves both forms produce
+    identical behavior.  ``sender_req``/``recv_req`` are the two ends'
+    :class:`~repro.ompi.request.Request` objects — each its own
+    completion event — riding the rendezvous round trip.
     """
 
     __slots__ = ("kind", "src_proc", "hdr", "ext", "payload", "nbytes",
                  "protocol", "sender_req", "recv_req", "ack_excid",
-                 "ack_cid", "fid", "_rts_payload", "wire")
+                 "ack_cid", "fid", "_rts_payload", "wire", "src", "tag")
 
     def __init__(self, kind: str, src_proc: PmixProc, hdr: Any = None,
                  ext: Any = None, payload: Any = None, nbytes: int = 0,
@@ -95,9 +98,6 @@ class Packet:
         else:
             wire = 18  # control packets: ACK / CTS
         self.wire = wire              # bytes on the wire
-
-    def wire_bytes(self) -> int:
-        return self.wire
 
 
 class Fabric:
@@ -150,8 +150,8 @@ class Fabric:
             hdr = pkt.hdr
             if hdr is None:
                 tag = pkt.kind
-            elif hdr.__class__ is int:
-                tag = unpack_match(hdr)[2]
+            elif hdr.__class__ is tuple:
+                tag = hdr[2]
             else:
                 tag = hdr.tag
             disp = faults.on_message("pml", pkt.src_proc, dst, tag, fid=pkt.fid)
@@ -200,7 +200,7 @@ class Ob1Endpoint:
 
     __slots__ = ("runtime", "proc", "node", "engine", "machine", "fabric",
                  "matching", "nic_free", "match_busy", "_peers", "_added",
-                 "_pending", "stats", "obs_track")
+                 "_pending", "_prune_at", "stats", "obs_track")
 
     def __init__(self, runtime) -> None:
         self.runtime = runtime
@@ -220,6 +220,7 @@ class Ob1Endpoint:
         # comm_failed() fail them with MPI_ERR_PROC_FAILED instead of
         # letting the rank hang forever.
         self._pending: List[Tuple[Any, PmixProc, Any]] = []
+        self._prune_at = 64       # see _track_pending()
         self.stats = {"sent": 0, "recv": 0, "ext_sent": 0, "ext_recv": 0,
                       "acks": 0, "dup_dropped": 0}
         self.obs_track = track_for_proc(self.proc)
@@ -265,11 +266,26 @@ class Ob1Endpoint:
     def send_peer(self, comm, dest_rank: int) -> _Peer:
         """Resolve the destination of a send; a dead one raises
         :class:`MPIErrProcFailed`.  Callers run :meth:`discover` for a
-        peer not yet ``known``, then :meth:`start_send`."""
-        proc = comm.group.proc(dest_rank)
-        if self._peer_dead(proc):
+        peer not yet ``known``, then :meth:`start_send`.
+
+        The communicator remembers the record per destination rank
+        (``comm._send_peers``).  Only a resolved rank is remembered, so
+        a rank out of range takes the checked path — and raises
+        :class:`MPIErrRank` — every time; liveness is checked on every
+        send."""
+        peers = comm._send_peers
+        peer = peers.get(dest_rank) if peers is not None else None
+        if peer is None:
+            peer = self.peer(comm.group.proc(dest_rank))
+            if peers is None:
+                peers = comm._send_peers = {}
+            peers[dest_rank] = peer
+        faults = self.fabric.faults
+        # An empty set answers without hashing the proc (a Python call).
+        if faults is not None and faults.dead_procs \
+                and peer.proc in faults.dead_procs:
             raise MPIErrProcFailed(f"{comm.name}: send to failed peer rank {dest_rank}")
-        return self._peers.get(proc) or self.peer(proc)
+        return peer
 
     def discover(self, peer: _Peer):
         """Sub-generator: one-time endpoint setup for a new peer."""
@@ -309,24 +325,29 @@ class Ob1Endpoint:
         wire = pkt.wire
         nic_free = self.nic_free
         start = now if now > nic_free else nic_free
-        done = start + btl.injection_time(wire)
+        injection, flight = btl.times(wire)
+        done = start + injection
         self.nic_free = done
-        self.fabric.deliver_at(done + btl.wire_time(wire), peer.proc, pkt)
+        self.fabric.deliver_at(done + flight, peer.proc, pkt)
         return done
 
     # ------------------------------------------------------------------
     # fault handling
     # ------------------------------------------------------------------
     def _track_pending(self, comm, peer: PmixProc, request) -> None:
-        if len(self._pending) > 64:
-            self._pending = [e for e in self._pending if not e[2].completed]
-        self._pending.append((comm.identity(), peer, request))
+        pending = self._pending
+        if len(pending) >= self._prune_at:
+            # Drop completed entries once the list has doubled since the
+            # last prune: amortized O(1) however deep the window.
+            pending[:] = [e for e in pending if not e[2].triggered]
+            self._prune_at = max(64, 2 * len(pending))
+        pending.append((comm._identity, peer, request))
 
     def peer_failed(self, peer: PmixProc) -> None:
         """Fail in-flight requests that can only complete via ``peer``."""
         keep = []
         for ident, p, req in self._pending:
-            if req.completed:
+            if req.triggered:
                 continue
             if p == peer:
                 req.fail(MPIErrProcFailed(f"peer {peer} failed"))
@@ -339,7 +360,7 @@ class Ob1Endpoint:
         ident = comm.identity()
         keep = []
         for cid, p, req in self._pending:
-            if req.completed:
+            if req.triggered:
                 continue
             if cid == ident:
                 req.fail(MPIErrProcFailed(f"{comm.name}: peer failure on communicator"))
@@ -379,13 +400,13 @@ class Ob1Endpoint:
         ident = comm._identity
         seq = seqs.get(ident, 0)
         seqs[ident] = seq + 1
-        # The only place the wire form of the headers is chosen.
+        # The only place the in-memory form of the headers is chosen.
         if self.engine.compat:
             hdr = MatchHeader(ctx=ctx, src=comm.rank, tag=tag, seq=seq)
             if ext is not None:
                 ext = ExtendedHeader(excid=ext[0], sender_cid=cid)
         else:
-            hdr = pack_match(ctx, comm.rank, tag, seq)
+            hdr = (ctx, comm.rank, tag, seq)
         if nbytes <= self.machine.eager_limit:
             pkt = Packet("user", self.proc, hdr, ext, payload, nbytes)
         else:
@@ -419,21 +440,21 @@ class Ob1Endpoint:
     # ------------------------------------------------------------------
     # receive path
     # ------------------------------------------------------------------
-    def irecv(self, comm, src_rank: int, tag: int, request) -> bool:
-        """Post a receive (instantaneous bookkeeping).
+    def irecv(self, comm, request) -> bool:
+        """Post ``request`` — it names the ``src``/``tag`` it matches —
+        as a receive (instantaneous bookkeeping).
 
         Returns True when the receive matched an already-arrived message
         (its completion is in flight and no longer cancellable)."""
-        posted = PostedRecv(src_rank, tag, request)
-        msg = self.matching.post_recv(comm.local_cid, posted)
+        pkt = self.matching.post_recv(comm.local_cid, request)
         m = self.engine.metrics
         if m is not None and m.enabled:
             q = self.matching._queues(comm.local_cid)
             m.observe("pml.match.posted_depth", len(q.posted), node=self.node)
             m.observe("pml.match.unexpected_depth", len(q.unexpected),
                       node=self.node)
-        if msg is not None:
-            self._consume_match(comm, posted, msg)
+        if pkt is not None:
+            self._consume_match(comm, request, pkt)
             return True
         return False
 
@@ -474,11 +495,11 @@ class Ob1Endpoint:
     def deliver_user(self, pkt: Packet) -> None:
         """Match one arrived user message (also the replay entry for
         packets stashed before their communicator was registered)."""
-        # The header arrives either packed or as the compat dataclass;
-        # unpack once into locals either way.
+        # The header arrives either as a tuple or as the compat
+        # dataclass; unpack once into locals either way.
         hdr = pkt.hdr
-        if hdr.__class__ is int:
-            ctx, src, tag, seq = unpack_match(hdr)
+        if hdr.__class__ is tuple:
+            ctx, src, tag, seq = hdr
         else:
             ctx, src, tag, seq = hdr.ctx, hdr.src, hdr.tag, hdr.seq
         ext = pkt.ext
@@ -497,7 +518,8 @@ class Ob1Endpoint:
                 self.runtime.stash_early_packet(excid_key, pkt)
                 return
         else:
-            comm = self.runtime.comm_by_cid(ctx)
+            comms = self.runtime.cid_table.comms
+            comm = comms[ctx] if 0 <= ctx < len(comms) else None
             if comm is None:
                 self.runtime.stash_early_cid_packet(ctx, pkt)
                 return
@@ -544,24 +566,20 @@ class Ob1Endpoint:
             cid = ctx
 
         now = self.engine._now
-        protocol = pkt.protocol
-        msg = IncomingMsg(
-            src, tag, seq, pkt.nbytes,
-            pkt.payload if protocol == "eager" else pkt._rts_payload,
-            protocol, sender, pkt.sender_req, ext is not None, now,
-        )
-
         match_busy = self.match_busy
         start = now if now > match_busy else match_busy
         complete_at = start + match_cost
         self.match_busy = complete_at
 
-        posted = self.matching.incoming(cid, msg)
-        if posted is not None:
+        # From here on the packet is the message: what a receive matches.
+        pkt.src = src
+        pkt.tag = tag
+        request = self.matching.incoming(cid, pkt)
+        if request is not None:
             self.engine.post_at(
-                complete_at, partial(self._match_complete, comm, posted, msg))
+                complete_at, partial(self._match_complete, comm, request, pkt))
 
-    def _consume_match(self, comm, posted: PostedRecv, msg: IncomingMsg) -> None:
+    def _consume_match(self, comm, request, pkt: Packet) -> None:
         """A freshly posted receive matched an unexpected message."""
         now = self.engine._now
         match_busy = self.match_busy
@@ -569,31 +587,31 @@ class Ob1Endpoint:
         complete_at = start + self.machine.match_overhead
         self.match_busy = complete_at
         self.engine.post_at(
-            complete_at, partial(self._match_complete, comm, posted, msg))
+            complete_at, partial(self._match_complete, comm, request, pkt))
 
-    def _match_complete(self, comm, posted: PostedRecv, msg: IncomingMsg) -> None:
-        request = posted.request
-        if request.event.triggered:
+    def _match_complete(self, comm, request, pkt: Packet) -> None:
+        if request.triggered:
             return  # already failed (peer/communicator failure raced the match)
-        if msg.protocol == "eager":
-            request.complete(Status(msg.src, msg.tag, msg.nbytes), msg.payload)
+        if pkt.protocol == "eager":
+            request.complete(Status(pkt.src, pkt.tag, pkt.nbytes), pkt.payload)
         else:
             # Rendezvous: ask the sender for the bulk data.  A dead
             # sender can never answer the CTS — fail the receive now.
-            if self._peer_dead(msg.sender):
+            sender = pkt.src_proc
+            if self._peer_dead(sender):
                 request.fail(
-                    MPIErrProcFailed(f"{comm.name}: rendezvous sender {msg.sender} failed")
+                    MPIErrProcFailed(f"{comm.name}: rendezvous sender {sender} failed")
                 )
                 return
-            self._track_pending(comm, msg.sender, request)
+            self._track_pending(comm, sender, request)
             cts = Packet(
                 kind="cts",
                 src_proc=self.proc,
-                sender_req=msg.sender_req,
+                sender_req=pkt.sender_req,
                 recv_req=request,
-                payload=(msg.payload, msg.src, msg.tag, msg.nbytes),
+                payload=(pkt._rts_payload, pkt.src, pkt.tag, pkt.nbytes),
             )
-            self._inject(self.peer(msg.sender), cts)
+            self._inject(self.peer(sender), cts)
 
     def _send_ack(self, comm, peer_rank: int) -> None:
         self.stats["acks"] += 1
@@ -618,7 +636,7 @@ class Ob1Endpoint:
 
     def _deliver_cts(self, pkt: Packet) -> None:
         sender_req = pkt.sender_req
-        if sender_req.event.triggered:
+        if sender_req.triggered:
             return  # duplicate CTS, or the send was already failed
         payload, src, tag, nbytes = pkt.payload
         data = Packet(
@@ -638,12 +656,12 @@ class Ob1Endpoint:
 
     @staticmethod
     def _send_complete(request, status: Status) -> None:
-        if not request.event.triggered:     # else: failed meanwhile
+        if not request.triggered:     # else: failed meanwhile
             request.complete(status)
 
     def _deliver_data(self, pkt: Packet) -> None:
         recv_req = pkt.recv_req
-        if recv_req.event.triggered:
+        if recv_req.triggered:
             return  # duplicate data packet, or the receive was already failed
         payload, src, tag, nbytes = pkt.payload
         recv_req.complete(Status(src, tag, nbytes), payload)

@@ -1,7 +1,9 @@
 """Nonblocking-operation requests.
 
-A :class:`Request` wraps a completion :class:`SimEvent`.  ``wait`` is a
-sub-generator (it suspends the simulated process); ``test`` is an
+A :class:`Request` *is* its completion :class:`SimEvent` — a process
+blocks on it with ``Wait(request)`` — and, for a receive, *is* the
+posted receive the matching engine queues (``src``/``tag``).  ``wait``
+is a sub-generator (it suspends the simulated process); ``test`` is an
 instantaneous poll.  ``waitall``/``waitany``/``testall`` mirror the MPI
 operations over collections of requests.
 """
@@ -10,56 +12,80 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Tuple
 
+from repro.ompi.constants import ANY_SOURCE, ANY_TAG
 from repro.ompi.errors import MPIErrRequest
 from repro.ompi.status import Status
 from repro.simtime.primitives import SimEvent
 from repro.simtime.process import Wait, WaitAny
 
 
-class Request:
-    """Handle for a pending nonblocking operation."""
+class Request(SimEvent):
+    """Handle for a pending nonblocking operation.
 
-    __slots__ = ("event", "kind", "_status", "_freed", "payload")
+    The event's ``value`` is the :class:`Status` of the completed
+    operation, its ``exception`` the error a failed one is re-raised
+    with by ``wait`` and ``test``.
+    """
 
-    def __init__(self, kind: str = "generic") -> None:
-        self.event = SimEvent()
+    __slots__ = ("kind", "src", "tag", "_freed", "payload")
+
+    def __init__(self, kind: str = "generic", src: int = ANY_SOURCE,
+                 tag: int = ANY_TAG) -> None:
+        # SimEvent.__init__, inlined: one constructor frame per message.
+        self._waiters = None
+        self.triggered = False
+        self.value = None
+        self.exception = None
         self.kind = kind
-        self._status: Optional[Status] = None
+        #: What a receive matches (the matching engine reads these).
+        self.src = src
+        self.tag = tag
         self._freed = False
         #: The received object (recv requests, after completion).
         self.payload = None
 
     # -- completion plumbing (called by the PML / collectives) -------------
     def complete(self, status: Optional[Status] = None, payload=None) -> None:
-        if self.event.triggered:
+        """``SimEvent.succeed`` with the request's own bookkeeping."""
+        if self.triggered:
             raise MPIErrRequest(f"{self.kind} request completed twice")
-        self._status = status = status or Status()
+        if status is None:
+            status = Status()
+        self.triggered = True
+        self.value = status
         self.payload = payload
-        self.event.succeed(status)
-
-    def fail(self, exc: BaseException) -> None:
-        self.event.fail(exc)
+        waiters, self._waiters = self._waiters, None
+        if waiters.__class__ is list:
+            for cb in waiters:
+                cb(status, None)
+        elif waiters is not None:
+            waiters(status, None)
 
     # -- user API --------------------------------------------------------------
     @property
     def completed(self) -> bool:
-        return self.event.triggered
+        return self.triggered
 
     def get_status(self) -> Optional[Status]:
-        return self._status
+        return self.value
 
     def wait(self):
         """Sub-generator: block until complete; returns the Status."""
-        self._check()
-        status = yield Wait(self.event)
+        if self._freed:
+            self._check()
+        status = yield Wait(self)
         return status
 
     def test(self) -> Tuple[bool, Optional[Status]]:
-        """Instantaneous poll: (flag, status-or-None)."""
-        self._check()
-        if self.event.triggered:
-            return True, self._status
-        return False, None
+        """Instantaneous poll: (flag, status-or-None).  Like ``wait``, it
+        raises the error of a failed request (MPI-4.0 §3.7.3)."""
+        if self._freed:
+            self._check()
+        if not self.triggered:
+            return False, None
+        if self.exception is not None:
+            raise self.exception
+        return True, self.value
 
     def free(self) -> None:
         self._freed = True
@@ -69,7 +95,7 @@ class Request:
             raise MPIErrRequest("request used after free")
 
     def __repr__(self) -> str:  # pragma: no cover
-        state = "done" if self.event.triggered else "pending"
+        state = "done" if self.triggered else "pending"
         return f"<Request {self.kind} {state}>"
 
 
@@ -77,8 +103,9 @@ def waitall(requests: Iterable[Request]):
     """Sub-generator: wait for every request; returns list of statuses."""
     statuses = []
     for req in requests:
-        status = yield from req.wait()
-        statuses.append(status)
+        if req._freed:
+            req._check()
+        statuses.append((yield Wait(req)))
     return statuses
 
 
@@ -86,13 +113,14 @@ def waitany(requests: List[Request]):
     """Sub-generator: wait for the first completion; returns (index, status)."""
     if not requests:
         raise MPIErrRequest("waitany on empty request list")
-    idx, status = yield WaitAny([r.event for r in requests])
+    idx, status = yield WaitAny(requests)
     return idx, status
 
 
 def testall(requests: Iterable[Request]) -> Tuple[bool, Optional[List[Status]]]:
-    """Instantaneous: (all_done, statuses-or-None)."""
-    reqs = list(requests)
-    if all(r.completed for r in reqs):
-        return True, [r.get_status() for r in reqs]
+    """Instantaneous: (all_done, statuses-or-None); raises the error of
+    the first failed request."""
+    polled = [req.test() for req in requests]
+    if all(flag for flag, _status in polled):
+        return True, [status for _flag, status in polled]
     return False, None

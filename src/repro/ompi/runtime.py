@@ -200,9 +200,6 @@ class MpiRuntime:
             self._pending_revokes = set()
         self._pending_revokes.add(identity)
 
-    def comm_by_cid(self, cid: int) -> Optional[Communicator]:
-        return self.cid_table.get(cid)
-
     def comm_by_excid(self, key: Tuple) -> Optional[Communicator]:
         return self._excid_index.get(key)
 

@@ -4,15 +4,22 @@ import pytest
 
 from repro.ompi.constants import ANY_SOURCE, ANY_TAG
 from repro.ompi.errors import MPIErrPending
-from repro.ompi.pml.matching import IncomingMsg, MatchingEngine, PostedRecv
+from repro.ompi.pml.matching import MatchingEngine
+from repro.ompi.pml.ob1 import Packet
+from repro.ompi.request import Request
 
 
 def msg(src=0, tag=0, seq=0, nbytes=8, payload=None):
-    return IncomingMsg(src=src, tag=tag, seq=seq, nbytes=nbytes, payload=payload)
+    """An arrived message is the packet that carried it, with the
+    header's src/tag written on it (``Ob1Endpoint.deliver_user``)."""
+    pkt = Packet("user", None, (0, src, tag, seq), payload=payload, nbytes=nbytes)
+    pkt.src, pkt.tag = src, tag
+    return pkt
 
 
 def recv(src=ANY_SOURCE, tag=ANY_TAG):
-    return PostedRecv(src=src, tag=tag, request=object())
+    """A posted receive is the receive's request."""
+    return Request("recv", src, tag)
 
 
 class TestBasicMatching:

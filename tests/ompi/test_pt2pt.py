@@ -2,11 +2,22 @@
 
 import pytest
 
+from repro.api import SimSpec, make_world
+from repro.machine.presets import laptop
 from repro.ompi.constants import ANY_SOURCE, ANY_TAG
-from repro.ompi.errors import MPIErrRank, MPIErrTag
+from repro.ompi.errors import (
+    ERRORS_RETURN,
+    MPIErrProcFailed,
+    MPIErrRank,
+    MPIErrRequest,
+    MPIErrTag,
+)
+from repro.ompi.request import Request
 from repro.ompi.request import testall as mpi_testall
 from repro.ompi.request import waitall, waitany
 from repro.ompi.status import Status
+from repro.simtime.process import Sleep
+from tests.faults.conftest import spawn_ranks
 from tests.ompi.conftest import sessions_program, world_program
 
 
@@ -254,3 +265,233 @@ class TestRendezvous:
         results = mpi_run(2, program(body))
         eager_rtt, rndv_rtt = results[0]
         assert rndv_rtt > eager_rtt
+
+
+class TestRequestRecord:
+    """A Request is its own completion event and its own posted receive;
+    the MPI-facing rules did not move with the merge."""
+
+    def test_failed_request_raises_from_test_and_testall(self):
+        """MPI-4.0 §3.7.3: the call that observes a failed request reports
+        the failure — a poll must not read it as a success."""
+        failed = Request("recv")
+        failed.fail(MPIErrProcFailed("peer died"))
+        with pytest.raises(MPIErrProcFailed):
+            failed.test()
+        with pytest.raises(MPIErrProcFailed):
+            mpi_testall([failed])
+        with pytest.raises(MPIErrProcFailed):
+            mpi_testall([Request("recv"), failed])    # one still pending
+        assert failed.completed and failed.get_status() is None
+
+    def test_completed_twice_raises(self):
+        req = Request("send")
+        req.complete(Status(0, 1, 2))
+        with pytest.raises(MPIErrRequest):
+            req.complete(Status(0, 1, 2))
+        assert req.test() == (True, req.get_status())
+        assert mpi_testall([req]) == (True, [req.get_status()])
+
+    def test_freed_request_raises_from_wait_test_and_waitall(self):
+        req = Request("recv")
+        req.free()
+        with pytest.raises(MPIErrRequest):
+            next(req.wait())
+        with pytest.raises(MPIErrRequest):
+            req.test()
+        with pytest.raises(MPIErrRequest):
+            next(waitall([req]))
+        with pytest.raises(MPIErrRequest):
+            mpi_testall([req])
+
+    def test_a_receive_request_names_what_it_matches(self, mpi_run, program):
+        def body(mpi, comm):
+            if comm.rank == 1:
+                yield from comm.send("a", 0, tag=4)
+                yield from comm.send("b", 0, tag=5)
+                return None
+            exact, wild = comm.irecv(source=1, tag=4), comm.irecv()
+            yield from waitall([exact, wild])
+            return ((exact.src, exact.tag, exact.payload),
+                    (wild.src, wild.tag, wild.payload))
+
+        results = mpi_run(2, program(body))
+        assert results[0] == ((1, 4, "a"), (ANY_SOURCE, ANY_TAG, "b"))
+
+
+class TestSendPeerCache:
+    """``comm._send_peers`` remembers the peer record per destination
+    rank; range and liveness checks must not be remembered with it."""
+
+    def test_bad_rank_raises_before_and_after_a_valid_send(self, mpi_run, program):
+        def body(mpi, comm):
+            def rejected():
+                # The collectives' internal send: no user-level range
+                # check in front of the endpoint's.
+                out = []
+                for dest in (-1, comm.size, 99):
+                    try:
+                        yield from comm._send_internal(None, dest, 3, nbytes=0)
+                    except MPIErrRank:
+                        out.append(True)
+                    else:
+                        out.append(False)
+                return out
+
+            if comm.rank != 0:
+                yield from comm.recv(0, tag=3)
+                return None
+            idle = comm._send_peers
+            before = yield from rejected()
+            yield from comm.send(None, 1, tag=3, nbytes=0)
+            yield from comm.send(None, 2, tag=3, nbytes=0)
+            # A list-indexed cache would answer -1 with rank 2's record.
+            after = yield from rejected()
+            return idle, before, after, sorted(comm._send_peers)
+
+        results = mpi_run(3, program(body), nodes=1, ppn=3)
+        assert results[0] == (None, [True] * 3, [True] * 3, [1, 2])
+
+    def test_free_drops_the_cache(self, mpi_run):
+        def main(mpi):
+            world = yield from mpi.mpi_init()
+            comm = yield from world.dup()
+            peer = 1 - comm.rank
+            yield from comm.sendrecv(None, peer, peer, nbytes=0)
+            cached = sorted(comm._send_peers)
+            comm.free()
+            freed = comm._send_peers
+            yield from mpi.mpi_finalize()
+            return cached, freed
+
+        assert mpi_run(2, main) == [([1], None), ([0], None)]
+
+    def test_send_to_a_peer_that_died_after_first_contact(self):
+        world = make_world(spec=SimSpec(nprocs=2, machine=laptop(num_nodes=1), ppn=2))
+        cluster, job = world.cluster, world.job
+        contacted = []
+
+        def sender(mpi):
+            comm = yield from mpi.mpi_init()
+            comm.set_errhandler(ERRORS_RETURN)
+            yield from comm.send("first", 1, tag=1)
+            contacted.append(sorted(comm._send_peers))
+            try:
+                while True:     # the kill lands between two of these
+                    yield from comm.isend("again", 1, tag=2)
+            except MPIErrProcFailed as err:
+                return str(err), mpi.engine.now
+
+        def victim(mpi):
+            comm = yield from mpi.mpi_init()
+            yield from comm.recv(0, tag=1)
+            yield Sleep(1e9)
+
+        procs = spawn_ranks(cluster, job, [sender(world.runtimes[0]),
+                                           victim(world.runtimes[1])])
+        killed_at = []
+
+        def watcher():
+            while not contacted and not procs[0].finished:
+                yield Sleep(1e-6)
+            cluster.faults.kill_rank(job, 1)
+            killed_at.append(cluster.now)
+
+        cluster.spawn(watcher(), name="watcher")
+        world.run()
+        assert contacted == [[1]]
+        message, when = procs[0].result
+        # The per-send liveness check, not the later damage notice.
+        assert "send to failed peer rank 1" in message
+        assert when - killed_at[0] < 5e-6
+
+
+class TestDeepRendezvousWindow:
+    """``Ob1Endpoint._pending`` tracks rendezvous requests so a peer's
+    death can fail them; it is pruned as the window deepens."""
+
+    WINDOW = 200
+
+    def _world(self):
+        return make_world(spec=SimSpec(nprocs=2, machine=laptop(num_nodes=2), ppn=1))
+
+    def test_a_200_deep_cross_node_window_completes(self):
+        world = self._world()
+        window = self.WINDOW
+        tracked = []
+
+        def main(mpi):
+            comm = yield from mpi.mpi_init()
+            size = mpi.machine.eager_limit + 1
+            if comm.rank == 0:
+                reqs = []
+                for i in range(window):
+                    reqs.append((yield from comm.isend(i, 1, tag=i, nbytes=size)))
+            else:
+                reqs = [comm.irecv(0, tag=i) for i in range(window)]
+            statuses = yield from waitall(reqs)
+            # Twice over: the second window finds the first one's
+            # entries completed and prunes them.
+            for i in range(window):
+                if comm.rank == 0:
+                    yield from comm.send(i, 1, tag=i, nbytes=size)
+                else:
+                    yield from comm.recv(0, tag=i)
+            tracked.append(len(mpi.endpoint._pending))
+            yield from mpi.mpi_finalize()
+            return [r.payload for r in reqs], [s.count for s in statuses]
+
+        procs = world.spawn_ranks(main)
+        world.run()
+        size = world.cluster.machine.eager_limit + 1
+        assert procs[0].result[1] == procs[1].result[1] == [size] * window
+        assert procs[1].result[0] == list(range(window))
+        # 400 requests went through each end; completed ones do not pile up.
+        assert max(tracked) < 2 * window, tracked
+
+    def test_a_kill_mid_window_fails_the_incomplete_requests_and_only_those(self):
+        world = self._world()
+        cluster, job = world.cluster, world.job
+        window = self.WINDOW
+        sends = []
+
+        def sender(mpi):
+            comm = yield from mpi.mpi_init()
+            size = mpi.machine.eager_limit + 1
+            for i in range(window):
+                sends.append((yield from comm.isend(i, 1, tag=i, nbytes=size)))
+            outcome = []
+            for req in sends:
+                try:
+                    yield from req.wait()
+                    outcome.append("sent")
+                except MPIErrProcFailed:
+                    outcome.append("failed")
+            return outcome
+
+        def receiver(mpi):
+            comm = yield from mpi.mpi_init()
+            yield from waitall([comm.irecv(0, tag=i) for i in range(window)])
+
+        procs = spawn_ranks(cluster, job, [sender(world.runtimes[0]),
+                                           receiver(world.runtimes[1])])
+        done_at_kill = []
+
+        def watcher():
+            while (sum(r.completed for r in sends) < window // 4
+                   and not procs[0].finished):
+                yield Sleep(1e-6)
+            done_at_kill.extend(r.completed for r in sends)
+            cluster.faults.kill_rank(job, 1)
+
+        cluster.spawn(watcher(), name="watcher")
+        world.run()          # terminates: nothing waits on the dead peer
+        outcome = procs[0].result
+        assert len(outcome) == window
+        sent = outcome.count("sent")
+        assert window // 4 <= sent < window
+        # Completion is in order, so the sends finished before the kill
+        # are a prefix; they stay completed, everything after them fails.
+        assert outcome == ["sent"] * sent + ["failed"] * (window - sent)
+        assert all(r.exception is None for r in sends[:sent])
+        assert sent >= sum(done_at_kill)

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ompi.constants import ANY_SOURCE, ANY_TAG
-from repro.ompi.pml.matching import IncomingMsg, MatchingEngine, PostedRecv
+from repro.ompi.pml.matching import MatchingEngine
+from tests.ompi.test_matching import msg as arrived, recv as posted_recv
 
 # Events: ("post", src, tag) or ("msg", src, tag); small domains force
 # collisions and wildcard interactions.
@@ -68,7 +69,8 @@ def test_engine_matches_oracle(evts):
             psrc = ANY_SOURCE if wild else src
             ptag = ANY_TAG if wild else tag
             op = {"src": psrc, "tag": ptag, "id": ("p", post_id)}
-            ep = PostedRecv(src=psrc, tag=ptag, request=("p", post_id))
+            ep = posted_recv(psrc, ptag)
+            ep.payload = ("p", post_id)        # identifies the receive
             post_id += 1
             got_e = engine.post_recv(0, ep)
             got_o = oracle.post(op)
@@ -77,13 +79,13 @@ def test_engine_matches_oracle(evts):
                 assert got_e.payload == got_o["id"]
         else:
             om = {"src": src, "tag": tag, "id": ("m", seq)}
-            em = IncomingMsg(src=src, tag=tag, seq=seq, nbytes=0, payload=("m", seq))
+            em = arrived(src, tag, seq, nbytes=0, payload=("m", seq))
             seq += 1
             got_e = engine.incoming(0, em)
             got_o = oracle.msg(om)
             assert (got_e is None) == (got_o is None)
             if got_e is not None:
-                assert got_e.request == got_o["id"]
+                assert got_e.payload == got_o["id"]
     # Leftover queues agree too.
     assert engine.pending_posted(0) == len(oracle.posted)
     assert engine.pending_unexpected(0) == len(oracle.unexpected)
@@ -98,16 +100,15 @@ def test_no_message_lost_or_duplicated(evts):
     for kind, src, tag, wild in evts:
         if kind == "post":
             posts += 1
-            if engine.post_recv(0, PostedRecv(
-                src=ANY_SOURCE if wild else src,
-                tag=ANY_TAG if wild else tag,
-                request=None,
+            if engine.post_recv(0, posted_recv(
+                ANY_SOURCE if wild else src,
+                ANY_TAG if wild else tag,
             )) is not None:
                 matches += 1
         else:
             msgs += 1
             if engine.incoming(
-                0, IncomingMsg(src=src, tag=tag, seq=seq, nbytes=0)
+                0, arrived(src, tag, seq, nbytes=0)
             ) is not None:
                 matches += 1
             seq += 1

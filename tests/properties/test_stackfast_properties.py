@@ -4,8 +4,8 @@ Three surfaces the optimized protocol code rewired, each checked
 against either an algebraic model or the ``Engine(compat=True)``
 reference:
 
-* ob1 packed match headers — pack/unpack round-trip over the full field
-  ranges, dataclass equivalence, and wire-size invariance;
+* ob1 match headers — a packet costs the same wire bytes whether it
+  carries the compat dataclasses or the default engine's tuples;
 * RML/grpcomm fan-out — random same-instant send bursts deliver in
   identical order, at identical times, on both engines, and never
   overtake within a (src, dst) pair;
@@ -26,10 +26,6 @@ from repro.ompi.pml.headers import (
     MATCH_HEADER_BYTES,
     ExtendedHeader,
     MatchHeader,
-    header_from_packed,
-    pack_from_header,
-    pack_match,
-    unpack_match,
 )
 from repro.ompi.pml.ob1 import Packet
 from repro.pmix.types import PMIX_ERR_NOT_FOUND, PmixError
@@ -39,38 +35,15 @@ pytestmark = pytest.mark.stackparity
 
 
 # ---------------------------------------------------------------------------
-# ob1 packed headers
+# ob1 headers
 # ---------------------------------------------------------------------------
-# Full field ranges the wire format promises: 16-bit ctx, 24-bit src,
+# Full field ranges of the modeled wire format: 16-bit ctx, 24-bit src,
 # signed 33-bit tag window (covers negative internal collective tags),
-# unbounded seq in the top bits.
+# unbounded seq.
 ctxs = st.integers(0, 2**16 - 1)
 srcs = st.integers(0, 2**24 - 1)
 tags = st.integers(-(2**32), 2**32 - 1)
 seqs = st.integers(0, 2**48)
-
-
-@given(ctx=ctxs, src=srcs, tag=tags, seq=seqs)
-@settings(max_examples=200, deadline=None)
-def test_pack_unpack_roundtrip(ctx, src, tag, seq):
-    assert unpack_match(pack_match(ctx, src, tag, seq)) == (ctx, src, tag, seq)
-
-
-@given(ctx=ctxs, src=srcs, tag=tags, seq=seqs)
-@settings(max_examples=100, deadline=None)
-def test_packed_matches_dataclass_header(ctx, src, tag, seq):
-    hdr = MatchHeader(ctx=ctx, src=src, tag=tag, seq=seq)
-    assert header_from_packed(pack_from_header(hdr)) == hdr
-
-
-@given(ctx=ctxs, src=srcs, tag=tags, seq=seqs)
-@settings(max_examples=50, deadline=None)
-def test_packed_word_is_unique_per_header(ctx, src, tag, seq):
-    # Distinct fields can never collide: the packing is a bijection on
-    # its domain, so a perturbed header packs to a different word.
-    word = pack_match(ctx, src, tag, seq)
-    assert pack_match(ctx, src, tag, seq + 1) != word
-    assert pack_match(ctx, src, (tag + 1 if tag < 2**32 - 1 else tag - 1), seq) != word
 
 
 @given(ctx=ctxs, src=srcs, tag=tags, seq=seqs,
@@ -80,23 +53,23 @@ def test_packed_word_is_unique_per_header(ctx, src, tag, seq):
 def test_wire_size_invariant_under_header_form(ctx, src, tag, seq, nbytes,
                                                extended, eager):
     """A packet costs the same wire bytes whether it carries the compat
-    dataclass headers or the fast packed forms."""
+    dataclass headers or the default engine's tuples."""
     hdr_obj = MatchHeader(ctx=ctx, src=src, tag=tag, seq=seq)
-    hdr_word = pack_match(ctx, src, tag, seq)
+    hdr_tup = (ctx, src, tag, seq)
     ext_obj = ExtendedHeader(excid=("job", 1, 7), sender_cid=3) if extended else None
     ext_tup = (("job", 1, 7), 3) if extended else None
     protocol = "eager" if eager else "rendezvous"
     compat_pkt = Packet(kind="user", src_proc=None, hdr=hdr_obj, ext=ext_obj,
                         nbytes=nbytes, protocol=protocol)
-    fast_pkt = Packet(kind="user", src_proc=None, hdr=hdr_word, ext=ext_tup,
+    fast_pkt = Packet(kind="user", src_proc=None, hdr=hdr_tup, ext=ext_tup,
                       nbytes=nbytes, protocol=protocol)
-    assert compat_pkt.wire_bytes() == fast_pkt.wire_bytes()
+    assert compat_pkt.wire == fast_pkt.wire
     expected = MATCH_HEADER_BYTES
     if extended:
         expected += EXTENDED_HEADER_BYTES
     if eager:
         expected += nbytes
-    assert fast_pkt.wire_bytes() == expected
+    assert fast_pkt.wire == expected
 
 
 # ---------------------------------------------------------------------------

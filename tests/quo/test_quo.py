@@ -142,6 +142,45 @@ class TestQuiescence:
         for _arrived, released in results:
             assert released - last_arrival < 5 * quantum + 50e-6
 
+    def test_sessions_barrier_raises_when_a_peer_dies_in_it(self):
+        """The Ibarrier + nanosleep poll (paper §IV-E) must not walk out
+        of a barrier a peer died in: the failed request raises from the
+        ``test()`` that observes it (MPI-4.0 §3.7.3)."""
+        from repro.api import make_world
+        from repro.ompi.errors import MPIErrProcFailed
+        from repro.simtime.process import Sleep
+
+        world = make_world(spec=SimSpec(
+            nprocs=3, machine=laptop(num_nodes=1), ppn=3,
+            config=MpiConfig.sessions_prototype()))
+        parked = []
+
+        def main(mpi):
+            yield from mpi.mpi_init()
+            quo = yield from QuoContext.create(mpi, use_sessions=True)
+            parked.append(mpi.rank_in_job)
+            if mpi.rank_in_job == 2:
+                yield Sleep(1e9)            # never arrives; killed below
+            try:
+                yield from quo.sessions_barrier()
+            except MPIErrProcFailed:
+                return "raised"
+            return "released"
+
+        procs = world.spawn_ranks(main)
+        for proc in procs:
+            proc.defuse()
+
+        def chaos():
+            while len(parked) < 3:
+                yield Sleep(50e-6)
+            yield Sleep(300e-6)             # ranks 0 and 1 are polling
+            world.cluster.fail_process(world.job, 2, procs[2])
+
+        world.cluster.spawn(chaos(), "chaos")
+        world.run()
+        assert [procs[r].result for r in (0, 1)] == ["raised", "raised"]
+
     def test_quiesce_is_node_local(self):
         """Quiescence on one node never waits for the other node."""
         from repro.simtime.process import Sleep
