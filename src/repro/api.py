@@ -13,7 +13,10 @@
 Each rank's ``main`` is a generator receiving its
 :class:`~repro.ompi.runtime.MpiRuntime`; blocking MPI calls are
 ``yield from``-ed.  ``run_mpi`` boots a cluster, launches the job,
-runs the simulation to quiescence, and returns per-rank results.
+runs the simulation to quiescence, and returns per-rank results; it is
+a thin wrapper over :func:`run_world`, the one spawn-run-harvest loop
+(in-process or, for ``SimSpec(partitions=N)``, across ``repro.dsim``
+workers), which returns the whole :class:`RunResult`.
 
 :class:`SimSpec` is the one description of a simulated run — machine,
 layout, MPI config, recovery and engine knobs — shared by
@@ -161,6 +164,12 @@ class MpiWorld:
         return self.cluster.run(until=until)
 
 
+def _require_spec(spec: Any) -> None:
+    if not isinstance(spec, SimSpec):
+        raise TypeError(f"a run is described by a repro.api.SimSpec, "
+                        f"got {type(spec).__name__}")
+
+
 def make_world(spec: SimSpec, *, cluster: Optional[Cluster] = None,
                fabric: Optional[Fabric] = None) -> MpiWorld:
     """Boot a cluster and launch (but do not run) the job ``spec``
@@ -173,9 +182,7 @@ def make_world(spec: SimSpec, *, cluster: Optional[Cluster] = None,
     ``SimSpec(recovery=True)`` enables the fault-recovery layer
     (reliable RML, tree healing, ULFM-lite shrink — docs/recovery.md).
     """
-    if not isinstance(spec, SimSpec):
-        raise TypeError(f"a run is described by a repro.api.SimSpec, "
-                        f"got {type(spec).__name__}")
+    _require_spec(spec)
     if cluster is None:
         cluster = Cluster.from_spec(spec)
     elif spec.machine is not None and spec.machine is not cluster.machine:
@@ -190,6 +197,130 @@ def make_world(spec: SimSpec, *, cluster: Optional[Cluster] = None,
                     runtimes=runtimes, spec=spec)
 
 
+@dataclass
+class RunResult:
+    """Outcome of one run, in-process or partitioned (same shape)."""
+
+    t_end: float
+    events: int
+    results: Dict[int, Any]                 # rank -> return value
+    failures: Dict[int, Tuple[str, str]]    # rank -> (exc type name, message)
+    dead_ranks: List[int]
+    counters: Dict[str, Any]                # raw layer counters (see harvest)
+    tracer: Any = None                      # the spec's tracer, if it had one
+    metrics: Any = None                     # MetricsRegistry (metrics_on runs)
+    world: Optional[MpiWorld] = None        # None when partitioned
+    exceptions: Dict[int, BaseException] = field(default_factory=dict)  # in-process only
+
+    def result_list(self, num_ranks: int) -> List[Any]:
+        """Per-rank results in rank order (every rank must have one)."""
+        missing = [r for r in range(num_ranks) if r not in self.results]
+        if missing:
+            raise RuntimeError(f"no result for rank(s) {missing}; "
+                               f"failures: {self.failures}")
+        return [self.results[r] for r in range(num_ranks)]
+
+    def raise_first_failure(self) -> None:
+        """Raise the lowest failed rank's own exception object, if any
+        (a partitioned result raises a ``PartitionRankError`` naming it
+        instead: the object stayed in the worker process)."""
+        if self.failures:
+            raise self.exceptions[min(self.failures)]
+
+
+def harvest(world: MpiWorld, procs: Sequence, ranks: Optional[Sequence[int]] = None,
+            metrics_on: bool = False) -> RunResult:
+    """The outcome of a quiesced world whose ``procs`` ran ``ranks``
+    (default: every rank, in order).
+
+    Shared by :func:`run_world` and the ``repro.dsim`` workers, each of
+    which harvests its replica for the coordinator to sum — so the
+    ``counters`` key set is defined here and nowhere else.
+    """
+    cluster = world.cluster
+    if metrics_on:
+        from repro.obs.metrics import snapshot_cluster
+
+        snapshot_cluster(cluster.metrics, cluster, world)
+    results: Dict[int, Any] = {}
+    failures: Dict[int, Tuple[str, str]] = {}
+    exceptions: Dict[int, BaseException] = {}
+    for rank, p in zip(range(len(procs)) if ranks is None else ranks, procs):
+        exc = p.exception
+        if exc is not None:
+            failures[rank] = (type(exc).__name__, str(exc))
+            exceptions[rank] = exc
+        else:
+            results[rank] = p.result
+    nspace = world.job.nspace
+    dvm = cluster.dvm
+    rml = dvm.rml
+    return RunResult(
+        t_end=cluster.now,
+        events=cluster.engine.events_executed,
+        results=results,
+        failures=failures,
+        dead_ranks=sorted(p.rank for p in cluster.faults.dead_procs
+                          if p.nspace == nspace),
+        counters={
+            "rml.messages_sent": rml.messages_sent,
+            "rml.bytes_sent": rml.bytes_sent,
+            "rml.dropped": getattr(rml, "dropped", 0),
+            "rml.retransmits": rml.retransmits,
+            "rml.acks_sent": rml.acks_sent,
+            "rml.dup_suppressed": rml.dup_suppressed,
+            "rml.retry_exhausted": rml.retry_exhausted,
+            "pml.packets": world.fabric.packets,
+            "pml.bytes": world.fabric.bytes,
+            "dvm.fence_retries": dvm.fence_retries,
+            "dvm.pgcids_allocated": dvm.pgcids_allocated,
+            "dvm.heals": sum(d.heals for d in dvm.daemons),
+            "dvm.grpcomm_restarts": sum(d.grpcomm.restarts for d in dvm.daemons),
+            "recovery_stats": dict(cluster.recovery_stats),
+            "faults_stats": dict(cluster.faults.stats),
+        },
+        tracer=world.spec.tracer,
+        metrics=cluster.metrics if metrics_on else None,
+        world=world,
+        exceptions=exceptions,
+    )
+
+
+def run_world(spec: SimSpec, main: Callable, *, args: Sequence[Any] = (),
+              plan=None, metrics_on: bool = False) -> RunResult:
+    """Build the world ``spec`` describes, run ``main`` on every rank to
+    quiescence and harvest the outcome — the one spawn-run-harvest loop.
+
+    ``spec.partitions > 1`` runs the same world across that many worker
+    processes (``repro.dsim``) and returns the same shape with
+    ``world=None``.  A ``spec.tracer`` records the run either way (the
+    merged per-worker trace is adopted into it).  ``plan`` is a fault
+    plan to install; ``metrics_on`` enables and snapshots the metrics
+    registry.  Rank failures are reported, not raised.
+    """
+    _require_spec(spec)
+    if spec.partitions > 1:
+        from repro.dsim import run_partitioned
+        from repro.dsim.merge import adopt_tracer
+
+        tracer = spec.tracer
+        res = run_partitioned(spec.replace(tracer=None), main, args=args,
+                              plan=plan, traced=tracer is not None,
+                              metrics_on=metrics_on)
+        if tracer is not None:
+            adopt_tracer(tracer, res.tracer)
+            res.tracer = tracer
+        return res
+    world = make_world(spec)
+    if metrics_on:
+        world.cluster.metrics.enabled = True
+    if plan is not None:
+        world.cluster.install_faults(plan)
+    procs = world.spawn_ranks(main, args)
+    world.run()
+    return harvest(world, procs, metrics_on=metrics_on)
+
+
 def run_mpi(spec: SimSpec, main: Callable, *, args: Sequence[Any] = (),
             return_world: bool = False):
     """Run ``main`` on the ranks described by a :class:`SimSpec`.
@@ -199,15 +330,12 @@ def run_mpi(spec: SimSpec, main: Callable, *, args: Sequence[Any] = (),
 
     Returns the list of per-rank return values (or ``(results, world)``
     when ``return_world`` is set, for benchmarks that need the clock or
-    counters afterwards).  Raises the first rank failure, if any.
+    counters afterwards; the world is ``None`` for a partitioned run).
+    Raises the first rank failure, if any.
     """
-    world = make_world(spec)
-    procs = world.spawn_ranks(main, args)
-    world.run()
-    for p in procs:
-        if p.exception is not None:
-            raise p.exception
-    results = [p.result for p in procs]
+    res = run_world(spec, main, args=args)
+    res.raise_first_failure()
+    results = res.result_list(spec.nprocs)
     if return_world:
-        return results, world
+        return results, res.world
     return results

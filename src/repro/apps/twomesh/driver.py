@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.api import SimSpec, make_world
+from repro.api import SimSpec, run_mpi
 from repro.apps.twomesh.l0 import l0_phase
 from repro.apps.twomesh.l1 import l1_phase, poll_interference
 from repro.apps.twomesh.mesh import CartGrid
@@ -118,14 +118,8 @@ def run_twomesh(problem: TwoMeshProblem, use_sessions: bool, machine=None) -> fl
     nodes = problem.ranks // problem.ppn
     machine = machine or trinity(nodes)
     config = MpiConfig.sessions_prototype() if use_sessions else MpiConfig.baseline()
-    world = make_world(spec=SimSpec(nprocs=problem.ranks, machine=machine,
-                                    ppn=problem.ppn, config=config))
     times: List[float] = []
-    procs = world.spawn_ranks(
-        lambda mpi: twomesh_rank_program(mpi, problem, use_sessions, times)
-    )
-    world.run()
-    for p in procs:
-        if p.exception is not None:
-            raise p.exception
+    run_mpi(SimSpec(nprocs=problem.ranks, machine=machine,
+                    ppn=problem.ppn, config=config),
+            lambda mpi: twomesh_rank_program(mpi, problem, use_sessions, times))
     return max(times)

@@ -264,7 +264,7 @@ def ablation_dup_policy(nodes: int = 2, ppn: int = 28) -> BenchResult:
 
 def ablation_fragmentation(nodes: int = 2, ppn: int = 8, holes: int = 48) -> BenchResult:
     """CID-space fragmentation: consensus degrades, exCID does not (§IV-C2)."""
-    from repro.api import SimSpec, make_world
+    from repro.api import SimSpec, run_mpi
 
     res = BenchResult(
         exp_id="ablation-fragmentation",
@@ -277,8 +277,8 @@ def ablation_fragmentation(nodes: int = 2, ppn: int = 8, holes: int = 48) -> Ben
         config = (
             MpiConfig.sessions_prototype("subfield") if mode == "sessions" else MpiConfig.baseline()
         )
-        world = make_world(spec=SimSpec(nprocs=nodes * ppn, machine=machine,
-                                        ppn=ppn, config=config))
+        spec = SimSpec(nprocs=nodes * ppn, machine=machine, ppn=ppn,
+                       config=config)
         out: List[float] = []
 
         def main(mpi):
@@ -311,11 +311,7 @@ def ablation_fragmentation(nodes: int = 2, ppn: int = 8, holes: int = 48) -> Ben
                 comm.free()
                 yield from session.finalize()
 
-        procs = world.spawn_ranks(main)
-        world.run()
-        for p in procs:
-            if p.exception:
-                raise p.exception
+        run_mpi(spec, main)
         return out[0]
 
     series.add("consensus/clean", measure("world", False))
@@ -327,7 +323,7 @@ def ablation_fragmentation(nodes: int = 2, ppn: int = 8, holes: int = 48) -> Ben
 
 def ablation_grpcomm(nodes_list: Optional[List[int]] = None, ppn: int = 8) -> BenchResult:
     """PMIx group construct: hierarchical tree vs flat all-to-all exchange."""
-    from repro.api import SimSpec, make_world
+    from repro.api import SimSpec, run_mpi
 
     nodes_list = nodes_list or [2, 4, 8, 16]
     res = BenchResult(
@@ -337,13 +333,9 @@ def ablation_grpcomm(nodes_list: Optional[List[int]] = None, ppn: int = 8) -> Be
 
     def measure(nodes: int, mode: str) -> float:
         machine = jupiter(nodes)
-        world = make_world(spec=SimSpec(
-            nprocs=nodes * ppn,
-            machine=machine,
-            ppn=ppn,
-            config=MpiConfig.sessions_prototype(),
-            grpcomm_mode=mode,
-        ))
+        spec = SimSpec(nprocs=nodes * ppn, machine=machine, ppn=ppn,
+                       config=MpiConfig.sessions_prototype(),
+                       grpcomm_mode=mode)
         out: List[float] = []
 
         def main(mpi):
@@ -360,11 +352,7 @@ def ablation_grpcomm(nodes_list: Optional[List[int]] = None, ppn: int = 8) -> Be
             comm.free()
             yield from session.finalize()
 
-        procs = world.spawn_ranks(main)
-        world.run()
-        for p in procs:
-            if p.exception:
-                raise p.exception
+        run_mpi(spec, main)
         return out[0]
 
     tree = res.series_for("tree (hierarchical)")
@@ -403,7 +391,7 @@ def ablation_eager_limit(
 def ablation_handshake(pairs: int = 4, sizes=(1, 64, 4096)) -> BenchResult:
     """exCID handshake on vs forced-extended-headers: isolates the
     per-message cost the local-CID switch avoids."""
-    from repro.api import SimSpec, make_world
+    from repro.api import SimSpec, run_mpi
 
     res = BenchResult(
         exp_id="ablation-handshake",
@@ -414,8 +402,8 @@ def ablation_handshake(pairs: int = 4, sizes=(1, 64, 4096)) -> BenchResult:
         config = MpiConfig.sessions_prototype()
         config.excid_always_extended = always_extended
         machine = jupiter(1)
-        world = make_world(spec=SimSpec(nprocs=2 * pairs, machine=machine,
-                                        ppn=2 * pairs, config=config))
+        spec = SimSpec(nprocs=2 * pairs, machine=machine, ppn=2 * pairs,
+                       config=config)
         rates: Dict[int, float] = {}
 
         def main(mpi):
@@ -447,11 +435,7 @@ def ablation_handshake(pairs: int = 4, sizes=(1, 64, 4096)) -> BenchResult:
             comm.free()
             yield from session.finalize()
 
-        procs = world.spawn_ranks(main)
-        world.run()
-        for p in procs:
-            if p.exception:
-                raise p.exception
+        run_mpi(spec, main)
         return rates
 
     normal = measure(False)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional
 
-from repro.api import SimSpec, make_world
+from repro.api import SimSpec, run_mpi
 from repro.machine.presets import jupiter
 from repro.ompi.config import MpiConfig
 
@@ -71,8 +71,7 @@ def hpcc_ring_latency(
     machine = machine_factory(nodes)
     nprocs = nodes * ppn
     config = MpiConfig.sessions_prototype() if mode == "sessions" else MpiConfig.baseline()
-    world = make_world(spec=SimSpec(nprocs=nprocs, machine=machine, ppn=ppn,
-                                    config=config))
+    spec = SimSpec(nprocs=nprocs, machine=machine, ppn=ppn, config=config)
     results: List[float] = []
 
     orders: List[List[int]] = []
@@ -105,9 +104,5 @@ def hpcc_ring_latency(
             yield from session.finalize()
         yield from mpi.mpi_finalize()
 
-    procs = world.spawn_ranks(main)
-    world.run()
-    for p in procs:
-        if p.exception:
-            raise p.exception
+    run_mpi(spec, main)
     return sum(results) / len(results)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.api import SimSpec, make_world
+from repro.api import SimSpec, run_mpi
 from repro.machine.presets import jupiter
 from repro.ompi.config import MpiConfig
 from repro.simtime.process import Sleep
@@ -101,25 +101,8 @@ def osu_init(nodes: int, ppn: int, mode: str, machine_factory=jupiter,
         yield from session.finalize()
         return (t0, t1, t2, t3)
 
-    if partitions > 1:
-        from repro import dsim
-        from repro.dsim.merge import adopt_tracer
-
-        res = dsim.run_partitioned(
-            spec.replace(partitions=partitions), main,
-            traced=tracer is not None)
-        res.raise_first_failure()
-        if tracer is not None:
-            adopt_tracer(tracer, res.tracer)
-        marks: List[Tuple[float, ...]] = res.result_list(spec.nprocs)
-    else:
-        world = make_world(spec=spec.replace(tracer=tracer))
-        procs = world.spawn_ranks(main)
-        world.run()
-        for p in procs:
-            if p.exception:
-                raise p.exception
-        marks = [p.result for p in procs]
+    marks: List[Tuple[float, ...]] = run_mpi(
+        spec.replace(tracer=tracer, partitions=partitions), main)
     if mode == "world":
         total = max(t1 - t0 for t0, t1 in marks)
         return InitTiming(total=total, binary_load=nfs, handle=0.0, comm_construct=0.0)
@@ -142,9 +125,8 @@ def osu_comm_dup(
 ) -> float:
     """Per-iteration MPI_Comm_dup + MPI_Comm_free time (seconds)."""
     machine = machine_factory(nodes)
-    world = make_world(spec=SimSpec(nprocs=nodes * ppn, machine=machine,
-                                    ppn=ppn,
-                                    config=_config_for(mode, dup_policy)))
+    spec = SimSpec(nprocs=nodes * ppn, machine=machine, ppn=ppn,
+                   config=_config_for(mode, dup_policy))
     out: List[float] = []
 
     def main(mpi):
@@ -163,11 +145,7 @@ def osu_comm_dup(
             out.append((mpi.engine.now - t0) / iterations)
         yield from _teardown(mode, mpi, comm)
 
-    procs = world.spawn_ranks(main)
-    world.run()
-    for p in procs:
-        if p.exception:
-            raise p.exception
+    run_mpi(spec, main)
     return out[0]
 
 
@@ -183,8 +161,7 @@ def osu_latency(
 ) -> Dict[int, float]:
     """On-node ping-pong latency by message size (seconds, one way)."""
     machine = machine or jupiter(1)
-    world = make_world(spec=SimSpec(nprocs=2, machine=machine, ppn=2,
-                                    config=_config_for(mode)))
+    spec = SimSpec(nprocs=2, machine=machine, ppn=2, config=_config_for(mode))
     out: Dict[int, float] = {}
 
     def main(mpi):
@@ -206,11 +183,7 @@ def osu_latency(
                 out[size] = (mpi.engine.now - t0) / (2 * iterations)
         yield from _teardown(mode, mpi, comm)
 
-    procs = world.spawn_ranks(main)
-    world.run()
-    for p in procs:
-        if p.exception:
-            raise p.exception
+    run_mpi(spec, main)
     return out
 
 
@@ -235,8 +208,8 @@ def osu_collective(
     handshakes, lazy peer discovery) as real OSU does.
     """
     machine = machine_factory(nodes)
-    world = make_world(spec=SimSpec(nprocs=nodes * ppn, machine=machine,
-                                    ppn=ppn, config=_config_for(mode)))
+    spec = SimSpec(nprocs=nodes * ppn, machine=machine, ppn=ppn,
+                   config=_config_for(mode))
     out: Dict[int, float] = {}
     if op_name == "barrier":
         sizes = (0,)
@@ -270,11 +243,7 @@ def osu_collective(
                 out[size] = elapsed / iterations
         yield from _teardown(mode, mpi, comm)
 
-    procs = world.spawn_ranks(main)
-    world.run()
-    for p in procs:
-        if p.exception:
-            raise p.exception
+    run_mpi(spec, main)
     return out
 
 
@@ -294,8 +263,7 @@ def osu_bw(
     one ACK per window.  Returns {size: bytes/s}.
     """
     machine = machine or jupiter(1)
-    world = make_world(spec=SimSpec(nprocs=2, machine=machine, ppn=2,
-                                    config=_config_for(mode)))
+    spec = SimSpec(nprocs=2, machine=machine, ppn=2, config=_config_for(mode))
     out: Dict[int, float] = {}
 
     def main(mpi):
@@ -321,11 +289,7 @@ def osu_bw(
                 out[size] = iterations * window * size / (mpi.engine.now - t0)
         yield from _teardown(mode, mpi, comm)
 
-    procs = world.spawn_ranks(main)
-    world.run()
-    for p in procs:
-        if p.exception:
-            raise p.exception
+    run_mpi(spec, main)
     return out
 
 
@@ -357,8 +321,8 @@ def osu_mbw_mr(
     nprocs = 2 * pairs
     if nprocs > machine.cores_per_node:
         raise ValueError("mbw_mr must fit on one node")
-    world = make_world(spec=SimSpec(nprocs=nprocs, machine=machine, ppn=nprocs,
-                                    config=_config_for(mode)))
+    spec = SimSpec(nprocs=nprocs, machine=machine, ppn=nprocs,
+                   config=_config_for(mode))
     out: Dict[int, Tuple[float, float]] = {}
 
     def main(mpi):
@@ -401,9 +365,5 @@ def osu_mbw_mr(
                 out[size] = (total_bytes / worst, total_msgs / worst)
         yield from _teardown(mode, mpi, comm)
 
-    procs = world.spawn_ranks(main)
-    world.run()
-    for p in procs:
-        if p.exception:
-            raise p.exception
+    run_mpi(spec, main)
     return out

@@ -14,16 +14,15 @@ digests and (canonically normalized) Perfetto traces as the
 single-process reference — including under partition-safe fault plans.
 ``SimSpec(partitions=1)`` (the default) never touches this package.
 
-Entry points::
+The entry point is ``SimSpec.partitions``: ``repro.api.run_world`` (and
+so ``run_mpi``, ``repro.obs.run_scenario``, ``repro.recovery.soak_run``,
+``osu_init`` and serve's ``sim`` scenario) is the one caller of
+:func:`run_partitioned` in ``src/repro`` and returns the same
+:class:`~repro.api.RunResult` shape either way::
 
-    from repro import dsim
-    res = dsim.run_partitioned(SimSpec(nprocs=64, machine=..., partitions=4),
-                               rank_main)
+    from repro.api import SimSpec, run_world
+    res = run_world(SimSpec(nprocs=64, machine=..., partitions=4), rank_main)
     res.t_end, res.events, res.result_list(64)
-
-or, one level up, ``repro.obs.run_scenario(..., partitions=N)``,
-``repro.recovery.soak_run(..., partitions=N, partition_safe=True)``
-and serve's ``sim`` scenario via ``SimSpec.partitions``.
 """
 
 from repro.dsim.coordinator import (

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.api import SimSpec
+from repro.api import RunResult, SimSpec
 from repro.dsim.merge import merge_counters, merge_metrics, merge_tracers
 from repro.dsim.partition import PartitionError, PartitionMap, validate_plan
 from repro.dsim.worker import WorkerSetup, worker_main
@@ -33,34 +33,20 @@ from repro.simtime.engine import DeadlockError
 
 
 @dataclass
-class DsimResult:
-    """Merged outcome of one partitioned run."""
+class DsimResult(RunResult):
+    """Merged outcome of one partitioned run: the :class:`RunResult` an
+    in-process run of the same spec returns (``world`` is ``None`` —
+    each worker owned a replica) plus the machinery's own meters."""
 
-    nparts: int
-    t_end: float
-    events: int
-    windows: int
-    boundary_msgs: int
-    results: Dict[int, Any]                 # rank -> return value
-    failures: Dict[int, Tuple[str, str]]    # rank -> (exc type name, message)
-    dead_ranks: List[int]
-    counters: Dict[str, Any]
-    tracer: Any = None                      # merged Tracer (traced runs)
-    metrics: Any = None                     # merged MetricsRegistry
+    nparts: int = 1
+    windows: int = 0
+    boundary_msgs: int = 0
     partition_events: List[int] = field(default_factory=list)
-
-    def result_list(self, num_ranks: int) -> List[Any]:
-        """Per-rank results in rank order (every rank must have one)."""
-        missing = [r for r in range(num_ranks) if r not in self.results]
-        if missing:
-            raise PartitionError(f"no result for rank(s) {missing}; "
-                                 f"failures: {self.failures}")
-        return [self.results[r] for r in range(num_ranks)]
 
     def raise_first_failure(self) -> None:
         if self.failures:
-            rank, (tname, msg) = sorted(self.failures.items())[0]
-            raise PartitionRankError(rank, tname, msg)
+            rank = min(self.failures)
+            raise PartitionRankError(rank, *self.failures[rank])
 
 
 class PartitionRankError(RuntimeError):
@@ -125,8 +111,10 @@ def run_partitioned(
 
     Raises :class:`PartitionError` when the run cannot be partitioned
     (more partitions than nodes, a fault plan that is not
-    partition-safe, or a live tracer on the spec — workers build their
-    own).  Rank results must be picklable.  Runs go to quiescence (no
+    partition-safe, the reference scheduler, or a live tracer on the
+    spec — workers build their own; ``repro.api.run_world`` is the
+    caller that turns a spec tracer into ``traced=True``).  Rank results
+    must be picklable.  Runs go to quiescence (no
     ``until`` horizon); a global deadlock raises
     :class:`~repro.simtime.engine.DeadlockError` like the in-process
     engine would.
@@ -142,6 +130,10 @@ def run_partitioned(
         raise PartitionError(
             "partitioned runs build per-worker tracers; pass traced=True "
             "instead of attaching a tracer to the spec")
+    if spec.engine_compat:
+        raise PartitionError(
+            "engine_compat runs on the reference scheduler, which has no "
+            "window-bounded execution; use partitions=1")
     machine = spec.machine or laptop()
     pmap = PartitionMap(nparts, machine.num_nodes)
     validate_plan(plan, nparts)

@@ -26,7 +26,7 @@ import traceback
 from functools import partial
 from typing import Any, Dict, List, Optional
 
-from repro.api import SimSpec, make_world
+from repro.api import SimSpec, harvest, make_world
 from repro.dsim.envelope import Boundary, RequestTokens, decode_packet
 from repro.dsim.partition import PartitionCtx, PartitionMap
 from repro.simtime.trace import Tracer
@@ -172,43 +172,10 @@ def sanitize_tracer(tracer: Tracer) -> Tracer:
 
 def result_blob(state: WorkerState, setup: WorkerSetup) -> Dict[str, Any]:
     """Everything the coordinator needs to merge this partition."""
-    world, cluster, engine = state.world, state.cluster, state.engine
-    if setup.metrics_on:
-        from repro.obs.metrics import snapshot_cluster
-
-        snapshot_cluster(cluster.metrics, cluster, world)
-
-    results: Dict[int, Any] = {}
-    failures: Dict[int, tuple] = {}
-    for rank, p in zip(state.local, state.procs):
-        if p.exception is not None:
-            failures[rank] = (type(p.exception).__name__, str(p.exception))
-        else:
-            results[rank] = p.result
-
-    rml = cluster.dvm.rml
-    dead = cluster.faults.dead_procs
-    counters = {
-        "rml.messages_sent": rml.messages_sent,
-        "rml.bytes_sent": rml.bytes_sent,
-        "rml.dropped": getattr(rml, "dropped", 0),
-        "rml.retransmits": rml.retransmits,
-        "rml.acks_sent": rml.acks_sent,
-        "rml.dup_suppressed": rml.dup_suppressed,
-        "rml.retry_exhausted": rml.retry_exhausted,
-        "pml.packets": world.fabric.packets,
-        "pml.bytes": world.fabric.bytes,
-        "dvm.fence_retries": cluster.dvm.fence_retries,
-        "dvm.pgcids_allocated": cluster.dvm.pgcids_allocated,
-        "dvm.heals": sum(d.heals for d in cluster.dvm.daemons),
-        "dvm.grpcomm_restarts": sum(d.grpcomm.restarts
-                                    for d in cluster.dvm.daemons),
-        "recovery_stats": dict(cluster.recovery_stats),
-        "faults_stats": dict(cluster.faults.stats),
-    }
+    res = harvest(state.world, state.procs, state.local, setup.metrics_on)
     metrics_dump = None
     if setup.metrics_on:
-        m = cluster.metrics
+        m = res.metrics
         metrics_dump = (
             dict(m.counters), dict(m.gauges),
             {k: (h.values, h._count, h._total, h._min, h._max)
@@ -216,15 +183,14 @@ def result_blob(state: WorkerState, setup: WorkerSetup) -> Dict[str, Any]:
         )
     return {
         "pid": state.ctx.pid,
-        "now": engine.now,
-        "events": engine.events_executed,
-        "live": sorted(getattr(p, "name", "?") for p in engine._live),
-        "results": results,
-        "failures": failures,
-        "dead_ranks": sorted(r for r in range(world.num_ranks)
-                             if world.job.proc(r) in dead),
+        "now": res.t_end,
+        "events": res.events,
+        "live": sorted(getattr(p, "name", "?") for p in state.engine._live),
+        "results": res.results,
+        "failures": res.failures,
+        "dead_ranks": res.dead_ranks,
         "shipped": state.boundary.shipped,
-        "counters": counters,
+        "counters": res.counters,
         "tracer": sanitize_tracer(state.tracer) if state.tracer else None,
         "metrics": metrics_dump,
     }

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.api import MpiWorld, SimSpec, make_world
+from repro.api import MpiWorld, SimSpec, run_world
 from repro.machine.presets import jupiter, laptop, trinity
-from repro.obs.metrics import MetricsRegistry, snapshot_cluster
+from repro.obs.metrics import MetricsRegistry
 from repro.ompi.config import MpiConfig
 from repro.simtime.trace import Tracer
 
@@ -39,81 +39,6 @@ class ObsRun:
     @property
     def cluster(self):
         return self.world.cluster
-
-
-def _execute(
-    name: str,
-    main: Callable,
-    *,
-    nodes: int,
-    ppn: int,
-    config: MpiConfig,
-    machine: str = "jupiter",
-    plan=None,
-    tolerate_errors: bool = False,
-    engine_compat: bool = False,
-    partitions: int = 1,
-) -> ObsRun:
-    if partitions > 1:
-        return _execute_partitioned(
-            name, main, nodes=nodes, ppn=ppn, config=config, machine=machine,
-            plan=plan, tolerate_errors=tolerate_errors,
-            engine_compat=engine_compat, partitions=partitions)
-    tracer = Tracer()
-    world = make_world(spec=SimSpec(
-        nprocs=nodes * ppn,
-        machine=MACHINES[machine](nodes),
-        ppn=ppn,
-        config=config,
-        tracer=tracer,
-        engine_compat=engine_compat,
-    ))
-    world.cluster.metrics.enabled = True
-    if plan is not None:
-        world.cluster.install_faults(plan)
-    procs = world.spawn_ranks(main)
-    t_end = world.run()
-    if not tolerate_errors:
-        for p in procs:
-            if p.exception is not None:
-                raise p.exception
-    snapshot_cluster(world.cluster.metrics, world.cluster, world)
-    return ObsRun(name=name, world=world, tracer=tracer,
-                  metrics=world.cluster.metrics, t_end=t_end)
-
-
-def _execute_partitioned(
-    name: str,
-    main: Callable,
-    *,
-    nodes: int,
-    ppn: int,
-    config: MpiConfig,
-    machine: str,
-    plan,
-    tolerate_errors: bool,
-    engine_compat: bool,
-    partitions: int,
-) -> ObsRun:
-    from repro import dsim
-
-    if engine_compat:
-        raise dsim.PartitionError(
-            "engine_compat runs on the reference scheduler, which has no "
-            "window-bounded execution; use partitions=1")
-    spec = SimSpec(
-        nprocs=nodes * ppn,
-        machine=MACHINES[machine](nodes),
-        ppn=ppn,
-        config=config,
-        partitions=partitions,
-    )
-    res = dsim.run_partitioned(spec, main, plan=plan, traced=True,
-                               metrics_on=True)
-    if not tolerate_errors:
-        res.raise_first_failure()
-    return ObsRun(name=name, world=None, tracer=res.tracer,
-                  metrics=res.metrics, t_end=res.t_end)
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +164,21 @@ def run_scenario(
             f"unknown scenario {name!r} (have: {', '.join(scenario_names())})"
         ) from None
     plan_factory: Optional[Callable] = spec.get("plan")
-    return _execute(
-        name,
+    tracer = Tracer()
+    res = run_world(
+        SimSpec(
+            nprocs=nodes * ppn,
+            machine=MACHINES[machine](nodes),
+            ppn=ppn,
+            config=spec["config"](),
+            tracer=tracer,
+            engine_compat=engine_compat,
+            partitions=partitions,
+        ),
         spec["main"],
-        nodes=nodes,
-        ppn=ppn,
-        machine=machine,
-        config=spec["config"](),
         plan=plan_factory() if plan_factory is not None else None,
-        tolerate_errors=spec.get("tolerate_errors", False),
-        engine_compat=engine_compat,
-        partitions=partitions,
-    )
+        metrics_on=True)
+    if not spec.get("tolerate_errors", False):
+        res.raise_first_failure()
+    return ObsRun(name=name, world=res.world, tracer=tracer,
+                  metrics=res.metrics, t_end=res.t_end)

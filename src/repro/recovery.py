@@ -23,7 +23,7 @@ import json
 import random
 from typing import Any, Dict, Optional
 
-from repro.api import SimSpec, make_world
+from repro.api import SimSpec, run_world
 from repro.faults import FaultPlan, random_plan
 from repro.machine.presets import laptop
 from repro.ompi.constants import SUM
@@ -155,148 +155,36 @@ def soak_run(
     (``repro.dsim``); this requires ``partition_safe=True`` (the default
     plan's message-count triggers are rejected) and produces a record —
     digest included — identical to the ``partitions=1`` run of the same
-    arguments."""
-    if partitions > 1:
-        return _soak_run_partitioned(
-            seed, num_nodes=num_nodes, num_ranks=num_ranks,
-            with_node_kill=with_node_kill, lossy=lossy, config=config,
-            tracer=tracer, return_world=return_world,
-            engine_compat=engine_compat, partitions=partitions,
-            partition_safe=partition_safe)
-    world = make_world(spec=SimSpec(
-        nprocs=num_ranks,
-        machine=laptop(num_nodes=num_nodes),
-        ppn=max(1, num_ranks // num_nodes),
-        config=config,
-        tracer=tracer,
-        recovery=True,
-        recovery_seed=seed,
-        engine_compat=engine_compat,
-    ))
-    cluster = world.cluster
-    plan = soak_plan(seed, num_ranks=num_ranks, num_nodes=num_nodes,
-                     with_node_kill=with_node_kill, lossy=lossy,
-                     partition_safe=partition_safe)
-    cluster.faults.install(plan)
+    arguments; the returned world is then ``None`` (each worker owned a
+    replica)."""
+    res = run_world(
+        SimSpec(
+            nprocs=num_ranks,
+            machine=laptop(num_nodes=num_nodes),
+            ppn=max(1, num_ranks // num_nodes),
+            config=config,
+            tracer=tracer,
+            recovery=True,
+            recovery_seed=seed,
+            engine_compat=engine_compat,
+            partitions=partitions,
+        ),
+        _soak_main, args=(T_SAFE,),
+        plan=soak_plan(seed, num_ranks=num_ranks, num_nodes=num_nodes,
+                       with_node_kill=with_node_kill, lossy=lossy,
+                       partition_safe=partition_safe))
+    bounded = res.t_end < SIM_BOUND
+    expected_size = num_ranks - len(res.dead_ranks)
 
-    procs = world.spawn_ranks(_soak_main, args=(T_SAFE,))
-    world.run()
-    t_end = cluster.now
-    bounded = t_end < SIM_BOUND
-
-    dead = cluster.faults.dead_procs
-    dead_ranks = sorted(r for r in range(num_ranks)
-                        if world.job.proc(r) in dead)
-    expected_size = num_ranks - len(dead_ranks)
-
-    errors = []
-    results = []
-    for rank, p in enumerate(procs):
-        if world.job.proc(rank) in dead:
-            continue
-        if p.exception is not None:
-            errors.append(f"rank {rank}: {type(p.exception).__name__}: {p.exception}")
-        else:
-            results.append(p.result)
-
-    sizes = sorted({r["shrunk_size"] for r in results})
-    fresh_cids = all(r["shrunk_cid"] != r["world_cid"] for r in results)
-    ok = (
-        bounded
-        and not errors
-        and len(results) == expected_size
-        and all(r["ok"] for r in results)
-        and sizes == [expected_size]
-        and fresh_cids
-    )
-
-    rml = cluster.dvm.rml
-    record = {
-        "seed": seed,
-        "ok": ok,
-        "bounded": bounded,
-        "t_end": t_end,
-        "dead_ranks": dead_ranks,
-        "survivors": len(results),
-        "shrunk_sizes": sizes,
-        "fresh_cids": fresh_cids,
-        "errors": errors,
-        "fence_retries": cluster.dvm.fence_retries,
-        "retransmits": rml.retransmits,
-        "dup_suppressed": rml.dup_suppressed,
-        "retry_exhausted": rml.retry_exhausted,
-        "reparents": sum(d.heals for d in cluster.dvm.daemons),
-        "grpcomm_restarts": sum(d.grpcomm.restarts for d in cluster.dvm.daemons),
-        "revokes": cluster.recovery_stats.get("revoke", 0),
-        "agrees": cluster.recovery_stats.get("agree", 0),
-        "shrinks": cluster.recovery_stats.get("shrink", 0),
-        "events": cluster.engine.events_executed,
-    }
-    record["digest"] = digest(record)
-    if return_world:
-        return record, world
-    return record
-
-
-def _soak_run_partitioned(
-    seed: int,
-    *,
-    num_nodes: int,
-    num_ranks: int,
-    with_node_kill: bool,
-    lossy: bool,
-    config,
-    tracer,
-    return_world: bool,
-    engine_compat: bool,
-    partitions: int,
-    partition_safe: bool,
-) -> Dict[str, Any]:
-    from repro import dsim
-
-    if return_world:
-        raise dsim.PartitionError(
-            "return_world is meaningless for a partitioned soak: each "
-            "worker process owns its own world replica")
-    if tracer is not None:
-        raise dsim.PartitionError(
-            "pass no tracer to a partitioned soak (repro.dsim builds "
-            "per-worker tracers)")
-    if engine_compat:
-        raise dsim.PartitionError(
-            "engine_compat runs on the reference scheduler, which has no "
-            "window-bounded execution; use partitions=1")
-    plan = soak_plan(seed, num_ranks=num_ranks, num_nodes=num_nodes,
-                     with_node_kill=with_node_kill, lossy=lossy,
-                     partition_safe=partition_safe)
-    spec = SimSpec(
-        nprocs=num_ranks,
-        machine=laptop(num_nodes=num_nodes),
-        ppn=max(1, num_ranks // num_nodes),
-        config=config,
-        recovery=True,
-        recovery_seed=seed,
-        partitions=partitions,
-    )
-    res = dsim.run_partitioned(spec, _soak_main, args=(T_SAFE,), plan=plan)
-
-    t_end = res.t_end
-    bounded = t_end < SIM_BOUND
-    dead_ranks = res.dead_ranks
-    dead_set = set(dead_ranks)
-    expected_size = num_ranks - len(dead_ranks)
-
-    # Mirror the serial record construction exactly (rank order, dead
-    # ranks skipped, identical error strings) so digests compare equal.
     errors = []
     results = []
     for rank in range(num_ranks):
-        if rank in dead_set:
+        if rank in res.dead_ranks:
             continue
         if rank in res.failures:
             tname, msg = res.failures[rank]
             errors.append(f"rank {rank}: {tname}: {msg}")
-        elif rank in res.results:
+        else:
             results.append(res.results[rank])
 
     sizes = sorted({r["shrunk_size"] for r in results})
@@ -315,8 +203,8 @@ def _soak_run_partitioned(
         "seed": seed,
         "ok": ok,
         "bounded": bounded,
-        "t_end": t_end,
-        "dead_ranks": dead_ranks,
+        "t_end": res.t_end,
+        "dead_ranks": res.dead_ranks,
         "survivors": len(results),
         "shrunk_sizes": sizes,
         "fresh_cids": fresh_cids,
@@ -333,6 +221,8 @@ def _soak_run_partitioned(
         "events": res.events,
     }
     record["digest"] = digest(record)
+    if return_world:
+        return record, res.world
     return record
 
 

@@ -33,14 +33,13 @@ importers (fork start method) or live in an importable module
 
 from __future__ import annotations
 
-import dataclasses
 import difflib
 import json
 import os
 import time
 from typing import Any, Callable, Dict, List
 
-from repro.api import SimSpec, make_world
+from repro.api import SimSpec, run_world
 from repro.ompi.constants import SUM
 
 ScenarioFn = Callable[..., Any]
@@ -118,18 +117,11 @@ def _run_simspec(spec: Any, program: str, seed: int, tracer: Any) -> Dict[str, A
     if program not in PROGRAMS:
         raise KeyError(f"unknown program {program!r}; "
                        f"have: {', '.join(sorted(PROGRAMS))}")
-    if sp.partitions > 1:
-        results, t_end = _run_simspec_partitioned(sp, program, seed, tracer)
-    else:
-        if tracer is not None:
-            sp = dataclasses.replace(sp, tracer=tracer)
-        world = make_world(spec=sp)
-        procs = world.spawn_ranks(PROGRAMS[program], args=(seed,))
-        t_end = world.run()
-        for p in procs:
-            if p.exception is not None:
-                raise p.exception
-        results = [p.result for p in procs]
+    if tracer is not None:
+        sp = sp.replace(tracer=tracer)
+    res = run_world(sp, PROGRAMS[program], args=(seed,))
+    res.raise_first_failure()
+    results, t_end = res.result_list(sp.nprocs), res.t_end
     import hashlib     # kept off the import path of a plain simulation
 
     blob = json.dumps({"results": results, "t_end": t_end},
@@ -142,23 +134,6 @@ def _run_simspec(spec: Any, program: str, seed: int, tracer: Any) -> Dict[str, A
         "t_end": t_end,
         "digest": hashlib.sha256(blob.encode()).hexdigest(),
     }
-
-
-def _run_simspec_partitioned(sp: SimSpec, program: str, seed: int, tracer: Any):
-    """Partitioned execution of the ``sim`` scenario (``repro.dsim``).
-
-    The record — digest included — is byte-identical to the
-    single-process run of the same payload; with a caller tracer, the
-    merged per-partition trace is transplanted into it."""
-    from repro import dsim
-    from repro.dsim.merge import adopt_tracer
-
-    res = dsim.run_partitioned(sp, PROGRAMS[program], args=(seed,),
-                               traced=tracer is not None)
-    res.raise_first_failure()
-    if tracer is not None:
-        adopt_tracer(tracer, res.tracer)
-    return res.result_list(sp.nprocs), res.t_end
 
 
 def run_simspec_traced(spec: Any = None, program: str = "allreduce",

@@ -12,6 +12,9 @@ import pytest
 
 from repro.dsim import PartitionError
 from repro.recovery import soak_plan, soak_run
+from repro.simtime.trace import Tracer
+
+from .conftest import trace_bytes
 
 pytestmark = [pytest.mark.dsim, pytest.mark.recovery]
 
@@ -29,6 +32,19 @@ def test_soak_digest_parity_matrix(seed, partitions):
     serial = soak_run(seed, partition_safe=True)
     part = soak_run(seed, partitions=partitions, partition_safe=True)
     assert part == serial
+
+
+def test_traced_soak_parity_p2_seed0():
+    # A caller tracer is accepted under partitions (the rule osu_init and
+    # the sim scenario follow): the merged per-worker trace is adopted
+    # into it, and tracing observes without steering.
+    plain = soak_run(0, partition_safe=True)
+    serial_tracer, part_tracer = Tracer(), Tracer()
+    serial = soak_run(0, partition_safe=True, tracer=serial_tracer)
+    part = soak_run(0, partitions=2, partition_safe=True, tracer=part_tracer)
+    assert serial == plain and part == plain
+    assert serial_tracer.spans and part_tracer.spans
+    assert trace_bytes(part_tracer) == trace_bytes(serial_tracer)
 
 
 def test_default_plan_is_rejected():

@@ -73,6 +73,24 @@ def test_engine_compat_rejected():
                      engine_compat=True)
 
 
+def test_engine_compat_rejected_by_run_partitioned():
+    # The refusal lives in run_partitioned itself, next to the tracer
+    # check, so no caller can forget it.
+    spec = SimSpec(nprocs=4, machine=laptop(num_nodes=2), ppn=2,
+                   partitions=2, engine_compat=True)
+    with pytest.raises(PartitionError, match="reference scheduler"):
+        dsim.run_partitioned(spec, _noop)
+
+
+def test_engine_compat_rejected_through_serve_sim_scenario():
+    from repro.serve import run_simspec
+
+    spec = SimSpec(nprocs=4, machine=laptop(num_nodes=2), ppn=2,
+                   partitions=2, engine_compat=True)
+    with pytest.raises(PartitionError, match="reference scheduler"):
+        run_simspec(spec.to_payload())
+
+
 def test_partition_map_is_contiguous_by_node():
     pmap = PartitionMap(3, 8)
     owners = [pmap.node_partition(n) for n in range(8)]

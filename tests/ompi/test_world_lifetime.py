@@ -39,6 +39,27 @@ def test_a_dropped_world_is_freed_without_the_collector_128_to_512(job):
     )
 
 
+def test_a_dropped_run_result_is_freed_without_the_collector(monkeypatch):
+    """``repro.api.run_world`` hands back a ``RunResult`` that holds its
+    world (and any rank's exception); it must add no cycle of its own,
+    so dropping the result — what ``run_mpi`` does — frees the world."""
+    from repro.api import SimSpec, run_mpi
+    from repro.machine.presets import jupiter
+    from tests import _objcount
+
+    def run(job, nodes, probe):
+        main, config = JOBS[job]
+        run_mpi(SimSpec(nprocs=nodes * _objcount.PPN, machine=jupiter(nodes),
+                        ppn=_objcount.PPN, config=config()),
+                main, args=(probe,))
+
+    monkeypatch.setattr(_objcount, "_run", run)
+    small, large = survivors("sessions", 8), survivors("sessions", 32)
+    extra = large - small
+    assert sum(extra.values()) <= LIMIT * (32 - 8) * _objcount.PPN, (
+        f"objects outliving a dropped RunResult grow with the world: {extra}")
+
+
 def test_a_pmix_call_on_a_retired_namespace_names_the_dropped_job():
     """Holding ``job.clients`` does not hold the ``Job``: once it is
     dropped its namespace is retired, and the first PMIx call of any of
