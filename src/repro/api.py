@@ -26,7 +26,7 @@ layout, MPI config, recovery and engine knobs — shared by
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster import Cluster
@@ -82,28 +82,25 @@ class SimSpec:
     def to_payload(self) -> Dict[str, Any]:
         """JSON-serializable dict; inverse of :meth:`from_payload`.
 
-        This is the ``repro.serve`` request format and is stable under
-        canonical JSON dumping, so ``repro.sweep.cache_key`` over it is
-        a valid cache identity.  A live ``tracer`` cannot cross a
-        process boundary and is rejected.
+        This is the ``repro.serve`` request format.  Only fields that
+        differ from their default are written — here and inside
+        ``machine``/``config`` — since :meth:`from_payload` fills the
+        rest back in; equal specs therefore give byte-equal canonical
+        JSON, so ``repro.sweep.cache_key`` over it is a valid cache
+        identity.  A live ``tracer`` cannot cross a process boundary and
+        is rejected.
         """
         if self.tracer is not None:
             raise ValueError("SimSpec.tracer is not wire-serializable; "
                              "attach tracers on the receiving side")
-        return {
-            "nprocs": self.nprocs,
-            "machine": asdict(self.machine) if self.machine is not None else None,
-            "ppn": self.ppn,
-            "config": asdict(self.config) if self.config is not None else None,
-            "psets": ({name: list(ranks) for name, ranks in self.psets.items()}
-                      if self.psets is not None else None),
-            "grpcomm_mode": self.grpcomm_mode,
-            "grpcomm_radix": self.grpcomm_radix,
-            "recovery": self.recovery,
-            "recovery_seed": self.recovery_seed,
-            "engine_compat": self.engine_compat,
-            "partitions": self.partitions,
-        }
+        payload = _changed_fields(self)
+        for name in ("machine", "config"):
+            if name in payload:
+                payload[name] = _changed_fields(payload[name])
+        if "psets" in payload:
+            payload["psets"] = {name: list(ranks)
+                                for name, ranks in self.psets.items()}
+        return payload
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "SimSpec":
@@ -120,6 +117,14 @@ class SimSpec:
             raise ValueError("SimSpec payloads cannot carry a tracer")
         kw.pop("tracer", None)
         return cls(**kw)
+
+
+def _changed_fields(obj: Any) -> Dict[str, Any]:
+    """The dataclass fields of ``obj`` whose value differs from the
+    field's default; a field without a plain default (required, or a
+    ``default_factory``) is always included."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)
+            if f.default is MISSING or getattr(obj, f.name) != f.default}
 
 
 @dataclass

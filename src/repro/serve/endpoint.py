@@ -4,8 +4,9 @@
 :class:`~repro.serve.router.FleetRouter` have in common: bind a TCP or
 unix-domain :class:`~repro.serve.protocol.ServeAddress`, read one
 request object per line, answer each through the owner's
-``_dispatch(msg)`` (pipelined — a slow request never blocks the lines
-behind it), echo the request ``id``, and stop in an order that leaves
+``_dispatch(msg)`` (in place when it returns the response, else from a
+task: a slow request never blocks the lines behind it), echo the
+request ``id``, refuse over-long lines, and stop in an order that leaves
 no client waiting on a reply nobody will write.  What a request *means*
 and what is torn down (a worker pool, shard connections) stays theirs.
 
@@ -19,10 +20,13 @@ from __future__ import annotations
 import asyncio
 import os
 import threading
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Union
 
 from repro.serve import protocol
 from repro.serve.pool import release_listener, share_listener
+
+#: What an owner answers a request with: the response, or its awaitable.
+Reply = Union[Dict[str, Any], Awaitable[Dict[str, Any]]]
 
 
 class Endpoint:
@@ -50,8 +54,8 @@ class Endpoint:
         return self.address.port
 
     # -- what an owner supplies ----------------------------------------------
-    async def _dispatch(self, msg: Dict[str, Any]) -> Dict[str, Any]:
-        """The response object for one decoded request."""
+    def _dispatch(self, msg: Dict[str, Any]) -> Reply:
+        """The response object for one decoded request, or its awaitable."""
         raise NotImplementedError
 
     async def _answer_admitted(self) -> None:
@@ -70,11 +74,12 @@ class Endpoint:
             except OSError:
                 pass
             self._server = await asyncio.start_unix_server(
-                self._handle_conn, path=self.address.path)
+                self._handle_conn, path=self.address.path,
+                limit=protocol.MAX_LINE)
         else:
             self._server = await asyncio.start_server(
                 self._handle_conn, host=self.address.host,
-                port=self.address.port)
+                port=self.address.port, limit=protocol.MAX_LINE)
             port = self._server.sockets[0].getsockname()[1]
             self.address = self.address.with_port(port)
         # Forked workers must close their inherited copy of the listen
@@ -126,17 +131,32 @@ class Endpoint:
             me.add_done_callback(self._conn_tasks.discard)
         lock = asyncio.Lock()
         tasks: set = set()
+        high = writer.transport.get_write_buffer_limits()[1]
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as err:
+                    line = err.partial      # EOF: b"", or an unterminated last line
+                except asyncio.LimitOverrunError:
+                    # Over MAX_LINE: refused unparsed (no id), so the
+                    # client never resubmits it; then hang up.
+                    self._reply(writer, {}, {
+                        "status": protocol.STATUS_ERROR,
+                        "error": f"request line exceeds {protocol.MAX_LINE} bytes"})
+                    await self._skip_line(reader)
+                    break
                 if not line:
                     break
                 if not line.strip():
                     continue
-                task = asyncio.ensure_future(
-                    self._serve_line(line, writer, lock))
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
+                later = self._serve_line(line, writer, lock)
+                if later is not None:
+                    task = asyncio.ensure_future(later)
+                    tasks.add(task)
+                    task.add_done_callback(tasks.discard)
+                elif writer.transport.get_write_buffer_size() > high:
+                    await self._drain(writer, lock)
         except asyncio.CancelledError:
             # Cancelled by stop(): finish cleanly rather than letting
             # the cancellation propagate — the streams machinery's
@@ -155,31 +175,59 @@ class Endpoint:
             except (ConnectionError, OSError):
                 pass
 
-    async def _serve_line(self, line: bytes, writer: asyncio.StreamWriter,
-                          lock: asyncio.Lock) -> None:
+    @staticmethod
+    async def _skip_line(reader: asyncio.StreamReader) -> None:
+        """Drop the rest of an over-long line: closing on unread input
+        resets the connection, which can destroy the refusal unread."""
+        while True:
+            try:
+                await reader.readuntil(b"\n")
+                return
+            except asyncio.LimitOverrunError as err:
+                await reader.readexactly(err.consumed)  # already buffered
+            except asyncio.IncompleteReadError:
+                return                                  # EOF
+
+    def _serve_line(self, line: bytes, writer: asyncio.StreamWriter,
+                    lock: asyncio.Lock) -> Optional[Awaitable[None]]:
+        """Write the reply to ``line`` now if it is known at once (a cache
+        hit, a malformed line); else return the coroutine that will."""
         try:
             msg = protocol.decode(line)
         except protocol.ProtocolError as err:
-            await self._send(writer, lock, {"status": protocol.STATUS_ERROR,
-                                            "error": str(err)})
-            return
-        response = await self._dispatch(msg)
-        if "id" in msg:
-            response["id"] = msg["id"]
-        await self._send(writer, lock, response)
+            msg, response = {}, {"status": protocol.STATUS_ERROR,
+                                 "error": str(err)}
+        else:
+            response = self._dispatch(msg)
+            if not isinstance(response, dict):
+                return self._reply_later(response, msg, writer, lock)
+        self._reply(writer, msg, response)
+        return None
+
+    async def _reply_later(self, pending: Awaitable[Dict[str, Any]],
+                           msg: Dict[str, Any], writer: asyncio.StreamWriter,
+                           lock: asyncio.Lock) -> None:
+        self._reply(writer, msg, await pending)
+        await self._drain(writer, lock)
 
     @staticmethod
-    async def _send(writer: asyncio.StreamWriter, lock: asyncio.Lock,
-                    obj: Dict[str, Any]) -> None:
+    def _reply(writer: asyncio.StreamWriter, msg: Dict[str, Any],
+               response: Dict[str, Any]) -> None:
+        """Write ``response`` as one line, echoing ``msg``'s ``id``."""
+        if "id" in msg:
+            response["id"] = msg["id"]
         try:
-            data = protocol.encode(obj)
+            data = protocol.encode(response)
         except (TypeError, ValueError) as err:
             data = protocol.encode({"status": protocol.STATUS_ERROR,
-                                    "id": obj.get("id"),
+                                    "id": response.get("id"),
                                     "error": f"unserializable result: {err}"})
-        async with lock:
+        writer.write(data)
+
+    @staticmethod
+    async def _drain(writer: asyncio.StreamWriter, lock: asyncio.Lock) -> None:
+        async with lock:        # one drain at a time per connection
             try:
-                writer.write(data)
                 await writer.drain()
             except (ConnectionError, OSError):
                 pass            # client went away; the work still completed

@@ -51,6 +51,9 @@ STATUS_ERROR = "error"           # scenario raised, worker retries exhausted,
 
 OPS = ("submit", "stats", "health", "metrics", "drain", "resize", "shutdown")
 
+#: Longest request line an endpoint reads; a longer one is refused.
+MAX_LINE = 2 ** 16
+
 #: Fleet roles an address may advertise (purely descriptive).
 ROLES = ("server", "router", "shard")
 

@@ -228,8 +228,8 @@ class FleetRouter(Endpoint):
                 self.routed[sid] += 1
                 self.metrics.inc("serve.fleet.routed", shard=str(sid))
                 response = dict(response)
-                # The shard echoed the *router's* request id; _serve_line
-                # restores the client's own id (or none at all).
+                # The shard echoed the *router's* request id; the
+                # endpoint restores the client's own id (or none at all).
                 response.pop("id", None)
                 response["shard"] = sid
                 response["forwarded"] = True

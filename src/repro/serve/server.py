@@ -53,7 +53,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.prom import prometheus_text
 from repro.obs.store import RunLedger
 from repro.serve import protocol
-from repro.serve.endpoint import Endpoint, LoopThread
+from repro.serve.endpoint import Endpoint, LoopThread, Reply
 from repro.serve.pool import Worker, WorkerDied
 from repro.serve.registry import scenario_names, traceable
 from repro.sweep import SweepCache, cache_key
@@ -459,14 +459,16 @@ class SimServer(Endpoint):
             self.stats.max_queue_depth = depth
 
     # -- ops -----------------------------------------------------------------
-    async def _dispatch(self, msg: Dict[str, Any]) -> Dict[str, Any]:
+    def _dispatch(self, msg: Dict[str, Any]) -> Reply:
+        # Runs in the read loop: only a submit that must wait, and a
+        # drain, return a coroutine (and get a task).
         bad_version = protocol.check_version(msg)
         if bad_version is not None:
             self.metrics.inc("serve.requests", status="error")
             return dict(bad_version)
         op = msg.get("op")
         if op == "submit":
-            return await self._op_submit(msg)
+            return self._op_submit(msg)
         if op == "stats":
             return {"status": protocol.STATUS_OK, "stats": self.snapshot()}
         if op == "health":
@@ -475,9 +477,7 @@ class SimServer(Endpoint):
             return {"status": protocol.STATUS_OK,
                     "prometheus": prometheus_text(self.metrics)}
         if op == "drain":
-            await self.drain()
-            return {"status": protocol.STATUS_OK, "drained": True,
-                    "stats": self.snapshot()}
+            return self._op_drain()
         if op == "resize":
             try:
                 workers = int(msg["workers"])
@@ -493,13 +493,14 @@ class SimServer(Endpoint):
         return {"status": protocol.STATUS_ERROR,
                 "error": f"unknown op {op!r}; have: {', '.join(protocol.OPS)}"}
 
-    async def _op_submit(self, msg: Dict[str, Any]) -> Dict[str, Any]:
-        """validate -> trace id -> probe -> coalesce -> admit -> await;
+    def _op_submit(self, msg: Dict[str, Any]) -> Reply:
+        """validate -> trace id -> probe -> coalesce -> admit, returning
+        the response — or, once coalesced or admitted, :meth:`_settle`;
         every answered request leaves through :meth:`_finish`."""
         loop = asyncio.get_running_loop()
         t0 = loop.time()
         scenario = msg.get("scenario")
-        params = msg.get("params") or {}
+        params = {} if msg.get("params") is None else msg["params"]
         deadline_s = msg.get("deadline_s")
         self.stats.submitted += 1
         if scenario not in scenario_names():
@@ -560,9 +561,7 @@ class SimServer(Endpoint):
             if self.events is not None:
                 self.events.emit("serve.request.coalesced", trace=trace,
                                  scenario=scenario, digest=key)
-            response = dict(await leader)
-            response["coalesced"] = True
-            return self._finish(response, t0, scenario, key, trace, sid)
+            return self._settle(leader, t0, scenario, key, trace, sid)
 
         reason = None
         if self._draining or self._stopping:
@@ -595,12 +594,19 @@ class SimServer(Endpoint):
         if self.events is not None:
             self.events.emit("serve.request.admitted", trace=trace,
                              scenario=scenario, depth=self._queue.qsize())
+        return self._settle(req.future, t0, scenario, key, trace, sid, req)
 
+    async def _settle(self, future: asyncio.Future, t0: float, scenario: str,
+                      key: Optional[str], trace: str, sid: Optional[int],
+                      req: Optional[_Request] = None) -> Dict[str, Any]:
+        """Await admitted ``req``'s future, or (no ``req``) the leader's."""
         try:
-            response = dict(await req.future)
+            response = dict(await future)
         finally:
-            if key is not None and self._singleflight.get(key) is req.future:
+            if req is not None and self._singleflight.get(key) is future:
                 del self._singleflight[key]
+        if req is None:
+            response["coalesced"] = True
         return self._finish(response, t0, scenario, key, trace, sid, req)
 
     def _bad_request(self, error: str,
@@ -699,6 +705,11 @@ class SimServer(Endpoint):
             "uptime_s": loop.time() - self.stats.started,
             "scenarios": scenario_names(),
         }
+
+    async def _op_drain(self) -> Dict[str, Any]:
+        await self.drain()
+        return {"status": protocol.STATUS_OK, "drained": True,
+                "stats": self.snapshot()}
 
     # -- reporting -----------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:

@@ -206,6 +206,27 @@ def test_malformed_deadline_is_refused_at_admission(bad):
     assert 'serve_requests{status="error"} 1' in metrics
 
 
+@pytest.mark.parametrize("tag_bytes", [100_000, 8_000_000])
+def test_oversize_request_line_is_refused_not_dropped(tag_bytes, caplog):
+    """A line over the endpoint's read limit is answered ``error`` — not
+    dropped with an unhandled exception for the client to resubmit into
+    — and the server keeps serving.  8 MB outgrows the socket buffers:
+    unless the server reads the rest of the line before it hangs up, the
+    client's send is reset and the refusal is lost."""
+    with ServerThread(workers=1, capacity=4) as srv:
+        with ServeClient(srv.address, timeout=20.0) as client:
+            refused = client.submit("sleep", {"seconds": 0.0,
+                                              "tag": "x" * tag_bytes})
+            resubmits = client.resubmits
+        with ServeClient(srv.address, timeout=20.0) as client:
+            ok_after = client.submit("sleep", {"seconds": 0.01})
+    assert refused == {"status": "error", "error":
+                       f"request line exceeds {protocol.MAX_LINE} bytes"}
+    assert resubmits == 0
+    assert ok_after["status"] == "ok"
+    assert "Unhandled exception" not in caplog.text
+
+
 def _stop_with_work_in_flight(stop, host=None):
     """One worker; one ``sleep`` running and one queued; then ``stop``
     the server 0.3 s in.  Returns (seconds the stop took, the replies)."""
