@@ -149,17 +149,16 @@ class MpiWorld:
         start only the ranks their partition owns); the returned list
         then covers exactly those ranks, in the given order.
         """
-        from repro.simtime.trace import track_for_proc
-
         procs = []
+        tracing = self.cluster.tracer.enabled
         selected = range(len(self.runtimes)) if ranks is None else ranks
         for rank in selected:
             rt = self.runtimes[rank]
             gen = main(rt, *args)
             sim = self.cluster.spawn(
-                gen, name=f"rank{rank}", track=track_for_proc(self.job.proc(rank))
+                gen, name=f"rank{rank}", track=rt.obs_track if tracing else None
             )
-            self.cluster.faults.register_rank_proc(self.job.proc(rank), sim)
+            self.cluster.faults.register_rank_proc(rt.proc, sim)
             procs.append(sim)
         for p in procs:
             p.defuse()

@@ -19,7 +19,7 @@ from repro.prrte.launch import Job, JobSpec, Launcher
 from repro.prrte.psets import PsetRegistry
 from repro.simtime.engine import Engine
 from repro.simtime.process import SimProcess
-from repro.simtime.trace import NullTracer, Tracer
+from repro.simtime.trace import NULL_TRACER, Tracer
 
 
 class Cluster:
@@ -40,7 +40,7 @@ class Cluster:
         # reference trampoline (docs/performance.md) — used by the
         # golden-trace equivalence tests and as the bench baseline.
         self.engine = Engine(compat=engine_compat)
-        self.tracer = tracer or NullTracer()
+        self.tracer = tracer or NULL_TRACER
         # Observability (docs/observability.md): every layer reaches the
         # tracer through the engine it already holds; metrics stay
         # disabled until a caller flips ``metrics.enabled`` (snapshot
@@ -149,9 +149,6 @@ class Cluster:
     def run(self, until: Optional[float] = None) -> float:
         """Drive the simulation until quiescent (or ``until``)."""
         return self.engine.run(until=until)
-
-    def trace(self, category: str, event: str, **detail) -> None:
-        self.tracer.emit(self.engine.now, category, event, **detail)
 
     def fail_process(self, job: Job, rank: int, sim_proc: Optional[SimProcess] = None) -> None:
         """Inject a process failure (fault-tolerance demos, §II-C).

@@ -109,7 +109,7 @@ class FaultManager:
             raise RuntimeError("a FaultPlan is already installed on this cluster")
         self.plan = plan
         self.active = True
-        if self.dsim is None or self.dsim.pid == 0:
+        if self.engine.tracer.enabled and (self.dsim is None or self.dsim.pid == 0):
             self.trace("plan_installed", plan=plan.describe())
         for act in plan.timed_kills():
             when = max(self.engine.now, act.at_time)
@@ -181,16 +181,17 @@ class FaultManager:
             # Kill kinds are counted by kill_rank/kill_node themselves.
             if kind not in ("kill_proc", "kill_node"):
                 self.stats[kind] += 1
-        self.trace(
-            "msg_fault", layer=layer, src=str(src), dst=str(dst),
-            tag=str(tag), matched=tuple(disp.matched), flow=fid,
-        )
-        # One event per message-fault kind, so each injected action is
-        # individually visible in the timeline next to its flow arrow.
-        for kind in disp.matched:
-            if kind in ("drop_msg", "delay_msg", "dup_msg"):
-                self.trace(kind, layer=layer, src=str(src), dst=str(dst),
-                           tag=str(tag), flow=fid)
+        if self.engine.tracer.enabled:
+            self.trace(
+                "msg_fault", layer=layer, src=str(src), dst=str(dst),
+                tag=str(tag), matched=tuple(disp.matched), flow=fid,
+            )
+            # One event per message-fault kind, so each injected action is
+            # individually visible in the timeline next to its flow arrow.
+            for kind in disp.matched:
+                if kind in ("drop_msg", "delay_msg", "dup_msg"):
+                    self.trace(kind, layer=layer, src=str(src), dst=str(dst),
+                               tag=str(tag), flow=fid)
         for act in disp.kills:
             self._execute(act)
         return disp
@@ -198,14 +199,16 @@ class FaultManager:
     def dead_drop(self, layer: str, src, dst, fid: int = 0) -> None:
         """Account for a message silently dropped at a dead endpoint."""
         self.stats["dead_drop"] += 1
-        self.trace("dead_drop", layer=layer, src=str(src), dst=str(dst),
-                   flow=fid)
+        if self.engine.tracer.enabled:
+            self.trace("dead_drop", layer=layer, src=str(src), dst=str(dst),
+                       flow=fid)
 
     # -- kill execution ----------------------------------------------------
     def _execute(self, act: FaultAction) -> None:
         if act.kind == "kill_proc":
             if self.default_job is None:
-                self.trace("kill_skipped", reason="no job bound", rank=act.rank)
+                if self.engine.tracer.enabled:
+                    self.trace("kill_skipped", reason="no job bound", rank=act.rank)
                 return
             nspace, topology = self.default_job
             self._kill(PmixProc(nspace, act.rank), topology.node_of(act.rank))
@@ -238,8 +241,9 @@ class FaultManager:
             return
         self.stats["kill_proc"] += 1
         sim = sim_proc if sim_proc is not None else self._rank_procs.get(proc)
-        self.trace("kill_proc", proc=str(proc), rank=rank, reason=reason,
-                   span=getattr(sim, "obs_span", 0) if sim else 0)
+        if self.engine.tracer.enabled:
+            self.trace("kill_proc", proc=str(proc), rank=rank, reason=reason,
+                       span=getattr(sim, "obs_span", 0) if sim else 0)
         if sim is not None:
             sim.kill(f"fault injection: {reason} (rank {rank})")
         self.servers[node].client_aborted(proc, code=code)
@@ -260,7 +264,8 @@ class FaultManager:
         owner = self.dsim is None or self.dsim.owns_node(node)
         if owner:
             self.stats["kill_node"] += 1
-            self.trace("kill_node", node=node, reason=reason)
+            if self.engine.tracer.enabled:
+                self.trace("kill_node", node=node, reason=reason)
         daemon = dvm.daemon_for(node)
         daemon.alive = False
 

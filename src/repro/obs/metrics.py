@@ -87,31 +87,36 @@ class Histogram:
 
     def percentile(self, p: float) -> float:
         """Interpolated percentile, ``p`` in [0, 100]."""
-        if not self.values:
-            return 0.0
-        if not 0.0 <= p <= 100.0:
-            raise ValueError(f"percentile out of range: {p}")
-        ordered = sorted(self.values)
-        if len(ordered) == 1:
-            return ordered[0]
-        rank = (p / 100.0) * (len(ordered) - 1)
-        lo = int(rank)
-        hi = min(lo + 1, len(ordered) - 1)
-        frac = rank - lo
-        return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+        return _interpolate(sorted(self.values), p)
 
     def summary(self) -> Dict[str, float]:
         if not self._count:
             return {"count": 0}
+        ordered = sorted(self.values)
         return {
             "count": self._count,
             "min": self._min,
             "max": self._max,
             "mean": self.mean,
-            "p50": self.percentile(50),
-            "p90": self.percentile(90),
-            "p99": self.percentile(99),
+            "p50": _interpolate(ordered, 50),
+            "p90": _interpolate(ordered, 90),
+            "p99": _interpolate(ordered, 99),
         }
+
+
+def _interpolate(ordered: List[float], p: float) -> float:
+    """Interpolated percentile ``p`` of sorted samples (0.0 if none)."""
+    if not ordered:
+        return 0.0
+    if not 0.0 <= p <= 100.0:
+        raise ValueError(f"percentile out of range: {p}")
+    if len(ordered) == 1:
+        return ordered[0]
+    rank = (p / 100.0) * (len(ordered) - 1)
+    lo = int(rank)
+    hi = min(lo + 1, len(ordered) - 1)
+    frac = rank - lo
+    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
 
 class MetricsRegistry:

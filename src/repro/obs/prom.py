@@ -74,10 +74,11 @@ def prometheus_text(metrics: MetricsRegistry) -> str:
         for key in sorted(by_name[name]):
             hist = metrics.histograms[key]
             base = list(key[1])
-            for q, p in (("0.5", 50.0), ("0.9", 90.0), ("0.99", 99.0)):
+            summary = hist.summary()
+            for q, p in (("0.5", "p50"), ("0.9", "p90"), ("0.99", "p99")):
                 lines.append(
                     f"{pname}{_labels(base + [('quantile', q)])} "
-                    f"{_num(hist.percentile(p))}")
+                    f"{_num(summary.get(p, 0.0))}")
             lines.append(f"{pname}_sum{_labels(base)} {_num(hist.total)}")
             lines.append(f"{pname}_count{_labels(base)} {hist.count}")
 

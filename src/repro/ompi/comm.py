@@ -164,9 +164,10 @@ class Communicator:
         if self.freed or rank in self.failed_peers:
             return
         self._mark_failed(rank)
-        self.runtime.cluster.trace(
-            "faults", "comm_damaged", comm=self.name, rank=self.rank, failed=rank
-        )
+        tr = self.runtime.engine.tracer
+        if tr.enabled:
+            tr.emit(self.runtime.engine.now, "faults", "comm_damaged",
+                    comm=self.name, rank=self.rank, failed=rank)
         endpoint = self.runtime.endpoint
         if endpoint is not None:
             err = MPIErrProcFailed(f"{self.name}: peer rank {rank} ({proc}) failed")
@@ -176,17 +177,17 @@ class Communicator:
             endpoint.comm_failed(self)
 
     # ------------------------------------------------------------------
-    # observability helpers (no-ops when tracing is disabled: begin()
-    # returns 0 and end() ignores sid 0)
+    # observability helpers: callers check ``engine.tracer.enabled``
+    # first and end only a nonzero sid, so tracing off costs no call
     # ------------------------------------------------------------------
     def _obs_begin(self, name: str, **attrs) -> int:
         rt = self.runtime
-        return rt.engine.tracer.begin(rt.engine._now, rt.obs_track, name,
+        return rt.engine.tracer.begin(rt.engine.now, rt.obs_track, name,
                                       comm=self.name, **attrs)
 
     def _obs_end(self, sid: int) -> None:
         engine = self.runtime.engine
-        engine.tracer.end(engine._now, sid)
+        engine.tracer.end(engine.now, sid)
 
     def get_rank(self) -> int:
         self._check()
@@ -285,12 +286,14 @@ class Communicator:
 
     def send(self, obj, dest: int, tag: int = 0, nbytes: Optional[int] = None):
         """Sub-generator: blocking send."""
-        sid = self._obs_begin("ompi.pml.send", dest=dest, tag=tag)
+        sid = (self.runtime.engine.tracer.enabled
+               and self._obs_begin("ompi.pml.send", dest=dest, tag=tag))
         try:
             req = yield from self.isend(obj, dest, tag, nbytes)
             yield from req.wait()
         finally:
-            self._obs_end(sid)
+            if sid:
+                self._obs_end(sid)
 
     def _send_internal(self, obj, dest: int, tag: int, nbytes: Optional[int] = None):
         """Sub-generator: blocking send for the collectives.
@@ -314,12 +317,14 @@ class Communicator:
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG, status: Optional[Status] = None):
         """Sub-generator: blocking receive; returns the payload."""
-        sid = self._obs_begin("ompi.pml.recv", source=source, tag=tag)
+        sid = (self.runtime.engine.tracer.enabled
+               and self._obs_begin("ompi.pml.recv", source=source, tag=tag))
         try:
             req = self.irecv(source, tag)
             st = yield from req.wait()
         finally:
-            self._obs_end(sid)
+            if sid:
+                self._obs_end(sid)
         if status is not None:
             status.source, status.tag, status.count = st.source, st.tag, st.count
         return req.payload
@@ -431,11 +436,12 @@ class Communicator:
     # ------------------------------------------------------------------
     def barrier(self):
         self._pre_coll()
-        sid = self._obs_begin("ompi.coll.barrier")
+        sid = self.runtime.engine.tracer.enabled and self._obs_begin("ompi.coll.barrier")
         try:
             yield from coll.barrier(self)
         finally:
-            self._obs_end(sid)
+            if sid:
+                self._obs_end(sid)
 
     def ibarrier(self):
         """Sub-generator: returns a Request completed when all arrive."""
@@ -446,11 +452,13 @@ class Communicator:
 
     def bcast(self, obj, root: int = 0, nbytes: Optional[int] = None):
         self._pre_coll()
-        sid = self._obs_begin("ompi.coll.bcast", root=root)
+        sid = (self.runtime.engine.tracer.enabled
+               and self._obs_begin("ompi.coll.bcast", root=root))
         try:
             return (yield from coll.bcast(self, obj, root, nbytes))
         finally:
-            self._obs_end(sid)
+            if sid:
+                self._obs_end(sid)
 
     def reduce(self, value, op: Op, root: int = 0, nbytes: Optional[int] = None):
         self._pre_coll()
@@ -458,11 +466,13 @@ class Communicator:
 
     def allreduce(self, value, op: Op, nbytes: Optional[int] = None):
         self._pre_coll()
-        sid = self._obs_begin("ompi.coll.allreduce")
+        sid = (self.runtime.engine.tracer.enabled
+               and self._obs_begin("ompi.coll.allreduce"))
         try:
             return (yield from coll.allreduce(self, value, op, nbytes))
         finally:
-            self._obs_end(sid)
+            if sid:
+                self._obs_end(sid)
 
     def _internal_allreduce(self, value, op: Op, tag: int):
         return (yield from coll.allreduce(self, value, op, nbytes=8, tag=tag))
@@ -547,11 +557,12 @@ class Communicator:
     def dup(self):
         """Sub-generator: MPI_Comm_dup (collective over the communicator)."""
         self._check()
-        sid = self._obs_begin("ompi.comm.dup")
+        sid = self.runtime.engine.tracer.enabled and self._obs_begin("ompi.comm.dup")
         try:
             return (yield from self._dup_internal())
         finally:
-            self._obs_end(sid)
+            if sid:
+                self._obs_end(sid)
 
     def _dup_internal(self):
         runtime = self.runtime
@@ -802,7 +813,8 @@ class Communicator:
         """
         self._check()
         rt = self.runtime
-        sid = self._obs_begin("recovery.comm.agree", flag=bool(flag))
+        sid = rt.engine.tracer.enabled and self._obs_begin(
+            "recovery.comm.agree", flag=bool(flag))
         serial = self._ulfm_serial
         self._ulfm_serial += 1
         key = f"ulfm.agree.{self.identity()}.{serial}"
@@ -812,7 +824,8 @@ class Communicator:
         try:
             result = yield from rt.pmix.fence_retry(members, collect=True)
         finally:
-            self._obs_end(sid)
+            if sid:
+                self._obs_end(sid)
         out = bool(flag)
         for proc in members:
             if proc == rt.proc:
@@ -842,7 +855,7 @@ class Communicator:
         from repro.pmix.types import ABORTED_MARKER, PMIX_ERR_PROC_ABORTED, PmixError
 
         rt = self.runtime
-        sid = self._obs_begin("recovery.comm.shrink")
+        sid = rt.engine.tracer.enabled and self._obs_begin("recovery.comm.shrink")
         serial = self._ulfm_serial
         self._ulfm_serial += 1
         members = self.group.members().canonical()
@@ -891,7 +904,8 @@ class Communicator:
                     session=self.session,
                 )
         finally:
-            self._obs_end(sid)
+            if sid:
+                self._obs_end(sid)
         new.errhandler = self.errhandler
         rt.register_comm(new)
         rt.cluster.recovery_stats["shrink"] += 1

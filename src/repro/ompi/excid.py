@@ -32,6 +32,7 @@ from repro.ompi.errors import MPIErrIntern
 
 SUBFIELDS = 8
 SUBFIELD_MAX = 255
+_ZERO_SUB = (0,) * SUBFIELDS     # shared by every fresh exCID: known valid
 
 
 @dataclass(frozen=True)
@@ -39,12 +40,13 @@ class ExCid:
     """Immutable 128-bit identifier: (pgcid, 8 subfield bytes)."""
 
     pgcid: int
-    sub: Tuple[int, ...] = (0,) * SUBFIELDS
+    sub: Tuple[int, ...] = _ZERO_SUB
 
     def __post_init__(self) -> None:
         if not 0 <= self.pgcid < 2**64:
             raise MPIErrIntern(f"PGCID {self.pgcid} out of 64-bit range")
-        if len(self.sub) != SUBFIELDS or any(not 0 <= s <= SUBFIELD_MAX for s in self.sub):
+        if self.sub is not _ZERO_SUB and (len(self.sub) != SUBFIELDS or any(
+                not 0 <= s <= SUBFIELD_MAX for s in self.sub)):
             raise MPIErrIntern(f"bad subfields {self.sub}")
 
     def key(self) -> Tuple[int, Tuple[int, ...]]:
@@ -52,7 +54,7 @@ class ExCid:
         return (self.pgcid, self.sub)
 
     def __str__(self) -> str:
-        subs = ".".join(str(s) for s in self.sub)
+        subs = ".".join(map(str, self.sub))
         return f"excid({self.pgcid}:{subs})"
 
 

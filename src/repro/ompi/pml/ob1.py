@@ -42,7 +42,6 @@ from repro.ompi.pml.matching import MatchingEngine
 from repro.ompi.status import Status
 from repro.pmix.types import PmixProc
 from repro.simtime.process import Sleep, Wait
-from repro.simtime.trace import track_for_proc
 
 ENDPOINT_KEY = "ompi.ep"          # modex key holding a rank's endpoint blob
 FIRST_PEER_SETUP = 1.0e-6         # one-time add_procs cost per new peer
@@ -200,7 +199,7 @@ class Ob1Endpoint:
 
     __slots__ = ("runtime", "proc", "node", "engine", "machine", "fabric",
                  "matching", "nic_free", "match_busy", "_peers", "_added",
-                 "_pending", "_prune_at", "stats", "obs_track")
+                 "_pending", "_prune_at", "stats")
 
     def __init__(self, runtime) -> None:
         self.runtime = runtime
@@ -223,7 +222,6 @@ class Ob1Endpoint:
         self._prune_at = 64       # see _track_pending()
         self.stats = {"sent": 0, "recv": 0, "ext_sent": 0, "ext_recv": 0,
                       "acks": 0, "dup_dropped": 0}
-        self.obs_track = track_for_proc(self.proc)
         self.fabric.register(self.proc, self)
 
     def harvest_metrics(self, m, force: bool = False) -> None:
@@ -317,10 +315,10 @@ class Ob1Endpoint:
             fabric = self.fabric
             btl = peer.btl = fabric.btl_sm if peer_node == self.node else fabric.btl_net
         engine = self.engine
-        now = engine._now
+        now = engine.now
         tr = engine.tracer
         if tr.enabled:
-            pkt.fid = tr.flow_begin(now, self.obs_track, f"pml.{pkt.kind}",
+            pkt.fid = tr.flow_begin(now, self.runtime.obs_track, f"pml.{pkt.kind}",
                                     nbytes=pkt.nbytes)
         wire = pkt.wire
         nic_free = self.nic_free
@@ -419,8 +417,10 @@ class Ob1Endpoint:
         self.stats["sent"] += 1
         if ext is not None:
             self.stats["ext_sent"] += 1
-            self.runtime.cluster.trace("pml", "ext_send", dst=str(peer.proc), tag=tag)
-        return self._inject(peer, pkt) - self.engine._now
+            tr = self.engine.tracer
+            if tr.enabled:
+                tr.emit(self.engine.now, "pml", "ext_send", dst=str(peer.proc), tag=tag)
+        return self._inject(peer, pkt) - self.engine.now
 
     def isend(self, comm, payload, dest_rank: int, tag: int, nbytes: int, request):
         """Sub-generator (only because peer discovery yields): start a
@@ -479,7 +479,8 @@ class Ob1Endpoint:
             return
         if pkt.fid:
             # Duplicated packets share one flow id; first arrival binds it.
-            self.engine.tracer.flow_end(self.engine._now, self.obs_track, pkt.fid)
+            engine = self.engine
+            engine.tracer.flow_end(engine.now, self.runtime.obs_track, pkt.fid)
         kind = pkt.kind
         if kind == "user":
             self.deliver_user(pkt)
@@ -565,7 +566,7 @@ class Ob1Endpoint:
                 match_cost *= 0.97
             cid = ctx
 
-        now = self.engine._now
+        now = self.engine.now
         match_busy = self.match_busy
         start = now if now > match_busy else match_busy
         complete_at = start + match_cost
@@ -581,7 +582,7 @@ class Ob1Endpoint:
 
     def _consume_match(self, comm, request, pkt: Packet) -> None:
         """A freshly posted receive matched an unexpected message."""
-        now = self.engine._now
+        now = self.engine.now
         match_busy = self.match_busy
         start = now if now > match_busy else match_busy
         complete_at = start + self.machine.match_overhead
@@ -622,7 +623,9 @@ class Ob1Endpoint:
             ack_excid=comm.excid.key(),
             ack_cid=comm.local_cid,
         )
-        self.runtime.cluster.trace("pml", "cid_ack", dst=str(peer))
+        tr = self.engine.tracer
+        if tr.enabled:
+            tr.emit(self.engine.now, "pml", "cid_ack", dst=str(peer))
         self._inject(self.peer(peer), ack)
 
     def _deliver_ack(self, pkt: Packet) -> None:
@@ -632,7 +635,9 @@ class Ob1Endpoint:
         rank = comm.group.rank_of(pkt.src_proc)
         if rank >= 0 and rank not in comm.peer_cids:
             comm.peer_cids[rank] = pkt.ack_cid
-            self.runtime.cluster.trace("pml", "cid_switch", peer=rank)
+            tr = self.engine.tracer
+            if tr.enabled:
+                tr.emit(self.engine.now, "pml", "cid_switch", peer=rank)
 
     def _deliver_cts(self, pkt: Packet) -> None:
         sender_req = pkt.sender_req

@@ -51,7 +51,7 @@ class MpiRuntime:
     # attributes would otherwise cost every rank a 1.6 KB __dict__.
     __slots__ = (
         "cluster", "engine", "machine", "job", "fabric", "config",
-        "rank_in_job", "proc", "node", "pmix", "obs_track",
+        "rank_in_job", "proc", "node", "pmix",
         "keyvals", "cleanup", "subsystems", "mca",
         "endpoint", "cid_table", "_excid_index", "_early_excid_pkts",
         "_early_cid_pkts",
@@ -71,7 +71,6 @@ class MpiRuntime:
         self.proc = job.proc(rank)
         self.node = job.topology.node_of(rank)
         self.pmix = job.client(rank)
-        self.obs_track = track_for_proc(self.proc)
 
         # Pre-init-usable state (paper §III-B5).
         self.keyvals = KeyvalRegistry()
@@ -209,6 +208,11 @@ class MpiRuntime:
     def stash_early_cid_packet(self, cid: int, pkt) -> None:
         self._early_cid_pkts.setdefault(cid, []).append(pkt)
 
+    @property
+    def obs_track(self) -> str:
+        """This rank's trace timeline (built only when tracing)."""
+        return track_for_proc(self.proc)
+
     # ------------------------------------------------------------------
     # shared startup pieces
     # ------------------------------------------------------------------
@@ -218,9 +222,11 @@ class MpiRuntime:
             return
         self._binary_loaded = True
         tr = self.engine.tracer
-        sid = tr.begin(self.engine.now, self.obs_track, "ompi.init.load_binary")
+        sid = tr.enabled and tr.begin(self.engine.now, self.obs_track,
+                                      "ompi.init.load_binary")
         yield Sleep(self.machine.nfs_load_time(self.job.num_ranks))
-        tr.end(self.engine.now, sid)
+        if sid:
+            tr.end(self.engine.now, sid)
 
     def _pmix_up(self):
         if not self.pmix.initialized:
@@ -245,7 +251,7 @@ class MpiRuntime:
         if self.world_finalized:
             raise MPIErrArg("MPI cannot be re-initialized after MPI_Finalize")
         tr = self.engine.tracer
-        sid = tr.begin(self.engine.now, self.obs_track, "ompi.mpi.init")
+        sid = tr.enabled and tr.begin(self.engine.now, self.obs_track, "ompi.mpi.init")
         yield from self._load_binary()
         yield from self._pmix_up()
         yield Sleep(self.machine.proc_local_init)
@@ -254,10 +260,11 @@ class MpiRuntime:
 
         # add_procs for node-local peers only (lazy discovery elsewhere).
         local = self.job.topology.ranks_on_node(self.node)
-        sid_ap = tr.begin(self.engine.now, self.obs_track,
-                          "ompi.pml.add_procs_local", nlocal=len(local))
+        sid_ap = tr.enabled and tr.begin(self.engine.now, self.obs_track,
+                                         "ompi.pml.add_procs_local", nlocal=len(local))
         yield Sleep(self.machine.add_procs_local_cost * len(local))
-        tr.end(self.engine.now, sid_ap)
+        if sid_ap:
+            tr.end(self.engine.now, sid_ap)
         self.endpoint.add_procs(
             self.job.all_procs.by_node(self.pmix.server.node_of)[self.node])
 
@@ -278,7 +285,8 @@ class MpiRuntime:
             session=self.world_session,
         )
         self.register_comm(self.COMM_SELF)
-        tr.end(self.engine.now, sid)
+        if sid:
+            tr.end(self.engine.now, sid)
         return self.COMM_WORLD
 
     def mpi_finalize(self):
@@ -286,7 +294,7 @@ class MpiRuntime:
         if not self.wpm_initialized:
             raise MPIErrArg("MPI_Finalize without MPI_Init")
         tr = self.engine.tracer
-        sid = tr.begin(self.engine.now, self.obs_track, "ompi.mpi.finalize")
+        sid = tr.enabled and tr.begin(self.engine.now, self.obs_track, "ompi.mpi.finalize")
         # Implicit synchronization (ompi fences in finalize).
         yield from self.pmix.fence(collect=False)
         for comm in (self.COMM_SELF, self.COMM_WORLD):
@@ -301,7 +309,8 @@ class MpiRuntime:
         world.mark_finalized()
         yield from instance_release(self)
         yield from self._maybe_pmix_down()
-        tr.end(self.engine.now, sid)
+        if sid:
+            tr.end(self.engine.now, sid)
 
     def _maybe_pmix_down(self):
         if not self.sessions and self.pmix.initialized:
@@ -324,7 +333,7 @@ class MpiRuntime:
         sessions reuse live subsystems.
         """
         tr = self.engine.tracer
-        sid = tr.begin(self.engine.now, self.obs_track, "ompi.session.init")
+        sid = tr.enabled and tr.begin(self.engine.now, self.obs_track, "ompi.session.init")
         yield from self._load_binary()
         yield from self._pmix_up()
         first_of_epoch = self.instance_refcount == 0 and not self.subsystems.is_initialized("pml_ob1")
@@ -339,7 +348,8 @@ class MpiRuntime:
         m = self.engine.metrics
         if m is not None and m.enabled:
             m.inc("ompi.session.inits", node=self.node)
-        tr.end(self.engine.now, sid)
+        if sid:
+            tr.end(self.engine.now, sid)
         return session
 
     def session_finalize(self, session: Session):
@@ -350,12 +360,14 @@ class MpiRuntime:
         if leaked:
             raise MPIErrPendingComms(leaked)
         tr = self.engine.tracer
-        sid = tr.begin(self.engine.now, self.obs_track, "ompi.session.finalize")
+        sid = tr.enabled and tr.begin(self.engine.now, self.obs_track,
+                                      "ompi.session.finalize")
         self.sessions.remove(session)
         session.mark_finalized()
         yield from instance_release(self)
         yield from self._maybe_pmix_down()
-        tr.end(self.engine.now, sid)
+        if sid:
+            tr.end(self.engine.now, sid)
 
     def comm_create_from_group(
         self,
@@ -383,13 +395,14 @@ class MpiRuntime:
             raise MPIErrArg("caller must be a member of the group")
         gid = f"cfg:{stringtag}"
         tr = self.engine.tracer
-        sid = tr.begin(self.engine.now, self.obs_track,
-                       "ompi.comm.create_from_group", stringtag=stringtag,
-                       nprocs=group.size)
+        sid = tr.enabled and tr.begin(self.engine.now, self.obs_track,
+                                      "ompi.comm.create_from_group",
+                                      stringtag=stringtag, nprocs=group.size)
         try:
             pgcid = yield from self.pmix.group_construct(gid, group.members())
         except PmixError as err:
-            tr.end(self.engine.now, sid)
+            if sid:
+                tr.end(self.engine.now, sid)
             if err.status in (PMIX_ERR_PROC_ABORTED, PMIX_ERR_TIMEOUT):
                 mpi_err = MPIErrProcFailed(
                     f"comm_create_from_group({stringtag!r}) aborted: "
@@ -411,7 +424,8 @@ class MpiRuntime:
         if errhandler is not None:
             comm.errhandler = errhandler
         self.register_comm(comm)
-        tr.end(self.engine.now, sid)
+        if sid:
+            tr.end(self.engine.now, sid)
         return comm
 
 

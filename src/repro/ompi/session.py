@@ -124,11 +124,12 @@ class Session:
         """
         self._check()
         tr = self.runtime.engine.tracer
-        sid = tr.begin(self.runtime.engine.now, self.runtime.obs_track,
-                       "recovery.session.re_query_psets")
+        sid = tr.enabled and tr.begin(self.runtime.engine.now, self.runtime.obs_track,
+                                      "recovery.session.re_query_psets")
         self._failed_excluded = True
         names = yield from self._runtime_pset_names()
-        tr.end(self.runtime.engine.now, sid)
+        if sid:
+            tr.end(self.runtime.engine.now, sid)
         self.runtime.cluster.recovery_stats["pset_requery"] += 1
         return list(BUILTIN_PSETS) + names
 
@@ -162,10 +163,11 @@ class Session:
         """Sub-generator: MPI_Group_from_session_pset — local + light."""
         self._check()
         tr = self.runtime.engine.tracer
-        sid = tr.begin(self.runtime.engine.now, self.runtime.obs_track,
-                       "ompi.session.group_from_pset", pset=name)
+        sid = tr.enabled and tr.begin(self.runtime.engine.now, self.runtime.obs_track,
+                                      "ompi.session.group_from_pset", pset=name)
         members = yield from self._pset_members(name)
-        tr.end(self.runtime.engine.now, sid)
+        if sid:
+            tr.end(self.runtime.engine.now, sid)
         group = Group(members)
         group.session = self
         return group

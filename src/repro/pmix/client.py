@@ -32,8 +32,8 @@ from repro.simtime.trace import track_for_daemon, track_for_proc
 class PmixClient:
     """Client-side PMIx connection for one process."""
 
-    __slots__ = ("proc", "server", "engine", "machine", "obs_track",
-                 "initialized", "_staged", "_coll_counters", "_group_pgcids",
+    __slots__ = ("proc", "server", "engine", "machine", "initialized",
+                 "_staged", "_coll_counters", "_group_pgcids",
                  "invite_handler", "group_ready_handler")
 
     def __init__(self, proc: PmixProc, server: PmixServer) -> None:
@@ -41,7 +41,6 @@ class PmixClient:
         self.server = server
         self.engine = server.engine
         self.machine = server.machine
-        self.obs_track = track_for_proc(proc)
         self.initialized = False
         self._staged: Dict[str, Any] = {}
         self._coll_counters: Dict[Hashable, int] = {}
@@ -49,6 +48,11 @@ class PmixClient:
         # Asynchronous group construction (invite/join model).
         self.invite_handler: Optional[Callable] = None
         self.group_ready_handler: Optional[Callable] = None
+
+    @property
+    def obs_track(self) -> str:
+        """This process's trace timeline (built only when tracing)."""
+        return track_for_proc(self.proc)
 
     # -- lifecycle ------------------------------------------------------------
     def init(self):
@@ -58,20 +62,22 @@ class PmixClient:
             raise PmixError(PMIX_ERR_NOT_FOUND, "client already initialized")
         self.server.check_registered(self.proc.nspace)
         tr = self.engine.tracer
-        sid = tr.begin(self.engine.now, self.obs_track, "pmix.client.init")
+        sid = tr.enabled and tr.begin(self.engine.now, self.obs_track, "pmix.client.init")
         yield Sleep(self.machine.local_rpc_cost)
         self.server.register_client(self)
         self.initialized = True
-        tr.end(self.engine.now, sid)
+        if sid:
+            tr.end(self.engine.now, sid)
         return self.proc
 
     def finalize(self):
         tr = self.engine.tracer
-        sid = tr.begin(self.engine.now, self.obs_track, "pmix.client.finalize")
+        sid = tr.enabled and tr.begin(self.engine.now, self.obs_track, "pmix.client.finalize")
         yield Sleep(self.machine.local_rpc_cost)
         self.server.deregister_client(self.proc)
         self.initialized = False
-        tr.end(self.engine.now, sid)
+        if sid:
+            tr.end(self.engine.now, sid)
 
     # -- kvs ---------------------------------------------------------------------
     def put(self, key: str, value: Any) -> None:
@@ -127,9 +133,9 @@ class PmixClient:
         sig = self._next_sig("fence", member_key, collect)
         blob = self.server.datastore.rank_blob(self.proc)
         tr = self.engine.tracer
-        sid = tr.begin(self.engine.now, self.obs_track, "pmix.client.fence",
-                       nprocs=len(participants) if participants else -1,
-                       collect=collect)
+        sid = tr.enabled and tr.begin(
+            self.engine.now, self.obs_track, "pmix.client.fence",
+            nprocs=len(participants) if participants else -1, collect=collect)
         t_req = self.engine.now
         yield Sleep(self.machine.local_rpc_cost)
         if tr.enabled:
@@ -139,7 +145,8 @@ class PmixClient:
         try:
             result = yield Wait(ev)
         finally:
-            tr.end(self.engine.now, sid)
+            if sid:
+                tr.end(self.engine.now, sid)
         return result
 
     def fence_retry(
@@ -207,8 +214,9 @@ class PmixClient:
             raise PmixError(PMIX_ERR_NOT_FOUND, f"{self.proc} not in group {gid!r}")
         sig = self._next_sig("grp", participants.member_key, gid)
         tr = self.engine.tracer
-        sid = tr.begin(self.engine.now, self.obs_track, "pmix.client.group_construct",
-                       gid=gid, nprocs=len(participants))
+        sid = tr.enabled and tr.begin(
+            self.engine.now, self.obs_track, "pmix.client.group_construct",
+            gid=gid, nprocs=len(participants))
         t_req = self.engine.now
         yield Sleep(self.machine.local_rpc_cost)
         if tr.enabled:
@@ -223,7 +231,8 @@ class PmixClient:
                 PMIX_ERR_TIMEOUT, f"group {gid!r} construct timed out after {timeout}s"
             ) from None
         finally:
-            tr.end(self.engine.now, sid)
+            if sid:
+                tr.end(self.engine.now, sid)
         self._group_pgcids[gid] = result.context_id
         return result.context_id
 
@@ -232,8 +241,9 @@ class PmixClient:
         participants = ProcSet(procs).canonical()
         sig = self._next_sig("grpdel", participants.member_key, gid)
         tr = self.engine.tracer
-        sid = tr.begin(self.engine.now, self.obs_track, "pmix.client.group_destruct",
-                       gid=gid, nprocs=len(participants))
+        sid = tr.enabled and tr.begin(
+            self.engine.now, self.obs_track, "pmix.client.group_destruct",
+            gid=gid, nprocs=len(participants))
         yield Sleep(self.machine.local_rpc_cost)
         ev = self.server.group_destruct_arrive(sig, gid, self.proc, participants)
         try:
@@ -243,17 +253,19 @@ class PmixClient:
                 PMIX_ERR_TIMEOUT, f"group {gid!r} destruct timed out after {timeout}s"
             ) from None
         finally:
-            tr.end(self.engine.now, sid)
+            if sid:
+                tr.end(self.engine.now, sid)
         self._group_pgcids.pop(gid, None)
 
     # -- queries -------------------------------------------------------------------
     def query(self, keys: List[str]):
         """PMIx_Query_info: pset discovery and friends."""
         tr = self.engine.tracer
-        sid = tr.begin(self.engine.now, self.obs_track, "pmix.client.query",
-                       keys=",".join(keys))
+        sid = tr.enabled and tr.begin(self.engine.now, self.obs_track,
+                                      "pmix.client.query", keys=",".join(keys))
         yield Sleep(self.machine.local_rpc_cost)
-        tr.end(self.engine.now, sid)
+        if sid:
+            tr.end(self.engine.now, sid)
         out: Dict[str, Any] = {}
         for key in keys:
             if key == PMIX_QUERY_NUM_PSETS:
@@ -274,10 +286,11 @@ class PmixClient:
     def pset_membership(self, name: str):
         """Resolve a pset name to its member processes."""
         tr = self.engine.tracer
-        sid = tr.begin(self.engine.now, self.obs_track, "pmix.client.pset_membership",
-                       pset=name)
+        sid = tr.enabled and tr.begin(self.engine.now, self.obs_track,
+                                      "pmix.client.pset_membership", pset=name)
         yield Sleep(self.machine.local_rpc_cost)
-        tr.end(self.engine.now, sid)
+        if sid:
+            tr.end(self.engine.now, sid)
         members = self.server.query_pset_membership(name)
         if members is None:
             raise PmixError(PMIX_ERR_NOT_FOUND, f"process set {name!r}")

@@ -48,7 +48,9 @@ class _LocalCollective:
     """Stage-one state: local participants rendezvousing at this server."""
 
     sig: Hashable
-    local_participants: Tuple[PmixProc, ...] = ()
+    # Local participants neither arrived nor known dead, kept at arrival
+    # and at death: the exchange launches when it empties (no rescan).
+    pending: set = field(default_factory=set)
     arrived: Dict[PmixProc, Dict] = field(default_factory=dict)
     events: Dict[PmixProc, SimEvent] = field(default_factory=dict)
     launched: bool = False
@@ -209,7 +211,6 @@ class PmixServer(AsyncGroupServerMixin):
             local = participants.by_node(self.node_of).get(self.node, ())
             state = _LocalCollective(
                 sig=sig,
-                local_participants=local,
                 participants=participants,
                 need_context_id=need_context_id,
                 on_complete=on_complete,
@@ -217,17 +218,21 @@ class PmixServer(AsyncGroupServerMixin):
             )
             # Participants already known dead contribute a marker.
             state.aborted = {p for p in local if p in self.dead_procs}
+            state.pending = set(local) - state.aborted
             self._collectives[sig] = state
             self._arm_fault_timer(state)
-            state.obs_span = self.engine.tracer.begin(
-                self.engine.now, track_for_daemon(self.node),
-                f"pmix.server.{kind}", nlocal=len(local),
-            )
+            tr = self.engine.tracer
+            if tr.enabled:
+                state.obs_span = tr.begin(
+                    self.engine.now, track_for_daemon(self.node),
+                    f"pmix.server.{kind}", nlocal=len(local),
+                )
         if proc in state.arrived:
             raise PmixError(
                 PMIX_ERR_NOT_FOUND, f"{proc} arrived twice at collective {sig!r}"
             )
         state.arrived[proc] = blob
+        state.pending.discard(proc)
         ev = SimEvent()
         state.events[proc] = ev
 
@@ -240,12 +245,7 @@ class PmixServer(AsyncGroupServerMixin):
     def _maybe_launch(self, state: _LocalCollective) -> None:
         """Stage 2: launch the inter-server exchange once every local
         participant has either arrived or is known dead."""
-        if state.launched or not state.arrived:
-            return
-        if not all(
-            p in state.arrived or p in state.aborted
-            for p in state.local_participants
-        ):
+        if state.launched or not state.arrived or state.pending:
             return
         state.launched = True
         self._warm_kinds.add(state.kind)
@@ -321,7 +321,8 @@ class PmixServer(AsyncGroupServerMixin):
                         self.engine.now, track_for_proc(proc), release_at)
             self.engine.post_at(release_at, partial(client_ev.succeed, result))
         self._busy_until = release_at
-        tr.end(release_at, state.obs_span)
+        if state.obs_span:
+            tr.end(release_at, state.obs_span)
 
     def _release_error(
         self, state: _LocalCollective, status: int, message: str, failed=()
@@ -332,8 +333,10 @@ class PmixServer(AsyncGroupServerMixin):
         the :class:`PmixError` so survivors can re-issue the collective
         with an evicted membership (docs/recovery.md).
         """
-        self._trace("collective_error", sig=repr(state.sig), status=status,
-                    kind=state.kind)
+        faults = self.engine.tracer.enabled and self._faults()
+        if faults:
+            faults.trace("collective_error", node=self.node, sig=repr(state.sig),
+                         status=status, kind=state.kind)
         release_cost = self.machine.local_rpc_cost
         release_at = max(self.engine.now, self._busy_until)
         tr = self.engine.tracer
@@ -350,16 +353,12 @@ class PmixServer(AsyncGroupServerMixin):
                 or e.fail(PmixError(status, message, failed_procs=failed)),
             )
         self._busy_until = release_at
-        tr.end(release_at, state.obs_span)
+        if state.obs_span:
+            tr.end(release_at, state.obs_span)
 
     # -- fault handling -----------------------------------------------------
     def _faults(self):
         return getattr(self.daemon.dvm, "faults", None)
-
-    def _trace(self, event: str, **detail) -> None:
-        faults = self._faults()
-        if faults is not None:
-            faults.trace(event, node=self.node, **detail)
 
     def _arm_fault_timer(self, state: _LocalCollective) -> None:
         """Bounded termination: once faults are active, no collective may
@@ -417,12 +416,8 @@ class PmixServer(AsyncGroupServerMixin):
         # A dead proc can no longer arrive at stage one: collectives
         # waiting on it launch now, contributing an aborted marker.
         for state in list(self._collectives.values()):
-            if (
-                not state.launched
-                and proc in state.local_participants
-                and proc not in state.arrived
-                and proc not in state.aborted
-            ):
+            if not state.launched and proc in state.pending:
+                state.pending.discard(proc)
                 state.aborted.add(proc)
                 self._maybe_launch(state)
 

@@ -15,21 +15,35 @@ from typing import Any, Iterable, Tuple
 from repro.pmix.types import ABORTED_MARKER
 
 
+#: Exact classes that are one 8-byte word on the wire.
+_WORD = frozenset((int, float, bool, type(None)))
+
+
 def wire_size(value: Any) -> int:
-    """Approximate wire size of ``value`` in bytes."""
+    """Approximate wire size of ``value`` in bytes (a container sizes its
+    ``str`` and scalar members in its own loop, without a call)."""
     if value.__class__ is SizedDict:
         return value.nbytes
     if isinstance(value, (bytes, bytearray, str)):
         return len(value)
     if isinstance(value, (list, tuple, set, frozenset)):
-        return 8 + sum(wire_size(v) for v in value)
+        n = 8
+        for v in value:
+            cls = v.__class__
+            n += len(v) if cls is str else 8 if cls in _WORD else wire_size(v)
+        return n
     if isinstance(value, dict):
         return _entries_size(value)
     return 8
 
 
 def _entries_size(entries: dict) -> int:
-    return 8 + sum(len(str(k)) + wire_size(v) for k, v in entries.items())
+    n = 8
+    for k, v in entries.items():
+        cls = v.__class__
+        n += len(str(k)) + (len(v) if cls is str else 8 if cls in _WORD
+                            else wire_size(v))
+    return n
 
 
 class SizedDict(dict):

@@ -121,11 +121,13 @@ class GrpcommModule:
         # Sized once, where it was built (the PMIx server hands one in);
         # every payload that carries it from here on adds sizes up.
         inst.contribution = SizedDict.of(contribution)
-        inst.obs_span = self.daemon.engine.tracer.begin(
-            self.daemon.engine.now, track_for_daemon(self.daemon.node),
-            "prrte.grpcomm.allgather", mode=self.mode,
-            nodes=len(participants), cid=need_context_id,
-        )
+        tr = self.daemon.engine.tracer
+        if tr.enabled:
+            inst.obs_span = tr.begin(
+                self.daemon.engine.now, track_for_daemon(self.daemon.node),
+                "prrte.grpcomm.allgather", mode=self.mode,
+                nodes=len(participants), cid=need_context_id,
+            )
         # Replay any traffic that arrived before we knew the shape.
         for payload in inst.early_up:
             gate = self._parts_gate(inst, payload)
@@ -384,7 +386,8 @@ class GrpcommModule:
             self._done_sigs.add(inst.sig)
         if self.recovery and result.status == 0:
             self._results[inst.sig] = result
-        self.daemon.engine.tracer.end(self.daemon.engine.now, inst.obs_span)
+        if inst.obs_span:
+            self.daemon.engine.tracer.end(self.daemon.engine.now, inst.obs_span)
         inst.completed.succeed(result)
 
     def _get(self, sig: Hashable) -> _Instance:
@@ -415,7 +418,8 @@ class GrpcommModule:
                 continue
             self._instances.pop(sig, None)
             self._done_sigs.add(sig)
-            self.daemon.engine.tracer.end(self.daemon.engine.now, inst.obs_span)
+            if inst.obs_span:
+                self.daemon.engine.tracer.end(self.daemon.engine.now, inst.obs_span)
             if not inst.completed.triggered:
                 inst.completed.succeed(
                     GrpcommResult(data={}, status=PMIX_ERR_PROC_ABORTED)

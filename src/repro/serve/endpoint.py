@@ -28,6 +28,10 @@ from repro.serve.pool import release_listener, share_listener
 #: What an owner answers a request with: the response, or its awaitable.
 Reply = Union[Dict[str, Any], Awaitable[Dict[str, Any]]]
 
+#: Samples each histogram of a server, router or fleet registry keeps:
+#: percentiles are exact up to this many, memory flat past it.
+HISTOGRAM_MAX_SAMPLES = 4096
+
 
 class Endpoint:
     """A listening newline-JSON endpoint; owners supply ``_dispatch``.

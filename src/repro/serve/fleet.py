@@ -27,7 +27,7 @@ from typing import Any, Dict, List, Optional, Union
 from repro.obs.live import LiveTelemetry
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import protocol
-from repro.serve.endpoint import LoopThread
+from repro.serve.endpoint import HISTOGRAM_MAX_SAMPLES, LoopThread
 from repro.serve.router import FleetRouter
 from repro.serve.server import SimServer
 from repro.serve.store import ResultStore
@@ -57,7 +57,8 @@ class SimFleet:
         if shards < 1:
             raise ValueError("a fleet needs at least one shard")
         self.n_shards = shards
-        self.metrics = metrics or MetricsRegistry(enabled=True)
+        self.metrics = metrics or MetricsRegistry(
+            enabled=True, histogram_max_samples=HISTOGRAM_MAX_SAMPLES)
         self.store = ResultStore(cache_dir, hot_capacity=hot_capacity,
                                  metrics=self.metrics)
         self.servers: List[SimServer] = [

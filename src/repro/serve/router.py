@@ -34,7 +34,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.prom import prometheus_text
 from repro.serve import protocol
 from repro.serve.client import AsyncServeClient, ServeConnectionError
-from repro.serve.endpoint import Endpoint
+from repro.serve.endpoint import HISTOGRAM_MAX_SAMPLES, Endpoint
 from repro.sweep import cache_key
 
 
@@ -129,7 +129,8 @@ class FleetRouter(Endpoint):
             address = replace(address, role="router")
         super().__init__(address)
         self.shards = dict(shards)
-        self.metrics = metrics or MetricsRegistry(enabled=True)
+        self.metrics = metrics or MetricsRegistry(
+            enabled=True, histogram_max_samples=HISTOGRAM_MAX_SAMPLES)
         self.tel = telemetry if (telemetry is not None
                                  and telemetry.enabled) else None
         self.chaos = chaos

@@ -53,7 +53,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.prom import prometheus_text
 from repro.obs.store import RunLedger
 from repro.serve import protocol
-from repro.serve.endpoint import Endpoint, LoopThread, Reply
+from repro.serve.endpoint import HISTOGRAM_MAX_SAMPLES, Endpoint, LoopThread, Reply
 from repro.serve.pool import Worker, WorkerDied
 from repro.serve.registry import scenario_names, traceable
 from repro.sweep import SweepCache, cache_key
@@ -149,7 +149,8 @@ class SimServer(Endpoint):
         self.retry_seed = retry_seed
         self.retry_base = retry_base
         self.mp_context = mp_context
-        self.metrics = metrics or MetricsRegistry(enabled=True)
+        self.metrics = metrics or MetricsRegistry(
+            enabled=True, histogram_max_samples=HISTOGRAM_MAX_SAMPLES)
         # Live telemetry (docs/observability.md): all four are optional
         # and off by default; each instrumentation site costs exactly
         # one `is not None` branch when disabled.

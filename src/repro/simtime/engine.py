@@ -100,9 +100,9 @@ class Engine:
     """
 
     def __init__(self, compat: bool = False) -> None:
-        self._now: float = 0.0
+        self.now: float = 0.0             # simulated seconds; the run loop writes it
         self._queue: list = []
-        self._ready: deque = deque()      # entries due at exactly _now
+        self._ready: deque = deque()      # entries due at exactly now
         self._seq = 0
         self._ncanceled = 0               # canceled entries still queued
         self._live: set = set()
@@ -116,17 +116,12 @@ class Engine:
         self.metrics = None                # repro.obs.metrics.MetricsRegistry
         self.events_executed = 0
 
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
     # -- scheduling -------------------------------------------------------
     def _sched(self, when: float, fn: Callable[[], Any]) -> list:
         """Queue ``fn`` at ``when`` (assumed >= now); returns the entry."""
         self._seq = seq = self._seq + 1
         entry = [when, seq, fn]
-        if when == self._now and not self.compat:
+        if when == self.now and not self.compat:
             self._ready.append(entry)
         else:
             heapq.heappush(self._queue, entry)
@@ -135,7 +130,7 @@ class Engine:
     def _sched_soon(self, fn: Callable[[], Any]) -> list:
         """Queue ``fn`` at the current instant (ready-lane fast path)."""
         self._seq = seq = self._seq + 1
-        entry = [self._now, seq, fn]
+        entry = [self.now, seq, fn]
         if self.compat:
             heapq.heappush(self._queue, entry)
         else:
@@ -144,9 +139,9 @@ class Engine:
 
     def call_at(self, when: float, fn: Callable[[], Any]) -> Timer:
         """Schedule ``fn()`` to run at absolute simulated time ``when``."""
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(
-                f"cannot schedule event in the past ({when} < {self._now})"
+                f"cannot schedule event in the past ({when} < {self.now})"
             )
         return Timer(self._sched(when, fn), self)
 
@@ -156,12 +151,12 @@ class Engine:
         :class:`Timer`, so the event cannot be canceled.  The per-message
         sites (packet delivery, match completion, RML hops) use this;
         ``_sched`` is repeated inline to keep them at one frame."""
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(
-                f"cannot schedule event in the past ({when} < {self._now})"
+                f"cannot schedule event in the past ({when} < {self.now})"
             )
         self._seq = seq = self._seq + 1
-        if when == self._now and not self.compat:
+        if when == self.now and not self.compat:
             self._ready.append([when, seq, fn])
         else:
             heapq.heappush(self._queue, [when, seq, fn])
@@ -170,7 +165,7 @@ class Engine:
         """Schedule ``fn()`` to run ``delay`` simulated seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        return Timer(self._sched(self._now + delay, fn), self)
+        return Timer(self._sched(self.now + delay, fn), self)
 
     def call_soon(self, fn: Callable[[], Any]) -> Timer:
         """Schedule ``fn()`` at the current instant, after everything
@@ -202,9 +197,9 @@ class Engine:
         Only for fire-and-forget deliveries: batch entries cannot be
         individually canceled.
         """
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(
-                f"cannot schedule event in the past ({when} < {self._now})"
+                f"cannot schedule event in the past ({when} < {self.now})"
             )
         if self.compat or len(fns) <= 1:
             for fn in fns:
@@ -259,9 +254,9 @@ class Engine:
         ready = self._ready
         q = self._queue
         while True:
-            # Heap entries due at _now predate (smaller seq) every ready
+            # Heap entries due at now predate (smaller seq) every ready
             # entry, so they drain first; see the module docstring.
-            if ready and (not q or q[0][0] > self._now):
+            if ready and (not q or q[0][0] > self.now):
                 fn = ready.popleft()[2]
                 if fn is _CANCELED:
                     self._ncanceled -= 1
@@ -271,7 +266,7 @@ class Engine:
                 if fn is _CANCELED:
                     self._ncanceled -= 1
                     continue
-                self._now = when
+                self.now = when
             else:
                 return False
             self.events_executed += 1
@@ -291,10 +286,10 @@ class Engine:
         """
         if self._running:
             raise SimulationError("engine is already running (re-entrant run())")
-        if until is not None and until < self._now:
+        if until is not None and until < self.now:
             # A horizon in the past runs nothing: events pending at the
             # current instant are strictly later than ``until``.
-            return self._now
+            return self.now
         self._running = True
         try:
             # The hot loop: locals for the queues and the heappop, one
@@ -303,7 +298,7 @@ class Engine:
             q = self._queue
             heappop = heapq.heappop
             while True:
-                if ready and (not q or q[0][0] > self._now):
+                if ready and (not q or q[0][0] > self.now):
                     fn = ready.popleft()[2]
                     if fn is _CANCELED:
                         self._ncanceled -= 1
@@ -311,28 +306,28 @@ class Engine:
                 elif q:
                     when = q[0][0]
                     if until is not None and when > until:
-                        if until > self._now:
-                            self._now = until
-                        return self._now
+                        if until > self.now:
+                            self.now = until
+                        return self.now
                     fn = heappop(q)[2]
                     if fn is _CANCELED:
                         self._ncanceled -= 1
                         continue
-                    self._now = when
+                    self.now = when
                 else:
                     break
                 self.events_executed += 1
                 fn()
-            if until is not None and until > self._now:
-                self._now = until
+            if until is not None and until > self.now:
+                self.now = until
             if detect_deadlock and self._live and until is None:
                 names = sorted(getattr(p, "name", "?") for p in self._live)
                 shown = ", ".join(names[:10]) + (" …" if len(names) > 10 else "")
                 raise DeadlockError(
                     f"simulation deadlock: {len(self._live)} process(es) "
-                    f"blocked forever at t={self._now}: {shown}"
+                    f"blocked forever at t={self.now}: {shown}"
                 )
-            return self._now
+            return self.now
         finally:
             self._running = False
 
@@ -349,7 +344,7 @@ class Engine:
         if self._ready:
             for entry in self._ready:
                 if entry[2] is not _CANCELED:
-                    return self._now
+                    return self.now
         q = self._queue
         while q:
             if q[0][2] is _CANCELED:
@@ -382,7 +377,7 @@ class Engine:
             q = self._queue
             heappop = heapq.heappop
             while True:
-                if ready and (not q or q[0][0] > self._now):
+                if ready and (not q or q[0][0] > self.now):
                     fn = ready.popleft()[2]
                     if fn is _CANCELED:
                         self._ncanceled -= 1
@@ -390,14 +385,14 @@ class Engine:
                 elif q:
                     when = q[0][0]
                     if when >= end:
-                        return self._now
+                        return self.now
                     fn = heappop(q)[2]
                     if fn is _CANCELED:
                         self._ncanceled -= 1
                         continue
-                    self._now = when
+                    self.now = when
                 else:
-                    return self._now
+                    return self.now
                 self.events_executed += 1
                 fn()
         finally:

@@ -278,12 +278,12 @@ class SimProcess:
                     delay = effect.delay
                     engine._seq = seq = engine._seq + 1
                     if delay == 0.0:
-                        entry = [engine._now, seq, self._resume_cb]
+                        entry = [engine.now, seq, self._resume_cb]
                         engine._ready.append(entry)
                     else:
                         if delay < 0:
                             raise SimulationError(f"negative delay: {delay}")
-                        entry = [engine._now + delay, seq, self._resume_cb]
+                        entry = [engine.now + delay, seq, self._resume_cb]
                         heappush(engine._queue, entry)
                     self._pending_timer = entry
                     return
@@ -299,30 +299,30 @@ class SimProcess:
                         # execute the same engine events in both modes.
                         self._pending_event = event
                         engine._seq = seq = engine._seq + 1
-                        engine._ready.append([engine._now, seq, self._event_cb])
+                        engine._ready.append([engine.now, seq, self._event_cb])
                     else:
                         self._waiting_on = event
                         event.add_waiter(self._step)
                     return
                 if cls is SleepUntil:
                     t = effect.t
-                    if t < engine._now:
+                    if t < engine.now:
                         raise SimulationError(
-                            f"cannot sleep until the past ({t} < {engine._now})"
+                            f"cannot sleep until the past ({t} < {engine.now})"
                         )
                     extra = effect.extra
                     cb = (partial(self._charged_resume, extra) if extra
                           else self._resume_cb)
                     engine._seq = seq = engine._seq + 1
                     entry = [t, seq, cb]
-                    if t == engine._now:
+                    if t == engine.now:
                         engine._ready.append(entry)
                     else:
                         heappush(engine._queue, entry)
                     self._pending_timer = entry
                     return
                 if cls is Now:
-                    value = engine._now
+                    value = engine.now
                 elif cls is Self:
                     value = self
                 elif cls is Spawn:
@@ -336,7 +336,7 @@ class SimProcess:
                     self._do_wait_any(effect)
                     return
                 elif isinstance(effect, Now):
-                    value = engine._now
+                    value = engine.now
                 elif isinstance(effect, Self):
                     value = self
                 elif isinstance(effect, Spawn):

@@ -16,8 +16,9 @@ Legacy ``emit()`` calls are folded into the span model as zero-duration
 instants on a synthetic ``events:<category>`` track, so old call sites
 show up on exported timelines without modification.
 
-Tracing is off by default (:data:`NULL_TRACER` on the engine) and costs
-one attribute check per emission.
+Tracing is off by default (:data:`NULL_TRACER` on the engine) and then
+costs no call: every site tests ``tracer.enabled`` first
+(``tests/obs/test_overhead.py``).
 
 Span names follow ``layer.component.op`` (e.g. ``pmix.client.fence``,
 ``ompi.comm.create_from_group``); the first dotted component doubles as
@@ -317,15 +318,15 @@ class Tracer:
 
 
 class NullTracer(Tracer):
-    """Tracer that drops everything (the default).
+    """Tracer that drops everything (the default, shared as :data:`NULL_TRACER`).
 
     Shares every code path with :class:`Tracer`; the only difference is
-    that :attr:`enabled` is pinned False, so each emission costs exactly
-    one branch.  ``enabled`` is a plain instance attribute (not a
-    property) so the hot-path ``tracer.enabled`` check is a single dict
-    lookup; the ``__setattr__`` guard keeps the pin — a NullTracer can
-    never be switched on (tests rely on this — swap in a real Tracer
-    instead).
+    that :attr:`enabled` is pinned False, and instrumented sites test it
+    before any call, so an untraced run calls no tracer method at all
+    (``tests/obs/test_overhead.py``).  ``enabled`` is a plain instance
+    attribute (not a property) so that test is a single dict lookup; the
+    ``__setattr__`` guard keeps the pin — a NullTracer can never be
+    switched on (tests rely on this — swap in a real Tracer instead).
     """
 
     def __setattr__(self, name: str, value: Any) -> None:

@@ -9,7 +9,8 @@ about the whole world (re-verifying a sorted participant tuple,
 re-walking every blob of an exchange payload, a set-of-all-members per
 group) grows that ratio with N and trips the gate; exchange volume that
 is inherently O(N) per server (one dict store per collected blob) does
-not — it is a few calls per server, not per rank.
+not — it is a few calls per server, not per rank.  The simulation of
+one ``serve-cold`` request has a ceiling of its own.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import pytest
 from repro.api import SimSpec, make_world
 from repro.machine.presets import jupiter
 from repro.ompi.config import MpiConfig
+from repro.serve.registry import run_simspec
 from tests._callcount import counting_calls
 
 PPN = 16
@@ -61,11 +63,25 @@ def calls_per_rank(job: str, nodes: int) -> float:
     return calls / (nodes * PPN)
 
 
-#: Calls per rank at 128 ranks may not rise either; achieved 547.5 and
-#: 387.0, of which 2-3 are the retired-namespace check of each PMIx call
-#: (584.6 / 423.8 while a rank registered ten cleanup entries and
-#: every server merged a collected fence entry by entry).
-CEILING = {"sessions": 550, "mpi_init": 390}
+#: Calls per rank at 128 ranks may not rise either; achieved 413.8 and
+#: 289.4 (519.8 / 387.0 while an untraced run still called the null
+#: tracer, read the clock through a property, sized payloads with
+#: generators and rescanned a node's participants per arrival; 584.6 /
+#: 423.8 while a rank registered ten cleanup entries and every server
+#: merged a collected fence entry by entry).
+CEILING = {"sessions": 420, "mpi_init": 295}
+
+#: One ``serve-cold`` request's simulation (the Sessions program of
+#: ``run_simspec`` on jupiter 2x8) from its spec payload to the digest:
+#: 9 791 calls, 11 953 before the changes above.
+SIMSPEC_CEILING = 9800
+
+
+def simspec_job(seed: int = 3) -> dict:
+    """Run one ``serve-cold`` request's simulation."""
+    spec = SimSpec(nprocs=16, machine=jupiter(2), ppn=8,
+                   config=MpiConfig.sessions_prototype())
+    return run_simspec(spec.to_payload(), "sessions", seed)
 
 
 @pytest.mark.parametrize("job", sorted(JOBS))
@@ -78,6 +94,14 @@ def test_calls_per_rank_flat_128_to_512(job):
         f"{job}: {large:.0f} calls/rank at 512 ranks vs {small:.0f} at 128 "
         f"({large / small:.2f}x): something re-derives world-sized facts per rank"
     )
+
+
+def test_calls_per_simspec_job():
+    with counting_calls() as tally:
+        simspec_job()
+    assert tally.total <= SIMSPEC_CEILING, (
+        f"{tally.total} calls for one run_simspec job (ceiling "
+        f"{SIMSPEC_CEILING}); calls by function:\n{tally.top(15)}")
 
 
 @pytest.mark.slow

@@ -15,7 +15,7 @@ component tables and slotted per-rank records: 147.9 objects / 21.3 KB
 13.65.  One modex table per world instead of a copy per server, one
 lifecycle record per rank instead of ten cleanup tuples, fault-only
 containers made on first use: -> the limits below.  See
-docs/performance.md, "Footprint of one rank".
+docs/performance.md, "Footprint and lifetime of a rank".
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ import pickle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pmix.types import ABORTED_MARKER, PmixProc, ProcSet
+from repro.pmix.types import ABORTED_MARKER, PmixProc, PmixStatus, ProcSet
 from repro.pmix.wire import SizedDict, wire_size
 from repro.prrte.rml import RmlMessage
 
@@ -80,6 +80,39 @@ entries = st.one_of(blobs, st.just(ABORTED_MARKER), st.just(True), st.just({}))
 contributions = st.dictionaries(procs, entries, max_size=6)    # may be empty
 
 
+class Tag(str):
+    """A ``str`` that is not exactly ``str``."""
+
+
+class Label(str):
+    """A ``str`` whose ``str()`` is longer than itself."""
+
+    def __str__(self):
+        return "label:" + self
+
+
+def texts(size):
+    return st.one_of(st.text(max_size=size), st.text(max_size=size).map(Tag),
+                     st.text(max_size=size).map(Label))
+
+
+# Every class a payload can hold, each container kind (sized dicts and
+# proc sets included) at any depth, and keys that are not ``str``.
+hashables = st.one_of(st.integers(), st.booleans(), st.none(),
+                      st.floats(allow_nan=False), st.binary(max_size=8), texts(8),
+                      procs, st.integers(-30, 0).map(PmixStatus))
+keys = st.one_of(texts(6), st.integers(0, 99), st.booleans(), st.none(), procs)
+payloads = st.recursive(
+    st.one_of(hashables, st.binary(max_size=8).map(bytearray)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.sets(hashables, max_size=4), st.frozensets(hashables, max_size=4),
+        st.lists(procs, max_size=5).map(ProcSet),
+        st.dictionaries(keys, inner, max_size=4),
+        st.dictionaries(keys, inner, max_size=4).map(SizedDict)),
+    max_leaves=16)
+
+
 # ---------------------------------------------------------------------------
 # ProcSet
 # ---------------------------------------------------------------------------
@@ -123,14 +156,16 @@ def test_procset_is_shared_not_copied(members):
 # ---------------------------------------------------------------------------
 # sized payloads
 # ---------------------------------------------------------------------------
-@given(values)
-@settings(max_examples=300)
+@given(st.one_of(values, payloads))
+@settings(max_examples=500)
 def test_wire_size_is_the_recursive_walk(value):
     assert wire_size(value) == walk(value)
     if isinstance(value, dict):
         assert SizedDict(value).nbytes == walk(value)
         assert wire_size([SizedDict(value), {"k": SizedDict(value)}]) == walk(
             [value, {"k": value}])
+    wrapped = {Label("k"): value, 7: [value]}
+    assert wire_size(wrapped) == walk(wrapped)
 
 
 @given(st.lists(contributions, max_size=5), st.data())

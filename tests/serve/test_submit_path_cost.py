@@ -48,6 +48,7 @@ from repro.machine.presets import jupiter
 from repro.obs import LiveTelemetry
 from repro.ompi.config import MpiConfig
 from repro.serve import ResultStore, SimServer, protocol, run_simspec
+from repro.serve.endpoint import HISTOGRAM_MAX_SAMPLES
 from repro.sweep import cache_key
 from tests._callcount import counting_calls
 
@@ -119,6 +120,45 @@ def test_calls_per_cache_hit_submit():
         f"(limit {MAX_CALLS_PER_HIT}); calls per submit by function:\n"
         f"{tally.top(25, per=requests)}"
     )
+
+
+def _reference_summary(samples: list) -> dict:
+    """A histogram summary as an unbounded registry took it: every
+    sample kept, one sort per percentile."""
+    def percentile(p):
+        ordered = sorted(samples)
+        if len(ordered) == 1:
+            return ordered[0]
+        rank = (p / 100.0) * (len(ordered) - 1)
+        lo = int(rank)
+        hi = min(lo + 1, len(ordered) - 1)
+        return ordered[lo] * (1.0 - (rank - lo)) + ordered[hi] * (rank - lo)
+
+    return {"count": len(samples), "min": min(samples), "max": max(samples),
+            "mean": sum(samples) / len(samples), "p50": percentile(50),
+            "p90": percentile(90), "p99": percentile(99)}
+
+
+def test_latency_histograms_stay_within_their_cap():
+    """A long-lived server's histograms keep at most HISTOGRAM_MAX_SAMPLES
+    samples each (they kept every one, 41 B per answered request), while
+    count/total stay exact and a summary over at most the cap is the
+    exact one."""
+    store = ResultStore()
+    for key in range(KEYS):
+        store.put(cache_key("sleep", _params(key)), {"slept": 0.0, "tag": key})
+    server = SimServer(workers=1, store=store)
+    hits = 20_000
+    lines = [_submit_line(rid, rid % KEYS) for rid in range(hits)]
+    _serve(server, lines[:HISTOGRAM_MAX_SAMPLES])
+    latency = server.metrics.histogram("serve.latency")
+    assert latency.summary() == _reference_summary(list(latency.values))
+
+    _serve(server, lines[HISTOGRAM_MAX_SAMPLES:])
+    assert server.stats.cache_hits == hits
+    assert all(len(h.values) <= HISTOGRAM_MAX_SAMPLES
+               for h in server.metrics.histograms.values())
+    assert latency.count == hits and len(latency.values) == HISTOGRAM_MAX_SAMPLES
 
 
 def _sim_params(seed: int) -> dict:
