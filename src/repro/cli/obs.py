@@ -26,9 +26,11 @@ filter by ``--kind``, ``--run-scenario``, ``--digest`` prefix and
 ``--since``; ``--trend`` aggregates per (kind, scenario) instead.
 
 ``--identity`` prints the byte-identity fingerprint
-(:mod:`repro.obs.identity`): every scenario on both engines, plus the
-soak seeds ``A..B-1`` of ``--seeds A:B``.  ``diff`` the text of two
-trees to prove a change left the simulation alone.
+(:mod:`repro.obs.identity`): every scenario at each corpus size, the
+scaled soaks, plus the soak seeds ``A..B-1`` of ``--seeds A:B``.
+``diff`` the text of two trees to prove a change left the simulation
+alone; ``tests/stackparity/identity.txt`` is this text for
+``--seeds 0:50``.
 """
 
 from __future__ import annotations
@@ -97,9 +99,13 @@ def _runs_mode(args) -> int:
 def _seed_range(text: str) -> range:
     try:
         first, _, last = text.partition(":")
-        return range(int(first), int(last))
+        first, last = int(first), int(last)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected A:B, got {text!r}") from None
+    if first < 0 or last < first:
+        raise argparse.ArgumentTypeError(
+            f"expected 0 <= A <= B in A:B, got {text!r}")
+    return range(first, last)
 
 
 def main(argv=None) -> int:

@@ -1,32 +1,58 @@
 """Byte-identity fingerprint of the simulator (``python -m repro obs --identity``).
 
-One line per registered obs scenario x engine — the sha256 of its
-canonical Perfetto export, the events the engine executed and the final
-clock — and one per chaos-soak seed.  A change that must leave every
-simulated byte alone proves it with ``diff`` of this text from the
-parent tree and from its own; two runs of one tree print the same text.
+The text is the frozen-bytes corpus: ``tests/stackparity/identity.txt``
+holds it for ``--seeds 0:50`` and tier-1 checks every line.  It has
+one line per registered obs scenario at each corpus size — the sha256
+of its canonical Perfetto export, the events the engine executed, the
+final clock and the sha256 of its metrics snapshot — one per chaos
+soak at the scaled sizes, and one per soak seed, each a traced soak's
+record digest and the sha256 of its trace export.  A change that must
+leave every simulated byte alone proves it with ``diff`` of this text
+from the parent tree and from its own; two runs of one tree print the
+same text.
 """
 
 from __future__ import annotations
 
+import hashlib
 from typing import Iterable, Iterator
 
 from repro.obs.export import chrome_trace, dumps
 from repro.obs.scenarios import run_scenario, scenario_names
+from repro.simtime.trace import Tracer
+
+#: ``(nodes, ppn)`` every scenario runs at.
+SCENARIO_SIZES = ((2, 2), (4, 4), (8, 8))
+#: ``(num_nodes, num_ranks)`` soak seed 0 also runs at.
+SOAK_SIZES = ((8, 16), (8, 32))
 
 
-def identity_lines(seeds: Iterable[int] = ()) -> Iterator[str]:
-    """``name engine sha256(perfetto) events_executed final_clock`` per
-    scenario and engine, then ``soak/<seed> digest`` per soak seed."""
-    import hashlib
+def _sha(obj) -> str:
+    return hashlib.sha256(dumps(obj).encode()).hexdigest()
 
+
+def _soak_line(label: str, seed: int, engine_compat: bool, **kwargs) -> str:
     from repro.recovery import soak_run
 
+    tracer = Tracer()
+    record = soak_run(seed, tracer=tracer, engine_compat=engine_compat, **kwargs)
+    return f"{label} {record['digest']} {_sha(chrome_trace(tracer))}"
+
+
+def identity_lines(seeds: Iterable[int] = (), *,
+                   engine_compat: bool = False) -> Iterator[str]:
+    """``name NxP sha256(perfetto) events final_clock sha256(metrics)``
+    per scenario and size, ``soak/0@NxR digest sha256(trace)`` per
+    scaled soak, then ``soak/<seed> digest sha256(trace)`` per soak seed."""
     for name in scenario_names():
-        for engine in ("fast", "compat"):
-            run = run_scenario(name, engine_compat=engine == "compat")
-            sha = hashlib.sha256(dumps(chrome_trace(run.tracer)).encode()).hexdigest()
-            yield (f"{name} {engine} {sha} "
-                   f"{run.cluster.engine.events_executed} {run.t_end!r}")
+        for nodes, ppn in SCENARIO_SIZES:
+            run = run_scenario(name, nodes=nodes, ppn=ppn,
+                               engine_compat=engine_compat)
+            yield (f"{name} {nodes}x{ppn} {_sha(chrome_trace(run.tracer))} "
+                   f"{run.cluster.engine.events_executed} {run.t_end!r} "
+                   f"{_sha(run.metrics.to_dict())}")
+    for num_nodes, num_ranks in SOAK_SIZES:
+        yield _soak_line(f"soak/0@{num_nodes}x{num_ranks}", 0, engine_compat,
+                         num_nodes=num_nodes, num_ranks=num_ranks)
     for seed in seeds:
-        yield f"soak/{seed} {soak_run(seed)['digest']}"
+        yield _soak_line(f"soak/{seed}", seed, engine_compat)
