@@ -19,7 +19,7 @@ a thin wrapper over :func:`run_world`, the one spawn-run-harvest loop
 workers), which returns the whole :class:`RunResult`.
 
 :class:`SimSpec` is the one description of a simulated run — machine,
-layout, MPI config, recovery and engine knobs — shared by
+layout, MPI config, recovery and partitioning knobs — shared by
 :func:`make_world`, :func:`run_mpi`, ``Cluster.from_spec``, the
 ``repro.serve`` wire format and the ``repro.sweep`` cache keys.
 """
@@ -58,7 +58,6 @@ class SimSpec:
     tracer: Any = None                          # live object; never serialized
     recovery: bool = False
     recovery_seed: int = 0
-    engine_compat: bool = False
     partitions: int = 1                 # worker processes (repro.dsim); 1 = in-process
 
     def __post_init__(self) -> None:

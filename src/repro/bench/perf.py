@@ -5,10 +5,11 @@ wait per participant whose watchdog timer is canceled on completion,
 then a same-timestamp release cascade); ``comm_dup`` is the
 CID-allocation chain behind ``MPI_Comm_dup`` (long zero-delay message
 round-trips punctuated by daemon hops).  Both isolate the engine +
-trampoline and return the number of events executed, which must be the
-same on the fast-path scheduler and on ``Engine(compat=True)``.
+trampoline and return the number of events executed (pinned by the
+tests).
 
-``benchmarks/suite`` times them as its ``simtime.kernel_eps`` probe.
+``benchmarks/suite`` times them as its ``simtime.kernel_eps`` probe and
+passes a first positional argument that is no longer used.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ def _spawn(engine: Engine, gen, name: str = "") -> SimProcess:
     return proc
 
 
-def fence_storm(compat: bool, procs: int = 64, rounds: int = 120) -> int:
+def fence_storm(compat: bool = False, procs: int = 64, rounds: int = 120) -> int:
     """PMIx-fence fan-in kernel; returns events executed.
 
     Per round, each participant arrives after a per-rank stagger (heap
@@ -34,7 +35,7 @@ def fence_storm(compat: bool, procs: int = 64, rounds: int = 120) -> int:
     pattern that motivated lazy deletion — and the last arrival releases
     everyone into a same-timestamp drain chain (ready-lane traffic).
     """
-    engine = Engine(compat=compat)
+    engine = Engine()
     state = {"count": 0, "event": SimEvent()}
 
     def rank(r: int):
@@ -61,7 +62,7 @@ def fence_storm(compat: bool, procs: int = 64, rounds: int = 120) -> int:
     return engine.events_executed
 
 
-def comm_dup(compat: bool, procs: int = 32, dups: int = 100) -> int:
+def comm_dup(compat: bool = False, procs: int = 32, dups: int = 100) -> int:
     """CID-allocation chain kernel; returns events executed.
 
     Models the ``MPI_Comm_dup`` hot loop: each dup is a burst of
@@ -69,7 +70,7 @@ def comm_dup(compat: bool, procs: int = 32, dups: int = 100) -> int:
     same instant) followed by one short daemon hop.  Almost pure
     ready-lane + trampoline traffic.
     """
-    engine = Engine(compat=compat)
+    engine = Engine()
 
     def rank(r: int):
         for _ in range(dups):

@@ -33,13 +33,9 @@ class Cluster:
         tracer: Optional[Tracer] = None,
         recovery: bool = False,
         recovery_seed: int = 0,
-        engine_compat: bool = False,
     ) -> None:
         self.machine = machine or laptop()
-        # ``engine_compat`` selects the pure-heap reference scheduler +
-        # reference trampoline (docs/performance.md) — used by the
-        # golden-trace equivalence tests and as the bench baseline.
-        self.engine = Engine(compat=engine_compat)
+        self.engine = Engine()
         self.tracer = tracer or NULL_TRACER
         # Observability (docs/observability.md): every layer reaches the
         # tracer through the engine it already holds; metrics stay
@@ -103,8 +99,7 @@ class Cluster:
         """
         return cls(machine=spec.machine, grpcomm_mode=spec.grpcomm_mode,
                    grpcomm_radix=spec.grpcomm_radix, tracer=spec.tracer,
-                   recovery=spec.recovery, recovery_seed=spec.recovery_seed,
-                   engine_compat=spec.engine_compat)
+                   recovery=spec.recovery, recovery_seed=spec.recovery_seed)
 
     @property
     def now(self) -> float:

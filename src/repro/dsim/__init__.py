@@ -1,7 +1,7 @@
 """Conservative parallel simulation of one world across processes.
 
 ``repro.dsim`` shards a single simulated world *by node* across N
-forked worker partitions.  Each partition runs the ordinary fast-path
+forked worker partitions.  Each partition runs the ordinary
 :class:`~repro.simtime.engine.Engine` over its local daemons and ranks;
 cross-partition RML/ob1 traffic is exchanged at conservative
 time-window barriers whose lookahead is the per-link latency floor of

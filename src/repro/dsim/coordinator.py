@@ -111,11 +111,10 @@ def run_partitioned(
 
     Raises :class:`PartitionError` when the run cannot be partitioned
     (more partitions than nodes, a fault plan that is not
-    partition-safe, the reference scheduler, or a live tracer on the
-    spec — workers build their own; ``repro.api.run_world`` is the
-    caller that turns a spec tracer into ``traced=True``).  Rank results
-    must be picklable.  Runs go to quiescence (no
-    ``until`` horizon); a global deadlock raises
+    partition-safe, or a live tracer on the spec — workers build their
+    own; ``repro.api.run_world`` is the caller that turns a spec tracer
+    into ``traced=True``).  Rank results must be picklable.  Runs go to
+    quiescence (no ``until`` horizon); a global deadlock raises
     :class:`~repro.simtime.engine.DeadlockError` like the in-process
     engine would.
     """
@@ -130,10 +129,6 @@ def run_partitioned(
         raise PartitionError(
             "partitioned runs build per-worker tracers; pass traced=True "
             "instead of attaching a tracer to the spec")
-    if spec.engine_compat:
-        raise PartitionError(
-            "engine_compat runs on the reference scheduler, which has no "
-            "window-bounded execution; use partitions=1")
     machine = spec.machine or laptop()
     pmap = PartitionMap(nparts, machine.num_nodes)
     validate_plan(plan, nparts)

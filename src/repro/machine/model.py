@@ -10,7 +10,7 @@ growth, and the small per-message penalty of the extended exCID header.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict
 
 
@@ -84,6 +84,18 @@ class MachineModel:
     # overhead in the 2MESH experiment.
     nanosleep_quantum: float = 30.0e-6
 
+    def __post_init__(self) -> None:
+        # A model can come from outside (a serve payload is JSON, which
+        # spells NaN and Infinity): a NaN cost would run events out of
+        # order without any error, an infinite one ends at t = inf.
+        for name in _NUMERIC_FIELDS:
+            value = getattr(self, name)
+            if not (isinstance(value, (int, float)) and 0 <= value < math.inf):
+                raise ValueError(f"MachineModel.{name} must be a finite "
+                                 f"number >= 0, got {value!r}")
+            if not value and name in _POSITIVE_FIELDS:
+                raise ValueError(f"MachineModel.{name} must be > 0, got {value!r}")
+
     def with_nodes(self, num_nodes: int) -> "MachineModel":
         """A copy of this model scaled to ``num_nodes`` nodes."""
         return replace(self, num_nodes=num_nodes)
@@ -121,3 +133,8 @@ class MachineModel:
             "Intra bandwidth": f"{self.intra_node_bandwidth / 1e9:.1f} GB/s",
             "Inter bandwidth": f"{self.inter_node_bandwidth / 1e9:.1f} GB/s",
         }
+
+
+_NUMERIC_FIELDS = tuple(f.name for f in fields(MachineModel) if f.name != "name")
+_POSITIVE_FIELDS = ("num_nodes", "cores_per_node",
+                    "intra_node_bandwidth", "inter_node_bandwidth")

@@ -1,15 +1,9 @@
 """Byte-identity fingerprint of the simulator (``python -m repro obs --identity``).
 
-The text is the frozen-bytes corpus: ``tests/stackparity/identity.txt``
-holds it for ``--seeds 0:50`` and tier-1 checks every line.  It has
-one line per registered obs scenario at each corpus size — the sha256
-of its canonical Perfetto export, the events the engine executed, the
-final clock and the sha256 of its metrics snapshot — one per chaos
-soak at the scaled sizes, and one per soak seed, each a traced soak's
-record digest and the sha256 of its trace export.  A change that must
+The frozen-bytes corpus ``tests/stackparity/identity.txt`` is this text
+for ``--seeds 0:50``; tier-1 checks every line.  A change that must
 leave every simulated byte alone proves it with ``diff`` of this text
-from the parent tree and from its own; two runs of one tree print the
-same text.
+from the parent tree and from its own.
 """
 
 from __future__ import annotations
@@ -31,28 +25,26 @@ def _sha(obj) -> str:
     return hashlib.sha256(dumps(obj).encode()).hexdigest()
 
 
-def _soak_line(label: str, seed: int, engine_compat: bool, **kwargs) -> str:
+def _soak_line(label: str, seed: int, **kwargs) -> str:
     from repro.recovery import soak_run
 
     tracer = Tracer()
-    record = soak_run(seed, tracer=tracer, engine_compat=engine_compat, **kwargs)
+    record = soak_run(seed, tracer=tracer, **kwargs)
     return f"{label} {record['digest']} {_sha(chrome_trace(tracer))}"
 
 
-def identity_lines(seeds: Iterable[int] = (), *,
-                   engine_compat: bool = False) -> Iterator[str]:
+def identity_lines(seeds: Iterable[int] = ()) -> Iterator[str]:
     """``name NxP sha256(perfetto) events final_clock sha256(metrics)``
     per scenario and size, ``soak/0@NxR digest sha256(trace)`` per
     scaled soak, then ``soak/<seed> digest sha256(trace)`` per soak seed."""
     for name in scenario_names():
         for nodes, ppn in SCENARIO_SIZES:
-            run = run_scenario(name, nodes=nodes, ppn=ppn,
-                               engine_compat=engine_compat)
+            run = run_scenario(name, nodes=nodes, ppn=ppn)
             yield (f"{name} {nodes}x{ppn} {_sha(chrome_trace(run.tracer))} "
                    f"{run.cluster.engine.events_executed} {run.t_end!r} "
                    f"{_sha(run.metrics.to_dict())}")
     for num_nodes, num_ranks in SOAK_SIZES:
-        yield _soak_line(f"soak/0@{num_nodes}x{num_ranks}", 0, engine_compat,
+        yield _soak_line(f"soak/0@{num_nodes}x{num_ranks}", 0,
                          num_nodes=num_nodes, num_ranks=num_ranks)
     for seed in seeds:
-        yield _soak_line(f"soak/{seed}", seed, engine_compat)
+        yield _soak_line(f"soak/{seed}", seed)

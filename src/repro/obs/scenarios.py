@@ -145,17 +145,13 @@ def run_scenario(
     nodes: int = 2,
     ppn: int = 2,
     machine: str = "jupiter",
-    engine_compat: bool = False,
     partitions: int = 1,
 ) -> ObsRun:
     """Run a named scenario and return its :class:`ObsRun`.
 
-    ``engine_compat=True`` runs on the pure-heap reference scheduler —
-    the golden-trace tests compare its byte-exact export against the
-    default fast-path engine's.  ``partitions=N`` executes the same
-    world across N worker processes (``repro.dsim``); scenarios whose
-    fault plan is not partition-safe raise
-    :class:`~repro.dsim.PartitionError`.
+    ``partitions=N`` executes the same world across N worker processes
+    (``repro.dsim``); scenarios whose fault plan is not partition-safe
+    raise :class:`~repro.dsim.PartitionError`.
     """
     try:
         spec = _SPECS[name]
@@ -172,7 +168,6 @@ def run_scenario(
             ppn=ppn,
             config=spec["config"](),
             tracer=tracer,
-            engine_compat=engine_compat,
             partitions=partitions,
         ),
         spec["main"],

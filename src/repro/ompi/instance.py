@@ -49,11 +49,7 @@ def instance_acquire(runtime):
     of them on the first acquire of an epoch."""
     reg = runtime.subsystems
     if not reg.is_initialized("pml_ob1"):
-        if runtime.engine.compat:
-            for name in SUBSYSTEMS:
-                yield from _INIT.get(name, _generic_init)(runtime)
-        else:
-            yield from _init_fused(runtime)
+        yield from _init_fused(runtime)
         reg.mark_all_initialized(runtime)
     reg.retain("pml_ob1")       # one record for all of SUBSYSTEMS
     runtime.instance_refcount += 1
@@ -65,23 +61,23 @@ _AFTER_PML = len(SUBSYSTEMS) - _THROUGH_PML
 
 
 def _init_fused(runtime):
-    """Fast-path cold init: fuse consecutive subsystem sleeps.
+    """Cold init: each subsystem costs one ``session_subsys_init``.
 
-    The reference charges one ``session_subsys_init`` sleep per
-    subsystem, with only process-local bookkeeping between the resumes
-    (MCA registration).  Nothing outside this rank can observe those
-    intermediate instants, so a run of subsystems collapses into a single
-    :class:`SleepUntil` at the run's final resume time — computed with
-    the reference's exact float-add sequence so timestamps stay
-    byte-identical.  ``pml_ob1`` ends the first run: its init registers
-    the endpoint with the fabric and commits the modex blob (an RPC), and
-    the reference performs both at exactly the fused run's end time.
+    Only process-local bookkeeping (MCA registration) happens between
+    two subsystems' inits, and nothing outside this rank can observe
+    those intermediate instants, so a run of subsystems is a single
+    :class:`SleepUntil` at the run's final time, charged as one logical
+    event per subsystem.  ``pml_ob1`` ends the first run: its init
+    registers the endpoint with the fabric and commits the modex blob
+    (an RPC) at exactly the run's end time.
     """
     engine = runtime.engine
     d = runtime.machine.session_subsys_init
     t = engine.now
     for _ in range(_THROUGH_PML):
-        t = t + d               # replay the reference's exact float adds
+        # The same float adds as one sleep per subsystem: the times the
+        # frozen-bytes corpus pins depend on the rounding of each add.
+        t = t + d
     yield SleepUntil(t, _THROUGH_PML - 1)
     _mca_register(runtime)
     _pml_setup(runtime)
@@ -108,19 +104,9 @@ def instance_release(runtime):
     yield  # pragma: no cover
 
 
-def _generic_init(runtime):
-    yield Sleep(runtime.machine.session_subsys_init)
-
-
-def _mca_init(runtime):
-    """Open MCA frameworks and register the standard components."""
-    yield Sleep(runtime.machine.session_subsys_init)
-    _mca_register(runtime)
-
-
 def _mca_register(runtime):
-    """The non-sleeping body of :func:`_mca_init` (shared with the fused
-    fast path, which performs the time charge separately)."""
+    """Open MCA frameworks, register the standard components and select
+    one per framework."""
     mca = runtime.mca
     for name, components in MCA_COMPONENTS.items():
         mca.framework(name, components).open()
@@ -136,18 +122,10 @@ def _mca_cleanup(runtime):
             fw.close()
 
 
-def _pml_init(runtime):
-    """Bring up ob1: create the endpoint and publish our modex blob."""
-    yield Sleep(runtime.machine.session_subsys_init)
-    _pml_setup(runtime)
-    yield from runtime.pmix.commit()
-
-
 def _pml_setup(runtime):
-    """The non-sleeping setup of :func:`_pml_init` (shared with the fused
-    fast path): create the endpoint — from here until :func:`_pml_cleanup`
-    the fabric delivers to this rank and the fault manager tells it of
-    peer deaths — and stage our modex blob."""
+    """Bring up ob1: create the endpoint — from here until
+    :func:`_pml_cleanup` the fabric delivers to this rank and the fault
+    manager tells it of peer deaths — and stage our modex blob."""
     from repro.ompi.pml.ob1 import ENDPOINT_KEY, Ob1Endpoint
 
     runtime.endpoint = Ob1Endpoint(runtime)
@@ -171,10 +149,6 @@ def _pml_cleanup(runtime):
         runtime.endpoint = None
     runtime.reset_cid_state()
 
-
-#: What the reference path runs per subsystem (with the runtime); every
-#: other subsystem only charges its init time.
-_INIT = {"mca_base": _mca_init, "pml_ob1": _pml_init}
 
 #: The teardown every rank registers by reference: ``(name, cleanup)``
 #: rows, newest subsystem first, ``cleanup(runtime)`` where there is one.

@@ -8,13 +8,11 @@ queues), and the ob1 protocol including the first-message exCID
 handshake and the eager/rendezvous split.
 """
 
-from repro.ompi.pml.headers import MatchHeader, ExtendedHeader, MATCH_HEADER_BYTES
+from repro.ompi.pml.headers import MATCH_HEADER_BYTES
 from repro.ompi.pml.matching import MatchingEngine
 from repro.ompi.pml.ob1 import Ob1Endpoint, Fabric
 
 __all__ = [
-    "MatchHeader",
-    "ExtendedHeader",
     "MATCH_HEADER_BYTES",
     "MatchingEngine",
     "Ob1Endpoint",

@@ -32,12 +32,7 @@ from typing import Any, Container, Dict, List, Optional, Tuple
 from repro.ompi.btl.net import NetworkBTL
 from repro.ompi.btl.sm import SharedMemoryBTL
 from repro.ompi.errors import MPIErrIntern, MPIErrProcFailed
-from repro.ompi.pml.headers import (
-    EXTENDED_HEADER_BYTES,
-    MATCH_HEADER_BYTES,
-    ExtendedHeader,
-    MatchHeader,
-)
+from repro.ompi.pml.headers import EXTENDED_HEADER_BYTES, MATCH_HEADER_BYTES
 from repro.ompi.pml.matching import MatchingEngine
 from repro.ompi.status import Status
 from repro.pmix.types import PmixProc
@@ -53,13 +48,10 @@ class Packet:
     ``src``/``tag`` onto it and hands *it* to the matching engine, so an
     unexpected message is the packet that carried it.
 
-    ``hdr``/``ext`` come in two equivalent in-memory forms, chosen in
-    :meth:`Ob1Endpoint.start_send`: the default engine carries the plain
-    tuples ``(ctx, src, tag, seq)`` and ``(excid_key, sender_cid)``, the
-    compat reference carries the :class:`MatchHeader`/
-    :class:`ExtendedHeader` dataclasses.  Consumers branch on the
-    concrete type; the stack-parity suite proves both forms produce
-    identical behavior.  ``sender_req``/``recv_req`` are the two ends'
+    ``hdr``/``ext`` are the plain tuples ``(ctx, src, tag, seq)`` and
+    ``(excid_key, sender_cid)`` built in :meth:`Ob1Endpoint.start_send`
+    (:mod:`repro.ompi.pml.headers` sizes them on the wire).
+    ``sender_req``/``recv_req`` are the two ends'
     :class:`~repro.ompi.request.Request` objects — each its own
     completion event — riding the rendezvous round trip.
     """
@@ -146,13 +138,7 @@ class Fabric:
             if dst in dead or pkt.src_proc in dead:
                 faults.dead_drop("pml", pkt.src_proc, dst, fid=pkt.fid)
                 return
-            hdr = pkt.hdr
-            if hdr is None:
-                tag = pkt.kind
-            elif hdr.__class__ is tuple:
-                tag = hdr[2]
-            else:
-                tag = hdr.tag
+            tag = pkt.kind if pkt.hdr is None else pkt.hdr[2]
             disp = faults.on_message("pml", pkt.src_proc, dst, tag, fid=pkt.fid)
             if disp is not None:
                 if disp.drop:
@@ -398,13 +384,7 @@ class Ob1Endpoint:
         ident = comm._identity
         seq = seqs.get(ident, 0)
         seqs[ident] = seq + 1
-        # The only place the in-memory form of the headers is chosen.
-        if self.engine.compat:
-            hdr = MatchHeader(ctx=ctx, src=comm.rank, tag=tag, seq=seq)
-            if ext is not None:
-                ext = ExtendedHeader(excid=ext[0], sender_cid=cid)
-        else:
-            hdr = (ctx, comm.rank, tag, seq)
+        hdr = (ctx, comm.rank, tag, seq)
         if nbytes <= self.machine.eager_limit:
             pkt = Packet("user", self.proc, hdr, ext, payload, nbytes)
         else:
@@ -496,13 +476,7 @@ class Ob1Endpoint:
     def deliver_user(self, pkt: Packet) -> None:
         """Match one arrived user message (also the replay entry for
         packets stashed before their communicator was registered)."""
-        # The header arrives either as a tuple or as the compat
-        # dataclass; unpack once into locals either way.
-        hdr = pkt.hdr
-        if hdr.__class__ is tuple:
-            ctx, src, tag, seq = hdr
-        else:
-            ctx, src, tag, seq = hdr.ctx, hdr.src, hdr.tag, hdr.seq
+        ctx, src, tag, seq = pkt.hdr
         ext = pkt.ext
         # Resolve the target communicator first: a packet may arrive
         # before this process finished registering the communicator
@@ -510,10 +484,7 @@ class Ob1Endpoint:
         # Stash such packets with NO state mutation — they are replayed
         # verbatim at registration.
         if ext is not None:
-            if ext.__class__ is tuple:
-                excid_key, sender_cid = ext
-            else:
-                excid_key, sender_cid = ext.excid, ext.sender_cid
+            excid_key, sender_cid = ext
             comm = self.runtime.comm_by_excid(excid_key)
             if comm is None:
                 self.runtime.stash_early_packet(excid_key, pkt)

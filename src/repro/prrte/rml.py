@@ -247,8 +247,8 @@ class RoutingLayer:
         else:
             # Fault-injected duplicates are the one genuinely same-instant
             # fan-out in the stack: every copy arrives at the same time, so
-            # the whole burst collapses into one scheduled delivery on the
-            # fast path (the compat reference keeps one heap entry per copy).
+            # the whole burst collapses into one scheduled delivery that
+            # still counts one event per copy.
             self.engine.call_at_batch(arrival, [arrive] * copies)
 
     def _arrive(self, msg: RmlMessage, deliver: Callable[[RmlMessage], None]) -> None:

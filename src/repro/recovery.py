@@ -140,16 +140,13 @@ def soak_run(
     config=None,
     tracer=None,
     return_world: bool = False,
-    engine_compat: bool = False,
     partitions: int = 1,
     partition_safe: bool = False,
 ) -> Dict[str, Any]:
     """One chaos-soak run.  Returns a deterministic result record;
     ``result["ok"]`` is the pass/fail verdict.  ``return_world=True``
     additionally returns the (quiesced) world, for post-mortem
-    inspection — metric harvesting, trace export.  ``engine_compat``
-    selects the pure-heap reference scheduler; the digest must come out
-    identical either way (tested).
+    inspection — metric harvesting, trace export.
 
     ``partitions=N`` runs the soak across N worker processes
     (``repro.dsim``); this requires ``partition_safe=True`` (the default
@@ -166,7 +163,6 @@ def soak_run(
             tracer=tracer,
             recovery=True,
             recovery_seed=seed,
-            engine_compat=engine_compat,
             partitions=partitions,
         ),
         _soak_main, args=(T_SAFE,),

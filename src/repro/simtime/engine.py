@@ -5,21 +5,13 @@ broken by a monotonically increasing sequence number so that events
 scheduled earlier fire earlier — the FIFO tie-break is part of the
 simulator's determinism contract and is exercised by the property tests.
 
-Two scheduler implementations share that contract (docs/performance.md):
-
-* the **fast path** (default) keeps a same-timestamp FIFO *ready lane*
-  (a deque) next to the heap.  An event scheduled for the current
-  instant — the zero-delay chains that dominate message-delivery
-  cascades — skips the heap entirely.  Because a heap entry at time T
-  can only have been pushed while ``now < T`` and a ready-lane entry at
-  T is only appended while ``now == T``, every heap entry at T carries a
-  smaller sequence number than every ready entry at T: draining the
-  heap's due entries first, then the ready lane FIFO, reproduces the
-  exact global (time, seq) order of the pure-heap scheduler.
-* the **compat path** (``Engine(compat=True)``) is the original
-  pure-heap scheduler: every event goes through ``heapq``.  It is kept
-  as the reference implementation for the golden-trace equivalence
-  tests.
+A same-timestamp FIFO *ready lane* (a deque) sits next to the heap
+(docs/performance.md): an event scheduled for the current instant — the
+zero-delay chains of message-delivery cascades — skips the heap.  A heap
+entry at time T can only have been pushed while ``now < T`` and a ready
+entry at T only appended while ``now == T``, so draining the heap's due
+entries first, then the ready lane, is exactly the ``(time, seq)``
+order of a plain heap.
 
 Canceled timers are lazily deleted (cancel is O(1)); a cancellation
 counter triggers an in-place compaction of the heap once canceled
@@ -92,14 +84,10 @@ class Engine:
     layers generator-trampolining on top of :meth:`call_at`.  Callers
     that keep the returned :class:`Timer` (to cancel it) use
     ``call_at``/``call_later``; everything else posts with :meth:`post_at`.
-
-    ``compat=True`` selects the pure-heap reference scheduler (and the
-    reference trampoline in :mod:`repro.simtime.process`); event order,
-    traces and digests are identical either way — proven by the
-    golden-trace tests — only the wall-clock cost differs.
+    Past-time checks read ``not when >= now`` so that NaN fails them too.
     """
 
-    def __init__(self, compat: bool = False) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0             # simulated seconds; the run loop writes it
         self._queue: list = []
         self._ready: deque = deque()      # entries due at exactly now
@@ -107,7 +95,6 @@ class Engine:
         self._ncanceled = 0               # canceled entries still queued
         self._live: set = set()
         self._running = False
-        self.compat = compat
         # Observability hooks.  Every layer reaches tracing/metrics via
         # its existing engine reference; the Cluster swaps in real
         # instances when the user asks for them.  The null defaults keep
@@ -121,25 +108,22 @@ class Engine:
         """Queue ``fn`` at ``when`` (assumed >= now); returns the entry."""
         self._seq = seq = self._seq + 1
         entry = [when, seq, fn]
-        if when == self.now and not self.compat:
+        if when == self.now:
             self._ready.append(entry)
         else:
             heapq.heappush(self._queue, entry)
         return entry
 
     def _sched_soon(self, fn: Callable[[], Any]) -> list:
-        """Queue ``fn`` at the current instant (ready-lane fast path)."""
+        """Queue ``fn`` at the current instant (on the ready lane)."""
         self._seq = seq = self._seq + 1
         entry = [self.now, seq, fn]
-        if self.compat:
-            heapq.heappush(self._queue, entry)
-        else:
-            self._ready.append(entry)
+        self._ready.append(entry)
         return entry
 
     def call_at(self, when: float, fn: Callable[[], Any]) -> Timer:
         """Schedule ``fn()`` to run at absolute simulated time ``when``."""
-        if when < self.now:
+        if not when >= self.now:
             raise SimulationError(
                 f"cannot schedule event in the past ({when} < {self.now})"
             )
@@ -151,19 +135,19 @@ class Engine:
         :class:`Timer`, so the event cannot be canceled.  The per-message
         sites (packet delivery, match completion, RML hops) use this;
         ``_sched`` is repeated inline to keep them at one frame."""
-        if when < self.now:
+        if not when >= self.now:
             raise SimulationError(
                 f"cannot schedule event in the past ({when} < {self.now})"
             )
         self._seq = seq = self._seq + 1
-        if when == self.now and not self.compat:
+        if when == self.now:
             self._ready.append([when, seq, fn])
         else:
             heapq.heappush(self._queue, [when, seq, fn])
 
     def call_later(self, delay: float, fn: Callable[[], Any]) -> Timer:
         """Schedule ``fn()`` to run ``delay`` simulated seconds from now."""
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"negative delay: {delay}")
         return Timer(self._sched(self.now + delay, fn), self)
 
@@ -172,36 +156,35 @@ class Engine:
         already queued for it (equivalent to ``call_later(0, fn)``)."""
         return Timer(self._sched_soon(fn), self)
 
-    # -- logical-event batching (fast-path only; docs/performance.md) -----
+    # -- logical-event batching (docs/performance.md) ---------------------
     def charge_events(self, extra: int) -> None:
         """Account for ``extra`` logical events executed inside one
         physical callback.
 
-        The determinism contract counts *logical* events: a fast-path
-        batch that folds N same-instant callbacks into one scheduled
-        delivery must still report N executed events, so digests and the
-        fast-vs-compat event-count cross-check stay exact."""
+        The determinism contract counts *logical* events: a batch that
+        folds N same-instant callbacks into one scheduled delivery must
+        still report N executed events, so digests and the event counts
+        the frozen-bytes corpus pins stay exact."""
         self.events_executed += extra
 
     def call_at_batch(self, when: float, fns: list) -> None:
         """Schedule ``fns`` at ``when`` as consecutive events.
 
-        On the compat reference every callback is its own heap entry —
-        exactly what a naive loop over :meth:`call_at` produces.  On the
-        fast path the whole batch becomes ONE physical entry that runs
-        the callbacks back-to-back and charges the extra logical events.
-        Because a loop scheduling N callbacks hands them consecutive
-        sequence numbers, nothing can interleave between them in the
-        reference order either — the two executions are byte-identical.
+        The whole batch is ONE physical entry that runs the callbacks
+        back-to-back and charges the extra logical events.  A loop of
+        :meth:`call_at` would hand them consecutive sequence numbers, so
+        nothing could interleave between them: the batch fires in the
+        same order, at the same clock and with the same
+        ``events_executed`` as that loop.
 
         Only for fire-and-forget deliveries: batch entries cannot be
         individually canceled.
         """
-        if when < self.now:
+        if not when >= self.now:
             raise SimulationError(
                 f"cannot schedule event in the past ({when} < {self.now})"
             )
-        if self.compat or len(fns) <= 1:
+        if len(fns) <= 1:
             for fn in fns:
                 self._sched(when, fn)
             return

@@ -18,21 +18,13 @@ in which case the exception is re-raised at the join site.  This makes
 protocol bugs fail loudly while still supporting deliberate failure
 injection in the fault-tolerance demos.
 
-Two trampoline implementations share these semantics
-(docs/performance.md):
-
-* the **fast path** (default) dispatches on the effect's exact class
-  (``Sleep`` and ``Wait`` first — they dominate every workload), resumes
-  via pre-bound methods instead of per-suspension lambdas, and lands
-  zero-delay resumptions on the engine's ready lane; and
-* the **reference path**, selected by ``Engine(compat=True)``: the
-  original isinstance-chain interpreter scheduling through closures on
-  the pure heap.
-
-Both produce identical event orderings — the golden-trace equivalence
-tests prove it.  The module-level :data:`NOW`, :data:`SELF` and
-:data:`SLEEP0` singletons exist so hot call sites can yield a shared
-effect object instead of allocating one per suspension.
+The trampoline dispatches on the effect's exact class (``Sleep`` and
+``Wait`` first — they dominate every workload), resumes via pre-bound
+methods instead of per-suspension lambdas, and lands zero-delay
+resumptions on the engine's ready lane (docs/performance.md).  The
+module-level :data:`NOW`, :data:`SELF` and :data:`SLEEP0` singletons
+exist so hot call sites can yield a shared effect object instead of
+allocating one per suspension.
 """
 
 from __future__ import annotations
@@ -68,12 +60,12 @@ class SleepUntil:
     ``extra`` logical events are charged to the engine when the process
     resumes: a fused sleep chain (N consecutive ``Sleep`` effects with no
     externally observable work between them, collapsed into one
-    suspension) stands for ``extra + 1`` reference events, and the
-    determinism contract counts logical events (docs/performance.md).
-    ``t`` must be computed by replaying the reference's exact float
-    additions, so resume timestamps stay byte-identical.  If the process
-    is killed before ``t`` nothing is charged — matching a reference
-    chain canceled before its first sleep fires.
+    suspension) stands for ``extra + 1`` events, and the determinism
+    contract counts logical events (docs/performance.md).  ``t`` must be
+    computed by replaying the chain's exact float additions, so resume
+    timestamps stay byte-identical.  If the process is killed before
+    ``t`` nothing is charged — as for a chain killed before its first
+    sleep fires.
     """
 
     __slots__ = ("t", "extra")
@@ -252,8 +244,6 @@ class SimProcess:
 
     # -- trampoline -------------------------------------------------------
     def _step(self, value: Any, exc: Optional[BaseException]) -> None:
-        if self.engine.compat:
-            return self._step_reference(value, exc)
         self._pending_timer = None
         self._waiting_on = None
         engine = self.engine
@@ -268,45 +258,42 @@ class SimProcess:
                     effect = send(value)
                 value = None
 
-                # Exact-class dispatch, hottest effects first.  Effect
-                # subclasses (rare) fall through to the reference
-                # interpreter's isinstance chain below.
+                # Exact-class dispatch, hottest effects first.  Nothing
+                # subclasses an effect: any other object is an error.
                 cls = effect.__class__
                 if cls is Sleep:
-                    # Inlined scheduling: the engine's compat flag is
-                    # known False here, so the lane choice is direct.
+                    # Inlined scheduling: the lane choice is direct.
                     delay = effect.delay
                     engine._seq = seq = engine._seq + 1
                     if delay == 0.0:
                         entry = [engine.now, seq, self._resume_cb]
                         engine._ready.append(entry)
                     else:
-                        if delay < 0:
+                        if not delay > 0:
                             raise SimulationError(f"negative delay: {delay}")
                         entry = [engine.now + delay, seq, self._resume_cb]
                         heappush(engine._queue, entry)
                     self._pending_timer = entry
                     return
                 if cls is Wait:
-                    if effect.timeout is not None:
-                        self._do_wait(effect)
-                        return
                     event = effect.event
                     if event.triggered:
-                        # Mirrors the reference path: the resume is
-                        # scheduled (not run inline) and is deliberately
-                        # not cancel-tracked, so kill() interleavings
-                        # execute the same engine events in both modes.
+                        # The resume is scheduled (not run inline) and is
+                        # deliberately not cancel-tracked: a kill() before
+                        # it fires leaves the event queued, and the event
+                        # counts the corpus pins include it.
                         self._pending_event = event
                         engine._seq = seq = engine._seq + 1
                         engine._ready.append([engine.now, seq, self._event_cb])
-                    else:
+                    elif effect.timeout is None:
                         self._waiting_on = event
                         event.add_waiter(self._step)
+                    else:
+                        self._do_timed_wait(event, effect.timeout)
                     return
                 if cls is SleepUntil:
                     t = effect.t
-                    if t < engine.now:
+                    if not t >= engine.now:
                         raise SimulationError(
                             f"cannot sleep until the past ({t} < {engine.now})"
                         )
@@ -335,82 +322,6 @@ class SimProcess:
                 elif cls is WaitAny:
                     self._do_wait_any(effect)
                     return
-                elif isinstance(effect, Now):
-                    value = engine.now
-                elif isinstance(effect, Self):
-                    value = self
-                elif isinstance(effect, Spawn):
-                    child = SimProcess(engine, effect.gen, effect.name)
-                    child.start()
-                    value = child
-                elif isinstance(effect, Sleep):
-                    self._pending_timer = self.engine.call_later(
-                        effect.delay, lambda: self._step(None, None)
-                    )
-                    return
-                elif isinstance(effect, SleepUntil):
-                    self._do_sleep_until(effect)
-                    return
-                elif isinstance(effect, Wait):
-                    self._do_wait(effect)
-                    return
-                elif isinstance(effect, WaitAny):
-                    self._do_wait_any(effect)
-                    return
-                elif isinstance(effect, Join):
-                    self._do_join(effect.proc)
-                    return
-                else:
-                    raise SimulationError(
-                        f"process {self.name!r} yielded non-effect {effect!r}"
-                    )
-        except StopIteration as stop:
-            self._finish(getattr(stop, "value", None), None)
-        except ProcessKilled as killed:
-            self._finish(None, killed)
-        except BaseException as err:  # noqa: BLE001 - deliberate fail-fast
-            self._finish(None, err)
-
-    def _step_reference(self, value: Any, exc: Optional[BaseException]) -> None:
-        """The original interpreter (``Engine(compat=True)``): isinstance
-        chain plus per-suspension closures through the public heap API.
-        Kept verbatim as the behavioral reference for the fast path."""
-        self._pending_timer = None
-        self._waiting_on = None
-        try:
-            while True:
-                if exc is not None:
-                    pending, exc = exc, None
-                    effect = self.gen.throw(pending)
-                else:
-                    effect = self.gen.send(value)
-                value = None
-
-                if isinstance(effect, Now):
-                    value = self.engine.now
-                elif isinstance(effect, Self):
-                    value = self
-                elif isinstance(effect, Spawn):
-                    child = SimProcess(self.engine, effect.gen, effect.name)
-                    child.start()
-                    value = child
-                elif isinstance(effect, Sleep):
-                    self._pending_timer = self.engine.call_later(
-                        effect.delay, lambda: self._step(None, None)
-                    )
-                    return
-                elif isinstance(effect, SleepUntil):
-                    self._do_sleep_until(effect)
-                    return
-                elif isinstance(effect, Wait):
-                    self._do_wait(effect)
-                    return
-                elif isinstance(effect, WaitAny):
-                    self._do_wait_any(effect)
-                    return
-                elif isinstance(effect, Join):
-                    self._do_join(effect.proc)
-                    return
                 else:
                     raise SimulationError(
                         f"process {self.name!r} yielded non-effect {effect!r}"
@@ -426,36 +337,15 @@ class SimProcess:
         self.engine.events_executed += extra
         self._step(None, None)
 
-    def _do_sleep_until(self, effect: SleepUntil) -> None:
-        """SleepUntil via the public heap API (reference / fallback path).
-
-        Charges the fused logical events on resume in this mode too, so
-        the effect means the same thing under either trampoline."""
-        extra = effect.extra
-        cb = partial(self._charged_resume, extra) if extra else self._resume_cb
-        self._pending_timer = self.engine.call_at(effect.t, cb)
-
-    def _do_wait(self, effect: Wait) -> None:
-        event = effect.event
-        if event.triggered:
-            self.engine.post_at(
-                self.engine.now,
-                lambda: self._step_event_result(event),
-            )
-            return
-        if effect.timeout is None:
-            self._waiting_on = event
-            event.add_waiter(self._step)
-            return
-        # Timed wait: arm both the event and a timer; first wins.
+    def _do_timed_wait(self, event: SimEvent, timeout: float) -> None:
+        """Arm both the (untriggered) event and a timer; first wins."""
         fired = [False]
 
         def on_event(value: Any, exc: Optional[BaseException]) -> None:
             if fired[0]:
                 return
             fired[0] = True
-            if timer is not None:
-                timer.cancel()
+            timer.cancel()
             self._step(value, exc)
 
         def on_timeout() -> None:
@@ -463,16 +353,10 @@ class SimProcess:
                 return
             fired[0] = True
             event.discard_waiter(on_event)
-            self._step(None, SimTimeout(f"wait timed out after {effect.timeout}s"))
+            self._step(None, SimTimeout(f"wait timed out after {timeout}s"))
 
         event.add_waiter(on_event)
-        timer = self.engine.call_later(effect.timeout, on_timeout)
-
-    def _step_event_result(self, event: SimEvent) -> None:
-        if event.exception is not None:
-            self._step(None, event.exception)
-        else:
-            self._step(event.value, None)
+        timer = self.engine.call_later(timeout, on_timeout)
 
     def _do_wait_any(self, effect: WaitAny) -> None:
         events = effect.events

@@ -48,12 +48,11 @@ Marker map (registered in pyproject.toml ``[tool.pytest.ini_options]``):
   failover to the ring successor, and the two-tier result store's hit
   accounting.  The small-scale subset runs in tier-1 as the fleet
   smoke.
-* ``stackparity`` — the differential fast-vs-compat parity suite
-  (tests/stackparity/): every registered scenario and the recovery soak
-  run on both the optimized engine and ``Engine(compat=True)``, and the
-  exports must agree byte-for-byte.  The default-sized subset runs in
-  tier-1 as the parity smoke; ``pytest -m stackparity`` runs everything
-  not otherwise deselected.
+* ``stackparity`` — the frozen-bytes corpus (tests/stackparity/):
+  ``identity.txt`` is ``python -m repro obs --identity --seeds 0:50``
+  (every scenario at 2x2/4x4/8x8, scaled and per-seed chaos soaks) and
+  ``test_corpus.py`` regenerates all of it in tier-1 and requires every
+  line unchanged.  Regenerating the file is a reviewed act.
 * ``slow``        — large-scale runs (1k+ simulated ranks, bigger parity
   sweeps; the 64 -> 4096 twin of the call-count gate and the 1024/4096
   recording twins of the footprint gate, which print objects, KB,

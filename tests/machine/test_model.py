@@ -55,6 +55,33 @@ class TestCosts:
         assert "Inter latency" in d
 
 
+class TestValidation:
+    """A model can arrive as JSON, which spells NaN and Infinity."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("session_subsys_init", float("nan")),
+        ("inter_node_latency", float("inf")),
+        ("inter_node_latency", -1e-6),
+        ("eager_limit", -1),
+        ("rml_max_retries", "8"),
+    ])
+    def test_costs_must_be_finite_and_not_negative(self, field, value):
+        with pytest.raises(ValueError, match=f"MachineModel.{field} must be"):
+            MachineModel(**{field: value})
+
+    @pytest.mark.parametrize("field", ["num_nodes", "cores_per_node",
+                                       "intra_node_bandwidth",
+                                       "inter_node_bandwidth"])
+    def test_sizes_and_bandwidths_must_be_positive(self, field):
+        with pytest.raises(ValueError, match=f"MachineModel.{field} must be > 0"):
+            MachineModel(**{field: 0})
+
+    def test_zero_costs_and_every_preset_are_accepted(self):
+        MachineModel(inter_node_latency=0.0, eager_limit=0, rml_max_retries=0)
+        for preset in (trinity, jupiter, laptop):
+            preset(4)
+
+
 class TestPresets:
     def test_table1_core_counts(self):
         assert trinity(1).cores_per_node == 32   # 2x 16-core E5-2698 v3

@@ -1,5 +1,6 @@
 """Property-based tests of the simulation engine's ordering contract."""
 
+import heapq
 from collections import deque
 
 import pytest
@@ -104,7 +105,45 @@ def test_event_wakes_all_waiters_exactly_once(n):
     assert woken == list(range(n))
 
 
-# -- fast path vs compat reference: full firing-order equality -------------
+# -- the engine against a pure heapq model: full firing-order equality ------
+class _HeapEngine:
+    """The obvious scheduler: one heap ordered by ``(time, seq)``, a
+    canceled entry skipped when popped.  The shipped engine adds the
+    ready lane, inlined scheduling and compaction; every firing order,
+    clock and event count must agree with this."""
+
+    class _Entry(list):
+        def cancel(self):
+            self[2] = None
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_executed = 0
+        self._heap = []
+        self._seq = 0
+
+    def call_at(self, when, fn):
+        self._seq += 1
+        entry = self._Entry([when, self._seq, fn])
+        heapq.heappush(self._heap, entry)
+        return entry
+
+    def call_later(self, delay, fn):
+        return self.call_at(self.now + delay, fn)
+
+    def call_soon(self, fn):
+        return self.call_at(self.now, fn)
+
+    def run(self):
+        while self._heap:
+            when, _, fn = heapq.heappop(self._heap)
+            if fn is not None:
+                self.now = when
+                self.events_executed += 1
+                fn()
+        return self.now
+
+
 _ops = st.lists(
     st.tuples(
         st.sampled_from(["later", "soon", "cancel"]),
@@ -116,9 +155,8 @@ _ops = st.lists(
 )
 
 
-def _run_schedule_program(compat, ops):
+def _run_schedule_program(eng, ops):
     """Replay a generated schedule program; returns the (time, id) log."""
-    eng = Engine(compat=compat)
     log = []
 
     def make_cb(i, nested):
@@ -145,11 +183,12 @@ def _run_schedule_program(compat, ops):
 @given(_ops)
 @settings(max_examples=150, deadline=None)
 def test_fast_lane_matches_pure_heap_scheduler(ops):
-    """The ready-lane scheduler and the compat pure-heap reference must
-    produce identical global firing orders — the determinism contract
-    behind the golden-trace tests, here under generated schedules mixing
+    """The ready-lane scheduler and a pure-heap model must produce
+    identical global firing orders — the determinism contract behind the
+    frozen-bytes corpus, here under generated schedules mixing
     same-instant chains, duplicate timestamps and cancellations."""
-    assert _run_schedule_program(False, ops) == _run_schedule_program(True, ops)
+    assert (_run_schedule_program(Engine(), ops)
+            == _run_schedule_program(_HeapEngine(), ops))
 
 
 _prog = st.lists(
@@ -166,11 +205,11 @@ _prog = st.lists(
 )
 
 
-def _run_proc_program(compat, prog):
-    """Trampoline both interpreters over generated effect sequences."""
+def _run_proc_program(prog):
+    """Trampoline generated effect sequences on the engine."""
     from repro.simtime.process import SLEEP0, SimTimeout, Wait
 
-    eng = Engine(compat=compat)
+    eng = Engine()
     log = []
 
     def worker(r, acts):
@@ -197,13 +236,38 @@ def _run_proc_program(compat, prog):
     return log, eng.events_executed
 
 
+#: What each effect of ``_prog`` costs: one event, this far from now.
+_EFFECT_DELAY = {"sleep": lambda v: v / 1000.0, "zero": lambda v: 0.0,
+                 "timeout": lambda v: (v + 1) / 1000.0, "ready": lambda v: 0.0}
+
+
+def _model_proc_program(prog):
+    """The same programs as plain callbacks on the heap model: a start
+    is one event at now, every effect one event at now + its delay."""
+    eng = _HeapEngine()
+    log = []
+
+    def resume(r, acts, i):
+        if i:
+            log.append((eng.now, r, acts[i - 1][0]))
+        if i < len(acts):
+            kind, val = acts[i]
+            eng.call_later(_EFFECT_DELAY[kind](val),
+                           lambda: resume(r, acts, i + 1))
+
+    for r, acts in enumerate(prog):
+        eng.call_soon(lambda r=r, acts=acts: resume(r, acts, 0))
+    eng.run()
+    return log, eng.events_executed
+
+
 @given(_prog)
 @settings(max_examples=100, deadline=None)
 def test_trampoline_fast_path_matches_reference(prog):
     """Sleep/zero-sleep/timed-wait/triggered-wait interleavings resume in
-    the same global order (and execute the same engine events) under the
-    fast trampoline and the reference isinstance-chain interpreter."""
-    assert _run_proc_program(False, prog) == _run_proc_program(True, prog)
+    the global order (and execute the engine events) of the reference:
+    each effect one callback on a pure heap."""
+    assert _run_proc_program(prog) == _model_proc_program(prog)
 
 
 @given(delays, st.floats(min_value=0.0, max_value=10.0, allow_nan=False))
@@ -384,8 +448,8 @@ _posts = st.lists(
 )
 
 
-def _run_post_program(compat, posts, use_post):
-    eng = Engine(compat=compat)
+def _run_post_program(posts, use_post):
+    eng = Engine()
     log = []
 
     def schedule(when, post, fn):
@@ -409,21 +473,74 @@ def _run_post_program(compat, posts, use_post):
     return log, eng.events_executed, eng.now
 
 
-@given(_posts, st.booleans())
+@given(_posts)
 @settings(max_examples=200, deadline=None)
-def test_post_at_fires_exactly_like_call_at(posts, compat):
+def test_post_at_fires_exactly_like_call_at(posts):
     """Same (time, seq) position and lane as ``call_at`` — mixing the two
-    on one engine changes nothing — on both schedulers."""
-    assert (_run_post_program(compat, posts, use_post=True)
-            == _run_post_program(compat, posts, use_post=False))
+    on one engine changes nothing."""
+    assert (_run_post_program(posts, use_post=True)
+            == _run_post_program(posts, use_post=False))
 
 
-@given(st.booleans())
-def test_post_at_rejects_the_past(compat):
-    eng = Engine(compat=compat)
+def test_post_at_rejects_the_past():
+    eng = Engine()
     eng.post_at(1.0, lambda: None)
     eng.run()
     with pytest.raises(SimulationError, match="in the past"):
         eng.post_at(0.5, lambda: None)
     eng.post_at(1.0, lambda: None)        # ``when == now`` is not the past
     assert eng.run() == 1.0 and eng.events_executed == 2
+
+
+# -- call_at_batch == a loop of call_at --------------------------------------
+_batches = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=6),     # tenths of a second
+        st.booleans(),                             # batched (else call_at)
+        st.integers(min_value=0, max_value=4),     # callbacks at that time
+        st.lists(                                  # scheduled from inside
+            st.tuples(st.integers(min_value=0, max_value=2),
+                      st.integers(min_value=0, max_value=3)),
+            max_size=2),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _run_batch_program(items, use_batch):
+    eng = Engine()
+    log = []
+
+    def schedule(when, batched, fns):
+        if batched and use_batch:
+            eng.call_at_batch(when, fns)
+        else:
+            for fn in fns:
+                eng.call_at(when, fn)
+
+    def make_cb(i, j, batched, inner):
+        def cb():
+            log.append((eng.now, i, j))
+            for k, (tenths, n) in enumerate(inner):
+                # tenths == 0 lands at this instant, behind the batch.
+                schedule(eng.now + tenths / 10.0, batched,
+                         [lambda k=k, m=m: log.append((eng.now, (i, j, k, m)))
+                          for m in range(n)])
+        return cb
+
+    for i, (tenths, batched, n, inner) in enumerate(items):
+        schedule(tenths / 10.0, batched,
+                 [make_cb(i, j, batched, inner) for j in range(n)])
+    eng.run()
+    return log, eng.events_executed, eng.now
+
+
+@given(_batches)
+@settings(max_examples=200, deadline=None)
+def test_call_at_batch_fires_like_a_loop_of_call_at(items):
+    """One physical entry, N logical events: the firing order, the clock
+    and ``events_executed`` equal a loop of ``call_at`` at the same time,
+    among other same-instant and later events."""
+    assert (_run_batch_program(items, use_batch=True)
+            == _run_batch_program(items, use_batch=False))

@@ -1,41 +1,30 @@
-"""Property tests for the PR-6 stack fast paths.
+"""Property tests for three surfaces the optimized protocol code
+rewired, each checked against an algebraic model:
 
-Three surfaces the optimized protocol code rewired, each checked
-against either an algebraic model or the ``Engine(compat=True)``
-reference:
-
-* ob1 match headers — a packet costs the same wire bytes whether it
-  carries the compat dataclasses or the default engine's tuples;
-* RML/grpcomm fan-out — random same-instant send bursts deliver in
-  identical order, at identical times, on both engines, and never
-  overtake within a (src, dst) pair;
+* ob1 packets — the wire size is the header formula plus the eager
+  payload;
+* RML/grpcomm fan-out — random same-instant send bursts deliver every
+  message exactly once, in nondecreasing time, at two events per send,
+  and never overtake within a (src, dst) pair;
 * PMIx KVS put/commit/fence/get bookkeeping — random put sets agree
-  with a dict model after the fence, identically on both engines.
+  with a dict model after the fence.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster
 from repro.machine.presets import laptop
-from repro.ompi.pml.headers import (
-    EXTENDED_HEADER_BYTES,
-    MATCH_HEADER_BYTES,
-    ExtendedHeader,
-    MatchHeader,
-)
+from repro.ompi.pml.headers import EXTENDED_HEADER_BYTES, MATCH_HEADER_BYTES
 from repro.ompi.pml.ob1 import Packet
 from repro.pmix.types import PMIX_ERR_NOT_FOUND, PmixError
 from tests.conftest import run_procs
 
-pytestmark = pytest.mark.stackparity
-
 
 # ---------------------------------------------------------------------------
-# ob1 headers
+# ob1 packets
 # ---------------------------------------------------------------------------
 # Full field ranges of the modeled wire format: 16-bit ctx, 24-bit src,
 # signed 33-bit tag window (covers negative internal collective tags),
@@ -50,32 +39,27 @@ seqs = st.integers(0, 2**48)
        nbytes=st.integers(0, 1 << 20),
        extended=st.booleans(), eager=st.booleans())
 @settings(max_examples=100, deadline=None)
-def test_wire_size_invariant_under_header_form(ctx, src, tag, seq, nbytes,
-                                               extended, eager):
-    """A packet costs the same wire bytes whether it carries the compat
-    dataclass headers or the default engine's tuples."""
-    hdr_obj = MatchHeader(ctx=ctx, src=src, tag=tag, seq=seq)
-    hdr_tup = (ctx, src, tag, seq)
-    ext_obj = ExtendedHeader(excid=("job", 1, 7), sender_cid=3) if extended else None
-    ext_tup = (("job", 1, 7), 3) if extended else None
-    protocol = "eager" if eager else "rendezvous"
-    compat_pkt = Packet(kind="user", src_proc=None, hdr=hdr_obj, ext=ext_obj,
-                        nbytes=nbytes, protocol=protocol)
-    fast_pkt = Packet(kind="user", src_proc=None, hdr=hdr_tup, ext=ext_tup,
-                      nbytes=nbytes, protocol=protocol)
-    assert compat_pkt.wire == fast_pkt.wire
+def test_packet_wire_size_formula(ctx, src, tag, seq, nbytes, extended, eager):
+    """A user packet costs the match header, the extended header when it
+    carries one, and the payload only when eager (an RTS defers it)."""
+    ext = (("job", 1, 7), 3) if extended else None
+    pkt = Packet(kind="user", src_proc=None, hdr=(ctx, src, tag, seq), ext=ext,
+                 nbytes=nbytes, protocol="eager" if eager else "rts")
     expected = MATCH_HEADER_BYTES
     if extended:
         expected += EXTENDED_HEADER_BYTES
     if eager:
         expected += nbytes
-    assert fast_pkt.wire == expected
+    assert pkt.wire == expected
 
 
 # ---------------------------------------------------------------------------
 # RML / grpcomm fan-out delivery order
 # ---------------------------------------------------------------------------
 NODES = 4
+# An RML message is two events: its arrival at the destination daemon
+# and, after the daemon's processing cost, its delivery to the handler.
+EVENTS_PER_SEND = 2
 
 # A burst: every send is issued at t=0 (the same-instant fan-out shape
 # grpcomm's _forward_down produces), src/dst drawn over all daemons.
@@ -85,9 +69,8 @@ bursts = st.lists(
 )
 
 
-def _run_fanout(burst, engine_compat):
-    cluster = Cluster(machine=laptop(num_nodes=NODES),
-                      engine_compat=engine_compat)
+def _run_fanout(burst):
+    cluster = Cluster(machine=laptop(num_nodes=NODES))
     log = []
     for d in cluster.dvm.daemons:
         d.add_handler(
@@ -104,21 +87,20 @@ def _run_fanout(burst, engine_compat):
 
 @given(bursts)
 @settings(max_examples=30, deadline=None)
-def test_fanout_delivery_order_matches_compat(burst):
-    fast_log, fast_events = _run_fanout(burst, engine_compat=False)
-    compat_log, compat_events = _run_fanout(burst, engine_compat=True)
-    # Identical delivery sequence: same order, same timestamps, same
-    # logical event count.
-    assert fast_log == compat_log
-    assert fast_events == compat_events
-    # Everything sent was delivered exactly once.
-    assert sorted(entry[3] for entry in fast_log) == list(range(len(burst)))
+def test_fanout_delivers_every_send_once_in_time_order(burst):
+    log, events = _run_fanout(burst)
+    # Everything sent was delivered exactly once ...
+    assert sorted(entry[3] for entry in log) == list(range(len(burst)))
+    # ... the clock never ran backwards between deliveries ...
+    assert [entry[0] for entry in log] == sorted(entry[0] for entry in log)
+    # ... and each send cost exactly its arrival and its delivery.
+    assert events == EVENTS_PER_SEND * len(burst)
 
 
 @given(bursts)
 @settings(max_examples=30, deadline=None)
 def test_fanout_never_overtakes_within_pair(burst):
-    log, _ = _run_fanout(burst, engine_compat=False)
+    log, _ = _run_fanout(burst)
     # RML is FIFO per (src, dst): send order == delivery order per pair.
     per_pair = {}
     for _, src, dst, i in log:
@@ -148,42 +130,30 @@ def test_kvs_fence_visibility_matches_model(scripts):
     # Dict model of what each rank committed.
     model = [dict(script) for script in scripts]
 
-    def run(engine_compat):
-        cluster = Cluster(machine=laptop(num_nodes=2),
-                          engine_compat=engine_compat)
-        job = cluster.launch(nranks, ppn=(nranks + 1) // 2)
+    cluster = Cluster(machine=laptop(num_nodes=2))
+    job = cluster.launch(nranks, ppn=(nranks + 1) // 2)
 
-        def rank_proc(rank):
-            client = job.client(rank)
-            yield from client.init()
-            for key, value in scripts[rank]:
-                client.put(key, value)
-            yield from client.commit()
-            yield from client.fence()
-            seen = {}
-            for peer in range(nranks):
-                for key in KEY_POOL:
-                    try:
-                        value = yield from client.get(job.proc(peer), key)
-                    except PmixError as err:
-                        assert err.status == PMIX_ERR_NOT_FOUND
-                        value = None
-                    seen[(peer, key)] = value
-            return seen
-
-        results = run_procs(cluster, *(rank_proc(r) for r in range(nranks)))
-        return results, cluster.now, cluster.engine.events_executed
-
-    fast_results, fast_now, fast_events = run(engine_compat=False)
-    compat_results, compat_now, compat_events = run(engine_compat=True)
+    def rank_proc(rank):
+        client = job.client(rank)
+        yield from client.init()
+        for key, value in scripts[rank]:
+            client.put(key, value)
+        yield from client.commit()
+        yield from client.fence()
+        seen = {}
+        for peer in range(nranks):
+            for key in KEY_POOL:
+                try:
+                    value = yield from client.get(job.proc(peer), key)
+                except PmixError as err:
+                    assert err.status == PMIX_ERR_NOT_FOUND
+                    value = None
+                seen[(peer, key)] = value
+        return seen
 
     # Model agreement: after the fence, every rank sees exactly what each
     # peer committed, and nothing else.
-    for seen in fast_results:
+    for seen in run_procs(cluster, *(rank_proc(r) for r in range(nranks))):
         for peer in range(nranks):
             for key in KEY_POOL:
                 assert seen[(peer, key)] == model[peer].get(key)
-    # Engine parity: identical answers, end time, and event bookkeeping.
-    assert fast_results == compat_results
-    assert fast_now == compat_now
-    assert fast_events == compat_events

@@ -385,3 +385,24 @@ def test_wire_errors():
             bad_op = client._rpc({"op": "frobnicate"})
             assert bad_op["status"] == "error"
             assert "unknown op" in bad_op["error"]
+
+
+def test_bad_sim_specs_are_answered_with_an_error_not_a_run():
+    """JSON decodes ``NaN``/``Infinity``; a spec naming a removed field
+    is an unknown one."""
+    spec = {"nprocs": 8, "ppn": 2, "machine": {"num_nodes": 4}}
+    bad = [
+        (dict(spec, machine={"num_nodes": 4, "session_subsys_init": float("nan")}),
+         "MachineModel.session_subsys_init must be a finite number"),
+        (dict(spec, machine={"num_nodes": 4, "inter_node_latency": float("inf")}),
+         "MachineModel.inter_node_latency must be a finite number"),
+        (dict(spec, engine_compat=True),
+         "unknown SimSpec payload field(s): ['engine_compat']"),
+    ]
+    with ServerThread(workers=1, capacity=4) as srv:
+        with ServeClient(srv.address) as client:
+            replies = [client.submit("sim", {"spec": s}) for s, _ in bad]
+            good = client.submit("sim", {"spec": spec})
+    for (_, expected), reply in zip(bad, replies):
+        assert reply["status"] == "error" and expected in reply["error"], reply
+    assert good["status"] == "ok"

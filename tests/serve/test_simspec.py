@@ -3,7 +3,7 @@
 Covers the wire round-trip, the frozen/equality contract, and the one
 call shape ``make_world``/``run_mpi`` accept — a :class:`SimSpec`,
 positionally or as ``spec=``, every field of which reaches the cluster
-(``recovery``/``recovery_seed``/``engine_compat`` included).
+(``recovery``/``recovery_seed`` included).
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ def _full_spec() -> SimSpec:
         grpcomm_radix=3,
         recovery=True,
         recovery_seed=7,
-        engine_compat=True,
     )
 
 
@@ -126,7 +125,6 @@ def _full_payload(spec: SimSpec) -> dict:
         "grpcomm_radix": spec.grpcomm_radix,
         "recovery": spec.recovery,
         "recovery_seed": spec.recovery_seed,
-        "engine_compat": spec.engine_compat,
         "partitions": spec.partitions,
     }
 
@@ -173,7 +171,6 @@ _specs = st.builds(
     grpcomm_radix=st.integers(2, 4),
     recovery=st.booleans(),
     recovery_seed=st.integers(0, 9),
-    engine_compat=st.booleans(),
     partitions=st.integers(1, 3),
 )
 
@@ -271,13 +268,11 @@ class TestEquivalence:
         assert run_mpi(spec, _main) == run_mpi(spec=spec, main=_main) \
             == [6, 6, 6, 6]
 
-    def test_run_mpi_no_longer_drops_recovery_and_engine_flags(self):
+    def test_run_mpi_no_longer_drops_recovery_flags(self):
         # The old kwargs API accepted but never forwarded these.
-        spec = SimSpec(nprocs=2, recovery=True, recovery_seed=7,
-                       engine_compat=True)
+        spec = SimSpec(nprocs=2, recovery=True, recovery_seed=7)
         _, world = run_mpi(spec, _main, return_world=True)
         assert world.cluster.recovery is True
-        assert world.cluster.engine.compat is True
 
     def test_world_remembers_its_spec(self):
         spec = SimSpec(nprocs=2)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.simtime.engine import DeadlockError, Engine, SimulationError
+from repro.simtime.process import SimProcess, Sleep, SleepUntil
 
 
 def test_clock_starts_at_zero():
@@ -61,6 +62,39 @@ def test_schedule_in_past_rejected():
 def test_negative_delay_rejected():
     with pytest.raises(SimulationError):
         Engine().call_later(-1.0, lambda: None)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("schedule", [
+    lambda eng, fn: eng.call_at(NAN, fn),
+    lambda eng, fn: eng.post_at(NAN, fn),
+    lambda eng, fn: eng.call_at_batch(NAN, [fn, fn]),
+    lambda eng, fn: eng.call_later(NAN, fn),
+], ids=["call_at", "post_at", "call_at_batch", "call_later"])
+def test_nan_time_rejected(schedule):
+    """NaN compares false both ways: in the heap it would fire at an
+    arbitrary point, so every past-time check refuses it."""
+    eng = Engine()
+    with pytest.raises(SimulationError):
+        schedule(eng, lambda: None)
+    assert eng.run() == 0.0 and eng.events_executed == 0
+
+
+@pytest.mark.parametrize("effect", [Sleep(NAN), Sleep(-1.0), SleepUntil(NAN)],
+                         ids=["sleep-nan", "sleep-negative", "sleep-until-nan"])
+def test_process_sleep_to_a_bad_time_fails_loudly(effect):
+    eng = Engine()
+
+    def proc():
+        yield Sleep(1.0)
+        yield effect
+
+    SimProcess(eng, proc(), "p").start()
+    with pytest.raises(SimulationError):
+        eng.run()
+    assert eng.now == 1.0
 
 
 def test_run_until_stops_early():
@@ -234,14 +268,3 @@ def test_reentrant_run_raises():
     eng.call_soon(lambda: caught.append("again"))
     eng.run()
     assert caught == [True, "again"]
-
-
-@pytest.mark.parametrize("compat", [False, True])
-def test_compat_flag_preserves_order(compat):
-    eng = Engine(compat=compat)
-    order = []
-    eng.call_later(1.0, lambda: eng.call_soon(lambda: order.append("chained")))
-    eng.call_later(1.0, lambda: order.append("peer"))
-    eng.call_soon(lambda: order.append("t0"))
-    eng.run()
-    assert order == ["t0", "peer", "chained"]

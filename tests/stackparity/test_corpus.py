@@ -50,14 +50,6 @@ def test_corpus_is_unchanged():
     assert actual == expected, _mismatch(expected, actual)
 
 
-def test_corpus_is_engine_independent():
-    """Every corpus line comes out the same on the pure-heap reference
-    engine: the file froze what both engines agree on."""
-    expected = CORPUS.read_text().splitlines()
-    actual = list(identity_lines(SEEDS, engine_compat=True))
-    assert actual == expected, _mismatch(expected, actual)
-
-
 def test_corpus_covers_every_scenario_at_every_size():
     lines = CORPUS.read_text().splitlines()
     sizes = {tuple(ln.split()[:2]) for ln in lines if not ln.startswith("soak")}

@@ -56,8 +56,7 @@ def test_cache_tolerates_corrupt_entries(tmp_path):
 
 def _points(deltas=(5, 10, 15, 20)):
     return [
-        SweepPoint("comm-dup", comm_dup,
-                   {"compat": False, "procs": 2, "dups": d})
+        SweepPoint("comm-dup", comm_dup, {"procs": 2, "dups": d})
         for d in deltas
     ]
 
@@ -88,8 +87,8 @@ def test_run_sweep_preserves_input_order_with_partial_hits(tmp_path):
 
 
 def test_sweep_point_key_matches_cache_key():
-    pt = SweepPoint("s", comm_dup, {"compat": True})
-    assert pt.key() == cache_key("s", {"compat": True})
+    pt = SweepPoint("s", comm_dup, {"procs": 4})
+    assert pt.key() == cache_key("s", {"procs": 4})
 
 
 def test_run_sweep_with_telemetry_and_ledger(tmp_path):
