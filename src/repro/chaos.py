@@ -29,10 +29,6 @@ Sites and the kinds that fire there (docs/robustness.md):
 ``sweep.point``    ``crash_point`` — the sweep point dies instead of
                    computing (exercises per-point crash isolation and
                    resume-by-cache in :func:`repro.sweep.run_sweep`).
-``fleet.route``    ``kill_shard`` — the fleet router's kill hook stops
-                   the shard that owns the routed key; the router must
-                   detect the death and fail the key over to its ring
-                   successor (:func:`fleet_failover_run`).
 =================  ======================================================
 
 The plan is pure bookkeeping and holds no wall-clock or PRNG state of
@@ -73,7 +69,6 @@ KINDS = (
     "corrupt_cache",
     "torn_write",
     "crash_point",
-    "kill_shard",
 )
 
 #: Hook point each kind fires at.
@@ -85,7 +80,6 @@ SITE_OF = {
     "corrupt_cache": "cache.put",
     "torn_write": "cache.put",
     "crash_point": "sweep.point",
-    "kill_shard": "fleet.route",
 }
 
 SITES = tuple(sorted(set(SITE_OF.values())))
@@ -243,9 +237,6 @@ class ChaosPlan:
 
     def crash_point(self, **kw: Any) -> "ChaosPlan":
         return self.add(ChaosAction("crash_point", **kw))
-
-    def kill_shard(self, **kw: Any) -> "ChaosPlan":
-        return self.add(ChaosAction("kill_shard", **kw))
 
     def describe(self) -> str:
         return "; ".join(act.describe() for act in self.actions) or "<empty plan>"
@@ -510,47 +501,3 @@ def degraded_run(workdir: Optional[str] = None) -> Dict[str, Any]:
     ])
     return record
 
-
-def fleet_failover_run(*, shards: int = 2, requests: int = 4) -> Dict[str, Any]:
-    """The shard-death failover scenario (``python -m repro chaos``).
-
-    A ``kill_shard`` action armed at the ``fleet.route`` site takes
-    down the shard owning the next routed key; the router must detect
-    the death on the forward, fail the key over to its ring successor,
-    and keep serving — every subsequent submit must still answer
-    ``ok``.  Composes with the degraded-mode contract: with every shard
-    dead the router answers a structured ``rejected`` (asserted in
-    tests/serve/test_fleet.py), never a hang or a crash.
-    """
-    from repro.serve import FleetThread, ServeClient
-
-    plan = ChaosPlan().kill_shard(after_count=2)
-    with FleetThread(shards=shards, workers=1, chaos=plan) as fl:
-        with ServeClient(fl.address) as client:
-            results = [client.submit("sleep", {"seconds": 0.005, "tag": k})
-                       for k in range(requests)]
-            health = client.health()
-        failovers = fl.call(_fleet_failovers)
-    statuses = [r.get("status") for r in results]
-    shards_used = sorted({r.get("shard") for r in results
-                          if r.get("shard") is not None})
-    record = {
-        "shards": shards,
-        "requests": requests,
-        "statuses": statuses,
-        "shards_used": shards_used,
-        "killed": plan.stats.get("kill_shard", 0),
-        "failovers": failovers,
-        "live_after": health.get("live"),
-    }
-    record["ok"] = all([
-        all(s == "ok" for s in statuses),
-        record["killed"] == 1,
-        failovers >= 1,
-        health.get("live") == shards - 1,
-    ])
-    return record
-
-
-async def _fleet_failovers(fleet: Any) -> int:
-    return fleet.router.failovers

@@ -24,9 +24,7 @@ determinism`` runs every seed twice and compares the full records —
 injection schedules included — byte-for-byte.  Unless ``--skip-
 degraded``, one extra corrupt-cache + dead-worker scenario
 (``repro.chaos.degraded_run``) must complete in cache-only degraded
-mode instead of crashing, and unless ``--skip-fleet`` a shard of a
-2-shard fleet is killed mid-stream (``repro.chaos.fleet_failover_run``)
-and every request must still complete via the ring successor.
+mode instead of crashing.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ import json
 import sys
 
 from repro import cli
-from repro.chaos import degraded_run, fleet_failover_run, soak_run
+from repro.chaos import degraded_run, soak_run
 from repro.sweep import SweepPoint, run_sweep
 
 
@@ -58,8 +56,6 @@ def main(argv=None) -> int:
     ap.add_argument("--skip-degraded", action="store_true",
                     help="skip the corrupt-cache + dead-worker degraded-mode "
                          "scenario")
-    ap.add_argument("--skip-fleet", action="store_true",
-                    help="skip the shard-death fleet-failover scenario")
     cli.add_json_flag(ap, help="emit one JSON record per seed (ndjson)")
     ap.add_argument("--verbose", action="store_true")
     args = ap.parse_args(argv)
@@ -111,16 +107,6 @@ def main(argv=None) -> int:
               f"quarantined={deg['quarantined']}, "
               f"breaker_trips={deg['breaker_trips']})", file=sys.stderr)
 
-    fleet_ok = True
-    if not args.skip_fleet:
-        flt = fleet_failover_run()
-        fleet_ok = flt["ok"]
-        verdict = "ok" if fleet_ok else "FAIL"
-        print(f"fleet-failover scenario: {verdict} "
-              f"(killed={flt['killed']}, failovers={flt['failovers']}, "
-              f"live_after={flt['live_after']}/{flt['shards']})",
-              file=sys.stderr)
-
     n = len(seeds)
     print(f"\n{n - len(failures)}/{n} seeds byte-identical under chaos "
           f"({injected} faults injected)", file=sys.stderr)
@@ -128,7 +114,7 @@ def main(argv=None) -> int:
         print(f"FAILED seeds: {failures}", file=sys.stderr)
     if nondet:
         print(f"NON-DETERMINISTIC seeds: {nondet}", file=sys.stderr)
-    return 1 if (failures or nondet or not degraded_ok or not fleet_ok) else 0
+    return 1 if (failures or nondet or not degraded_ok) else 0
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ Usage::
 
     python -m repro <subcommand> [args...]
     python -m repro figure fig3b
-    python -m repro serve loadgen --shards 2 --requests 16
+    python -m repro serve loadgen --requests 16
 
 Each subcommand lives in its own ``repro.cli.<module>`` and is imported
 lazily, so ``python -m repro figure`` never pays for the serve layer's

@@ -12,14 +12,10 @@ Usage::
     python -m repro serve drain --addr :7077
     python -m repro serve resize 8 --addr :7077
     python -m repro serve shutdown --addr :7077
-    python -m repro serve loadgen --clients 4 --requests 32
-    python -m repro serve loadgen --shards 2 --requests 32 --out fleet.json
+    python -m repro serve loadgen --clients 4 --requests 32 --out load.json
 
 Every subcommand names its endpoint the same way: ``--addr host:port``
-(or ``--addr unix:/path``; default ``127.0.0.1:7077``).  Routers and
-plain servers speak the same wire protocol, so ``--addr`` may point at
-either a :class:`SimServer` or a :class:`FleetRouter` front-end
-(docs/serving.md, "Fleet mode").
+(or ``--addr unix:/path``; default ``127.0.0.1:7077``).
 
 ``start --telemetry DIR`` switches on the live-telemetry stack
 (docs/observability.md): wall-clock spans to ``DIR/serve-trace.json``
@@ -31,10 +27,9 @@ event log to ``DIR/events.jsonl``, and the run ledger to
 ``start`` runs a server in the foreground until interrupted.  The
 other subcommands are thin wrappers over one wire op each.  ``loadgen``
 self-hosts an in-process server (unless ``--addr`` points at a running
-one, or ``--shards N`` self-hosts an N-shard fleet), drives the
-closed-loop load generator at it and prints throughput and latency
-percentiles (``--out FILE`` keeps the full report); it exits 1 when any
-request went unanswered.
+one), drives the closed-loop load generator at it and prints
+throughput and latency percentiles (``--out FILE`` keeps the full
+report); it exits 1 when any request went unanswered.
 """
 
 from __future__ import annotations
@@ -46,9 +41,9 @@ import json
 import sys
 
 from repro import cli
-from repro.serve import FleetThread, ServeClient, ServeConnectionError, \
-    ServerThread, SimServer, scenario_names
-from repro.serve.loadgen import fleet_snapshot, run_loadgen, sim_workload
+from repro.serve import ServeClient, ServeConnectionError, ServerThread, \
+    SimServer, scenario_names
+from repro.serve.loadgen import run_loadgen, sim_workload
 
 
 def _fmt(value) -> str:
@@ -174,16 +169,13 @@ def main(argv=None) -> int:
     p.add_argument("--capacity", type=cli.positive_int, default=16, metavar="N")
     p.add_argument("--nprocs", type=cli.positive_int, default=4, metavar="N",
                    help="ranks per sim request (default: %(default)s)")
-    p.add_argument("--shards", type=cli.positive_int, default=None, metavar="N",
-                   help="self-host an N-shard fleet behind a consistent-hash "
-                        "router instead of a single server")
     cli.add_cache_dir(p, help="serve through an on-disk result cache")
     cli.add_seed(p, help="workload seed (default: %(default)s)")
     p.add_argument("--out", metavar="FILE",
                    help="write the full report as JSON to FILE")
     cli.add_addr(p, default=None,
-                 help="drive an already-running server or fleet router at "
-                      "host:port or unix:/path instead of self-hosting one")
+                 help="drive an already-running server at host:port or "
+                      "unix:/path instead of self-hosting one")
 
     args = parser.parse_args(argv)
     try:
@@ -282,33 +274,18 @@ def _run(args) -> int:
         if args.addr:                   # target an already-running endpoint
             host = contextlib.nullcontext()
             report = {"bench": "serve-loadgen", "target": str(args.addr)}
-        elif args.shards:               # self-host a sharded fleet
-            host = FleetThread(shards=args.shards, workers=args.jobs,
-                               capacity=args.capacity,
-                               cache_dir=args.cache_dir)
-            report = {"bench": "serve-fleet-loadgen", "shards": args.shards}
-        else:                           # self-host a single server
+        else:                           # self-host a server
             host = ServerThread(workers=args.jobs, capacity=args.capacity,
                                 cache_dir=args.cache_dir)
             report = {"bench": "serve-loadgen"}
         with host as hosted:
             lg = report["loadgen"] = run_loadgen(
                 args.addr or hosted.address, workload, clients=args.clients)
-            if "shards" in report:
-                report["fleet"] = hosted.call(fleet_snapshot)
         lat = lg["latency_s"]
         print(f"{lg['completed']} requests, {lg['clients']} clients: "
               f"{lg['throughput_rps']:.1f} req/s  "
               f"p50 {lat.get('p50', 0) * 1e3:.1f} ms  "
               f"p99 {lat.get('p99', 0) * 1e3:.1f} ms")
-        if "fleet" in report:
-            fl = report["fleet"]
-            routed = fl.get("routed", {})
-            print(f"fleet: {fl.get('live', 0)}/{fl.get('shards', 0)} shards "
-                  f"live, routed " +
-                  " ".join(f"shard{sid}={routed[sid]}"
-                           for sid in sorted(routed)) +
-                  f", coalesced {fl.get('coalesced', 0)}")
         if args.out:
             rc = cli.write_json(args.out, report)
             if rc:

@@ -14,21 +14,10 @@ seeded backoff.  See docs/serving.md.
         with ServeClient(srv.address) as client:
             client.submit("sim", {"spec": spec.to_payload(), "seed": 1})
 
-Fleet mode (docs/serving.md, "Fleet mode"): :class:`SimFleet` runs N
-shards behind a consistent-hash :class:`FleetRouter` sharing one
-two-tier :class:`ResultStore`, making the per-server single-flight
-dedup fleet-wide.  Endpoints everywhere are named by one
-:class:`ServeAddress` (TCP or unix socket)::
-
-    from repro.serve import FleetThread, ServeClient
-
-    with FleetThread(shards=2, workers=1) as fleet:
-        with ServeClient(fleet.address) as client:
-            client.submit("sim", {"spec": spec.to_payload(), "seed": 1})
+Endpoints are named by one :class:`ServeAddress` (TCP or unix socket).
 """
 
 from repro.serve.client import AsyncServeClient, ServeClient, ServeConnectionError
-from repro.serve.fleet import FleetThread, SimFleet
 from repro.serve.pool import Worker, WorkerDied
 from repro.serve.protocol import VERSION, ServeAddress
 from repro.serve.registry import (
@@ -40,15 +29,11 @@ from repro.serve.registry import (
     scenario_names,
     traceable,
 )
-from repro.serve.router import FleetRouter, HashRing
 from repro.serve.server import ServerThread, ServeStats, SimServer
 from repro.serve.store import ResultStore
 
 __all__ = [
     "AsyncServeClient",
-    "FleetRouter",
-    "FleetThread",
-    "HashRing",
     "PROGRAMS",
     "ResultStore",
     "ServeAddress",
@@ -56,7 +41,6 @@ __all__ = [
     "ServeConnectionError",
     "ServeStats",
     "ServerThread",
-    "SimFleet",
     "SimServer",
     "VERSION",
     "Worker",

@@ -308,8 +308,8 @@ class AsyncServeClient:
         finally:
             # Fail everything in flight *and* mark the client dead, so
             # an rpc racing the reader's exit can't register a future
-            # nobody will ever resolve (the fleet router leans on this
-            # to detect a shard death promptly).
+            # nobody will ever resolve: a dead server is an error at
+            # once, never a hang.
             self._dead = ServeConnectionError("server closed the connection")
             for fut in self._pending.values():
                 if not fut.done():
@@ -336,14 +336,6 @@ class AsyncServeClient:
             raise ServeConnectionError(
                 f"send failed: {type(err).__name__}: {err}") from None
         return await fut
-
-    async def request(self, msg: Dict[str, Any]) -> Dict[str, Any]:
-        """Forward a raw, pre-built request object (fleet router path).
-
-        The client assigns its own ``id`` and protocol ``v``; every
-        other field (``op``, ``scenario``, ``params``, ``trace``,
-        ``deadline_s``...) passes through untouched."""
-        return await self._rpc(dict(msg))
 
     async def submit(self, scenario: str,
                      params: Optional[Dict[str, Any]] = None, *,

@@ -1,18 +1,18 @@
 """How a line of newline-JSON becomes a response on a listening socket.
 
-:class:`Endpoint` is what :class:`~repro.serve.server.SimServer` and
-:class:`~repro.serve.router.FleetRouter` have in common: bind a TCP or
-unix-domain :class:`~repro.serve.protocol.ServeAddress`, read one
-request object per line, answer each through the owner's
-``_dispatch(msg)`` (in place when it returns the response, else from a
-task: a slow request never blocks the lines behind it), echo the
-request ``id``, refuse over-long lines, and stop in an order that leaves
-no client waiting on a reply nobody will write.  What a request *means*
-and what is torn down (a worker pool, shard connections) stays theirs.
+:class:`Endpoint` is the socket half of
+:class:`~repro.serve.server.SimServer`: bind a TCP or unix-domain
+:class:`~repro.serve.protocol.ServeAddress`, read one request object per
+line, answer each through the owner's ``_dispatch(msg)`` (in place when
+it returns the response, else from a task: a slow request never blocks
+the lines behind it), echo the request ``id``, refuse over-long lines,
+and stop in an order that leaves no client waiting on a reply nobody
+will write.  What a request *means* and what is torn down (the worker
+pool) stays the owner's.
 
 :class:`LoopThread` hosts anything with ``start()``/``stop()``/
 ``address`` on a private event loop in a thread, for synchronous
-callers; ``ServerThread`` and ``FleetThread`` are its two named uses.
+callers; ``ServerThread`` is its named use.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.serve.pool import release_listener, share_listener
 #: What an owner answers a request with: the response, or its awaitable.
 Reply = Union[Dict[str, Any], Awaitable[Dict[str, Any]]]
 
-#: Samples each histogram of a server, router or fleet registry keeps:
+#: Samples each histogram of a server's registry keeps:
 #: percentiles are exact up to this many, memory flat past it.
 HISTOGRAM_MAX_SAMPLES = 4096
 

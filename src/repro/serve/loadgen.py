@@ -56,10 +56,9 @@ def run_loadgen(address: Union[ServeAddress, str], workload: Workload, *,
                 deadline_s: Optional[float] = None) -> Dict[str, Any]:
     """Drive ``workload`` through ``clients`` closed-loop clients.
 
-    ``address`` is a :class:`ServeAddress` (a fleet router counts — the
-    loadgen cannot tell it from a single server).  Requests are dealt
-    round-robin to the clients; each client issues its share
-    back-to-back.  Returns throughput + latency aggregates and the
+    ``address`` is a :class:`ServeAddress` or its string form.
+    Requests are dealt round-robin to the clients; each client issues
+    its share back-to-back.  Returns throughput + latency aggregates and the
     per-status counts.
     """
     addr = as_address(address, caller="run_loadgen")
@@ -216,8 +215,3 @@ def determinism_check(seeds: Sequence[int], *, workers: int = 2,
         "mismatched_seeds": [s for s, m in zip(seeds, matches) if not m],
         "errors": errors,
     }
-
-
-async def fleet_snapshot(fleet: Any) -> Dict[str, Any]:
-    """``SimFleet.snapshot()`` in the shape ``FleetThread.call`` takes."""
-    return fleet.snapshot()

@@ -29,11 +29,11 @@ def default_mp_context() -> str:
     return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 
 
-# Listening-socket fds of every live server/router in this process.
+# Listening-socket fds of every live server in this process.
 # Fork-started workers inherit these fds, and a child holding one keeps
 # the kernel accepting on the port after the parent closes it — so a
-# "stopped" shard's address would still take connections that nobody
-# ever answers (the fleet failover path hangs instead of failing over).
+# stopped server's address would still take connections that nobody
+# ever answers (a client hangs instead of failing to connect).
 # Workers close their inherited copies first thing; under spawn the
 # child imports a fresh, empty set and there is nothing to close.
 _listener_fds: set = set()

@@ -18,10 +18,9 @@ Responses always carry ``status``: ``ok`` | ``rejected`` | ``expired``
 
 ``v`` is the protocol version (:data:`VERSION`).  The clients stamp it
 on every request; a server receiving a different version answers a
-one-line structured error (:func:`version_error`) instead of guessing —
-required for mixed-version fleets, where a router and its shards may
-be upgraded at different times.  Requests *without* ``v`` are accepted
-as version-1 legacy traffic.
+one-line structured error (:func:`version_error`) instead of guessing,
+so a client and a server upgraded at different times fail loudly.
+Requests *without* ``v`` are accepted as version-1 legacy traffic.
 
 ``trace`` is the optional client-minted trace id (live telemetry,
 docs/observability.md).  The server echoes it in the submit response
@@ -29,8 +28,8 @@ and stamps it on every span, event-log line and ledger row the request
 produces; when absent the server mints a fallback ``s-<n>`` id.
 
 :class:`ServeAddress` is the one address type every client, server and
-CLI in the serve layer accepts — TCP ``host:port``, a unix-domain
-socket path, and an optional fleet ``role``.
+CLI in the serve layer accepts — TCP ``host:port`` or a unix-domain
+socket path.
 """
 
 from __future__ import annotations
@@ -54,9 +53,6 @@ OPS = ("submit", "stats", "health", "metrics", "drain", "resize", "shutdown")
 #: Longest request line an endpoint reads; a longer one is refused.
 MAX_LINE = 2 ** 16
 
-#: Fleet roles an address may advertise (purely descriptive).
-ROLES = ("server", "router", "shard")
-
 
 class ProtocolError(ValueError):
     """A line that is not a JSON object with a valid ``op``."""
@@ -68,10 +64,7 @@ class ServeAddress:
 
     ``port=0`` requests an ephemeral port (servers rebind it after
     listening).  ``path`` switches the endpoint to a unix-domain socket
-    (``host``/``port`` are then ignored).  ``role`` is an optional
-    fleet annotation: ``"router"`` for the fleet front door,
-    ``"shard"`` for a backend :class:`~repro.serve.server.SimServer`,
-    ``"server"`` (the default) for a standalone one.
+    (``host``/``port`` are then ignored).
 
     Accepted everywhere an endpoint is named::
 
@@ -84,11 +77,8 @@ class ServeAddress:
     host: str = "127.0.0.1"
     port: int = 0
     path: Optional[str] = None      # unix-domain socket path (overrides TCP)
-    role: str = "server"
 
     def __post_init__(self) -> None:
-        if self.role not in ROLES:
-            raise ValueError(f"unknown role {self.role!r} (have {ROLES})")
         if self.path is None and not (0 <= int(self.port) <= 65535):
             raise ValueError(f"port out of range: {self.port}")
 
@@ -97,27 +87,26 @@ class ServeAddress:
         return self.path is not None
 
     @classmethod
-    def parse(cls, text: str, *, role: str = "server") -> "ServeAddress":
+    def parse(cls, text: str) -> "ServeAddress":
         """``host:port``, ``:port``, ``host``, or ``unix:/path``."""
         text = text.strip()
         if text.startswith("unix:"):
             path = text[len("unix:"):]
             if not path:
                 raise ValueError("unix: address needs a socket path")
-            return cls(path=path, role=role)
+            return cls(path=path)
         host, sep, port = text.rpartition(":")
         if not sep:
-            return cls(host=text or "127.0.0.1", role=role)
+            return cls(host=text or "127.0.0.1")
         try:
-            return cls(host=host or "127.0.0.1", port=int(port), role=role)
+            return cls(host=host or "127.0.0.1", port=int(port))
         except ValueError:
             raise ValueError(f"bad address {text!r}: port must be an integer "
                              f"(or use 'unix:/path')") from None
 
     def with_port(self, port: int) -> "ServeAddress":
         """The same address bound to a concrete port (post-listen)."""
-        return ServeAddress(host=self.host, port=port, path=self.path,
-                            role=self.role)
+        return ServeAddress(host=self.host, port=port, path=self.path)
 
     def __str__(self) -> str:
         if self.path is not None:

@@ -67,7 +67,7 @@ class _Request:
     deadline_s: Optional[float]
     enq_t: float
     future: "asyncio.Future[Dict[str, Any]]"
-    key: Optional[str] = None           # cache key, when a cache is attached
+    key: str                            # cache_key(scenario, params)
     attempts: int = 0                   # completed (failed) delivery attempts
     trace: str = ""                     # live-telemetry trace id ("" = off)
     sid_queue: Optional[int] = None     # serve.queue span (telemetry only)
@@ -122,7 +122,6 @@ class SimServer(Endpoint):
         cache_dir: Optional[str] = None,
         address: Optional[Union[protocol.ServeAddress, str]] = None,
         store: Any = None,
-        shard_id: Optional[int] = None,
         retry_limit: int = 2,
         retry_seed: int = 0,
         retry_base: float = 0.02,
@@ -144,7 +143,6 @@ class SimServer(Endpoint):
             raise ValueError("breaker threshold must be >= 1")
         super().__init__(protocol.as_address(address, caller="SimServer"))
         self.capacity = capacity
-        self.shard_id = shard_id
         self.retry_limit = retry_limit
         self.retry_seed = retry_seed
         self.retry_base = retry_base
@@ -165,9 +163,8 @@ class SimServer(Endpoint):
         self.chaos = chaos
         if chaos is not None:
             chaos.attach(metrics=self.metrics, events=self.events)
-        # Result storage: an externally-shared store (the fleet's
-        # two-tier ResultStore — every shard points at one) wins over a
-        # private per-server SweepCache built from cache_dir.
+        # Result storage: a caller-built store (a two-tier ResultStore)
+        # wins over a private SweepCache built from cache_dir.
         if store is not None:
             self.cache = store
         else:
@@ -402,7 +399,7 @@ class SimServer(Endpoint):
                 tel.annotate(sid_run, outcome=kind)
                 tel.end(sid_run)
             if kind == "ok":
-                if self.cache is not None and req.key is not None:
+                if self.cache is not None:
                     self.cache.put(req.key, payload)
                 self._resolve(req, {"status": protocol.STATUS_OK,
                                     "result": payload, "cached": False,
@@ -530,12 +527,11 @@ class SimServer(Endpoint):
             sid = tel.begin(f"req:{trace}", "serve.request",
                             trace=trace, scenario=scenario)
 
-        key = None
+        try:
+            key = cache_key(scenario, params)
+        except (TypeError, ValueError) as err:
+            return self._bad_request(f"params not cacheable: {err}", sid)
         if self.cache is not None:
-            try:
-                key = cache_key(scenario, params)
-            except (TypeError, ValueError) as err:
-                return self._bad_request(f"params not cacheable: {err}", sid)
             hit = self.cache.get(key)
             probe = "hit" if hit is not None else "miss"
             if tel is not None:
@@ -554,8 +550,9 @@ class SimServer(Endpoint):
 
         # Single-flight: if the same cache key is already being computed,
         # coalesce onto the leader's future instead of re-running it —
-        # a resubmit after a dropped reply costs no second computation.
-        leader = self._singleflight.get(key) if key is not None else None
+        # a resubmit after a dropped reply costs no second computation,
+        # with or without a store attached.
+        leader = self._singleflight.get(key)
         if leader is not None and not leader.done():
             self.stats.coalesced += 1
             self.metrics.inc("serve.coalesced")
@@ -582,8 +579,7 @@ class SimServer(Endpoint):
                                           trace=trace)
             try:
                 self._queue.put_nowait(req)
-                if key is not None:
-                    self._singleflight[key] = req.future
+                self._singleflight[key] = req.future
             except asyncio.QueueFull:
                 reason = "queue full"
                 if tel is not None:
@@ -598,7 +594,7 @@ class SimServer(Endpoint):
         return self._settle(req.future, t0, scenario, key, trace, sid, req)
 
     async def _settle(self, future: asyncio.Future, t0: float, scenario: str,
-                      key: Optional[str], trace: str, sid: Optional[int],
+                      key: str, trace: str, sid: Optional[int],
                       req: Optional[_Request] = None) -> Dict[str, Any]:
         """Await admitted ``req``'s future, or (no ``req``) the leader's."""
         try:
@@ -639,7 +635,7 @@ class SimServer(Endpoint):
         return response
 
     def _finish(self, response: Dict[str, Any], t0: float, scenario: str,
-                key: Optional[str], trace: str, sid: Optional[int],
+                key: str, trace: str, sid: Optional[int],
                 req: Optional[_Request] = None) -> Dict[str, Any]:
         """The one epilogue of an answered submit — cache hit, coalesced
         follower and the leader that ran alike; the response itself says
@@ -670,14 +666,8 @@ class SimServer(Endpoint):
                              scenario=scenario, status=status, cached=cached,
                              latency_s=latency, **ran)
         if self.ledger is not None:
-            digest = key
-            if digest is None:      # no cache attached: key the row anyway
-                try:
-                    digest = cache_key(scenario, req.params)
-                except (TypeError, ValueError):
-                    digest = ""
             self.ledger.record(kind="serve", scenario=scenario,
-                               digest=digest, status=str(status),
+                               digest=key, status=str(status),
                                wall_s=latency, cached=cached, trace=trace,
                                trace_path=req.sim_trace if req else "")
         if trace:
@@ -690,7 +680,6 @@ class SimServer(Endpoint):
         return {
             "status": protocol.STATUS_OK,
             "protocol_v": protocol.VERSION,
-            "shard_id": self.shard_id,
             "workers": self._target_workers,
             "workers_alive": alive,
             "queue_depth": self._queue.qsize(),

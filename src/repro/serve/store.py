@@ -1,7 +1,6 @@
 """Content-addressed result store: an LRU hot tier over the disk cache.
 
-The fleet's shared storage layer (docs/serving.md, "Fleet mode").  A
-:class:`ResultStore` keeps the last ``hot_capacity`` results in an
+A :class:`ResultStore` keeps the last ``hot_capacity`` results in an
 in-memory LRU dict *above* the existing sha256-keyed
 :class:`repro.sweep.SweepCache` disk tier; keys are the same
 ``cache_key(scenario, params)`` digests everywhere, so the store, the
@@ -12,14 +11,13 @@ so repeated traffic stays memory-speed.  Every probe is counted per
 tier in the attached :class:`~repro.obs.metrics.MetricsRegistry`
 (``serve.store.probe`` faceted by ``tier``/``result``; evictions under
 ``serve.store.evictions``), and :meth:`stats` returns the same counts
-as a JSON-friendly record for the ``stats`` op and the fleet bench.
+as a JSON-friendly record.
 
 The store is duck-compatible with :class:`SweepCache` (``get``/``put``
 /``report``), so a :class:`~repro.serve.server.SimServer` accepts one
-as its ``store=`` and uses it exactly like its private cache — which is
-how every shard of a :class:`~repro.serve.fleet.SimFleet` shares one.
-A :class:`threading.Lock` guards the hot tier: shards on one loop, the
-loadgen's client threads and a test harness may probe concurrently.
+as its ``store=`` and uses it exactly like its private cache.  A
+:class:`threading.Lock` guards the hot tier: the server's loop and a
+caller's own threads (a test harness) may probe concurrently.
 """
 
 from __future__ import annotations
@@ -34,8 +32,7 @@ from repro.sweep import SweepCache
 class ResultStore:
     """Two-tier content-addressed result storage.
 
-    ``cache_dir=None`` runs hot-tier-only (still enough to make
-    single-flight keys and fleet dedup work); with a directory, the
+    ``cache_dir=None`` runs hot-tier-only; with a directory, the
     disk tier is a full :class:`SweepCache` — checksummed envelopes,
     atomic writes, corrupt-entry quarantine — shared with the sweeps.
     """
@@ -112,7 +109,7 @@ class ResultStore:
             return len(self._hot)
 
     def stats(self) -> Dict[str, Any]:
-        """Per-tier counters, JSON-friendly (``stats`` op / fleet bench)."""
+        """Per-tier counters, JSON-friendly."""
         hot_total = self.hot_hits + self.hot_misses
         disk_total = self.disk_hits + self.disk_misses
         return {

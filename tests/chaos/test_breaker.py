@@ -107,19 +107,21 @@ class TestHalfOpen:
             assert srv.server.stats.breaker_trips == 2
 
 
+async def _twin_submits(address):
+    """Two identical ``sleep`` submits pipelined on one connection."""
+    client = await AsyncServeClient.connect(address)
+    try:
+        return await asyncio.gather(
+            client.submit("sleep", {"seconds": 0.1, "tag": "sf"}),
+            client.submit("sleep", {"seconds": 0.1, "tag": "sf"}))
+    finally:
+        await client.close()
+
+
 class TestSingleFlight:
     def test_concurrent_same_key_submits_coalesce(self, tmp_path):
-        async def go(address):
-            client = await AsyncServeClient.connect(address)
-            try:
-                return await asyncio.gather(
-                    client.submit("sleep", {"seconds": 0.1, "tag": "sf"}),
-                    client.submit("sleep", {"seconds": 0.1, "tag": "sf"}))
-            finally:
-                await client.close()
-
         with _server(tmp_path, retry_limit=2) as srv:
-            r1, r2 = asyncio.run(go(srv.address))
+            r1, r2 = asyncio.run(_twin_submits(srv.address))
             assert r1["status"] == r2["status"] == "ok"
             assert r1["result"] == r2["result"]
             coalesced = [r.get("coalesced", False) for r in (r1, r2)]
@@ -127,6 +129,17 @@ class TestSingleFlight:
             stats = srv.server.stats
             assert stats.coalesced == 1
             # The scenario ran exactly once; the twin never reached a worker.
+            assert srv.server.metrics.merged_histogram("serve.run").count == 1
+
+    def test_coalesces_without_a_store(self):
+        """Single-flight keys every submit, not only cached ones: with
+        no store attached and a free second worker, the twin still
+        waits on the leader instead of running again."""
+        with ServerThread(workers=2) as srv:
+            r1, r2 = asyncio.run(_twin_submits(srv.address))
+            assert r1["status"] == r2["status"] == "ok"
+            assert r1["result"] == r2["result"]
+            assert srv.server.stats.coalesced == 1
             assert srv.server.metrics.merged_histogram("serve.run").count == 1
 
 

@@ -105,6 +105,19 @@ class TestSeededPlan:
         assert a.describe() == b.describe()
         assert chaos_plan(8).describe() != a.describe()
 
+    @pytest.mark.parametrize("kw, sha", [
+        ({}, "d03dd6227359adbb153aeb6e28dcb88d"
+             "ad085e228e86df9fc31a9cf9c2d7490b"),
+        ({"n_actions": 8}, "410fd771134d5fad8032892ef54a0633"
+                           "1ae0c91c6f526f6bf90dd84bb242a512"),
+    ], ids=["default", "n_actions=8"])
+    def test_seeded_plans_are_pinned(self, kw, sha):
+        """Seeds 0..199 name the same plans forever: editing KINDS or
+        SITES must not reshuffle what an existing soak seed injects."""
+        import hashlib
+        text = "\n".join(chaos_plan(s, **kw).describe() for s in range(200))
+        assert hashlib.sha256(text.encode()).hexdigest() == sha
+
     def test_budgets_hold_over_many_seeds(self):
         for seed in range(40):
             plan = chaos_plan(seed, n_actions=8)

@@ -42,12 +42,6 @@ Marker map (registered in pyproject.toml ``[tool.pytest.ini_options]``):
   normalized), metrics, soak digests — including under partition-safe
   fault plans.  The small-scale subset runs in tier-1 as the dsim
   smoke; the 4-partition and multi-seed sweeps are ``slow``.
-* ``fleet``       — the sharded-fleet suite (tests/serve/test_fleet.py):
-  the consistent-hash ring's movement bounds, fleet-vs-single-server
-  byte identity, fleet-wide single-flight coalescing, shard-death
-  failover to the ring successor, and the two-tier result store's hit
-  accounting.  The small-scale subset runs in tier-1 as the fleet
-  smoke.
 * ``stackparity`` — the frozen-bytes corpus (tests/stackparity/):
   ``identity.txt`` is ``python -m repro obs --identity --seeds 0:50``
   (every scenario at 2x2/4x4/8x8, scaled and per-seed chaos soaks) and

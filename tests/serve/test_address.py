@@ -50,8 +50,6 @@ class TestServeAddress:
         assert ServeAddress(port=0).with_port(81).port == 81
         with pytest.raises(ValueError):
             ServeAddress(port=-1)
-        with pytest.raises(ValueError):
-            ServeAddress(role="nonsense")
 
 
 class TestLegacyShim:

@@ -19,7 +19,6 @@ from repro.api import SimSpec
 from repro.ompi.config import MpiConfig
 from repro.serve import (
     AsyncServeClient,
-    FleetThread,
     ServeClient,
     ServerThread,
     SimServer,
@@ -275,18 +274,6 @@ def test_stop_answers_running_and_queued_requests(how, caplog):
         assert reply["error"] == "server stopped", (name, reply)
     gc.collect()        # "Task was destroyed but it is pending" logs here
     assert "destroyed" not in caplog.text
-
-
-def test_fleet_stop_answers_forwards_in_flight():
-    """Same contract one hop out: a fleet stops its shards first, so a
-    forward the router is holding is answered, not waited on."""
-    took, replies = _stop_with_work_in_flight(
-        lambda fleet: None, FleetThread(shards=1, workers=1, capacity=4))
-    assert took < 5.0
-    assert {name: (r["status"], r.get("error"), r.get("forwarded"))
-            for name, r in replies.items()} \
-        == {"running": ("error", "server stopped", True),
-            "queued": ("error", "server stopped", True)}
 
 
 def test_server_thread_boot_failure_raises_immediately():

@@ -1,10 +1,10 @@
-"""The unified ``python -m repro`` CLI: dispatch and fleet loadgen."""
+"""The unified ``python -m repro`` CLI: dispatch and loadgen."""
 
 import json
 import subprocess
 import sys
 
-from repro.serve import FleetThread
+from repro.serve import ServerThread
 
 
 def run_cli(*args, timeout=600):
@@ -43,36 +43,22 @@ class TestDispatch:
         assert "no ledger" in proc.stderr
 
 
-class TestServeLoadgenFleet:
-    def test_loadgen_round_trips_against_a_live_fleet(self, tmp_path):
+class TestServeLoadgen:
+    def test_loadgen_round_trips_against_a_live_server(self, tmp_path):
         """`python -m repro serve loadgen --addr ...` against a running
-        2-shard fleet: the router is indistinguishable from a server."""
-        out = tmp_path / "fleet_loadgen.json"
-        with FleetThread(shards=2, workers=1, capacity=16) as fleet:
+        server it did not host itself."""
+        out = tmp_path / "loadgen.json"
+        with ServerThread(workers=1, capacity=16) as srv:
             proc = run_cli(
-                "serve", "loadgen", "--addr", str(fleet.address),
+                "serve", "loadgen", "--addr", str(srv.address),
                 "--requests", "8", "--clients", "2", "--nprocs", "2",
                 "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         assert "req/s" in proc.stdout
         report = json.loads(out.read_text())
-        assert report["target"] == str(fleet.address)
+        assert report["target"] == str(srv.address)
         assert report["loadgen"]["by_status"] == {"ok": 8}
         assert report["loadgen"]["client_errors"] == []
-
-    def test_loadgen_self_hosts_a_fleet_with_shards_flag(self, tmp_path):
-        out = tmp_path / "self_fleet.json"
-        proc = run_cli(
-            "serve", "loadgen", "--shards", "2", "--requests", "8",
-            "--clients", "2", "--nprocs", "2", "--out", str(out))
-        assert proc.returncode == 0, proc.stderr
-        assert "fleet:" in proc.stdout
-        report = json.loads(out.read_text())
-        assert report["bench"] == "serve-fleet-loadgen"
-        assert report["shards"] == 2
-        assert report["loadgen"]["by_status"] == {"ok": 8}
-        assert report["fleet"]["live"] == 2
-        assert sum(report["fleet"]["routed"].values()) == 8
 
     def test_loadgen_against_a_dead_address_exits_1(self):
         """Nothing listens on port 1: no request is answered, so the run
