@@ -5,7 +5,7 @@ Runs the coupled L0 (MPI-everywhere) + L1 (MPI+OpenMP) application with
 both quiescence mechanisms — QUO_barrier and the sessions-based
 MPI_Ibarrier + nanosleep replacement — and prints the Fig-7-style
 normalized execution times.  Uses a shrunken P1-like problem so it runs
-in seconds; the full-size problems live in ``benchmarks/test_fig7_twomesh.py``.
+in seconds; the paper-size problems are ``python -m repro figure fig7 --full``.
 
 Run with::
 

@@ -9,12 +9,14 @@ paper-scale sweeps.
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 from typing import Dict, List, Optional
 
 from repro.apps.twomesh.driver import PROBLEMS, run_twomesh
 from repro.bench.harness import BenchResult
 from repro.bench.hpcc import hpcc_ring_latency
-from repro.bench.osu import osu_comm_dup, osu_init, osu_latency, osu_mbw_mr
+from repro.bench.osu import (_bootstrap, _config_for, osu_collective, osu_comm_dup,
+                             osu_init, osu_latency, osu_mbw_mr)
 from repro.machine.presets import jupiter, trinity
 from repro.ompi.config import MpiConfig
 
@@ -44,8 +46,7 @@ def table1() -> BenchResult:
 # ---------------------------------------------------------------------------
 # Fig 3: MPI initialization time
 # ---------------------------------------------------------------------------
-def fig3(ppn: int, quick: bool = True, obs: bool = False,
-         partitions: int = 1) -> BenchResult:
+def _fig3(ppn: int, quick: bool, obs: bool, partitions: int) -> BenchResult:
     """Fig 3: MPI init time by node count, MPI_Init vs Sessions sequence.
 
     ``obs=True`` instruments every sessions run with a tracer and
@@ -65,6 +66,7 @@ def fig3(ppn: int, quick: bool = True, obs: bool = False,
     )
     base = res.series_for("MPI_Init")
     sess = res.series_for("Sessions")
+    share = res.series_for("session-handle share")
     for nodes in nodes_list:
         nparts = partitions if nodes >= partitions else 1
         base.add(nodes, osu_init(nodes, ppn, "world",
@@ -97,25 +99,20 @@ def fig3(ppn: int, quick: bool = True, obs: bool = False,
                 "flows": len(tracer.flows),
             }
         sess.add(nodes, timing.total)
-        specific = timing.handle + timing.comm_construct
-        if specific > 0:
-            res.notes.append(
-                f"nodes={nodes}: session-handle share of sessions-specific time "
-                f"= {timing.handle / specific:.2f}"
-            )
+        share.add(nodes, timing.handle / (timing.handle + timing.comm_construct))
     return res
 
 
 def fig3a(quick: bool = True, obs: bool = False,
           partitions: int = 1) -> BenchResult:
     """Fig 3a: init time with 1 MPI process per node."""
-    return fig3(ppn=1, quick=quick, obs=obs, partitions=partitions)
+    return _fig3(1, quick, obs, partitions)
 
 
 def fig3b(quick: bool = True, obs: bool = False,
           partitions: int = 1) -> BenchResult:
     """Fig 3b: init time with 28 MPI processes per node."""
-    return fig3(ppn=28, quick=quick, obs=obs, partitions=partitions)
+    return _fig3(28, quick, obs, partitions)
 
 
 # ---------------------------------------------------------------------------
@@ -126,17 +123,36 @@ def fig4(quick: bool = True, ppn: int = 28) -> BenchResult:
     nodes_list = _init_nodes_ppn28(quick)
     res = BenchResult(
         exp_id="fig4",
-        title=f"MPI_Comm_dup per-iteration time, {ppn} processes per node",
+        title=f"MPI_Comm_dup per-iteration time, {ppn} processes per node; "
+              "PGCIDs per dup at 2x4 ranks",
     )
     base = res.series_for("MPI_Init")
     sess = res.series_for("Sessions")
     for nodes in nodes_list:
         base.add(nodes, osu_comm_dup(nodes, ppn, "world"))
         sess.add(nodes, osu_comm_dup(nodes, ppn, "sessions"))
-    res.notes.append(
-        "sessions overhead = PMIx group context-id acquisition per dup (paper §IV-C2)"
-    )
+    pgcids = res.series_for("PGCIDs per dup")
+    for mode, label in (("world", "MPI_Init"), ("sessions", "Sessions")):
+        pgcids.add(label, _pgcids_per_dup(mode))
     return res
+
+
+def _pgcids_per_dup(mode: str, dups: int = 5) -> float:
+    """PMIx group context ids the HNP allocates per MPI_Comm_dup (2x4 ranks)."""
+    from repro.api import SimSpec, run_mpi
+
+    def main(mpi):
+        comm = yield from _bootstrap(mode, mpi, "fig4")
+        dvm = mpi.cluster.dvm
+        before = dvm.pgcids_allocated
+        for _ in range(dups):
+            dup = yield from comm.dup()
+            dup.free()
+        yield from comm.barrier()
+        return dvm.pgcids_allocated - before
+
+    spec = SimSpec(nprocs=8, machine=jupiter(2), ppn=4, config=_config_for(mode))
+    return run_mpi(spec, main)[0] / dups
 
 
 # ---------------------------------------------------------------------------
@@ -182,20 +198,13 @@ def fig5c(quick: bool = True, presync: bool = False) -> BenchResult:
     title = "Relative bandwidth / message rate, 16 processes (8 pairs)"
     if presync:
         title += " with sendrecv pre-synchronization"
-    res = _mbw_result("fig5c", title, 8, sizes, presync=presync)
-    if not presync:
-        res.notes.append(
-            "the pre-loop MPI_Barrier does not switch the test pairs to "
-            "local-CID matching; the first window pays the extended-header "
-            "cost (paper §IV-C3)"
-        )
-    return res
+    return _mbw_result("fig5c", title, 8, sizes, presync=presync)
 
 
 # ---------------------------------------------------------------------------
 # Fig 6: HPCC ring latency
 # ---------------------------------------------------------------------------
-def fig6(ordering: str, quick: bool = True, ppn: int = 28) -> BenchResult:
+def _fig6(ordering: str, quick: bool, ppn: int = 28) -> BenchResult:
     """Fig 6: HPCC 8-byte ring latency, sessions vs baseline."""
     nodes_list = [2] if quick else [2, 4, 8, 16]
     res = BenchResult(
@@ -212,32 +221,37 @@ def fig6(ordering: str, quick: bool = True, ppn: int = 28) -> BenchResult:
 
 def fig6a(quick: bool = True) -> BenchResult:
     """Fig 6a: random-order ring latency."""
-    return fig6("random", quick=quick)
+    return _fig6("random", quick)
 
 
 def fig6b(quick: bool = True) -> BenchResult:
     """Fig 6b: natural-order ring latency."""
-    return fig6("natural", quick=quick)
+    return _fig6("natural", quick)
 
 
 # ---------------------------------------------------------------------------
 # Fig 7: 2MESH normalized execution time
 # ---------------------------------------------------------------------------
 def fig7(quick: bool = True) -> BenchResult:
-    """Fig 7: normalized 2MESH execution times (quiescence overhead)."""
-    problems = ["P1", "P2"] if quick else ["P1", "P2", "P3"]
+    """Fig 7: normalized 2MESH execution times (quiescence overhead).
+
+    ``quick`` runs P1 and P2 shrunk to 64 ranks and 2 couplings; the
+    paper sizes are 256 ranks for P1/P2 and 1,024 for P3."""
+    problems = [PROBLEMS["P1"], PROBLEMS["P2"]]
+    if quick:
+        problems = [replace(p, ranks=64, couplings=2) for p in problems]
+    else:
+        problems.append(PROBLEMS["P3"])
     res = BenchResult(exp_id="fig7", title="Normalized 2MESH execution times")
     base = res.series_for("Baseline")
     sess = res.series_for("Sessions")
     norm = res.series_for("Sessions/Baseline")
-    for name in problems:
-        problem = PROBLEMS[name]
+    for problem in problems:
         t_base = run_twomesh(problem, use_sessions=False)
         t_sess = run_twomesh(problem, use_sessions=True)
-        base.add(name, t_base)
-        sess.add(name, t_sess)
-        norm.add(name, t_sess / t_base)
-    res.notes.append("paper: sessions quiescence overhead <= 3% (section IV-E)")
+        base.add(problem.name, t_base)
+        sess.add(problem.name, t_sess)
+        norm.add(problem.name, t_sess / t_base)
     return res
 
 
@@ -254,11 +268,6 @@ def ablation_dup_policy(nodes: int = 2, ppn: int = 28) -> BenchResult:
     s.add("consensus", osu_comm_dup(nodes, ppn, "world"))
     s.add("pgcid-per-dup", osu_comm_dup(nodes, ppn, "sessions", dup_policy="pgcid-per-dup"))
     s.add("subfield", osu_comm_dup(nodes, ppn, "sessions", dup_policy="subfield"))
-    res.notes.append(
-        "subfield derivation amortizes the PGCID over 255 dups (paper §III-B3: "
-        '"more communicators could be created before needing to request a new '
-        'PMIx group context identifier")'
-    )
     return res
 
 
@@ -372,7 +381,6 @@ def ablation_eager_limit(
     trip dominates); large messages are insensitive (bandwidth-bound).
     """
     from repro.bench.osu import osu_bw
-    from repro.machine.presets import jupiter
 
     res = BenchResult(
         exp_id="ablation-eager-limit",
@@ -384,7 +392,6 @@ def ablation_eager_limit(
         series = res.series_for(f"eager_limit={limit}")
         for size in sizes:
             series.add(size, bw[size])
-    res.notes.append("rendezvous (size > limit) pays an extra RTS/CTS round trip")
     return res
 
 
@@ -446,14 +453,38 @@ def ablation_handshake(pairs: int = 4, sizes=(1, 64, 4096)) -> BenchResult:
     return res
 
 
+# ---------------------------------------------------------------------------
+# Supplementary (not a paper figure): collectives
+# ---------------------------------------------------------------------------
+def supplementary_collectives() -> BenchResult:
+    """Collective latency: Sessions-derived vs MPI_Init communicators."""
+    res = BenchResult(
+        exp_id="supplementary-collectives",
+        title="Collective latency: Sessions/MPI_Init ratio by size at 2x8 ranks",
+    )
+    for op in ("allreduce", "bcast", "barrier", "allgather", "alltoall"):
+        base = osu_collective("world", op)
+        sess = osu_collective("sessions", op)
+        for size, t in base.items():
+            res.series_for(op).add(size, sess[size] / t)
+            if op == "allreduce":
+                res.series_for("MPI_Init allreduce latency").add(size, t)
+    barrier = res.series_for("MPI_Init barrier latency")
+    for nodes in (2, 8):
+        barrier.add(f"{nodes}x4 ranks",
+                    osu_collective("world", "barrier", nodes=nodes, ppn=4)[0])
+    return res
+
+
 def entry_points() -> Dict[str, "object"]:
-    """Name -> callable for every figure/table/ablation in this module.
-    Single source of truth for ``python -m repro figure`` and the sweep
-    runner."""
+    """Name -> callable for every table/figure/ablation/supplementary sweep.
+    Single source of truth for ``python -m repro figure``, the claims table
+    and the sweep runner."""
     return {
         name: fn
         for name, fn in globals().items()
-        if name.startswith(("fig", "table", "ablation_")) and callable(fn)
+        if name.startswith(("fig", "table", "ablation_", "supplementary_"))
+        and callable(fn)
     }
 
 

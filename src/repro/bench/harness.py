@@ -16,9 +16,6 @@ class Series:
     def add(self, x: Any, y: float) -> None:
         self.points.append((x, y))
 
-    def ys(self) -> List[float]:
-        return [y for _x, y in self.points]
-
     def xs(self) -> List[Any]:
         return [x for x, _y in self.points]
 
@@ -50,24 +47,19 @@ class BenchResult:
         den = self.series[den_label]
         return [(x, y / den.y_at(x)) for x, y in num.points]
 
+    def _rows(self, cell, missing: str) -> List[List[str]]:
+        """One row per x (first-seen order): x, then each series' y
+        through ``cell``, or ``missing`` where the series has no point."""
+        ys = [dict(s.points) for s in self.series.values()]
+        xs = dict.fromkeys(x for s in self.series.values() for x in s.xs())
+        return [[str(x)] + [cell(col[x]) if x in col else missing for col in ys]
+                for x in xs]
+
     def to_csv(self) -> str:
         """CSV rendering: one row per x, one column per series (for
         plotting the reproduced figures with external tooling)."""
-        labels = list(self.series)
-        xs: List[Any] = []
-        for s in self.series.values():
-            for x in s.xs():
-                if x not in xs:
-                    xs.append(x)
-        lines = ["x," + ",".join(str(lbl) for lbl in labels)]
-        for x in xs:
-            cells = [str(x)]
-            for lbl in labels:
-                try:
-                    cells.append(repr(self.series[lbl].y_at(x)))
-                except KeyError:
-                    cells.append("")
-            lines.append(",".join(cells))
+        lines = ["x," + ",".join(str(lbl) for lbl in self.series)]
+        lines.extend(",".join(row) for row in self._rows(repr, ""))
         return "\n".join(lines) + "\n"
 
     def to_payload(self) -> Dict[str, Any]:
@@ -103,26 +95,11 @@ class BenchResult:
 
         return json.dumps(self.to_payload(), sort_keys=True, indent=2) + "\n"
 
-    def render(self, unit: str = "") -> str:
+    def render(self) -> str:
         """Paper-style text rendering: one row per x, one column per series."""
-        labels = list(self.series)
-        xs: List[Any] = []
-        for s in self.series.values():
-            for x in s.xs():
-                if x not in xs:
-                    xs.append(x)
-        headers = ["x"] + [f"{lbl}{f' [{unit}]' if unit else ''}" for lbl in labels]
-        rows = []
-        for x in xs:
-            row: List[str] = [str(x)]
-            for lbl in labels:
-                try:
-                    row.append(f"{self.series[lbl].y_at(x):.6g}")
-                except KeyError:
-                    row.append("-")
-            rows.append(row)
         out = [f"== {self.exp_id}: {self.title} =="]
-        out.append(format_table(headers, rows))
+        out.append(format_table(["x", *self.series],
+                                self._rows(lambda y: f"{y:.6g}", "-")))
         for note in self.notes:
             out.append(f"   note: {note}")
         return "\n".join(out)
@@ -139,11 +116,3 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     lines.extend(fmt(row) for row in rows)
     return "\n".join(lines)
 
-
-def geometric_mean(values: Sequence[float]) -> float:
-    if not values:
-        raise ValueError("no values")
-    prod = 1.0
-    for v in values:
-        prod *= v
-    return prod ** (1.0 / len(values))

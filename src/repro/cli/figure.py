@@ -8,10 +8,13 @@ Usage::
     python -m repro figure fig7 --full            # includes P3 (1,024 ranks)
     python -m repro figure fig3a fig3b fig4 --jobs 3
     python -m repro figure fig7 --cache-dir .figcache   # instant re-runs
+    python -m repro figure --report > EXPERIMENTS.md    # every claim, checked
 
 ``--jobs N`` fans independent figures across processes; ``--cache-dir``
 memoizes results on disk keyed by (figure, params, source digest) — see
-docs/performance.md for the invalidation rules.
+docs/performance.md for the invalidation rules.  ``--report`` prints
+EXPERIMENTS.md: the :mod:`repro.bench.claims` table with every row
+checked, then the figures it read.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import sys
 import time
 
 from repro import cli
-from repro.bench import figures
+from repro.bench import claims, figures
 from repro.bench.harness import BenchResult
 from repro.sweep import SweepPoint, run_sweep
 
@@ -37,19 +40,14 @@ def _unknown_msg(name: str, catalog) -> str:
     return msg
 
 
-def _figure_kwargs(fn, args) -> dict:
-    """Per-figure kwargs from the CLI flags, filtered by signature."""
-    kwargs = {}
-    params = inspect.signature(fn).parameters
-    if "quick" in params:
-        kwargs["quick"] = not args.full
-    if "presync" in params and args.presync:
-        kwargs["presync"] = True
-    if args.obs:
-        kwargs["obs"] = True
-    if args.partitions > 1:
-        kwargs["partitions"] = args.partitions
-    return kwargs
+def _given_flags(args) -> list:
+    """(flag, figure parameter, value) for every figure flag given."""
+    flags = [("--obs", "obs", args.obs or None),
+             ("--partitions", "partitions",
+              args.partitions if args.partitions > 1 else None),
+             ("--presync", "presync", args.presync or None),
+             ("--full", "quick", False if args.full else None)]
+    return [flag for flag in flags if flag[2] is not None]
 
 
 def main(argv=None) -> int:
@@ -58,6 +56,8 @@ def main(argv=None) -> int:
     parser.add_argument("figure", nargs="*",
                         help="entry point name(s) (see --list)")
     parser.add_argument("--list", action="store_true", help="list available figures")
+    parser.add_argument("--report", action="store_true",
+                        help="check every claim and print EXPERIMENTS.md")
     parser.add_argument("--full", action="store_true", help="paper-scale sweeps")
     parser.add_argument("--presync", action="store_true", help="fig5c: pair pre-sync")
     cli.add_partitions(parser,
@@ -76,7 +76,7 @@ def main(argv=None) -> int:
     # not mask a typo'd name with a zero exit status.
     unknown = [name for name in args.figure if name not in catalog]
 
-    if args.list or not args.figure:
+    if args.list or not (args.figure or args.report):
         for name in sorted(catalog):
             doc = (inspect.getdoc(catalog[name]) or "").splitlines()
             print(f"  {name:28s} {doc[0] if doc else ''}")
@@ -88,31 +88,29 @@ def main(argv=None) -> int:
         for name in unknown:
             print(_unknown_msg(name, catalog), file=sys.stderr)
         return 2
+    if args.report and args.figure:
+        print("--report takes no figure names", file=sys.stderr)
+        return 2
     if (args.csv or args.json) and len(args.figure) != 1:
         print("--csv/--json need exactly one figure", file=sys.stderr)
         return 2
-    if args.obs:
-        unsupported = [
-            name for name in args.figure
-            if "obs" not in inspect.signature(catalog[name]).parameters
-        ]
+    chosen = ({"--report": claims.report} if args.report
+              else {name: catalog[name] for name in args.figure})
+    given = _given_flags(args)
+    for flag, param, _value in given:
+        unsupported = [name for name, fn in chosen.items()
+                       if param not in inspect.signature(fn).parameters]
         if unsupported:
-            print(f"{', '.join(unsupported)} does not support --obs",
+            print(f"{', '.join(unsupported)} does not support {flag}",
                   file=sys.stderr)
             return 2
-    if args.partitions > 1:
-        unsupported = [
-            name for name in args.figure
-            if "partitions" not in inspect.signature(catalog[name]).parameters
-        ]
-        if unsupported:
-            print(f"{', '.join(unsupported)} does not support --partitions",
-                  file=sys.stderr)
-            return 2
+    kwargs = {param: value for _flag, param, value in given}
+    if args.report:
+        print(claims.report(**kwargs), end="")
+        return 0
 
     points = [
-        SweepPoint("figure", figures.run_point,
-                   {"figure": name, **_figure_kwargs(catalog[name], args)})
+        SweepPoint("figure", figures.run_point, {"figure": name, **kwargs})
         for name in args.figure
     ]
     cache = cli.cache_from_args(args)

@@ -16,7 +16,7 @@ import pytest
 
 from repro.obs.scenarios import run_scenario
 
-pytestmark = [pytest.mark.slow, pytest.mark.bench]
+pytestmark = pytest.mark.slow
 
 
 @pytest.mark.parametrize(

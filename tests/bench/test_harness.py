@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.harness import BenchResult, Series, format_table, geometric_mean
+from repro.bench.harness import BenchResult, Series, format_table
 
 
 class TestSeries:
@@ -11,7 +11,7 @@ class TestSeries:
         s.add(1, 10.0)
         s.add(2, 20.0)
         assert s.xs() == [1, 2]
-        assert s.ys() == [10.0, 20.0]
+        assert s.points == [(1, 10.0), (2, 20.0)]
         assert s.y_at(2) == 20.0
 
     def test_y_at_missing_raises(self):
@@ -37,9 +37,9 @@ class TestBenchResult:
         res = BenchResult(exp_id="figX", title="A Title")
         res.series_for("line").add(4, 1.5)
         res.notes.append("a note")
-        text = res.render(unit="s")
+        text = res.render()
         assert "figX" in text and "A Title" in text
-        assert "line [s]" in text
+        assert "line" in text
         assert "1.5" in text
         assert "a note" in text
 
@@ -54,12 +54,6 @@ def test_format_table_aligns():
     text = format_table(["col", "c2"], [["x", "yyyy"], ["zzz", "w"]])
     lines = text.splitlines()
     assert len({len(l) for l in lines}) == 1  # all rows same width
-
-
-def test_geometric_mean():
-    assert geometric_mean([4.0, 1.0]) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        geometric_mean([])
 
 
 class TestCsvExport:

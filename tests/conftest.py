@@ -5,8 +5,7 @@ Marker map (registered in pyproject.toml ``[tool.pytest.ini_options]``):
 * ``faults``      — fault-injection matrix tests.
 * ``obs``         — observability/tracing tests.
 * ``recovery``    — fault-recovery tests incl. the chaos soak.
-* ``bench``       — wall-clock performance benches; not part of tier-1.
-  Their deterministic counterparts carry no marker and *are* tier-1:
+* (no marker)     — the deterministic performance gates are tier-1:
   the call-count gates ``tests/ompi/test_init_scaling.py`` (calls per
   simulated rank), ``tests/ompi/test_message_path_cost.py`` (calls per
   ob1 packet) and ``tests/serve/test_submit_path_cost.py`` (calls per
@@ -22,11 +21,9 @@ Marker map (registered in pyproject.toml ``[tool.pytest.ini_options]``):
   import-path checks ``tests/test_numpy_lazy.py`` and
   ``tests/test_import_footprint.py`` (fresh interpreters: no import and
   no plain job pulls in numpy, ``hashlib`` or ``sqlite3``); and the
-  paper-shape contracts
-  ``tests/bench/test_fig3_contract.py`` (Fig 3 ratio and handle share)
-  and ``tests/bench/test_fig4_contract.py`` (Fig 4 dup ratio and its
-  one-PGCID-per-dup attribution), both in simulated time with no
-  ``pytest-benchmark`` fixture.
+  paper's claims, ``tests/bench/test_claims.py``: one test per row of
+  ``repro.bench.claims.CLAIMS``, in simulated time at CI scale (its
+  ``slow`` twin runs the paper-scale sweeps).
 * ``serve``       — serving-layer tests incl. the loadgen smoke
   (tests/serve/, and ``TestServeCLI`` in tests/test_tools.py, which
   drives ``python -m repro serve`` as a subprocess like the rest of

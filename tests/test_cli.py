@@ -1,10 +1,16 @@
-"""The unified ``python -m repro`` CLI: dispatch and loadgen."""
+"""The unified ``python -m repro`` CLI: dispatch, loadgen and ``figure``."""
 
 import json
+import pathlib
 import subprocess
 import sys
 
+import pytest
+
+from repro.cli import figure
 from repro.serve import ServerThread
+
+EXPERIMENTS_MD = pathlib.Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
 
 
 def run_cli(*args, timeout=600):
@@ -70,3 +76,64 @@ class TestServeLoadgen:
         assert "ConnectionRefusedError" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert "wrote" not in proc.stdout
+
+
+class TestRunFigure:
+    def run(self, *args):
+        return run_cli("figure", *args)
+
+    def test_list(self):
+        proc = self.run("--list")
+        assert proc.returncode == 0
+        for name in ("fig3a", "fig4", "fig7", "ablation_dup_policy"):
+            assert name in proc.stdout
+
+    def test_runs_a_figure(self):
+        proc = self.run("fig6b")
+        assert proc.returncode == 0
+        assert "natural-order ring latency" in proc.stdout
+        assert "MPI_Init" in proc.stdout and "Sessions" in proc.stdout
+
+    def test_unknown_figure_exits_2(self):
+        proc = self.run("fig99")
+        assert proc.returncode == 2
+        assert "unknown figure" in proc.stderr
+
+    def test_no_args_lists(self):
+        assert self.run().returncode == 0
+
+    def test_multiple_figures_with_jobs_and_cache(self, tmp_path):
+        proc = self.run("table1", "fig6b", "--jobs", "2",
+                        "--cache-dir", str(tmp_path))
+        assert proc.returncode == 0
+        assert "== table1" in proc.stdout and "== fig6b" in proc.stdout
+        assert "2 miss(es)" in proc.stderr
+        again = self.run("table1", "fig6b", "--cache-dir", str(tmp_path))
+        assert again.returncode == 0
+        assert "2 hit(s)" in again.stderr
+        # A cache hit renders the same tables as the fresh run (modulo
+        # the wall-clock footer).
+        strip = lambda s: s[:s.rfind("\n(")]
+        assert strip(again.stdout) == strip(proc.stdout)
+
+    def test_csv_requires_single_figure(self):
+        proc = self.run("table1", "fig6b", "--csv", "out.csv")
+        assert proc.returncode == 2
+        assert "exactly one figure" in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["fig6b", "--presync"], ["ablation_grpcomm", "--full"],
+        ["table1", "--partitions", "2"], ["--report", "--obs"],
+    ])
+    def test_a_flag_the_figure_does_not_take_exits_2(self, argv, capsys):
+        assert figure.main(argv) == 2
+        flag = next(arg for arg in argv[1:] if arg.startswith("--"))
+        assert f"{argv[0]} does not support {flag}" in capsys.readouterr().err
+
+    def test_report_is_the_committed_experiments_md(self, capsys):
+        """In-process, so it reuses the figures tests/bench/test_claims.py
+        already computed."""
+        assert figure.main(["--report"]) == 0
+        assert capsys.readouterr().out == EXPERIMENTS_MD.read_text(encoding="utf-8"), (
+            "EXPERIMENTS.md is stale: regenerate it with "
+            "`python -m repro figure --report > EXPERIMENTS.md`")

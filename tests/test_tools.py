@@ -1,59 +1,12 @@
 """Behaviour of the ``python -m repro`` subcommands, each driven as a
-subprocess the way a shell user would (dispatch itself is
-tests/test_cli.py), plus the experiments-report generator in tools/."""
+subprocess the way a shell user would (dispatch itself and ``figure``
+are tests/test_cli.py)."""
 
 import json
 import subprocess
 import sys
 
 import pytest
-
-
-class TestRunFigure:
-    def run(self, *args):
-        return subprocess.run(
-            [sys.executable, "-m", "repro", "figure", *args],
-            capture_output=True, text=True, timeout=600, cwd=".",
-        )
-
-    def test_list(self):
-        proc = self.run("--list")
-        assert proc.returncode == 0
-        for name in ("fig3a", "fig4", "fig7", "ablation_dup_policy"):
-            assert name in proc.stdout
-
-    def test_runs_a_figure(self):
-        proc = self.run("fig6b")
-        assert proc.returncode == 0
-        assert "natural-order ring latency" in proc.stdout
-        assert "MPI_Init" in proc.stdout and "Sessions" in proc.stdout
-
-    def test_unknown_figure_exits_2(self):
-        proc = self.run("fig99")
-        assert proc.returncode == 2
-        assert "unknown figure" in proc.stderr
-
-    def test_no_args_lists(self):
-        assert self.run().returncode == 0
-
-    def test_multiple_figures_with_jobs_and_cache(self, tmp_path):
-        proc = self.run("table1", "fig6b", "--jobs", "2",
-                        "--cache-dir", str(tmp_path))
-        assert proc.returncode == 0
-        assert "== table1" in proc.stdout and "== fig6b" in proc.stdout
-        assert "2 miss(es)" in proc.stderr
-        again = self.run("table1", "fig6b", "--cache-dir", str(tmp_path))
-        assert again.returncode == 0
-        assert "2 hit(s)" in again.stderr
-        # A cache hit renders the same tables as the fresh run (modulo
-        # the wall-clock footer).
-        strip = lambda s: s[:s.rfind("\n(")]
-        assert strip(again.stdout) == strip(proc.stdout)
-
-    def test_csv_requires_single_figure(self):
-        proc = self.run("table1", "fig6b", "--csv", "out.csv")
-        assert proc.returncode == 2
-        assert "exactly one figure" in proc.stderr
 
 
 class TestRunRecovery:
@@ -226,29 +179,3 @@ class TestRunChaos:
         proc = self.run("--seed", "1", "--requests", "2", "--points", "4")
         assert proc.returncode == 0, proc.stderr
         assert "degraded-mode scenario: ok" in proc.stderr
-
-
-class TestExperimentsReport:
-    def test_catalog_covers_every_paper_figure(self):
-        """The generator must regenerate every table and figure."""
-        from tools.make_experiments_report import EXPERIMENTS
-
-        names = {name for name, *_ in EXPERIMENTS}
-        required = {"table1", "fig3a", "fig3b", "fig4", "fig5a", "fig5b",
-                    "fig5c", "fig6a", "fig6b", "fig7"}
-        assert required <= names
-
-    def test_catalog_entries_resolve(self):
-        from repro.bench import figures
-        from tools.make_experiments_report import EXPERIMENTS
-
-        for name, _kwargs, claim, judge in EXPERIMENTS:
-            assert callable(getattr(figures, name)), name
-            assert claim
-            assert callable(judge)
-
-
-def test_tools_importable_as_modules():
-    import tools.make_experiments_report
-
-    assert callable(tools.make_experiments_report.main)
