@@ -3,11 +3,11 @@
 ``repro.faults`` attacks the simulated world (proc kills, dropped RML
 messages — all in simulated time).  This module points the same idea at
 the wall-clock operational layer around it: the ``repro.serve`` job
-server, its process pool and clients, the ``repro.sweep`` executor, and
-the on-disk result cache.  A :class:`ChaosPlan` mirrors
-:class:`repro.faults.FaultPlan`: a declarative, seeded schedule of
-fault actions that fire on the N-th operation crossing an explicit hook
-point ("site"), with per-action hit budgets.
+server, its process pool and client, and the on-disk result cache.  A
+:class:`ChaosPlan` mirrors :class:`repro.faults.FaultPlan`: a
+declarative, seeded schedule of fault actions that fire on the N-th
+operation crossing an explicit hook point ("site"), with per-action hit
+budgets.
 
 Sites and the kinds that fire there (docs/robustness.md):
 
@@ -26,9 +26,6 @@ Sites and the kinds that fire there (docs/robustness.md):
 ``cache.put``      ``corrupt_cache`` (the written entry's bytes are
                    damaged mid-file), ``torn_write`` (the entry is
                    truncated half-way, as if the writer died).
-``sweep.point``    ``crash_point`` — the sweep point dies instead of
-                   computing (exercises per-point crash isolation and
-                   resume-by-cache in :func:`repro.sweep.run_sweep`).
 =================  ======================================================
 
 The plan is pure bookkeeping and holds no wall-clock or PRNG state of
@@ -68,7 +65,6 @@ KINDS = (
     "drop_conn",
     "corrupt_cache",
     "torn_write",
-    "crash_point",
 )
 
 #: Hook point each kind fires at.
@@ -79,12 +75,17 @@ SITE_OF = {
     "drop_conn": "client.send",
     "corrupt_cache": "cache.put",
     "torn_write": "cache.put",
-    "crash_point": "sweep.point",
 }
 
 SITES = tuple(sorted(set(SITE_OF.values())))
 
 DROP_PHASES = ("mid", "after")
+
+#: Budgets of a :func:`chaos_plan`: worker kills (``kill_worker`` and
+#: ``break_pipe``) and connection drops, each within what the soak's
+#: server and client retry.
+MAX_KILLS = 2
+MAX_DROPS = 2
 
 
 @dataclass
@@ -235,9 +236,6 @@ class ChaosPlan:
     def torn_write(self, **kw: Any) -> "ChaosPlan":
         return self.add(ChaosAction("torn_write", **kw))
 
-    def crash_point(self, **kw: Any) -> "ChaosPlan":
-        return self.add(ChaosAction("crash_point", **kw))
-
     def describe(self) -> str:
         return "; ".join(act.describe() for act in self.actions) or "<empty plan>"
 
@@ -250,24 +248,21 @@ def chaos_plan(
     *,
     n_actions: int = 5,
     kinds: Optional[Tuple[str, ...]] = None,
-    max_kills: int = 2,
-    max_drops: int = 2,
     ops_window: int = 10,
 ) -> ChaosPlan:
     """A seed-deterministic *survivable* plan: same arguments, same plan.
 
     Survivable means every injection stays inside the hardening budgets
     the soak servers/clients run with (docs/robustness.md): at most
-    ``max_kills`` worker kills and ``max_drops`` connection drops, each
-    pinned to a distinct operation index in ``[1, ops_window]`` so no
-    single request can accumulate more faults than its retry budget
-    absorbs, plus unbounded-damage-but-harmless cache corruption and
-    short worker hangs.  Results under such a plan must be
+    :data:`MAX_KILLS` worker kills and :data:`MAX_DROPS` connection
+    drops, each pinned to a distinct operation index in ``[1,
+    ops_window]`` so no single request can accumulate more faults than
+    its retry budget absorbs, plus unbounded-damage-but-harmless cache
+    corruption and short worker hangs.  Results under such a plan must be
     byte-identical to a clean run.
     """
     rng = random.Random(f"chaos-plan:{seed}")
-    pool = list(kinds or ("kill_worker", "hang_worker", "break_pipe",
-                          "drop_conn", "corrupt_cache", "torn_write"))
+    pool = list(kinds or KINDS)
     plan = ChaosPlan()
     kills = drops = 0
     free: Dict[str, List[int]] = {
@@ -285,7 +280,7 @@ def chaos_plan(
         kind = rng.choice(pool)
         if kind in ("kill_worker", "break_pipe"):
             n = pick("worker.call")
-            if kills >= max_kills or n is None:
+            if kills >= MAX_KILLS or n is None:
                 continue
             plan.add(ChaosAction(kind, after_count=n))
             kills += 1
@@ -296,7 +291,7 @@ def chaos_plan(
             plan.hang_worker(rng.uniform(0.01, 0.05), after_count=n)
         elif kind == "drop_conn":
             n = pick("client.send")
-            if drops >= max_drops or n is None:
+            if drops >= MAX_DROPS or n is None:
                 continue
             plan.drop_conn(rng.choice(DROP_PHASES), after_count=n)
             drops += 1
@@ -305,11 +300,6 @@ def chaos_plan(
             if n is None:
                 continue
             plan.add(ChaosAction(kind, after_count=n))
-        elif kind == "crash_point":
-            n = pick("sweep.point")
-            if n is None:
-                continue
-            plan.crash_point(after_count=n)
     return plan
 
 

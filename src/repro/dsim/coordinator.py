@@ -120,7 +120,7 @@ def run_partitioned(
     """
     import multiprocessing
 
-    from repro.serve.pool import default_mp_context
+    from repro.sweep import default_mp_context
 
     nparts = spec.partitions
     if nparts < 1:

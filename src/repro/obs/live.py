@@ -2,8 +2,8 @@
 
 PR 2's tracer records *simulated* time — the clock inside the world.
 This module points the same span/flow model at the *wall* clock, so the
-operational side of the stack (``repro.serve``, ``repro.sweep``) gets
-the observability the simulation already has:
+serving side of the stack (``repro.serve``) gets the observability the
+simulation already has:
 request-scoped spans (``serve.request`` -> ``serve.queue`` ->
 ``serve.run``), dispatch flow edges, and the same byte-deterministic
 Chrome/Perfetto export (:func:`repro.obs.export.chrome_trace`) on

@@ -2,14 +2,12 @@
 
 The ROADMAP's campaign-manager item calls for "a persistent results
 database (sqlite) that indexes every run by spec digest, scenario,
-seed, and metrics"; :class:`RunLedger` is that substrate.  Two
-producers write to it:
-
-* :class:`repro.serve.server.SimServer` — one row per completed
-  request (``kind="serve"``), carrying the request's cache-key digest,
-  wall-clock latency, cache status, trace id and sim-trace pointer;
-* :func:`repro.sweep.run_sweep` — one row per evaluated point
-  (``kind="sweep"``).
+seed, and metrics"; :class:`RunLedger` is that substrate.  Its one
+producer is :class:`repro.serve.server.SimServer`: one row per
+completed request (``kind="serve"``), carrying the request's cache-key
+digest, wall-clock latency, cache status, trace id and sim-trace
+pointer.  ``kind`` stays a column, so older ``kind="sweep"`` rows
+still read back.
 
 ``python -m repro obs --runs LEDGER`` queries it (filter by scenario /
 digest / time window, per-scenario trend summary).  The schema is

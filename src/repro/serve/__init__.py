@@ -17,7 +17,7 @@ seeded backoff.  See docs/serving.md.
 Endpoints are named by one :class:`ServeAddress` (TCP or unix socket).
 """
 
-from repro.serve.client import AsyncServeClient, ServeClient, ServeConnectionError
+from repro.serve.client import ServeClient, ServeConnectionError
 from repro.serve.pool import Worker, WorkerDied
 from repro.serve.protocol import VERSION, ServeAddress
 from repro.serve.registry import (
@@ -33,7 +33,6 @@ from repro.serve.server import ServerThread, ServeStats, SimServer
 from repro.serve.store import ResultStore
 
 __all__ = [
-    "AsyncServeClient",
     "PROGRAMS",
     "ResultStore",
     "ServeAddress",

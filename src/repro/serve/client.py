@@ -1,32 +1,26 @@
-"""Clients for the ``repro.serve`` job server.
+"""The client for the ``repro.serve`` job server.
 
-:class:`ServeClient` — synchronous, one request in flight per
+:class:`ServeClient` is synchronous, one request in flight per
 connection; the natural fit for scripts and per-thread loadgen actors.
-
-:class:`AsyncServeClient` — asyncio, multiplexed: many concurrent
-``submit()`` awaitables share one connection, matched to out-of-order
-server completions by request id.
-
-Both speak the newline-JSON protocol of :mod:`repro.serve.protocol`
-and address endpoints through one :class:`~repro.serve.protocol
+It speaks the newline-JSON protocol of :mod:`repro.serve.protocol` and
+addresses endpoints through one :class:`~repro.serve.protocol
 .ServeAddress` (TCP or unix socket)::
 
     with ServeClient(srv.address) as c:
         r = c.submit("sim", {"spec": spec.to_payload(), "seed": 3})
         assert r["status"] == "ok"
 
-Robustness (docs/robustness.md): both clients retry the initial
-connect with bounded seeded backoff, and :class:`ServeClient`
-additionally survives a connection dying *mid-rpc* — it reconnects and
-resubmits the same request up to ``retries`` times within an optional
-wall-clock ``retry_deadline_s``.  Resubmission is safe because the
-server single-flights by cache key: a retried submit coalesces onto
-(or cache-hits) the original computation, never re-running it.
+Robustness (docs/robustness.md): the client retries the initial
+connect with bounded seeded backoff, and survives a connection dying
+*mid-rpc* — it reconnects and resubmits the same request up to
+``retries`` times within an optional wall-clock ``retry_deadline_s``.
+Resubmission is safe because the server single-flights by cache key: a
+retried submit coalesces onto (or cache-hits) the original computation,
+never re-running it.
 """
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import random
 import socket
@@ -96,8 +90,12 @@ class ServeClient:
             try:
                 if self.address.is_unix:
                     sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                    sock.settimeout(self.timeout)
-                    sock.connect(self.address.path)
+                    try:
+                        sock.settimeout(self.timeout)
+                        sock.connect(self.address.path)
+                    except OSError:
+                        sock.close()
+                        raise
                     self._sock = sock
                 else:
                     self._sock = socket.create_connection(
@@ -243,137 +241,3 @@ class ServeClient:
 
     def __exit__(self, *exc: Any) -> None:
         self.close()
-
-
-class AsyncServeClient:
-    """Multiplexing asyncio client: ``await connect()`` then fire away."""
-
-    def __init__(self) -> None:
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._ids = itertools.count(1)
-        self._pending: Dict[int, asyncio.Future] = {}
-        self._reader_task: Optional[asyncio.Task] = None
-        self._write_lock = asyncio.Lock()
-        self._trace_prefix: Optional[str] = None
-        self._trace_ids = itertools.count(1)
-        self._dead: Optional[Exception] = None
-
-    @classmethod
-    async def connect(cls, address: Union[ServeAddress, str, None] = None, *,
-                      trace: Optional[str] = None,
-                      retries: int = 2,
-                      retry_base: float = 0.05) -> "AsyncServeClient":
-        """Connect, retrying a refused/unreachable server ``retries``
-        times with exponential backoff before giving up."""
-        self = cls()
-        self._trace_prefix = trace
-        addr = as_address(address, caller="AsyncServeClient.connect")
-        self.address = addr
-        last: Optional[OSError] = None
-        for attempt in range(max(0, retries) + 1):
-            try:
-                if addr.is_unix:
-                    self._reader, self._writer = (
-                        await asyncio.open_unix_connection(addr.path))
-                else:
-                    self._reader, self._writer = await asyncio.open_connection(
-                        addr.host, addr.port)
-                break
-            except OSError as err:
-                last = err
-                if attempt < retries:
-                    await asyncio.sleep(retry_base * (2 ** attempt))
-        else:
-            assert last is not None
-            raise last
-        self._reader_task = asyncio.ensure_future(self._read_loop())
-        return self
-
-    async def _read_loop(self) -> None:
-        try:
-            while True:
-                line = await self._reader.readline()
-                if not line:
-                    break
-                try:
-                    response = protocol.decode(line)
-                except protocol.ProtocolError:
-                    break       # torn reply: the connection is dead
-                fut = self._pending.pop(response.get("id"), None)
-                if fut is not None and not fut.done():
-                    fut.set_result(response)
-        except (ConnectionError, OSError, asyncio.CancelledError):
-            pass
-        finally:
-            # Fail everything in flight *and* mark the client dead, so
-            # an rpc racing the reader's exit can't register a future
-            # nobody will ever resolve: a dead server is an error at
-            # once, never a hang.
-            self._dead = ServeConnectionError("server closed the connection")
-            for fut in self._pending.values():
-                if not fut.done():
-                    fut.set_exception(
-                        ServeConnectionError("server closed the connection"))
-            self._pending.clear()
-
-    async def _rpc(self, msg: Dict[str, Any]) -> Dict[str, Any]:
-        if self._dead is not None:
-            raise ServeConnectionError(str(self._dead))
-        rid = next(self._ids)
-        msg = dict(msg, id=rid, v=protocol.VERSION)
-        fut = asyncio.get_running_loop().create_future()
-        self._pending[rid] = fut
-        if self._dead is not None:      # reader died while we registered
-            self._pending.pop(rid, None)
-            raise ServeConnectionError(str(self._dead))
-        try:
-            async with self._write_lock:
-                self._writer.write(protocol.encode(msg))
-                await self._writer.drain()
-        except (ConnectionError, OSError) as err:
-            self._pending.pop(rid, None)
-            raise ServeConnectionError(
-                f"send failed: {type(err).__name__}: {err}") from None
-        return await fut
-
-    async def submit(self, scenario: str,
-                     params: Optional[Dict[str, Any]] = None, *,
-                     deadline_s: Optional[float] = None) -> Dict[str, Any]:
-        msg: Dict[str, Any] = {"op": "submit", "scenario": scenario,
-                               "params": params or {}}
-        if deadline_s is not None:
-            msg["deadline_s"] = deadline_s
-        if self._trace_prefix is not None:
-            from repro.obs.live import trace_id
-            msg["trace"] = trace_id(self._trace_prefix, next(self._trace_ids))
-        return await self._rpc(msg)
-
-    async def stats(self) -> Dict[str, Any]:
-        return await self._rpc({"op": "stats"})
-
-    async def health(self) -> Dict[str, Any]:
-        return await self._rpc({"op": "health"})
-
-    async def metrics(self) -> Dict[str, Any]:
-        return await self._rpc({"op": "metrics"})
-
-    async def drain(self) -> Dict[str, Any]:
-        return await self._rpc({"op": "drain"})
-
-    async def resize(self, workers: int) -> Dict[str, Any]:
-        return await self._rpc({"op": "resize", "workers": workers})
-
-    async def close(self) -> None:
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except asyncio.CancelledError:
-                pass
-        if self._writer is not None:
-            try:
-                self._writer.close()
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass

@@ -19,14 +19,11 @@ import os
 import time
 from typing import Any, Dict, Optional, Tuple
 
+from repro.sweep import default_mp_context
+
 
 class WorkerDied(RuntimeError):
     """The worker process exited (or its pipe broke) mid-request."""
-
-
-def default_mp_context() -> str:
-    """Same policy as ``repro.sweep``: warm fork where POSIX allows."""
-    return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 
 
 # Listening-socket fds of every live server in this process.
@@ -97,8 +94,8 @@ def _worker_main(conn) -> None:
 class Worker:
     """One worker process plus its parent end of the pipe."""
 
-    def __init__(self, wid: int, mp_context: Optional[str] = None) -> None:
-        ctx = multiprocessing.get_context(mp_context or default_mp_context())
+    def __init__(self, wid: int) -> None:
+        ctx = multiprocessing.get_context(default_mp_context())
         self.wid = wid
         self.conn, child = ctx.Pipe(duplex=True)
         self.proc = ctx.Process(target=_worker_main, args=(child,),

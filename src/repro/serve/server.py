@@ -100,6 +100,9 @@ class ServeStats:
     coalesced: int = 0
 
 
+#: Base of the seeded exponential backoff before a worker-death retry.
+RETRY_BASE_S = 0.02
+
 #: What a request is told when the server stops before answering it.
 _STOPPED = {"status": protocol.STATUS_ERROR, "error": "server stopped"}
 
@@ -124,9 +127,6 @@ class SimServer(Endpoint):
         store: Any = None,
         retry_limit: int = 2,
         retry_seed: int = 0,
-        retry_base: float = 0.02,
-        mp_context: Optional[str] = None,
-        metrics: Optional[MetricsRegistry] = None,
         telemetry: Optional[LiveTelemetry] = None,
         event_log: Optional[Union[str, EventLog]] = None,
         ledger: Optional[Union[str, RunLedger]] = None,
@@ -145,9 +145,7 @@ class SimServer(Endpoint):
         self.capacity = capacity
         self.retry_limit = retry_limit
         self.retry_seed = retry_seed
-        self.retry_base = retry_base
-        self.mp_context = mp_context
-        self.metrics = metrics or MetricsRegistry(
+        self.metrics = MetricsRegistry(
             enabled=True, histogram_max_samples=HISTOGRAM_MAX_SAMPLES)
         # Live telemetry (docs/observability.md): all four are optional
         # and off by default; each instrumentation site costs exactly
@@ -163,8 +161,8 @@ class SimServer(Endpoint):
         self.chaos = chaos
         if chaos is not None:
             chaos.attach(metrics=self.metrics, events=self.events)
-        # Result storage: a caller-built store (a two-tier ResultStore)
-        # wins over a private SweepCache built from cache_dir.
+        # Result storage: a caller-built store (a ResultStore, the
+        # memory tier) wins over a private SweepCache built from cache_dir.
         if store is not None:
             self.cache = store
         else:
@@ -259,7 +257,7 @@ class SimServer(Endpoint):
     def _ensure_worker(self, wid: int) -> Worker:
         worker = self._workers.get(wid)
         if worker is None or not worker.alive:
-            worker = Worker(wid, self.mp_context)
+            worker = Worker(wid)
             self._workers[wid] = worker
             self.stats.worker_spawns += 1
             self.metrics.inc("serve.worker.spawns")
@@ -413,7 +411,7 @@ class SimServer(Endpoint):
     def _backoff(self, req: _Request) -> float:
         """Seeded exponential backoff with deterministic jitter."""
         rng = random.Random(f"{self.retry_seed}:{req.seq}:{req.attempts}")
-        return self.retry_base * (2 ** (req.attempts - 1)) * (0.5 + 0.5 * rng.random())
+        return RETRY_BASE_S * (2 ** (req.attempts - 1)) * (0.5 + 0.5 * rng.random())
 
     # -- circuit breaker -----------------------------------------------------
     def _note_worker_death(self) -> None:

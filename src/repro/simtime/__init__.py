@@ -22,7 +22,7 @@ from repro.simtime.process import (
     Self,
     ProcessKilled,
 )
-from repro.simtime.primitives import SimEvent, Mailbox, Semaphore, SimBarrier, Resource
+from repro.simtime.primitives import SimEvent, Mailbox, Semaphore, SimBarrier
 
 __all__ = [
     "Engine",
@@ -41,5 +41,4 @@ __all__ = [
     "Mailbox",
     "Semaphore",
     "SimBarrier",
-    "Resource",
 ]

@@ -196,31 +196,3 @@ class SimBarrier:
         gen = yield Wait(self._event)
         return gen
 
-
-class Resource:
-    """FIFO resource with bounded capacity (models contended hardware).
-
-    Usage::
-
-        yield from res.acquire()
-        try:
-            ...
-        finally:
-            res.release()
-    """
-
-    __slots__ = ("_sem", "capacity")
-
-    def __init__(self, capacity: int = 1) -> None:
-        self.capacity = capacity
-        self._sem = Semaphore(capacity)
-
-    @property
-    def available(self) -> int:
-        return self._sem.value
-
-    def acquire(self):
-        yield from self._sem.acquire()
-
-    def release(self) -> None:
-        self._sem.release()

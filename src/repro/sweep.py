@@ -33,14 +33,11 @@ Robustness (docs/robustness.md):
   being re-read — and re-failed — every run, counted in
   :attr:`SweepCache.corrupt` and surfaced as a ``sweep.cache.corrupt``
   metric/event when a registry/event log is attached.
-* :func:`run_sweep` can **isolate point crashes** (``isolate=True``): a
-  raising point yields an :func:`error_record` and the sweep completes.
 * Each completed point is written to the cache *as it finishes*, so an
-  interrupted sweep resumes by being rerun with the same ``cache=``
-  (error records are never cached — the rerun recomputes them).
-* A :class:`repro.chaos.ChaosPlan` can be injected (``chaos=``) to
-  attack the cache (torn writes, corruption) and the points themselves
-  (``crash_point``) deterministically.
+  interrupted sweep resumes by being rerun with the same ``cache=``.
+  A raising point aborts the sweep; what had landed stays cached.
+* A :class:`repro.chaos.ChaosPlan` can be injected into the cache
+  (``SweepCache(chaos=)``) to tear or corrupt writes deterministically.
 """
 
 from __future__ import annotations
@@ -48,7 +45,6 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -216,56 +212,19 @@ class SweepPoint:
         return cache_key(self.scenario, self.params)
 
 
-class SweepPointCrash(RuntimeError):
-    """A sweep point was killed by an injected ``crash_point`` fault."""
+def default_mp_context() -> str:
+    """Warm ``fork`` where POSIX allows (it keeps the imported
+    simulator); ``spawn`` is the portable fallback."""
+    return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 
 
-def error_record(scenario: str, err: BaseException) -> Dict[str, Any]:
-    """The in-band record an isolated crashing point yields.
-
-    Error records are never cached, so a re-run with the same cache
-    recomputes exactly the failed points.
-    """
-    return {"sweep_error": {"scenario": scenario,
-                            "type": type(err).__name__,
-                            "message": str(err)}}
+def _invoke(payload: Tuple[Callable[..., Any], Dict[str, Any]]) -> Any:
+    fn, params = payload
+    return fn(**params)
 
 
-def is_error_record(obj: Any) -> bool:
-    return isinstance(obj, dict) and "sweep_error" in obj
-
-
-def _invoke(payload: Tuple[Callable, Dict[str, Any], str, bool]
-            ) -> Tuple[Any, float]:
-    """Evaluate one point: its result and its own wall-clock seconds
-    (with ``jobs > 1`` the parent cannot time overlapping points, so
-    the child measures itself and ships the duration home).
-
-    With ``isolate`` a raising point comes back as an
-    :func:`error_record` instead of poisoning the pool;
-    KeyboardInterrupt/SystemExit still propagate."""
-    fn, params, scenario, isolate = payload
-    t0 = time.monotonic()
-    try:
-        result = fn(**params)
-    except Exception as err:        # noqa: BLE001 — isolation is the point
-        if not isolate:
-            raise
-        result = error_record(scenario, err)
-    return result, time.monotonic() - t0
-
-
-def run_sweep(
-    points: Sequence[SweepPoint],
-    *,
-    jobs: int = 1,
-    cache: Optional[SweepCache] = None,
-    mp_context: Optional[str] = None,
-    telemetry: Any = None,
-    ledger: Any = None,
-    isolate: bool = False,
-    chaos: Any = None,
-) -> List[Any]:
+def run_sweep(points: Sequence[SweepPoint], *, jobs: int = 1,
+              cache: Optional[SweepCache] = None) -> List[Any]:
     """Evaluate all points; returns results in input order.
 
     ``jobs <= 1`` runs serially in-process (no pickling requirements).
@@ -275,116 +234,35 @@ def run_sweep(
     index.  A cache, when given, is consulted first and fed with each
     point *as it finishes* (atomic, checksummed writes): rerunning an
     interrupted sweep with the same ``cache=`` recomputes only what had
-    not landed.
-
-    ``telemetry`` (:class:`repro.obs.LiveTelemetry`) records one
-    wall-clock ``sweep.task`` span per evaluated point on the
-    ``sweep:task`` track; ``ledger`` (:class:`repro.obs.RunLedger`)
-    appends one ``kind="sweep"`` row per point (cache hits included).
-    Both are off by default and never affect results.
-
-    Robustness controls (docs/robustness.md):
-
-    ``isolate=True``
-        A point that raises yields an :func:`error_record` in its slot
-        and the sweep completes; without it the first crash aborts the
-        sweep (the historical behavior).  Interrupts
-        (KeyboardInterrupt/SystemExit) always propagate.
-    ``chaos=ChaosPlan``
-        Consults the plan's ``sweep.point`` site once per dispatched
-        point (in input order, so injections are deterministic); a
-        firing ``crash_point`` raises :class:`SweepPointCrash` in place
-        of the computation.
+    not landed.  A point that raises aborts the sweep with its error.
     """
-    tel = telemetry if (telemetry is not None and telemetry.enabled) else None
     results: List[Any] = [None] * len(points)
-    todo: List[int] = []
     keys: Dict[int, str] = {}
-    need_keys = cache is not None or ledger is not None
+    todo: List[int] = []
     for i, pt in enumerate(points):
-        if need_keys:
-            keys[i] = pt.key()
         if cache is not None:
+            keys[i] = pt.key()
             hit = cache.get(keys[i])
             if hit is not None:
                 results[i] = hit
-                if tel is not None:
-                    tel.event("sweep:task", "sweep.cache.hit",
-                              scenario=pt.scenario, index=i)
-                if ledger is not None:
-                    ledger.record(kind="sweep", scenario=pt.scenario,
-                                  digest=keys[i], wall_s=0.0, cached=True)
                 continue
         todo.append(i)
 
-    if not todo:
-        return results
-
-    # Chaos is consulted in input order at dispatch time (parent side),
-    # so injections are identical for serial and parallel runs.
-    crashed: set = set()
-    if chaos is not None:
-        for i in todo:
-            for act in chaos.on("sweep.point", scenario=points[i].scenario,
-                                index=i):
-                if act.kind == "crash_point":
-                    crashed.add(i)
-        if crashed and not isolate:
-            i = min(crashed)
-            raise SweepPointCrash(
-                f"injected crash at sweep point {i} "
-                f"({points[i].scenario}); run with isolate=True to "
-                f"convert crashes into error records")
-
-    def persist(i: int, result: Any, dt: Optional[float]) -> None:
+    def persist(i: int, result: Any) -> None:
         results[i] = result
-        failed = is_error_record(result)
-        if cache is not None and not failed:
+        if cache is not None:
             cache.put(keys[i], result)
-        if ledger is not None:
-            ledger.record(kind="sweep", scenario=points[i].scenario,
-                          digest=keys.get(i, ""), wall_s=dt,
-                          status="error" if failed else "ok", cached=False)
 
-    def payload(i: int) -> Tuple[Callable, Dict[str, Any], str, bool]:
-        return points[i].fn, points[i].params, points[i].scenario, isolate
-
-    def crash_record(i: int) -> Dict[str, Any]:
-        # Only reached under isolate: an unisolated crash raised above.
-        return error_record(points[i].scenario, SweepPointCrash(
-            f"injected crash at sweep point {i}"))
-
-    if jobs <= 1 or len(todo) == 1:
+    if jobs <= 1 or len(todo) <= 1:
         for i in todo:
-            if i in crashed:
-                result, dt = crash_record(i), 0.0
-            elif tel is not None:
-                with tel.span("sweep:task", "sweep.task",
-                              scenario=points[i].scenario, index=i):
-                    result, dt = _invoke(payload(i))
-            else:
-                result, dt = _invoke(payload(i))
-            persist(i, result, dt)
-    else:
-        # fork keeps the warm interpreter (and the imported simulator)
-        # on POSIX; spawn is the portable fallback.
-        method = mp_context or (
-            "fork" if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn")
-        ctx = multiprocessing.get_context(method)
-        fanout = [i for i in todo if i not in crashed]
-        for i in sorted(crashed):
-            persist(i, crash_record(i), 0.0)
-        if fanout:
-            with ctx.Pool(processes=min(jobs, len(fanout))) as pool:
-                timed = pool.imap(_invoke, [payload(i) for i in fanout],
-                                  chunksize=1)
-                # imap streams in input order, so each completed
-                # point is cached as soon as it lands.
-                for i, (result, dt) in zip(fanout, timed):
-                    if tel is not None:
-                        tel.event("sweep:task", "sweep.task.done",
-                                  scenario=points[i].scenario, index=i,
-                                  wall_s=round(dt, 6))
-                    persist(i, result, dt)
+            persist(i, points[i].fn(**points[i].params))
+        return results
+    ctx = multiprocessing.get_context(default_mp_context())
+    with ctx.Pool(processes=min(jobs, len(todo))) as pool:
+        done = pool.imap(_invoke, [(points[i].fn, points[i].params)
+                                   for i in todo], chunksize=1)
+        # imap streams in input order, so each completed point is
+        # cached as soon as it lands.
+        for i, result in zip(todo, done):
+            persist(i, result)
     return results

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import asyncio
 import time
 
 import pytest
 
 from repro.chaos import degraded_run
-from repro.serve import AsyncServeClient, ServeClient, ServerThread
+from repro.serve import ServeClient, ServerThread
+from tests._pipeline import pipelined, submit
 
 pytestmark = pytest.mark.chaos
 
@@ -107,21 +107,16 @@ class TestHalfOpen:
             assert srv.server.stats.breaker_trips == 2
 
 
-async def _twin_submits(address):
+def _twin_submits(address):
     """Two identical ``sleep`` submits pipelined on one connection."""
-    client = await AsyncServeClient.connect(address)
-    try:
-        return await asyncio.gather(
-            client.submit("sleep", {"seconds": 0.1, "tag": "sf"}),
-            client.submit("sleep", {"seconds": 0.1, "tag": "sf"}))
-    finally:
-        await client.close()
+    twin = submit("sleep", {"seconds": 0.1, "tag": "sf"})
+    return pipelined(address, [twin, twin])
 
 
 class TestSingleFlight:
     def test_concurrent_same_key_submits_coalesce(self, tmp_path):
         with _server(tmp_path, retry_limit=2) as srv:
-            r1, r2 = asyncio.run(_twin_submits(srv.address))
+            r1, r2 = _twin_submits(srv.address)
             assert r1["status"] == r2["status"] == "ok"
             assert r1["result"] == r2["result"]
             coalesced = [r.get("coalesced", False) for r in (r1, r2)]
@@ -136,7 +131,7 @@ class TestSingleFlight:
         no store attached and a free second worker, the twin still
         waits on the leader instead of running again."""
         with ServerThread(workers=2) as srv:
-            r1, r2 = asyncio.run(_twin_submits(srv.address))
+            r1, r2 = _twin_submits(srv.address)
             assert r1["status"] == r2["status"] == "ok"
             assert r1["result"] == r2["result"]
             assert srv.server.stats.coalesced == 1

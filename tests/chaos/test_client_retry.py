@@ -2,16 +2,16 @@
 
 from __future__ import annotations
 
-import asyncio
 import gc
 import socket
 import threading
+import warnings
 
 import pytest
 
 from repro.chaos import ChaosPlan
-from repro.serve import AsyncServeClient, ServeAddress, ServeClient, \
-    ServeConnectionError, ServerThread, protocol
+from repro.serve import ServeAddress, ServeClient, ServeConnectionError, \
+    ServerThread, protocol
 
 pytestmark = pytest.mark.chaos
 
@@ -28,12 +28,17 @@ class TestConnectRetry:
             ServeClient(ServeAddress(port=_free_port()), retries=1,
                         retry_base=0.001)
 
-    def test_async_client_raises_after_bounded_retries(self):
-        async def go():
-            await AsyncServeClient.connect(ServeAddress(port=_free_port()),
-                                           retries=1, retry_base=0.001)
-        with pytest.raises(OSError):
-            asyncio.run(go())
+    def test_failed_unix_connects_leave_no_socket_open(self, tmp_path):
+        """Every failed attempt closes its own socket; none is left for
+        the collector to find (and warn about) later."""
+        missing = ServeAddress(path=str(tmp_path / "no-server.sock"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(OSError):
+                ServeClient(missing, retries=2, retry_base=0.001)
+            gc.collect()
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, ResourceWarning)] == []
 
     def test_connect_retry_wins_when_server_appears(self):
         """The server binds between the first (failing) and a later
@@ -198,26 +203,3 @@ class TestUntrustworthyReply:
                     client.submit("sleep", {"seconds": 0.0})
         finally:
             server.close()
-
-    def test_async_client_fails_pending_requests_cleanly(self, caplog):
-        """Same torn line on the multiplexed client: the read loop ends
-        through its dead-connection path, failing the pending future —
-        not as an unretrieved exception in a background task."""
-        server = _TornReplyServer("torn")
-
-        async def go():
-            client = await AsyncServeClient.connect(server.address)
-            try:
-                with pytest.raises(ServeConnectionError):
-                    await client.submit("sleep", {"seconds": 0.0})
-                with pytest.raises(ServeConnectionError):
-                    await client.health()       # and it stays dead
-            finally:
-                await client.close()
-
-        try:
-            asyncio.run(go())
-        finally:
-            server.close()
-        gc.collect()
-        assert "never retrieved" not in caplog.text

@@ -74,8 +74,8 @@ class TestChaosPlan:
 
     def test_convenience_constructors_chain(self):
         plan = (ChaosPlan().kill_worker().hang_worker(0.01).break_pipe()
-                .drop_conn("after").corrupt_cache().torn_write().crash_point())
-        assert len(plan) == 7
+                .drop_conn("after").corrupt_cache().torn_write())
+        assert len(plan) == 6
         assert "drop_conn" in plan.describe()
 
     def test_add_rejects_non_actions(self):

@@ -1,4 +1,4 @@
-"""run_sweep hardening: crash isolation, resume-by-cache, crash_point."""
+"""run_sweep hardening: a raising point aborts, resume-by-cache."""
 
 from __future__ import annotations
 
@@ -6,16 +6,7 @@ import json
 
 import pytest
 
-from repro.chaos import ChaosPlan
-from repro.sweep import (
-    SweepCache,
-    SweepPoint,
-    SweepPointCrash,
-    error_record,
-    is_error_record,
-    result_digest,
-    run_sweep,
-)
+from repro.sweep import SweepCache, SweepPoint, result_digest, run_sweep
 
 pytestmark = pytest.mark.chaos
 
@@ -51,34 +42,11 @@ class TestIsolation:
         with pytest.raises(RuntimeError, match="boom"):
             run_sweep(points)
 
-    def test_isolate_yields_error_record_and_completes(self):
-        points = [SweepPoint("s", ok_fn, {"x": 0}),
-                  SweepPoint("s", bomb_fn, {"x": 1}),
-                  SweepPoint("s", ok_fn, {"x": 2})]
-        results = run_sweep(points, isolate=True)
-        assert results[0] == {"x": 0} and results[2] == {"x": 2}
-        assert is_error_record(results[1])
-        err = results[1]["sweep_error"]
-        assert err["type"] == "RuntimeError" and "boom at 1" in err["message"]
-
-    def test_isolate_parallel_matches_serial(self):
+    def test_parallel_sweep_propagates_too(self):
         points = [SweepPoint("s", bomb_fn if i == 2 else ok_fn, {"x": i})
                   for i in range(4)]
-        assert run_sweep(points, jobs=2, isolate=True) \
-            == run_sweep(points, isolate=True)
-
-    def test_error_records_are_never_cached(self, tmp_path):
-        points = [SweepPoint("s", bomb_fn, {"x": 1})]
-        cache = SweepCache(str(tmp_path))
-        results = run_sweep(points, isolate=True, cache=cache)
-        assert is_error_record(results[0])
-        assert list(tmp_path.glob("*.json")) == []
-
-    def test_error_record_shape(self):
-        rec = error_record("s", ValueError("nope"))
-        assert is_error_record(rec)
-        assert not is_error_record({"x": 1})
-        assert not is_error_record(42)
+        with pytest.raises(RuntimeError, match="boom at 2"):
+            run_sweep(points, jobs=2)
 
 
 class TestCheckpoint:
@@ -137,16 +105,6 @@ class TestCheckpoint:
         assert [_calls(tmp_path, i) for i in range(2)] == [1, 2]
         assert cache.corrupt == 1
 
-    def test_error_records_not_checkpointed(self, tmp_path):
-        points = [SweepPoint("s", bomb_fn, {"x": 1}),
-                  SweepPoint("s", ok_fn, {"x": 2})]
-        cache_dir = tmp_path / "cache"
-        results = run_sweep(points, isolate=True,
-                            cache=SweepCache(str(cache_dir)))
-        assert is_error_record(results[0])
-        assert [p.name for p in cache_dir.iterdir()] \
-            == [f"{points[1].key()}.json"]
-
     def test_checkpoint_lines_are_canonical_json(self, tmp_path):
         # What a resume reads back: one checksummed envelope per point,
         # named by the point's own key, holding exactly its result.
@@ -158,35 +116,3 @@ class TestCheckpoint:
         assert obj["result"] == {"x": 0}
         assert obj["sha256"] == result_digest({"x": 0})
 
-
-class TestCrashPoint:
-    def test_crash_point_without_isolate_raises(self):
-        plan = ChaosPlan().crash_point(after_count=2)
-        points = [SweepPoint("s", ok_fn, {"x": i}) for i in range(3)]
-        with pytest.raises(SweepPointCrash):
-            run_sweep(points, chaos=plan)
-
-    def test_crash_point_with_isolate_serial_parallel_parity(self):
-        points = [SweepPoint("s", ok_fn, {"x": i}) for i in range(4)]
-        serial = run_sweep(points, isolate=True,
-                           chaos=ChaosPlan().crash_point(after_count=2))
-        parallel = run_sweep(points, jobs=2, isolate=True,
-                             chaos=ChaosPlan().crash_point(after_count=2))
-        assert serial == parallel
-        assert is_error_record(serial[1])
-        assert [r for i, r in enumerate(serial) if i != 1] \
-            == [{"x": 0}, {"x": 2}, {"x": 3}]
-
-    def test_crashed_point_recomputes_on_resume(self, tmp_path):
-        points = [SweepPoint("s", counting_fn,
-                             {"x": i, "calls_dir": str(tmp_path)})
-                  for i in range(3)]
-        cache_dir = str(tmp_path / "cache")
-        plan = ChaosPlan().crash_point(after_count=2)
-        first = run_sweep(points, isolate=True, cache=SweepCache(cache_dir),
-                          chaos=plan)
-        assert is_error_record(first[1])
-        # The resume recomputes exactly the crashed point.
-        resumed = run_sweep(points, cache=SweepCache(cache_dir))
-        assert resumed == [{"x": i} for i in range(3)]
-        assert [_calls(tmp_path, i) for i in range(3)] == [1, 1, 1]

@@ -8,7 +8,6 @@ the concurrency machinery without burning CPU.
 
 from __future__ import annotations
 
-import asyncio
 import gc
 import threading
 import time
@@ -18,10 +17,8 @@ import pytest
 from repro.api import SimSpec
 from repro.ompi.config import MpiConfig
 from repro.serve import (
-    AsyncServeClient,
     ServeClient,
     ServerThread,
-    SimServer,
     protocol,
     run_simspec,
     scenario,
@@ -33,6 +30,7 @@ from repro.serve.loadgen import (
     run_loadgen,
     sim_workload,
 )
+from tests._pipeline import pipelined, submit
 
 pytestmark = pytest.mark.serve
 
@@ -114,27 +112,12 @@ def test_serve_smoke(tmp_path):
 # admission order, backpressure, deadlines
 # ---------------------------------------------------------------------------
 def test_fifo_admission_single_worker():
-    """One worker, multiplexed submits: completions follow admission order."""
-    async def drive():
-        server = await SimServer(workers=1, capacity=8).start()
-        try:
-            client = await AsyncServeClient.connect(server.address)
-            try:
-                subs = [asyncio.ensure_future(
-                            client.submit("sleep", {"seconds": 0.01, "tag": i}))
-                        for i in range(5)]
-                order = []
-                for fut in asyncio.as_completed(subs):
-                    response = await fut
-                    assert response["status"] == "ok"
-                    order.append(response["result"]["tag"])
-                return order
-            finally:
-                await client.close()
-        finally:
-            await server.stop()
-
-    assert asyncio.run(drive()) == [0, 1, 2, 3, 4]
+    """One worker, pipelined submits: completions follow admission order."""
+    with ServerThread(workers=1, capacity=8) as srv:
+        replies = pipelined(srv.address, [
+            submit("sleep", {"seconds": 0.01, "tag": i}) for i in range(5)])
+    assert all(r["status"] == "ok" for r in replies)
+    assert [r["result"]["tag"] for r in replies] == [0, 1, 2, 3, 4]
 
 
 def test_backpressure_rejects_at_full_queue():
@@ -148,24 +131,18 @@ def test_backpressure_rejects_at_full_queue():
 
 
 def test_deadline_expires_queued_request():
-    async def drive():
-        server = await SimServer(workers=1, capacity=8).start()
-        try:
-            client = await AsyncServeClient.connect(server.address)
-            try:
-                blocker = asyncio.ensure_future(
-                    client.submit("sleep", {"seconds": 0.3}))
-                await asyncio.sleep(0.05)       # blocker reaches the worker
-                doomed = await client.submit("sleep", {"seconds": 0.01},
-                                             deadline_s=0.05)
-                ok_after = await client.submit("sleep", {"seconds": 0.01})
-                return await blocker, doomed, ok_after, server.stats.expired
-            finally:
-                await client.close()
-        finally:
-            await server.stop()
-
-    blocker, doomed, ok_after, expired = asyncio.run(drive())
+    """The blocker holds the only worker past the deadline of the submit
+    queued behind it; the one after that runs."""
+    with ServerThread(workers=1, capacity=8) as srv:
+        replies = pipelined(srv.address, [
+            submit("sleep", {"seconds": 0.3}),
+            submit("sleep", {"seconds": 0.01, "tag": "doomed"},
+                   deadline_s=0.05),
+            # Another key: a twin of the doomed submit would coalesce
+            # onto it and share its expiry.
+            submit("sleep", {"seconds": 0.01, "tag": "after"})])
+        expired = srv.server.stats.expired
+    blocker, doomed, ok_after = sorted(replies, key=lambda r: r["id"])
     assert blocker["status"] == "ok"
     assert doomed["status"] == "expired"
     assert "queued" in doomed["reason"]

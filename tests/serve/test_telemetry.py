@@ -206,27 +206,6 @@ class TestWorkerDeathTelemetry:
         assert names.count("serve.worker.spawned") == 2
 
 
-class TestAsyncClientTrace:
-    def test_async_client_mints_trace_ids(self, tmp_path):
-        import asyncio
-
-        from repro.serve import AsyncServeClient
-
-        tel = LiveTelemetry()
-        with ServerThread(workers=1, telemetry=tel) as srv:
-            async def go():
-                client = await AsyncServeClient.connect(srv.address,
-                                                        trace="ac")
-                try:
-                    return await client.submit("sleep", {"seconds": 0.0})
-                finally:
-                    await client.close()
-
-            r = asyncio.run(go())
-        assert r["status"] == "ok" and r["trace"] == "ac-1"
-        assert spans_named(tel, "serve.request")[0].attrs["trace"] == "ac-1"
-
-
 class TestServerFallbackTraceIds:
     def test_untraced_client_gets_server_minted_ids(self, tmp_path):
         tel = LiveTelemetry()

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from repro.cli import figure
+from repro.cli import faults, figure
 from repro.serve import ServerThread
 
 EXPERIMENTS_MD = pathlib.Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
@@ -47,6 +47,29 @@ class TestDispatch:
                        timeout=120)
         assert proc.returncode == 2
         assert "no ledger" in proc.stderr
+
+
+class TestFaults:
+    """``python -m repro faults`` in-process: each scenario twice, the
+    same bytes both times, and the outcome lines it prints today."""
+
+    @pytest.mark.parametrize("argv, lines", [
+        (["fence-kill"], ["  rank 7: killed\n",
+                          "  fault stats: kill_proc=1\n"]),
+        (["node-down"], ["  rank 7: killed\n",
+                         "  fault stats: dead_drop=1, kill_node=1\n"]),
+        (["chaos", "--seed", "7"],
+         ["  rank 7: stopped after 1 fences (PMIX_ERR_TIMEOUT)\n",
+          "  fault stats: drop_msg=1, kill_proc=1\n"]),
+    ], ids=["fence-kill", "node-down", "chaos-seed-7"])
+    def test_scenario_is_deterministic(self, argv, lines, capsys):
+        outs = []
+        for _ in range(2):
+            assert faults.main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        for line in lines:
+            assert line in outs[0], outs[0]
 
 
 class TestServeLoadgen:

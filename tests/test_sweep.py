@@ -91,61 +91,6 @@ def test_sweep_point_key_matches_cache_key():
     assert pt.key() == cache_key("s", {"procs": 4})
 
 
-def test_run_sweep_with_telemetry_and_ledger(tmp_path):
-    """Observed sweeps record spans and ledger rows without changing
-    the results (the telemetry zero-perturbation contract)."""
-    from repro.obs import LiveTelemetry, RunLedger
-
-    points = _points()
-    plain = run_sweep(points, jobs=1)
-
-    tel = LiveTelemetry()
-    with RunLedger(str(tmp_path / "ledger.sqlite")) as ledger:
-        cache = SweepCache(str(tmp_path / "cache"))
-        observed = run_sweep(points, jobs=1, cache=cache,
-                             telemetry=tel, ledger=ledger)
-        assert observed == plain
-        spans = [s for s in tel.tracer.spans.values()
-                 if s.name == "sweep.task"]
-        assert sorted(s.attrs["index"] for s in spans) == [0, 1, 2, 3]
-        assert all(s.track == "sweep:task" for s in spans)
-        rows = ledger.query(kind="sweep")
-        assert len(rows) == 4
-        assert all(r["cached"] is False and r["wall_s"] >= 0 for r in rows)
-        assert [r["digest"] for r in rows] == [pt.key() for pt in points]
-
-        # Re-run over the warm cache: hits show up as instants + rows.
-        assert run_sweep(points, jobs=1, cache=cache,
-                         telemetry=tel, ledger=ledger) == plain
-        hits = [i for i in tel.tracer.instants if i.name == "sweep.cache.hit"]
-        assert len(hits) == 4
-        cached_rows = [r for r in ledger.query(kind="sweep") if r["cached"]]
-        assert len(cached_rows) == 4
-
-
-def test_run_sweep_parallel_telemetry_matches_serial_results(tmp_path):
-    from repro.obs import LiveTelemetry, RunLedger
-
-    points = _points()
-    plain = run_sweep(points, jobs=1)
-    tel = LiveTelemetry()
-    with RunLedger(str(tmp_path / "ledger.sqlite")) as ledger:
-        assert run_sweep(points, jobs=2, telemetry=tel,
-                         ledger=ledger) == plain
-        done = [i for i in tel.tracer.instants if i.name == "sweep.task.done"]
-        assert sorted(i.attrs["index"] for i in done) == [0, 1, 2, 3]
-        assert ledger.count() == 4
-
-
-def test_run_sweep_disabled_telemetry_records_nothing():
-    from repro.obs import LiveTelemetry
-
-    tel = LiveTelemetry(enabled=False)
-    assert run_sweep(_points(), jobs=1, telemetry=tel) \
-        == run_sweep(_points(), jobs=1)
-    assert tel.tracer.spans == {} and tel.tracer.instants == []
-
-
 def test_cached_payloads_are_canonical_checksummed_json(tmp_path):
     from repro.sweep import ENVELOPE_KEY, ENVELOPE_VERSION, result_digest
 
