@@ -33,10 +33,9 @@ its own; each hook point consults it with :meth:`ChaosPlan.on`, which
 counts the operation and returns the actions that fired.  Counters are
 guarded by a lock so one plan may be shared by the client thread and
 the server loop thread of an in-process soak.  Every injection is
-recorded in :attr:`ChaosPlan.stats` and fanned out to any attached
-:class:`~repro.obs.metrics.MetricsRegistry` /
-:class:`~repro.obs.events.EventLog` as ``chaos.injected`` metrics and
-events, so injected faults are first-class telemetry.
+recorded in :attr:`ChaosPlan.stats` and counted in any attached
+:class:`~repro.obs.metrics.MetricsRegistry` as a ``chaos.injected``
+metric, so injected faults are first-class telemetry.
 
 Determinism contract (the headline invariant of ``python -m repro chaos``):
 a *survivable* plan — kills within the server's retry budget, connection
@@ -155,15 +154,15 @@ class ChaosPlan:
     """An ordered schedule of :class:`ChaosAction`s with run-scoped
     counters: install one plan instance per run (like ``FaultPlan``).
 
-    Hook points call :meth:`on`; recorders attached with :meth:`attach`
-    see every injection as a ``chaos.injected`` metric/event.
+    Hook points call :meth:`on`; registries attached with :meth:`attach`
+    count every injection as a ``chaos.injected`` metric.
     """
 
     def __init__(self, actions: Optional[List[ChaosAction]] = None) -> None:
         self.actions: List[ChaosAction] = []
         self.stats: Counter = Counter()
         self._lock = threading.Lock()
-        self._recorders: List[Tuple[Any, Any]] = []   # (metrics, events)
+        self._registries: List[Any] = []
         for act in actions or []:
             self.add(act)
 
@@ -173,22 +172,18 @@ class ChaosPlan:
         self.actions.append(action)
         return self
 
-    def attach(self, *, metrics: Any = None, events: Any = None) -> "ChaosPlan":
-        """Record every future injection in a metrics registry and/or an
-        event log (both optional; callable multiple times — e.g. by the
-        server and a test harness)."""
-        if metrics is not None or events is not None:
-            self._recorders.append((metrics, events))
+    def attach(self, metrics: Any) -> "ChaosPlan":
+        """Count every future injection in a metrics registry (callable
+        multiple times — e.g. by the server and a test harness)."""
+        self._registries.append(metrics)
         return self
 
     # -- the hook-point API -------------------------------------------------
-    def on(self, site: str, scenario: Optional[str] = None,
-           **ctx: Any) -> List[ChaosAction]:
+    def on(self, site: str, scenario: Optional[str] = None) -> List[ChaosAction]:
         """Consulted by a hook point for one operation at ``site``.
 
         Counts the operation against every action of that site and
-        returns the actions that fired (usually zero or one).  ``ctx``
-        is recorder-only context (worker id, cache key, ...).
+        returns the actions that fired (usually zero or one).
         """
         fired: List[ChaosAction] = []
         with self._lock:
@@ -200,17 +195,9 @@ class ChaosPlan:
             for act in fired:
                 self.stats[act.kind] += 1
         for act in fired:
-            self._record(site, act, scenario, ctx)
-        return fired
-
-    def _record(self, site: str, act: ChaosAction,
-                scenario: Optional[str], ctx: Dict[str, Any]) -> None:
-        for metrics, events in self._recorders:
-            if metrics is not None:
+            for metrics in self._registries:
                 metrics.inc("chaos.injected", kind=act.kind, site=site)
-            if events is not None:
-                events.emit("chaos.injected", kind=act.kind, site=site,
-                            scenario=scenario, **ctx)
+        return fired
 
     @property
     def injected(self) -> int:

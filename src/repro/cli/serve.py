@@ -19,9 +19,10 @@ Every subcommand names its endpoint the same way: ``--addr host:port``
 
 ``start --telemetry DIR`` switches on the live-telemetry stack
 (docs/observability.md): wall-clock spans to ``DIR/serve-trace.json``
-(written at shutdown, per-request sim traces next to it), the JSONL
-event log to ``DIR/events.jsonl``, and the run ledger to
-``DIR/ledger.sqlite`` (query with ``python -m repro obs --runs``).
+(written at shutdown, per-request sim traces next to it) and the run
+ledger to ``DIR/ledger.sqlite`` (query with ``python -m repro obs
+--runs``).  CLI submits carry no trace id of their own; the server
+mints ``s-<n>`` ids for them.
 ``metrics`` prints the server's registry as Prometheus text.
 
 ``start`` runs a server in the foreground until interrupted.  The
@@ -73,30 +74,18 @@ def _client(args) -> ServeClient:
 
 
 async def _serve_forever(args) -> None:
-    obs_kwargs = {}
-    if args.telemetry:
-        import os
-
-        from repro.obs import LiveTelemetry
-        os.makedirs(args.telemetry, exist_ok=True)
-        obs_kwargs = dict(
-            telemetry=LiveTelemetry(),
-            event_log=os.path.join(args.telemetry, "events.jsonl"),
-            ledger=os.path.join(args.telemetry, "ledger.sqlite"),
-            trace_dir=args.telemetry,
-        )
     server = await SimServer(
         workers=args.jobs, capacity=args.capacity, cache_dir=args.cache_dir,
         address=args.addr, retry_seed=args.seed,
         retry_limit=args.retry_limit,
         breaker_threshold=args.breaker_threshold,
-        breaker_cooldown_s=args.breaker_cooldown, **obs_kwargs,
+        breaker_cooldown_s=args.breaker_cooldown, trace_dir=args.telemetry,
     ).start()
     print(f"serving on {server.address} "
           f"(workers={args.jobs}, capacity={args.capacity}, "
           f"scenarios: {', '.join(scenario_names())})", file=sys.stderr)
     if args.telemetry:
-        print(f"telemetry -> {args.telemetry} (events.jsonl, ledger.sqlite, "
+        print(f"telemetry -> {args.telemetry} (ledger.sqlite, "
               f"serve-trace.json at shutdown)", file=sys.stderr)
     try:
         await server.stopped.wait()         # until SIGINT or a shutdown op
@@ -127,8 +116,8 @@ def main(argv=None) -> int:
                    metavar="SECONDS", help="degraded-mode cooldown before the "
                    "breaker half-opens (default: %(default)s)")
     p.add_argument("--telemetry", metavar="DIR",
-                   help="enable live telemetry: wall-clock traces, JSONL "
-                        "event log, and run ledger under DIR")
+                   help="enable live telemetry: wall-clock traces and "
+                        "run ledger under DIR")
 
     p = sub.add_parser("submit", help="submit one request and print the result")
     p.add_argument("scenario", help=f"one of: {', '.join(scenario_names())}")

@@ -158,10 +158,6 @@ class FaultManager:
     def daemon_alive(self, node: int) -> bool:
         return node not in self.dead_nodes
 
-    @property
-    def collective_timeout(self) -> float:
-        return self.machine.fault_collective_timeout
-
     # -- message fault points ---------------------------------------------
     def on_message(self, layer: str, src, dst, tag, fid: int = 0) -> Optional[Disposition]:
         """Consult the plan for one message; executes triggered kills.

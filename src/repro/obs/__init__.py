@@ -16,13 +16,11 @@ Live (wall-clock) telemetry for the serving stack — see the "Live
 telemetry" section of ``docs/observability.md``:
 
 * :mod:`repro.obs.live` — real-time spans + trace-id propagation,
-* :mod:`repro.obs.events` — structured JSONL event log with rotation,
 * :mod:`repro.obs.store` — the persistent sqlite run ledger,
 * :mod:`repro.obs.prom` — Prometheus text exposition of the registry.
 """
 
 from repro.obs.critical_path import compute_critical_path
-from repro.obs.events import EventLog
 from repro.obs.export import chrome_trace, dumps, flame_report, validate_chrome_trace
 from repro.obs.live import LiveTelemetry, normalize_chrome_trace, trace_id
 from repro.obs.metrics import Histogram, MetricsRegistry
@@ -30,7 +28,6 @@ from repro.obs.prom import prometheus_text
 from repro.obs.store import RunLedger
 
 __all__ = [
-    "EventLog",
     "Histogram",
     "LiveTelemetry",
     "MetricsRegistry",

@@ -20,8 +20,9 @@ client -> server -> worker -> simulated world.
 
 Telemetry is **off by default** and follows the PR 2 discipline: every
 instrumentation site costs one branch (``if tel is not None``) when
-disabled.  :class:`LiveTelemetry` is thread-safe (the serve layer spans
-from the asyncio loop thread while a client may span from its own).
+off; a server turns it on with ``telemetry=`` or ``trace_dir=``.
+:class:`LiveTelemetry` is thread-safe (the serve layer spans from its
+loop thread while another thread may export).
 
 Wall-clock timestamps are inherently nondeterministic; tests compare
 exports through :func:`normalize_chrome_trace`, which zeroes ``ts`` and
@@ -34,8 +35,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, Optional
+from typing import Any, Callable, Dict
 
 from repro.obs.export import chrome_trace, dumps
 from repro.simtime.trace import Tracer
@@ -54,9 +54,8 @@ class LiveTelemetry:
     deterministic tests.
     """
 
-    def __init__(self, *, enabled: bool = True,
+    def __init__(self, *,
                  clock: Callable[[], float] = time.monotonic) -> None:
-        self.enabled = enabled
         self.tracer = Tracer()
         self._clock = clock
         self._t0 = clock()
@@ -68,30 +67,22 @@ class LiveTelemetry:
 
     # -- span recording ------------------------------------------------------
     def begin(self, track: str, name: str, **attrs: Any) -> int:
-        if not self.enabled:
-            return 0
         with self._lock:
             return self.tracer.begin(self.now(), track, name, **attrs)
 
     def end(self, sid: int) -> None:
-        if not sid:
-            return
         with self._lock:
             self.tracer.end(self.now(), sid)
 
     def annotate(self, sid: int, **attrs: Any) -> None:
         """Attach attributes to an open or closed span after the fact
         (e.g. the request status, known only at completion)."""
-        if not sid:
-            return
         with self._lock:
             span = self.tracer.spans.get(sid)
             if span is not None:
                 span.attrs.update(attrs)
 
     def event(self, track: str, name: str, **attrs: Any) -> None:
-        if not self.enabled:
-            return
         with self._lock:
             self.tracer.event(self.now(), track, name, **attrs)
 
@@ -99,19 +90,9 @@ class LiveTelemetry:
              **attrs: Any) -> int:
         """A causality edge between two real-time tracks, both ends
         stamped now (e.g. queue -> worker dispatch)."""
-        if not self.enabled:
-            return 0
         with self._lock:
             t = self.now()
             return self.tracer.flow(name, src_track, t, dst_track, t, **attrs)
-
-    @contextmanager
-    def span(self, track: str, name: str, **attrs: Any) -> Iterator[int]:
-        sid = self.begin(track, name, **attrs)
-        try:
-            yield sid
-        finally:
-            self.end(sid)
 
     # -- export --------------------------------------------------------------
     def export(self) -> Dict[str, Any]:
@@ -160,8 +141,3 @@ def normalize_chrome_trace(obj: Dict[str, Any]) -> Dict[str, Any]:
                                e.get("id", 0), dumps(e.get("args", {}))))
     out["traceEvents"] = events
     return out
-
-
-#: A telemetry object that records nothing — handy as an explicit
-#: "off" argument; the serve layer treats it exactly like ``None``.
-DISABLED = LiveTelemetry(enabled=False)

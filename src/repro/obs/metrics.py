@@ -167,11 +167,6 @@ class MetricsRegistry:
                 seed=self.reservoir_seed ^ zlib.crc32(repr(key).encode()))
         hist.observe(value)
 
-    def clear(self) -> None:
-        self.counters.clear()
-        self.gauges.clear()
-        self.histograms.clear()
-
     # -- queries ------------------------------------------------------------
     def names(self) -> List[str]:
         """Sorted distinct metric names across all kinds."""

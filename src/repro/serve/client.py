@@ -39,11 +39,8 @@ class ServeClient:
     """Blocking client; safe for one thread (use one per thread).
 
     ``trace="cli"`` makes the client mint one deterministic trace id per
-    submit (``cli-1``, ``cli-2``, ...) and send it on the wire; with
-    ``telemetry`` also given, each submit is wrapped in a wall-clock
-    ``serve.client.request`` span on the ``client:<prefix>`` track, so
-    the exported trace shows client-observed latency next to the
-    server's own spans for the same trace id.
+    submit (``cli-1``, ``cli-2``, ...) and send it on the wire, where the
+    server's spans and ledger row carry it.
 
     ``retries`` bounds both connect attempts (``retries + 1`` total)
     and mid-rpc reconnect-and-resubmit attempts; backoff between them
@@ -58,7 +55,6 @@ class ServeClient:
     def __init__(self, address: Union[ServeAddress, str, None] = None, *,
                  timeout: Optional[float] = None,
                  trace: Optional[str] = None,
-                 telemetry: Any = None,
                  retries: int = 2,
                  retry_base: float = 0.05,
                  retry_seed: int = 0,
@@ -76,8 +72,6 @@ class ServeClient:
         self._ids = itertools.count(1)
         self._trace_prefix = trace
         self._trace_ids = itertools.count(1)
-        self.telemetry = telemetry if (telemetry is not None
-                                       and telemetry.enabled) else None
         self._sock: Optional[socket.socket] = None
         self._file = None
         self._connect()
@@ -191,17 +185,6 @@ class ServeClient:
         tid = self._mint()
         if tid is not None:
             msg["trace"] = tid
-        tel = self.telemetry
-        if tel is not None:
-            track = f"client:{self._trace_prefix or 'client'}"
-            sid = tel.begin(track, "serve.client.request",
-                            scenario=scenario, trace=tid)
-            try:
-                response = self._rpc(msg)
-            finally:
-                tel.end(sid)
-            tel.annotate(sid, status=response.get("status"))
-            return response
         return self._rpc(msg)
 
     def stats(self) -> Dict[str, Any]:

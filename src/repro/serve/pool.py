@@ -122,8 +122,7 @@ class Worker:
         surface through the existing :class:`WorkerDied` / retry path.
         """
         if chaos is not None:
-            for act in chaos.on("worker.call", scenario=scenario,
-                                wid=self.wid):
+            for act in chaos.on("worker.call", scenario=scenario):
                 if act.kind == "kill_worker":
                     # The dead child tears the pipe down; the send or
                     # recv below then raises exactly as a real crash.

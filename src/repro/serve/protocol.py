@@ -24,8 +24,7 @@ Requests *without* ``v`` are accepted as version-1 legacy traffic.
 
 ``trace`` is the optional client-minted trace id (live telemetry,
 docs/observability.md).  The server echoes it in the submit response
-and stamps it on every span, event-log line and ledger row the request
-produces; when absent the server mints a fallback ``s-<n>`` id.
+and stamps it on every span and ledger row the request produces; when absent the server mints a fallback ``s-<n>`` id.
 
 :class:`ServeAddress` is the one address type every client, server and
 CLI in the serve layer accepts — TCP ``host:port`` or a unix-domain

@@ -47,7 +47,6 @@ import random
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Union
 
-from repro.obs.events import EventLog
 from repro.obs.live import LiveTelemetry, trace_id
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.prom import prometheus_text
@@ -128,8 +127,6 @@ class SimServer(Endpoint):
         retry_limit: int = 2,
         retry_seed: int = 0,
         telemetry: Optional[LiveTelemetry] = None,
-        event_log: Optional[Union[str, EventLog]] = None,
-        ledger: Optional[Union[str, RunLedger]] = None,
         trace_dir: Optional[str] = None,
         chaos: Any = None,
         breaker_threshold: int = 5,
@@ -147,27 +144,30 @@ class SimServer(Endpoint):
         self.retry_seed = retry_seed
         self.metrics = MetricsRegistry(
             enabled=True, histogram_max_samples=HISTOGRAM_MAX_SAMPLES)
-        # Live telemetry (docs/observability.md): all four are optional
-        # and off by default; each instrumentation site costs exactly
-        # one `is not None` branch when disabled.
-        self.tel = telemetry if (telemetry is not None
-                                 and telemetry.enabled) else None
-        self.events = (EventLog(event_log) if isinstance(event_log, str)
-                       else event_log)
-        self.ledger = (RunLedger(ledger) if isinstance(ledger, str)
-                       else ledger)
+        # Live telemetry (docs/observability.md), off by default: each
+        # instrumentation site costs one `is not None` branch when off.
+        # A trace_dir turns it on and holds the wall trace, the run
+        # ledger and the per-request sim traces.
+        self.trace_dir = trace_dir
+        self.ledger: Optional[RunLedger] = None
+        if trace_dir is not None:
+            os.makedirs(trace_dir, exist_ok=True)
+            if telemetry is None:
+                telemetry = LiveTelemetry()
+            self.ledger = RunLedger(os.path.join(trace_dir, "ledger.sqlite"))
+        self.tel = telemetry
         # Chaos plan (docs/robustness.md): consulted at worker.call and
-        # cache.put; injections show up as chaos.* metrics/events.
+        # cache.put; injections show up as chaos.injected metrics.
         self.chaos = chaos
         if chaos is not None:
-            chaos.attach(metrics=self.metrics, events=self.events)
+            chaos.attach(self.metrics)
         # Result storage: a caller-built store (a ResultStore, the
         # memory tier) wins over a private SweepCache built from cache_dir.
         if store is not None:
             self.cache = store
         else:
             self.cache = (SweepCache(cache_dir, metrics=self.metrics,
-                                     events=self.events, chaos=chaos)
+                                     chaos=chaos)
                           if cache_dir else None)
         # Circuit breaker: after `breaker_threshold` consecutive worker
         # deaths the server flips to cache-only degraded mode; after
@@ -181,7 +181,6 @@ class SimServer(Endpoint):
         # submits for the same key await the leader's future (this is
         # what makes client resubmits after a dropped reply safe).
         self._singleflight: Dict[str, "asyncio.Future[Dict[str, Any]]"] = {}
-        self.trace_dir = trace_dir
         self._trace_seq = itertools.count(1)   # fallback server-side ids
         self.stats = ServeStats()
         self._target_workers = workers
@@ -217,11 +216,8 @@ class SimServer(Endpoint):
             self._resolve(self._queue.get_nowait(), _STOPPED)
 
     async def _teardown(self) -> None:
-        if self.tel is not None and self.trace_dir is not None:
+        if self.trace_dir is not None:
             self.tel.write(os.path.join(self.trace_dir, "serve-trace.json"))
-        if self.events is not None:
-            self.events.emit("serve.stopped")
-            self.events.close()
         if self.ledger is not None:
             self.ledger.close()
 
@@ -261,9 +257,6 @@ class SimServer(Endpoint):
             self._workers[wid] = worker
             self.stats.worker_spawns += 1
             self.metrics.inc("serve.worker.spawns")
-            if self.events is not None:
-                self.events.emit("serve.worker.spawned", wid=wid,
-                                 pid=worker.proc.pid)
         return worker
 
     def _kill_worker(self, wid: int) -> None:
@@ -316,8 +309,7 @@ class SimServer(Endpoint):
             tel.flow("serve.dispatch", f"req:{req.trace}",
                      f"serve:worker/{wid}", trace=req.trace)
         meta: Optional[Dict[str, Any]] = None
-        if (tel is not None and self.trace_dir is not None
-                and req.trace and traceable(req.scenario)):
+        if self.trace_dir is not None and traceable(req.scenario):
             meta = {"trace": req.trace,
                     "sim_trace": os.path.join(self.trace_dir,
                                               f"sim-{req.trace}.json")}
@@ -364,10 +356,6 @@ class SimServer(Endpoint):
                 if tel is not None:
                     tel.annotate(sid_run, outcome="worker-died")
                     tel.end(sid_run)
-                if self.events is not None:
-                    self.events.emit("serve.worker.died", wid=wid,
-                                     trace=req.trace, scenario=req.scenario,
-                                     attempt=req.attempts + 1)
                 req.attempts += 1
                 if req.attempts > self.retry_limit:
                     self._resolve(req, {
@@ -379,10 +367,6 @@ class SimServer(Endpoint):
                     return
                 self.stats.retries += 1
                 self.metrics.inc("serve.retries")
-                if self.events is not None:
-                    self.events.emit("serve.request.retried", trace=req.trace,
-                                     scenario=req.scenario,
-                                     attempt=req.attempts)
                 await asyncio.sleep(self._backoff(req))
                 continue
             self._consec_deaths = 0     # a live worker answered
@@ -421,10 +405,6 @@ class SimServer(Endpoint):
             self._breaker_opened = asyncio.get_running_loop().time()
             self.stats.breaker_trips += 1
             self.metrics.inc("serve.breaker.trips")
-            if self.events is not None:
-                self.events.emit("serve.breaker.opened",
-                                 consecutive_deaths=self._consec_deaths,
-                                 threshold=self.breaker_threshold)
 
     def _degraded_active(self, now: float) -> bool:
         """Is cache-only mode in force right now?  Half-opens after the
@@ -435,8 +415,6 @@ class SimServer(Endpoint):
         if now - self._breaker_opened >= self.breaker_cooldown_s:
             self.degraded = False
             self._consec_deaths = self.breaker_threshold - 1
-            if self.events is not None:
-                self.events.emit("serve.breaker.half_open")
             return False
         return True
 
@@ -517,8 +495,7 @@ class SimServer(Endpoint):
         # server fallback — but only when something will consume it.
         trace = str(msg.get("trace") or "")
         tel = self.tel
-        if not trace and (tel is not None or self.events is not None
-                          or self.ledger is not None):
+        if not trace and tel is not None:
             trace = trace_id("s", next(self._trace_seq))
         sid = None
         if tel is not None:
@@ -536,9 +513,6 @@ class SimServer(Endpoint):
                 tel.event(f"req:{trace}", "serve.cache.probe", trace=trace,
                           result=probe)
             self.metrics.inc("serve.cache", result=probe)
-            if self.events is not None:
-                self.events.emit(f"serve.cache.{probe}", trace=trace,
-                                 scenario=scenario, digest=key)
             if hit is not None:
                 self.stats.cache_hits += 1
                 return self._finish(
@@ -554,9 +528,6 @@ class SimServer(Endpoint):
         if leader is not None and not leader.done():
             self.stats.coalesced += 1
             self.metrics.inc("serve.coalesced")
-            if self.events is not None:
-                self.events.emit("serve.request.coalesced", trace=trace,
-                                 scenario=scenario, digest=key)
             return self._settle(leader, t0, scenario, key, trace, sid)
 
         reason = None
@@ -584,11 +555,8 @@ class SimServer(Endpoint):
                     tel.end(req.sid_queue)
                     req.sid_queue = None
         if reason is not None:
-            return self._reject(reason, scenario, trace, sid)
+            return self._reject(reason, trace, sid)
         self._set_depth()
-        if self.events is not None:
-            self.events.emit("serve.request.admitted", trace=trace,
-                             scenario=scenario, depth=self._queue.qsize())
         return self._settle(req.future, t0, scenario, key, trace, sid, req)
 
     async def _settle(self, future: asyncio.Future, t0: float, scenario: str,
@@ -615,7 +583,7 @@ class SimServer(Endpoint):
             self.tel.end(sid)
         return {"status": protocol.STATUS_ERROR, "error": error}
 
-    def _reject(self, reason: str, scenario: str, trace: str,
+    def _reject(self, reason: str, trace: str,
                 sid: Optional[int]) -> Dict[str, Any]:
         """Admission control said no (draining, degraded, queue full)."""
         self.stats.rejected += 1
@@ -623,9 +591,6 @@ class SimServer(Endpoint):
         if sid is not None:
             self.tel.annotate(sid, status="rejected", reason=reason)
             self.tel.end(sid)
-        if self.events is not None:
-            self.events.emit("serve.request.rejected", trace=trace,
-                             scenario=scenario, reason=reason)
         response = {"status": protocol.STATUS_REJECTED, "reason": reason,
                     "capacity": self.capacity}
         if trace:
@@ -638,8 +603,8 @@ class SimServer(Endpoint):
         """The one epilogue of an answered submit — cache hit, coalesced
         follower and the leader that ran alike; the response itself says
         which (``cached`` / ``coalesced``).  ``req`` is the admitted
-        request when this submit was the one that ran (its event carries
-        the attempt count, its ledger row the exported sim trace)."""
+        request when this submit was the one that ran (its ledger row
+        carries the exported sim trace)."""
         latency = asyncio.get_running_loop().time() - t0
         response["latency_s"] = latency
         status = response.get("status")
@@ -651,22 +616,16 @@ class SimServer(Endpoint):
         else:
             self.stats.errors += 1
         self.metrics.inc("serve.requests", status=status)
-        cached = response.get("cached") is True
         if sid is not None:
             marks = {k: True for k in ("cached", "coalesced")
                      if response.get(k) is True}
             self.tel.annotate(sid, status=status, **marks)
             self.tel.end(sid)
-        if self.events is not None:
-            ran = ({} if req is None
-                   else {"attempts": response.get("attempts")})
-            self.events.emit("serve.request.completed", trace=trace,
-                             scenario=scenario, status=status, cached=cached,
-                             latency_s=latency, **ran)
         if self.ledger is not None:
             self.ledger.record(kind="serve", scenario=scenario,
-                               digest=key, status=str(status),
-                               wall_s=latency, cached=cached, trace=trace,
+                               digest=key, status=str(status), wall_s=latency,
+                               cached=response.get("cached") is True,
+                               trace=trace,
                                trace_path=req.sim_trace if req else "")
         if trace:
             response["trace"] = trace

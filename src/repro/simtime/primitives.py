@@ -177,10 +177,6 @@ class SimBarrier:
         self._event = SimEvent()
         self.generation = 0
 
-    @property
-    def parties(self) -> int:
-        return self._parties
-
     def wait(self):
         """Sub-generator: block until all parties have arrived."""
         from repro.simtime.process import Wait

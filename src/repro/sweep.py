@@ -31,8 +31,8 @@ Robustness (docs/robustness.md):
   :meth:`SweepCache.get` verifies it.  A torn, tampered or unparseable
   file is *quarantined* (renamed to ``<key>.json.corrupt``) instead of
   being re-read — and re-failed — every run, counted in
-  :attr:`SweepCache.corrupt` and surfaced as a ``sweep.cache.corrupt``
-  metric/event when a registry/event log is attached.
+  :attr:`SweepCache.corrupt` and as a ``sweep.cache.corrupt`` metric
+  when a registry is attached.
 * Each completed point is written to the cache *as it finishes*, so an
   interrupted sweep resumes by being rerun with the same ``cache=``.
   A raising point aborts the sweep; what had landed stays cached.
@@ -110,21 +110,20 @@ class SweepCache:
     ``<key>.json.corrupt`` — and counted as a miss, so a damaged entry
     fails exactly once instead of every run.
 
-    ``metrics`` / ``events`` (both optional) surface quarantines as a
-    ``sweep.cache.corrupt`` counter/event; ``chaos`` is a
+    ``metrics`` (optional) counts quarantines as ``sweep.cache.corrupt``;
+    ``chaos`` is a
     :class:`repro.chaos.ChaosPlan` whose ``cache.put`` site can corrupt
     or tear writes for fault-injection tests.
     """
 
     def __init__(self, cache_dir: str, *, metrics: Any = None,
-                 events: Any = None, chaos: Any = None) -> None:
+                 chaos: Any = None) -> None:
         self.dir = cache_dir
         os.makedirs(cache_dir, exist_ok=True)
         self.hits = 0
         self.misses = 0
         self.corrupt = 0
         self.metrics = metrics
-        self.events = events
         self.chaos = chaos
 
     def _path(self, key: str) -> str:
@@ -139,21 +138,16 @@ class SweepCache:
             self.misses += 1
             return None
         except ValueError:                    # torn or garbage bytes
-            self._quarantine(key, path, "unparseable JSON")
-            self.misses += 1
-            return None
-        if not (isinstance(entry, dict)
+            entry = None
+        if (isinstance(entry, dict)
                 and entry.get(ENVELOPE_KEY) == ENVELOPE_VERSION
-                and "sha256" in entry and "result" in entry):
-            self._quarantine(key, path, "missing checksum envelope")
-            self.misses += 1
-            return None
-        if result_digest(entry["result"]) != entry["sha256"]:
-            self._quarantine(key, path, "checksum mismatch")
-            self.misses += 1
-            return None
-        self.hits += 1
-        return entry["result"]
+                and "sha256" in entry and "result" in entry
+                and result_digest(entry["result"]) == entry["sha256"]):
+            self.hits += 1
+            return entry["result"]
+        self._quarantine(path)  # unparseable, no envelope, or bad checksum
+        self.misses += 1
+        return None
 
     def put(self, key: str, result: Any) -> None:
         path = self._path(key)
@@ -161,7 +155,7 @@ class SweepCache:
                            "sha256": result_digest(result),
                            "result": result}, sort_keys=True)
         if self.chaos is not None:
-            for act in self.chaos.on("cache.put", key=key):
+            for act in self.chaos.on("cache.put"):
                 if act.kind == "torn_write":
                     data = data[:max(1, len(data) // 2)]
                 elif act.kind == "corrupt_cache":
@@ -173,19 +167,15 @@ class SweepCache:
             fh.write(data)
         os.replace(tmp, path)
 
-    def _quarantine(self, key: str, path: str, why: str) -> None:
+    def _quarantine(self, path: str) -> None:
         """Move a damaged entry aside so it cannot fail again."""
         self.corrupt += 1
-        quarantined = path + ".corrupt"
         try:
-            os.replace(path, quarantined)
+            os.replace(path, path + ".corrupt")
         except OSError:
-            quarantined = None                # racing reader beat us to it
+            pass                              # racing reader beat us to it
         if self.metrics is not None:
             self.metrics.inc("sweep.cache.corrupt")
-        if self.events is not None:
-            self.events.emit("sweep.cache.corrupt", digest=key, reason=why,
-                             quarantined=bool(quarantined))
 
     def report(self) -> str:
         line = f"cache: {self.hits} hit(s), {self.misses} miss(es)"

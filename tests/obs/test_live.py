@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.obs.export import dumps, validate_chrome_trace
-from repro.obs.live import DISABLED, LiveTelemetry, normalize_chrome_trace, trace_id
+from repro.obs.live import LiveTelemetry, normalize_chrome_trace, trace_id
 
 pytestmark = pytest.mark.obs
 
@@ -72,38 +72,23 @@ class TestLiveTelemetry:
         assert flow.complete
         assert flow.src_time == flow.dst_time == pytest.approx(0.5)
 
-    def test_span_context_manager(self):
-        tel, clock = make_tel()
-        with tel.span("sweep:task", "sweep.task", index=0) as sid:
-            clock.t += 0.01
-        assert tel.tracer.spans[sid].end is not None
-
     def test_export_is_valid_chrome_trace(self):
         tel, clock = make_tel()
-        with tel.span("req:t-1", "serve.request"):
-            clock.t += 0.1
+        sid = tel.begin("req:t-1", "serve.request")
+        clock.t += 0.1
+        tel.end(sid)
         tel.event("req:t-1", "serve.cache.probe", result="miss")
         obj = tel.export()
         assert validate_chrome_trace(obj) == []
 
     def test_write_creates_parent_dirs(self, tmp_path):
         tel, clock = make_tel()
-        with tel.span("req:t-1", "serve.request"):
-            clock.t += 0.1
+        sid = tel.begin("req:t-1", "serve.request")
+        clock.t += 0.1
+        tel.end(sid)
         path = tmp_path / "deep" / "trace.json"
         tel.write(str(path))
         assert validate_chrome_trace(json.loads(path.read_text())) == []
-
-    def test_disabled_records_nothing(self):
-        tel = LiveTelemetry(enabled=False)
-        sid = tel.begin("t", "serve.request")
-        assert sid == 0
-        tel.end(sid)
-        tel.annotate(sid, status="ok")
-        tel.event("t", "serve.cache.probe")
-        assert tel.flow("serve.dispatch", "a", "b") == 0
-        assert tel.tracer.spans == {} and tel.tracer.instants == []
-        assert DISABLED.enabled is False
 
 
 class TestNormalization:

@@ -18,14 +18,12 @@ import pytest
 
 from repro.api import SimSpec
 from repro.obs import (
-    EventLog,
     LiveTelemetry,
     RunLedger,
     dumps,
     normalize_chrome_trace,
     validate_chrome_trace,
 )
-from repro.obs.events import normalize_events
 from repro.serve import ServeClient, ServerThread, run_simspec
 
 pytestmark = pytest.mark.serve
@@ -42,12 +40,9 @@ class TestEndToEnd:
     def traced(self, tmp_path_factory):
         td = tmp_path_factory.mktemp("tel")
         tel = LiveTelemetry()
-        events = str(td / "events.jsonl")
-        ledger = str(td / "ledger.sqlite")
         spec = SimSpec(nprocs=2)
         with ServerThread(workers=1, cache_dir=str(td / "cache"),
-                          telemetry=tel, event_log=events, ledger=ledger,
-                          trace_dir=str(td)) as srv:
+                          telemetry=tel, trace_dir=str(td)) as srv:
             with ServeClient(srv.address, trace="cli") as client:
                 first = client.submit(
                     "sim", {"spec": spec.to_payload(),
@@ -56,7 +51,7 @@ class TestEndToEnd:
                     "sim", {"spec": spec.to_payload(),
                             "program": "allreduce", "seed": 0})
                 prom = client.metrics()
-        return dict(dir=td, tel=tel, events=events, ledger=ledger,
+        return dict(dir=td, tel=tel, ledger=str(td / "ledger.sqlite"),
                     spec=spec, first=first, second=second, prom=prom)
 
     def test_responses_carry_the_client_minted_trace_id(self, traced):
@@ -126,15 +121,10 @@ class TestEndToEnd:
         assert 'serve_cache{result="miss"} 1' in text
         assert "# TYPE serve_latency summary" in text
 
-    def test_event_log_records_the_lifecycle(self, traced):
-        events = EventLog.read(traced["events"])
-        by_trace = [(e["event"], e.get("trace")) for e in events]
-        assert ("serve.cache.miss", "cli-1") in by_trace
-        assert ("serve.request.admitted", "cli-1") in by_trace
-        assert ("serve.request.completed", "cli-1") in by_trace
-        assert ("serve.cache.hit", "cli-2") in by_trace
-        spawned = [e for e in events if e["event"] == "serve.worker.spawned"]
-        assert spawned and spawned[0]["wid"] == 0
+    def test_worker_spawn_is_counted(self, traced):
+        text = traced["prom"]["prometheus"]
+        assert "\nserve_worker_spawns 1\n" in text
+        assert "serve_worker_deaths" not in text
 
     def test_ledger_rows_for_both_requests(self, traced):
         with RunLedger(traced["ledger"]) as ledger:
@@ -159,51 +149,42 @@ class TestEndToEnd:
 class TestDeterminism:
     def run_sequence(self, td):
         """Identical two-request sequence on a fresh server; returns the
-        normalized wall trace and the normalized event log."""
+        normalized wall trace."""
         tel = LiveTelemetry()
-        events = str(td / "events.jsonl")
         spec = SimSpec(nprocs=2)
         with ServerThread(workers=1, cache_dir=str(td / "cache"),
-                          telemetry=tel, event_log=events) as srv:
+                          telemetry=tel) as srv:
             with ServeClient(srv.address, trace="cli") as client:
                 for seed in (0, 0):          # second one hits the cache
                     r = client.submit("sim", {"spec": spec.to_payload(),
                                               "program": "allreduce",
                                               "seed": seed})
                     assert r["status"] == "ok"
-        trace = normalize_chrome_trace(tel.export())
-        return dumps(trace), normalize_events(EventLog.read(events),
-                                              drop={"ts", "latency_s",
-                                                    "wall_s", "pid"})
+        return dumps(normalize_chrome_trace(tel.export()))
 
     def test_byte_deterministic_modulo_timestamps(self, tmp_path):
         """Two identical request sequences on two fresh servers export
-        byte-identical traces and event logs once wall-clock fields are
-        normalized away (the ISSUE's acceptance bar)."""
-        trace_a, events_a = self.run_sequence(tmp_path / "a")
-        trace_b, events_b = self.run_sequence(tmp_path / "b")
-        assert trace_a == trace_b
-        assert events_a == events_b
+        byte-identical traces once wall-clock fields are normalized
+        away."""
+        assert (self.run_sequence(tmp_path / "a")
+                == self.run_sequence(tmp_path / "b"))
 
 
 class TestWorkerDeathTelemetry:
     def test_death_and_retry_are_recorded(self, tmp_path):
         tel = LiveTelemetry()
-        events = str(tmp_path / "events.jsonl")
-        with ServerThread(workers=1, retry_limit=2, telemetry=tel,
-                          event_log=events) as srv:
+        with ServerThread(workers=1, retry_limit=2, telemetry=tel) as srv:
             with ServeClient(srv.address, trace="cli") as client:
                 r = client.submit("flaky", {"state_dir": str(tmp_path),
                                             "crashes": 1, "value": 5})
+                stats = client.stats()["stats"]
         assert r["status"] == "ok" and r["attempts"] == 2
         runs = spans_named(tel, "serve.run")
         assert sorted(s.attrs["attempt"] for s in runs) == [1, 2]
         outcomes = {s.attrs["attempt"]: s.attrs["outcome"] for s in runs}
         assert outcomes == {1: "worker-died", 2: "ok"}
-        names = [e["event"] for e in EventLog.read(events)]
-        assert "serve.worker.died" in names
-        assert "serve.request.retried" in names
-        assert names.count("serve.worker.spawned") == 2
+        assert (stats["worker_deaths"], stats["retries"],
+                stats["worker_spawns"]) == (1, 1, 2)
 
 
 class TestServerFallbackTraceIds:
@@ -216,26 +197,34 @@ class TestServerFallbackTraceIds:
         assert a["trace"] == "s-1" and b["trace"] == "s-2"
 
 
+class TestTraceDir:
+    def test_trace_dir_alone_switches_telemetry_on(self, tmp_path):
+        """No telemetry object: the directory is made and holds the
+        wall trace and a ledger row under the server-minted trace id."""
+        trace_dir = tmp_path / "a" / "b"
+        with ServerThread(workers=1, trace_dir=str(trace_dir)) as srv:
+            with ServeClient(srv.address) as client:
+                r = client.submit("sleep", {"seconds": 0.0})
+        assert r["status"] == "ok" and r["trace"] == "s-1"
+        wall = json.loads((trace_dir / "serve-trace.json").read_text())
+        assert validate_chrome_trace(wall) == []
+        with RunLedger(str(trace_dir / "ledger.sqlite")) as ledger:
+            rows = ledger.query(kind="serve")
+        assert [(row["trace"], row["scenario"]) for row in rows] \
+            == [("s-1", "sleep")]
+
+
 class TestTelemetryOff:
     def test_default_is_structurally_silent(self):
-        """No telemetry attached -> no spans, no events, no ledger, no
-        trace field on the wire, no meta through the worker pipe."""
+        """No telemetry attached -> no spans, no ledger, no trace field
+        on the wire, no meta through the worker pipe."""
         with ServerThread(workers=1) as srv:
             server = srv.server
-            assert server.tel is None and server.events is None \
-                and server.ledger is None
+            assert server.tel is None and server.ledger is None
             with ServeClient(srv.address) as client:
                 r = client.submit("sleep", {"seconds": 0.0})
         assert r["status"] == "ok"
         assert "trace" not in r
-
-    def test_disabled_telemetry_object_treated_as_off(self):
-        tel = LiveTelemetry(enabled=False)
-        with ServerThread(workers=1, telemetry=tel) as srv:
-            with ServeClient(srv.address) as client:
-                r = client.submit("sleep", {"seconds": 0.0})
-        assert r["status"] == "ok"
-        assert tel.tracer.spans == {}
 
     def test_client_without_trace_sends_no_trace_field(self):
         client = ServeClient.__new__(ServeClient)    # no socket needed
@@ -249,12 +238,8 @@ class TestTelemetryOff:
         the exact guarantee; this is a loose wall-clock sanity bound.)
         """
         def run(telemetry):
-            kwargs = {}
-            if telemetry:
-                kwargs = dict(telemetry=LiveTelemetry(),
-                              event_log=str(tmp_path / "e.jsonl"),
-                              ledger=str(tmp_path / "l.sqlite"))
-            with ServerThread(workers=1, **kwargs) as srv:
+            trace_dir = str(tmp_path) if telemetry else None
+            with ServerThread(workers=1, trace_dir=trace_dir) as srv:
                 with ServeClient(srv.address) as client:
                     t0 = time.monotonic()
                     for _ in range(10):

@@ -82,7 +82,7 @@ class TestServeCLI:
     def test_telemetry_stats_json_and_metrics(self, tmp_path):
         """A --telemetry server: stats/health round-trip through --json,
         metrics prints Prometheus text, and the telemetry directory ends
-        up holding the event log, the ledger, and the wall trace."""
+        up holding the ledger and the wall trace."""
         tel_dir = tmp_path / "tel"
         server = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "start", "--addr", "127.0.0.1:0",
@@ -129,7 +129,6 @@ class TestServeCLI:
                 server.kill()
             server.wait()
 
-        assert (tel_dir / "events.jsonl").exists()
         assert (tel_dir / "ledger.sqlite").exists()
         assert (tel_dir / "serve-trace.json").exists()
         runs = subprocess.run(
