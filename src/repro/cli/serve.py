@@ -36,14 +36,13 @@ report); it exits 1 when any request went unanswered.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import contextlib
 import json
 import sys
 
 from repro import cli
 from repro.serve import ServeClient, ServeConnectionError, ServerThread, \
-    SimServer, scenario_names
+    scenario_names
 from repro.serve.loadgen import run_loadgen, sim_workload
 
 
@@ -74,6 +73,7 @@ def _client(args) -> ServeClient:
 
 
 async def _serve_forever(args) -> None:
+    from repro.serve import SimServer
     server = await SimServer(
         workers=args.jobs, capacity=args.capacity, cache_dir=args.cache_dir,
         address=args.addr, retry_seed=args.seed,
@@ -179,6 +179,7 @@ def main(argv=None) -> int:
 
 def _run(args) -> int:
     if args.cmd == "start":
+        import asyncio          # a client subcommand never loads it
         try:
             asyncio.run(_serve_forever(args))
         except KeyboardInterrupt:

@@ -15,10 +15,13 @@ seeded backoff.  See docs/serving.md.
             client.submit("sim", {"spec": spec.to_payload(), "seed": 1})
 
 Endpoints are named by one :class:`ServeAddress` (TCP or unix socket).
+Importing the package loads no asyncio or multiprocessing: the names in
+``_LAZY`` resolve on first use, and ``ServerThread`` loads the server.
 """
 
+import importlib
+
 from repro.serve.client import ServeClient, ServeConnectionError
-from repro.serve.pool import Worker, WorkerDied
 from repro.serve.protocol import VERSION, ServeAddress
 from repro.serve.registry import (
     PROGRAMS,
@@ -29,8 +32,20 @@ from repro.serve.registry import (
     scenario_names,
     traceable,
 )
-from repro.serve.server import ServerThread, ServeStats, SimServer
 from repro.serve.store import ResultStore
+from repro.serve.thread import ServerThread
+
+#: Names whose modules load the serving runtime.
+_LAZY = {"ServeStats": "server", "SimServer": "server",
+         "Worker": "pool", "WorkerDied": "pool"}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
 
 __all__ = [
     "PROGRAMS",

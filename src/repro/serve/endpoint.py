@@ -8,19 +8,15 @@ it returns the response, else from a task: a slow request never blocks
 the lines behind it), echo the request ``id``, refuse over-long lines,
 and stop in an order that leaves no client waiting on a reply nobody
 will write.  What a request *means* and what is torn down (the worker
-pool) stays the owner's.
-
-:class:`LoopThread` hosts anything with ``start()``/``stop()``/
-``address`` on a private event loop in a thread, for synchronous
-callers; ``ServerThread`` is its named use.
+pool) stays the owner's.  Synchronous callers host one on a private
+loop through :mod:`repro.serve.thread`.
 """
 
 from __future__ import annotations
 
 import asyncio
 import os
-import threading
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Union
+from typing import Any, Awaitable, Dict, List, Optional, Union
 
 from repro.serve import protocol
 from repro.serve.pool import release_listener, share_listener
@@ -236,73 +232,3 @@ class Endpoint:
             except (ConnectionError, OSError):
                 pass            # client went away; the work still completed
 
-
-class LoopThread:
-    """Run one ``start()``/``stop()`` service on a private event loop in
-    a thread (tests, the CLI's self-hosted loadgen, the benchmark).
-
-    ``factory`` builds the service *on the loop thread*, where its
-    asyncio primitives belong; a failure to start is re-raised from
-    ``__enter__`` instead of hanging it.
-    """
-
-    def __init__(self, factory: Callable[[], Any], name: str) -> None:
-        self._factory = factory
-        self._name = name
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._service: Any = None
-
-    def __enter__(self):
-        started = threading.Event()
-        boot_error: List[BaseException] = []
-
-        def _run() -> None:
-            self._loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(self._loop)
-            try:
-                self._service = self._loop.run_until_complete(
-                    self._factory().start())
-            except BaseException as err:   # fail fast, don't hang __enter__
-                boot_error.append(err)
-                started.set()
-                return
-            started.set()
-            self._loop.run_forever()
-
-        self._thread = threading.Thread(target=_run, name=self._name,
-                                        daemon=True)
-        self._thread.start()
-        if not started.wait(timeout=30.0):
-            raise RuntimeError(f"{self._name} failed to start within 30s")
-        if boot_error:
-            self._thread.join(timeout=10.0)
-            self._loop = None
-            raise boot_error[0]
-        return self
-
-    @property
-    def address(self) -> protocol.ServeAddress:
-        return self._service.address
-
-    @property
-    def host(self) -> str:
-        return self.address.host
-
-    @property
-    def port(self) -> int:
-        return self.address.port
-
-    def call(self, coro_fn, *args: Any, timeout: float = 60.0) -> Any:
-        """Run ``coro_fn(service, *args)`` on the service's loop."""
-        fut = asyncio.run_coroutine_threadsafe(
-            coro_fn(self._service, *args), self._loop)
-        return fut.result(timeout=timeout)
-
-    def __exit__(self, *exc: Any) -> None:
-        if self._loop is not None:
-            asyncio.run_coroutine_threadsafe(
-                self._service.stop(), self._loop).result(timeout=30.0)
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=10.0)
-            self._loop.close()

@@ -31,7 +31,7 @@ from repro.obs.metrics import Histogram
 from repro.recovery import soak_run
 from repro.serve.client import ServeClient
 from repro.serve.protocol import ServeAddress, as_address
-from repro.serve.server import ServerThread
+from repro.serve.thread import ServerThread
 from repro.sweep import SweepPoint, run_sweep
 
 Workload = List[Tuple[str, Dict[str, Any]]]

@@ -52,9 +52,9 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.prom import prometheus_text
 from repro.obs.store import RunLedger
 from repro.serve import protocol
-from repro.serve.endpoint import HISTOGRAM_MAX_SAMPLES, Endpoint, LoopThread, Reply
+from repro.serve.endpoint import HISTOGRAM_MAX_SAMPLES, Endpoint, Reply
 from repro.serve.pool import Worker, WorkerDied
-from repro.serve.registry import scenario_names, traceable
+from repro.serve.registry import _SCENARIOS, scenario_names, traceable
 from repro.sweep import SweepCache, cache_key
 
 
@@ -477,7 +477,7 @@ class SimServer(Endpoint):
         params = {} if msg.get("params") is None else msg["params"]
         deadline_s = msg.get("deadline_s")
         self.stats.submitted += 1
-        if scenario not in scenario_names():
+        if not isinstance(scenario, str) or scenario not in _SCENARIOS:
             return self._bad_request(f"unknown scenario {scenario!r}; "
                                      f"have: {', '.join(scenario_names())}")
         if not isinstance(params, dict):
@@ -694,18 +694,3 @@ class SimServer(Endpoint):
             "run_s": run,
         }
 
-
-class ServerThread(LoopThread):
-    """A :class:`SimServer` on a private event loop in a thread — for
-    the CLI's self-hosted loadgen, tests, the sync client's examples::
-
-        with ServerThread(workers=2) as srv:
-            client = ServeClient(srv.address)
-    """
-
-    def __init__(self, **server_kwargs: Any) -> None:
-        super().__init__(lambda: SimServer(**server_kwargs), "serve-server")
-
-    @property
-    def server(self) -> Optional[SimServer]:
-        return self._service

@@ -43,7 +43,6 @@ Robustness (docs/robustness.md):
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -205,6 +204,7 @@ class SweepPoint:
 def default_mp_context() -> str:
     """Warm ``fork`` where POSIX allows (it keeps the imported
     simulator); ``spawn`` is the portable fallback."""
+    import multiprocessing
     return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 
 
@@ -247,6 +247,7 @@ def run_sweep(points: Sequence[SweepPoint], *, jobs: int = 1,
         for i in todo:
             persist(i, points[i].fn(**points[i].params))
         return results
+    import multiprocessing      # only a pool pays for it (serial CLIs don't)
     ctx = multiprocessing.get_context(default_mp_context())
     with ctx.Pool(processes=min(jobs, len(todo))) as pool:
         done = pool.imap(_invoke, [(points[i].fn, points[i].params)
