@@ -40,7 +40,7 @@ from repro.sweep import SweepPoint, run_sweep
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seeds", type=int, default=50,
+    ap.add_argument("--seeds", type=cli.positive_int, default=50,
                     help="number of seeds to soak (default: %(default)s)")
     ap.add_argument("--first-seed", type=int, default=0)
     cli.add_seed(ap, default=None,
@@ -49,7 +49,7 @@ def main(argv=None) -> int:
                     help="serve requests per seed (default: %(default)s)")
     ap.add_argument("--points", type=int, default=6, metavar="N",
                     help="sweep points per seed (default: %(default)s)")
-    ap.add_argument("--nprocs", type=int, default=4, metavar="N",
+    ap.add_argument("--nprocs", type=cli.positive_int, default=4, metavar="N",
                     help="ranks per served sim request (default: %(default)s)")
     ap.add_argument("--verify-determinism", action="store_true",
                     help="run every seed twice and compare record digests")

@@ -113,8 +113,8 @@ def main(argv=None) -> int:
     parser.add_argument("--scenario", help="scenario name (see --list)")
     parser.add_argument("--list", action="store_true",
                         help="list available scenarios")
-    parser.add_argument("--nodes", type=int, default=2)
-    parser.add_argument("--ppn", type=int, default=2)
+    parser.add_argument("--nodes", type=cli.positive_int, default=2)
+    parser.add_argument("--ppn", type=cli.positive_int, default=2)
     parser.add_argument("--machine", default="jupiter",
                         choices=sorted(MACHINES))
     parser.add_argument("--export", metavar="FILE",
@@ -175,7 +175,7 @@ def main(argv=None) -> int:
           f"on {args.machine} ==")
     print(f"end-to-end simulated time: {run.t_end * 1e3:.3f} ms")
     print(f"spans: {len(run.tracer.spans)}  flows: {len(run.tracer.flows)}  "
-          f"events: {len(run.tracer.records)}")
+          f"instants: {len(run.tracer.instants)}")
 
     print("\n-- span flamegraph (inclusive / self / count) --")
     print(flame_report(run.tracer))
@@ -196,7 +196,7 @@ def main(argv=None) -> int:
             "t_end": run.t_end,
             "spans": len(run.tracer.spans),
             "flows": len(run.tracer.flows),
-            "events": len(run.tracer.records),
+            "instants": len(run.tracer.instants),
             "metrics": [list(row) for row in run.metrics.rows()],
             "critical_path": {stage: dur for stage, dur in path.by_stage().items()},
         }

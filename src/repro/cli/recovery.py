@@ -34,13 +34,13 @@ from repro.sweep import SweepPoint, run_sweep
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seeds", type=int, default=50,
+    ap.add_argument("--seeds", type=cli.positive_int, default=50,
                     help="number of seeds to sweep (default: 50)")
     ap.add_argument("--first-seed", type=int, default=0)
     cli.add_seed(ap, default=None,
                  help="run exactly one seed (overrides --seeds)")
-    ap.add_argument("--nodes", type=int, default=4)
-    ap.add_argument("--ranks", type=int, default=8)
+    ap.add_argument("--nodes", type=cli.positive_int, default=4)
+    ap.add_argument("--ranks", type=cli.positive_int, default=8)
     ap.add_argument("--no-node-kill", action="store_true",
                     help="drop the guaranteed node kill from each plan")
     ap.add_argument("--no-lossy", action="store_true",

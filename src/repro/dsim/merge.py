@@ -23,15 +23,12 @@ def merge_tracers(parts: Iterable[Tuple[int, Tracer]]) -> Tracer:
     Cross-partition flows arrive as two halves under the same
     (sender-allocated) fid: the full record from the sender and a
     partial ``src_track=""`` record from the receiver (see
-    ``Tracer.record_unmatched_flow_ends``); they are unified here.
+    ``Tracer.flow_end``); they are unified here.
     """
     merged = Tracer()
     max_id = 0
     for pid, tr in parts:
         prefix = f"p{pid}:"
-        for rec in tr.records:
-            merged.records.append(rec)
-            merged._by_category.setdefault(rec.category, []).append(rec)
         for sid, s in tr.spans.items():
             merged.spans[sid] = Span(sid, prefix + s.track, s.name, s.start,
                                      s.parent, s.end, s.attrs)
@@ -66,8 +63,6 @@ def merge_tracers(parts: Iterable[Tuple[int, Tracer]]) -> Tracer:
 def adopt_tracer(target: Tracer, merged: Tracer) -> None:
     """Transplant a merged tracer's contents into a caller-owned tracer
     (for call sites that attached their own Tracer object up front)."""
-    target.records[:] = merged.records
-    target._by_category = merged._by_category
     target.spans = merged.spans
     target.instants = merged.instants
     target.flows = merged.flows

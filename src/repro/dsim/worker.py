@@ -74,7 +74,6 @@ def build_partition(pid: int, pmap: PartitionMap, setup: WorkerSetup) -> WorkerS
     tracer = None
     if setup.traced:
         tracer = Tracer(id_start=pid + 1, id_step=pmap.nparts)
-        tracer.record_unmatched_flow_ends = True
     spec = setup.spec.replace(tracer=tracer, partitions=1)
     world = make_world(spec=spec)
     cluster = world.cluster
@@ -165,8 +164,6 @@ def sanitize_tracer(tracer: Tracer) -> Tracer:
         _sanitize_attrs(i.attrs)
     for f in tracer.flows.values():
         _sanitize_attrs(f.attrs)
-    for r in tracer.records:
-        _sanitize_attrs(r.detail)
     return tracer
 
 

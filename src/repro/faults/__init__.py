@@ -125,7 +125,8 @@ class FaultManager:
                 self.engine.post_at(when, run_silent)
 
     def trace(self, event: str, **detail) -> None:
-        self.engine.tracer.emit(self.engine.now, "faults", event, **detail)
+        self.engine.tracer.event(self.engine.now, "events:faults",
+                                 f"faults.{event}", **detail)
 
     def register_runtime(self, runtime) -> None:
         """The rank's MPI instance came up: it is told of peer deaths

@@ -166,8 +166,9 @@ class Communicator:
         self._mark_failed(rank)
         tr = self.runtime.engine.tracer
         if tr.enabled:
-            tr.emit(self.runtime.engine.now, "faults", "comm_damaged",
-                    comm=self.name, rank=self.rank, failed=rank)
+            tr.event(self.runtime.engine.now, "events:faults",
+                     "faults.comm_damaged",
+                     comm=self.name, rank=self.rank, failed=rank)
         endpoint = self.runtime.endpoint
         if endpoint is not None:
             err = MPIErrProcFailed(f"{self.name}: peer rank {rank} ({proc}) failed")

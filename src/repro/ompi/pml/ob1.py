@@ -399,7 +399,8 @@ class Ob1Endpoint:
             self.stats["ext_sent"] += 1
             tr = self.engine.tracer
             if tr.enabled:
-                tr.emit(self.engine.now, "pml", "ext_send", dst=str(peer.proc), tag=tag)
+                tr.event(self.engine.now, "events:pml", "pml.ext_send",
+                         dst=str(peer.proc), tag=tag)
         return self._inject(peer, pkt) - self.engine.now
 
     def isend(self, comm, payload, dest_rank: int, tag: int, nbytes: int, request):
@@ -596,7 +597,7 @@ class Ob1Endpoint:
         )
         tr = self.engine.tracer
         if tr.enabled:
-            tr.emit(self.engine.now, "pml", "cid_ack", dst=str(peer))
+            tr.event(self.engine.now, "events:pml", "pml.cid_ack", dst=str(peer))
         self._inject(self.peer(peer), ack)
 
     def _deliver_ack(self, pkt: Packet) -> None:
@@ -608,7 +609,8 @@ class Ob1Endpoint:
             comm.peer_cids[rank] = pkt.ack_cid
             tr = self.engine.tracer
             if tr.enabled:
-                tr.emit(self.engine.now, "pml", "cid_switch", peer=rank)
+                tr.event(self.engine.now, "events:pml", "pml.cid_switch",
+                         peer=rank)
 
     def _deliver_cts(self, pkt: Packet) -> None:
         sender_req = pkt.sender_req

@@ -1,43 +1,28 @@
-"""Structured tracing: flat records, nested spans, and causality edges.
+"""Structured tracing: nested spans, instants and causality edges.
 
-Two generations of API live here side by side:
+One record model: nested timed spans per *track* (one track per
+simulated rank or daemon), instant events, and cross-track causality
+edges (message send -> receive) from which critical paths and
+Chrome/Perfetto timelines are derived (``repro.obs``).
 
-* the legacy flat-record API (:meth:`Tracer.emit` / :meth:`Tracer.find`
-  / :meth:`Tracer.count`) used by white-box protocol tests, and
-* the span model (:meth:`Tracer.begin` / :meth:`Tracer.end` /
-  :meth:`Tracer.event` / :meth:`Tracer.flow_begin` /
-  :meth:`Tracer.flow_end`) that powers the observability layer
-  (``repro.obs``): nested timed spans per *track* (one track per
-  simulated rank or daemon), instant events, and cross-track causality
-  edges (message send -> receive) from which critical paths and
-  Chrome/Perfetto timelines are derived.
-
-Legacy ``emit()`` calls are folded into the span model as zero-duration
-instants on a synthetic ``events:<category>`` track, so old call sites
-show up on exported timelines without modification.
+Protocol marks that belong to no rank's span tree (fault injections,
+the exCID handshake's extended sends, ACKs and CID switches) are
+instants on a per-category ``events:<category>`` track, named
+``<category>.<event>``; tests read them from :attr:`Tracer.instants`
+by name.
 
 Tracing is off by default (:data:`NULL_TRACER` on the engine) and then
 costs no call: every site tests ``tracer.enabled`` first
 (``tests/obs/test_overhead.py``).
 
 Span names follow ``layer.component.op`` (e.g. ``pmix.client.fence``,
-``ompi.comm.create_from_group``); the first dotted component doubles as
-the record's *category* for filtering, so ``Tracer(categories={"pmix"})``
-keeps only PMIx-layer spans.
+``ompi.comm.create_from_group``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    time: float
-    category: str
-    event: str
-    detail: Dict[str, Any] = field(default_factory=dict)
+from typing import Any, Dict, List, Optional
 
 
 @dataclass
@@ -108,102 +93,35 @@ def track_for_daemon(node: int) -> str:
 
 
 class Tracer:
-    """Collects trace records, spans and flows, optionally filtered by
-    category (the first dotted component of a span/event name)."""
+    """Collects spans, instants and flows."""
 
-    def __init__(self, categories: Optional[set] = None, *,
-                 id_start: int = 1, id_step: int = 1) -> None:
-        self.records: List[TraceRecord] = []
-        # Normalize to frozenset: accepts any iterable (a bare string
-        # would otherwise filter per *character*, silently passing some
-        # single-letter categories and dropping everything else).
-        if categories is not None:
-            if isinstance(categories, str):
-                categories = (categories,)
-            categories = frozenset(categories)
-        self.categories = categories
+    def __init__(self, *, id_start: int = 1, id_step: int = 1) -> None:
         self.enabled = True
-        # category -> records index so find()/count() in hot test loops
-        # are O(matches), not O(all records).
-        self._by_category: Dict[str, List[TraceRecord]] = {}
-        # Span model state.  ``id_start``/``id_step`` carve out disjoint
-        # sid/fid spaces per partition under repro.dsim (partition k of N
-        # allocates k+1, k+1+N, ...), so merged traces never collide and
-        # a flow id shipped inside a cross-partition message still names
-        # the sender's allocation.  The defaults reproduce today's ids.
+        # ``id_start``/``id_step`` carve out disjoint sid/fid spaces per
+        # partition under repro.dsim (partition k of N allocates k+1,
+        # k+1+N, ...), so merged traces never collide and a flow id
+        # shipped inside a cross-partition message still names the
+        # sender's allocation.  The defaults number serially from 1.
         self.spans: Dict[int, Span] = {}
         self.instants: List[Instant] = []
         self.flows: Dict[int, FlowEdge] = {}
         self._stacks: Dict[str, List[int]] = {}   # track -> open span ids
-        self._id_start = id_start
         self._id_step = id_step
         self._next_sid = id_start
         self._next_fid = id_start
-        # Under dsim a flow_end may arrive for a fid allocated in another
-        # partition; opt in to keeping the dst half (merged later).
-        self.record_unmatched_flow_ends = False
-
-    # -- category filtering -------------------------------------------------
-    def _wants(self, category: str) -> bool:
-        return self.categories is None or category in self.categories
-
-    @staticmethod
-    def _category_of(name: str) -> str:
-        return name.split(".", 1)[0]
 
     def _top(self, track: str) -> int:
         stack = self._stacks.get(track)
         return stack[-1] if stack else 0
 
-    # -- legacy flat-record API --------------------------------------------
-    def emit(self, time: float, category: str, event: str, **detail: Any) -> None:
-        if not self.enabled:
-            return
-        if not self._wants(category):
-            return
-        rec = TraceRecord(time, category, event, detail)
-        self.records.append(rec)
-        self._by_category.setdefault(category, []).append(rec)
-        # Fold into the span model as a zero-duration instant so legacy
-        # call sites appear on exported timelines.
-        track = f"events:{category}"
-        self.instants.append(
-            Instant(time, track, f"{category}.{event}", self._top(track), detail)
-        )
-
-    def find(self, category: Optional[str] = None, event: Optional[str] = None) -> Iterator[TraceRecord]:
-        if category is not None:
-            records = self._by_category.get(category, ())
-        else:
-            records = self.records
-        for rec in records:
-            if event is not None and rec.event != event:
-                continue
-            yield rec
-
-    def count(self, category: Optional[str] = None, event: Optional[str] = None) -> int:
-        if category is not None and event is None:
-            return len(self._by_category.get(category, ()))
-        return sum(1 for _ in self.find(category, event))
-
-    def clear(self) -> None:
-        self.records.clear()
-        self._by_category.clear()
-        self.spans.clear()
-        self.instants.clear()
-        self.flows.clear()
-        self._stacks.clear()
-        self._next_sid = self._id_start
-        self._next_fid = self._id_start
-
     # -- span API -----------------------------------------------------------
     def begin(self, time: float, track: str, name: str, **attrs: Any) -> int:
-        """Open a span; returns its id (0 if disabled/filtered).
+        """Open a span; returns its id (0 if disabled).
 
         The innermost span already open on ``track`` becomes the parent.
         Pass the returned id to :meth:`end`; id 0 is always safe to end.
         """
-        if not self.enabled or not self._wants(self._category_of(name)):
+        if not self.enabled:
             return 0
         sid = self._next_sid
         self._next_sid += self._id_step
@@ -228,15 +146,15 @@ class Tracer:
 
     def event(self, time: float, track: str, name: str, **attrs: Any) -> None:
         """Record an instant on a track, tied to its innermost open span."""
-        if not self.enabled or not self._wants(self._category_of(name)):
+        if not self.enabled:
             return
         self.instants.append(Instant(time, track, name, self._top(track), attrs))
 
     # -- causality edges ----------------------------------------------------
     def flow_begin(self, time: float, track: str, name: str, **attrs: Any) -> int:
         """Start a causality edge at (track, time); returns its id (0 if
-        disabled/filtered).  Bind the arrival with :meth:`flow_end`."""
-        if not self.enabled or not self._wants(self._category_of(name)):
+        disabled).  Bind the arrival with :meth:`flow_end`."""
+        if not self.enabled:
             return 0
         fid = self._next_fid
         self._next_fid += self._id_step
@@ -250,13 +168,13 @@ class Tracer:
             return
         flow = self.flows.get(fid)
         if flow is None:
-            if not self.record_unmatched_flow_ends:
-                return
-            # The begin half lives in another partition (repro.dsim); keep
-            # the dst half under the sender-allocated fid so the merge can
-            # unify the two.  src_track="" marks the record as partial.
-            self.flows[fid] = FlowEdge(fid, "", "", 0.0, 0, track, time,
-                                       self._top(track))
+            if self._id_step > 1:
+                # A partition's tracer (repro.dsim): the begin half lives
+                # in another partition; keep the dst half under the
+                # sender-allocated fid so the merge can unify the two.
+                # src_track="" marks the record as partial.
+                self.flows[fid] = FlowEdge(fid, "", "", 0.0, 0, track, time,
+                                           self._top(track))
             return
         if flow.dst_time is not None:
             return

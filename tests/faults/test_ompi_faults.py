@@ -287,8 +287,8 @@ def test_kill_of_a_finished_rank_is_a_traced_no_op():
 
     assert not faults._runtimes                     # every instance was released
     assert [(p.result, p.exception) for p in procs] == [("done", None)] * 4
-    (kill,) = tracer.find("faults", "kill_proc")
-    assert kill.detail == {"proc": str(world.job.proc(3)), "rank": 3,
+    (kill,) = [i for i in tracer.instants if i.name == "faults.kill_proc"]
+    assert kill.attrs == {"proc": str(world.job.proc(3)), "rank": 3,
                            "reason": "injected failure", "span": procs[3].obs_span}
     assert faults.stats["kill_proc"] == 1
     assert world.job.proc(3) in world.runtimes[0].failed_procs

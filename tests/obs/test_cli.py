@@ -58,6 +58,19 @@ class TestObsReport:
         flows = [e for e in obj["traceEvents"] if e["ph"] == "s"]
         assert any(e["name"].startswith("pml.") for e in flows)
 
+    def test_json_summary_counts_instants(self, tmp_path, capsys):
+        from repro.cli import obs
+        from repro.obs.scenarios import run_scenario
+
+        out = tmp_path / "summary.json"
+        argv = ["--scenario", "faults-drop", "--nodes", "2", "--ppn", "1"]
+        assert obs.main(argv + ["--json", str(out)]) == 0
+        n = len(run_scenario("faults-drop", nodes=2, ppn=1).tracer.instants)
+        assert n > 0                                 # the fault marks
+        summary = json.loads(out.read_text())
+        assert summary["instants"] == n and "events" not in summary
+        assert f"  instants: {n}\n" in capsys.readouterr().out
+
     def test_identity_prints_the_same_text_twice(self):
         """The committed corpus was printed by another process: this one
         prints the same lines, up to its shorter seed range."""

@@ -88,9 +88,9 @@ class TestDanglingFlows:
 
     def test_fault_events_carry_flow_id(self):
         run = run_scenario("faults-drop", nodes=2, ppn=1)
-        recs = list(run.tracer.find("faults", "drop_msg"))
-        assert recs
-        assert all(r.detail.get("flow", 0) > 0 for r in recs)
+        drops = [i for i in run.tracer.instants if i.name == "faults.drop_msg"]
+        assert drops
+        assert all(i.attrs.get("flow", 0) > 0 for i in drops)
         assert run.metrics.value("faults.drop_msg") == 1
 
 

@@ -68,7 +68,7 @@ class TestZeroOverhead:
             if p.exception is not None:
                 raise p.exception
         tr = world.cluster.engine.tracer
-        assert not tr.spans and not tr.flows and not tr.records
+        assert not tr.spans and not tr.flows and not tr.instants
         assert world.cluster.metrics.counters == {}
         assert world.cluster.metrics.histograms == {}
 

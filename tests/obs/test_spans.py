@@ -62,13 +62,6 @@ class TestSpanNesting:
         tr.end(5.0, a)
         assert tr.span_tree(a) == ("x.root", [("x.kid1", []), ("x.kid2", [])])
 
-    def test_category_filter_applies_to_spans(self):
-        tr = Tracer(categories={"pmix"})
-        assert tr.begin(0.0, "t", "ompi.mpi.init") == 0
-        sid = tr.begin(0.0, "t", "pmix.client.fence")
-        assert sid != 0
-        tr.end(1.0, 0)                     # filtered id is safe to end
-
 
 class TestFlows:
     def test_flow_begin_end_binds_once(self):
@@ -96,42 +89,6 @@ class TestFlows:
         assert tr.flows[fid].src_time == 1.0 and tr.flows[fid].dst_time == 2.0
 
 
-class TestLegacyEmit:
-    def test_emit_becomes_zero_duration_instant(self):
-        tr = Tracer()
-        tr.emit(1.5, "faults", "kill_proc", rank=3)
-        assert len(tr.records) == 1
-        assert len(tr.instants) == 1
-        inst = tr.instants[0]
-        assert inst.track == "events:faults"
-        assert inst.name == "faults.kill_proc"
-        assert inst.time == 1.5
-        assert inst.attrs == {"rank": 3}
-
-    def test_find_uses_category_index(self):
-        tr = Tracer()
-        for i in range(5):
-            tr.emit(float(i), "pml", "send", i=i)
-        for i in range(3):
-            tr.emit(float(i), "pmix", "fence", i=i)
-        assert tr.count("pml") == 5
-        assert tr.count("pmix") == 3
-        assert [r.detail["i"] for r in tr.find("pml")] == list(range(5))
-        assert tr.count("pml", "send") == 5
-        assert tr.count("nope") == 0
-
-    def test_clear_resets_ids_and_index(self):
-        tr = Tracer()
-        tr.begin(0.0, "t", "x.a")
-        tr.flow_begin(0.0, "t", "x.f")
-        tr.emit(0.0, "c", "e")
-        tr.clear()
-        assert not tr.records and not tr.spans and not tr.flows
-        assert tr.count("c") == 0
-        assert tr.begin(0.0, "t", "x.a") == 1      # sid counter reset
-        assert tr.flow_begin(0.0, "t", "x.f") == 1  # fid counter reset
-
-
 class TestDisabled:
     def test_disabled_tracer_records_nothing(self):
         tr = Tracer()
@@ -139,8 +96,7 @@ class TestDisabled:
         assert tr.begin(0.0, "t", "x.a") == 0
         assert tr.flow_begin(0.0, "t", "x.f") == 0
         tr.event(0.0, "t", "x.e")
-        tr.emit(0.0, "c", "e")
-        assert not tr.spans and not tr.flows and not tr.instants and not tr.records
+        assert not tr.spans and not tr.flows and not tr.instants
 
     def test_null_tracer_cannot_be_enabled(self):
         nt = NullTracer()

@@ -29,8 +29,9 @@ SIM_BOUND = 2.0
 def run_chaos(seed: int, trace: bool = False):
     """One seeded chaos run: 8 ranks / 4 nodes, three fences each,
     random faults from ``random_plan(seed)``.  Returns (outcomes,
-    dead_rank_set, surviving pset members, trace reprs, final time)."""
-    tracer = Tracer(categories={"faults"}) if trace else None
+    dead_rank_set, surviving pset members, fault-instant reprs, final
+    time)."""
+    tracer = Tracer() if trace else None
     cluster = Cluster(machine=laptop(num_nodes=NODES), tracer=tracer)
     job = cluster.launch(RANKS, ppn=RANKS // NODES)
     cluster.psets.define("chaos/all", [job.proc(r) for r in range(RANKS)])
@@ -63,7 +64,8 @@ def run_chaos(seed: int, trace: bool = False):
             outcomes[rank] = ("killed",)
     dead_ranks = {p.rank for p in cluster.faults.dead_procs}
     members = cluster.psets.members("chaos/all")
-    records = [repr(r) for r in tracer.records] if tracer else []
+    records = [repr(i) for i in tracer.instants
+               if i.track == "events:faults"] if tracer else []
     return outcomes, dead_ranks, members, records, cluster.now
 
 

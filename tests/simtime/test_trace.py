@@ -6,79 +6,42 @@ from repro.ompi.config import MpiConfig
 from repro.simtime.trace import NullTracer, Tracer
 
 
+def named(tracer, name):
+    """The instants called ``name``, in recording order."""
+    return [i for i in tracer.instants if i.name == name]
+
+
 class TestTracer:
-    def test_emit_and_find(self):
+    def test_event_records_instants_by_track(self):
         tr = Tracer()
-        tr.emit(1.0, "pml", "send", dst="x")
-        tr.emit(2.0, "pml", "recv")
-        tr.emit(3.0, "cid", "alloc")
-        assert tr.count("pml") == 2
-        assert tr.count("pml", "send") == 1
-        assert tr.count(event="alloc") == 1
-        rec = next(tr.find("pml", "send"))
-        assert rec.time == 1.0 and rec.detail == {"dst": "x"}
+        tr.event(1.0, "events:pml", "pml.send", dst="x")
+        tr.event(2.0, "events:pml", "pml.recv")
+        tr.event(3.0, "events:cid", "cid.alloc")
+        assert [i.name for i in tr.instants
+                if i.track == "events:pml"] == ["pml.send", "pml.recv"]
+        (send,) = named(tr, "pml.send")
+        assert send.time == 1.0 and send.attrs == {"dst": "x"}
+        assert named(tr, "nope") == []
 
-    def test_category_filter(self):
-        tr = Tracer(categories={"cid"})
-        tr.emit(1.0, "pml", "send")
-        tr.emit(1.0, "cid", "alloc")
-        assert tr.count() == 1
-
-    def test_disable_and_clear(self):
+    def test_disable_and_reenable(self):
         tr = Tracer()
         tr.enabled = False
-        tr.emit(1.0, "x", "y")
-        assert tr.count() == 0
+        tr.event(1.0, "t", "x.y")
+        assert not tr.instants
         tr.enabled = True
-        tr.emit(1.0, "x", "y")
-        tr.clear()
-        assert tr.count() == 0
+        tr.event(1.0, "t", "x.y")
+        assert len(tr.instants) == 1
 
     def test_null_tracer_drops(self):
         tr = NullTracer()
-        tr.emit(1.0, "x", "y")
-        assert tr.records == []
+        tr.event(1.0, "t", "x.y")
+        assert tr.instants == []
 
     def test_null_tracer_drops_even_when_reenabled(self):
         tr = NullTracer()
         tr.enabled = True
-        tr.emit(1.0, "x", "y")
-        assert tr.records == []
-
-    def test_bare_string_category_filters_whole_word(self):
-        """A bare string is one category, not an iterable of letters —
-        otherwise ``Tracer(categories="pml")`` would filter per
-        character, passing category "p" and dropping "pml" itself."""
-        tr = Tracer(categories="pml")
-        assert tr.categories == frozenset({"pml"})
-        tr.emit(1.0, "pml", "send")
-        tr.emit(1.0, "p", "oops")
-        tr.emit(1.0, "m", "oops")
-        tr.emit(1.0, "cid", "alloc")
-        assert [r.category for r in tr.records] == ["pml"]
-
-    def test_iterable_categories_normalized_to_frozenset(self):
-        tr = Tracer(categories=["a", "b", "a"])
-        assert tr.categories == frozenset({"a", "b"})
-        tr.emit(0.0, "a", "x")
-        tr.emit(0.0, "c", "y")
-        assert tr.count() == 1
-
-    def test_clear_preserves_filter(self):
-        tr = Tracer(categories={"keep"})
-        tr.emit(1.0, "keep", "x")
-        tr.clear()
-        assert tr.count() == 0
-        tr.emit(2.0, "keep", "y")
-        tr.emit(2.0, "drop", "z")
-        assert [r.event for r in tr.records] == ["y"]
-
-    def test_find_and_count_with_no_match(self):
-        tr = Tracer()
-        tr.emit(1.0, "pml", "send")
-        assert list(tr.find("nope")) == []
-        assert tr.count("nope") == 0
-        assert tr.count("pml", "nope") == 0
+        tr.event(1.0, "t", "x.y")
+        assert tr.instants == []
 
 
 class TestFaultTraces:
@@ -86,7 +49,7 @@ class TestFaultTraces:
         from repro.faults import FaultPlan
         from tests.faults.conftest import boot, run_bounded, spawn_ranks
 
-        tracer = Tracer(categories="faults")
+        tracer = Tracer()
         cluster, job = boot(nodes=2, ranks=2, ppn=1, tracer=tracer)
         cluster.install_faults(FaultPlan().kill_proc(1, at_time=1e-4))
 
@@ -100,15 +63,16 @@ class TestFaultTraces:
 
         spawn_ranks(cluster, job, [rank(0), rank(1)])
         run_bounded(cluster)
-        assert tracer.count("faults", "plan_installed") == 1
-        assert tracer.count("faults", "kill_proc") == 1
-        assert all(rec.category == "faults" for rec in tracer.records)
+        assert len(named(tracer, "faults.plan_installed")) == 1
+        assert len(named(tracer, "faults.kill_proc")) == 1
+        marks = [i for i in tracer.instants if i.name.startswith("faults.")]
+        assert marks and all(i.track == "events:faults" for i in marks)
 
 
 class TestProtocolTraces:
     def test_excid_handshake_trace(self):
         """The trace shows: extended sends, exactly one ACK, one switch."""
-        tracer = Tracer(categories={"pml"})
+        tracer = Tracer()
         world = make_world(spec=SimSpec(
             nprocs=2, machine=laptop(num_nodes=1), ppn=2,
             config=MpiConfig.sessions_prototype(), tracer=tracer,
@@ -133,12 +97,14 @@ class TestProtocolTraces:
         for p in procs:
             if p.exception:
                 raise p.exception
-        assert tracer.count("pml", "ext_send") == 1
-        assert tracer.count("pml", "cid_ack") == 1
-        assert tracer.count("pml", "cid_switch") == 1
+        assert len(named(tracer, "pml.ext_send")) == 1
+        assert len(named(tracer, "pml.cid_ack")) == 1
+        assert len(named(tracer, "pml.cid_switch")) == 1
+        assert {i.track for i in tracer.instants
+                if i.name.startswith("pml.")} == {"events:pml"}
 
     def test_baseline_has_no_handshake_traffic(self):
-        tracer = Tracer(categories={"pml"})
+        tracer = Tracer()
         world = make_world(spec=SimSpec(
             nprocs=2, machine=laptop(num_nodes=1), ppn=2,
             config=MpiConfig.baseline(), tracer=tracer,
@@ -157,4 +123,5 @@ class TestProtocolTraces:
         for p in procs:
             if p.exception:
                 raise p.exception
-        assert tracer.count("pml") == 0
+        assert tracer.spans                 # traced, just no handshake
+        assert not [i for i in tracer.instants if i.track == "events:pml"]

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from repro.cli import faults, figure
+from repro.cli.main import main as cli_main
 from repro.serve import ServerThread
 
 EXPERIMENTS_MD = pathlib.Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
@@ -70,6 +71,29 @@ class TestFaults:
         assert outs[0] == outs[1]
         for line in lines:
             assert line in outs[0], outs[0]
+
+
+class TestSizeFlags:
+    """A size or count flag given 0 is a usage error, not a traceback
+    from deep inside the run or a vacuous "0/0 seeds" pass."""
+
+    @pytest.mark.parametrize("argv", [
+        ["obs", "--scenario", "faults-drop", "--nodes", "0"],
+        ["obs", "--scenario", "faults-drop", "--ppn", "0"],
+        ["recovery", "--seeds", "0"],
+        ["recovery", "--seeds", "-3"],
+        ["recovery", "--nodes", "0"],
+        ["recovery", "--ranks", "0"],
+        ["chaos", "--seeds", "0"],
+        ["chaos", "--nprocs", "0"],
+    ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+    def test_non_positive_size_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {argv[-2]}: must be >= 1, got {argv[-1]}" in err
+        assert "Traceback" not in err
 
 
 class TestServeLoadgen:

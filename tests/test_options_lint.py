@@ -1,4 +1,4 @@
-"""Knob lint: the settable options of the serving shell, pinned.
+"""Knob lint: the settable options of the serving shell and the tracer, pinned.
 
 Options pile up one harmless keyword at a time, and a knob only tests
 set is still surface every caller reads past.  The shell's
@@ -15,6 +15,7 @@ import pytest
 from repro.chaos import ChaosPlan
 from repro.obs import LiveTelemetry
 from repro.serve import ResultStore, ServeClient, SimServer
+from repro.simtime.trace import Tracer
 from repro.sweep import SweepCache, run_sweep
 
 KNOBS = {
@@ -31,6 +32,7 @@ KNOBS = {
     "LiveTelemetry": (LiveTelemetry.__init__, "*, clock"),
     "ChaosPlan.attach": (ChaosPlan.attach, "metrics"),
     "ChaosPlan.on": (ChaosPlan.on, "site, scenario"),
+    "Tracer": (Tracer.__init__, "*, id_start, id_step"),
 }
 
 
