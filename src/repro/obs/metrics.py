@@ -16,9 +16,13 @@ from __future__ import annotations
 import math
 import random
 import zlib
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 LabelKey = Tuple[str, Tuple[Tuple[str, Any], ...]]
+
+#: ``(name, labels, value)`` counter samples read from a record kept
+#: outside the registry (``MetricsRegistry(collect=)``).
+Samples = Iterable[Tuple[str, Dict[str, Any], float]]
 
 
 def _key(name: str, labels: Dict[str, Any]) -> LabelKey:
@@ -126,14 +130,20 @@ class MetricsRegistry:
     branch.  Snapshot-style harvesting (:func:`snapshot_cluster`) calls
     the ``force=True`` variants so an end-of-run report works even when
     live collection was off.
+
+    ``collect``, when given, returns counters whose one record is kept
+    elsewhere; every query reads them as if they had been ``inc``-ed
+    here (a zero is a counter never incremented, so it is absent).
     """
 
     def __init__(self, enabled: bool = False,
                  histogram_max_samples: Optional[int] = None,
-                 reservoir_seed: int = 0) -> None:
+                 reservoir_seed: int = 0,
+                 collect: Optional[Callable[[], Samples]] = None) -> None:
         self.enabled = enabled
         self.histogram_max_samples = histogram_max_samples
         self.reservoir_seed = reservoir_seed
+        self.collect = collect
         self.counters: Dict[LabelKey, float] = {}
         self.gauges: Dict[LabelKey, float] = {}
         self.histograms: Dict[LabelKey, Histogram] = {}
@@ -168,17 +178,28 @@ class MetricsRegistry:
         hist.observe(value)
 
     # -- queries ------------------------------------------------------------
+    def all_counters(self) -> Dict[LabelKey, float]:
+        """The counters recorded here and those ``collect`` reads."""
+        if self.collect is None:
+            return self.counters
+        merged = dict(self.counters)
+        for name, labels, value in self.collect():
+            if value:
+                merged[_key(name, labels)] = float(value)
+        return merged
+
     def names(self) -> List[str]:
         """Sorted distinct metric names across all kinds."""
-        seen = {k[0] for k in self.counters}
+        seen = {k[0] for k in self.all_counters()}
         seen.update(k[0] for k in self.gauges)
         seen.update(k[0] for k in self.histograms)
         return sorted(seen)
 
     def value(self, name: str, **labels: Any) -> Optional[float]:
         key = _key(name, labels)
-        if key in self.counters:
-            return self.counters[key]
+        counters = self.all_counters()
+        if key in counters:
+            return counters[key]
         if key in self.gauges:
             return self.gauges[key]
         return None
@@ -193,7 +214,7 @@ class MetricsRegistry:
         ``by="node"`` returns per-node sums, etc.
         """
         out: Dict[Any, float] = {}
-        for store in (self.counters, self.gauges):
+        for store in (self.all_counters(), self.gauges):
             for (n, labels), v in store.items():
                 if n != name:
                     continue
@@ -237,9 +258,10 @@ class MetricsRegistry:
     def rows(self) -> List[Tuple[str, str, str]]:
         """Deterministic (name+labels, kind, rendered value) rows."""
         out: List[Tuple[str, str, str]] = []
-        for key in sorted(self.counters):
+        counters = self.all_counters()
+        for key in sorted(counters):
             out.append((key[0] + self._label_str(key[1]), "counter",
-                        self._num(self.counters[key])))
+                        self._num(counters[key])))
         for key in sorted(self.gauges):
             out.append((key[0] + self._label_str(key[1]), "gauge",
                         self._num(self.gauges[key])))
@@ -268,8 +290,9 @@ class MetricsRegistry:
     def to_dict(self) -> Dict[str, Any]:
         """JSON-friendly dump, deterministically ordered."""
         out: Dict[str, Any] = {"counters": {}, "gauges": {}, "histograms": {}}
-        for key in sorted(self.counters):
-            out["counters"][key[0] + self._label_str(key[1])] = self.counters[key]
+        counters = self.all_counters()
+        for key in sorted(counters):
+            out["counters"][key[0] + self._label_str(key[1])] = counters[key]
         for key in sorted(self.gauges):
             out["gauges"][key[0] + self._label_str(key[1])] = self.gauges[key]
         for key in sorted(self.histograms):

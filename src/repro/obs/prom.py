@@ -62,7 +62,7 @@ def prometheus_text(metrics: MetricsRegistry) -> str:
                 lines.append(f"{pname}{_labels(key[1])} "
                              f"{_num(store[key])}")
 
-    family(metrics.counters, "counter")
+    family(metrics.all_counters(), "counter")
     family(metrics.gauges, "gauge")
 
     by_name: Dict[str, List] = {}

@@ -31,6 +31,10 @@ from repro.serve import protocol
 from repro.serve.protocol import ServeAddress, as_address
 
 
+#: Bytes asked of the socket per ``recv``: a typical reply in one call.
+_RECV_BYTES = 65536
+
+
 class ServeConnectionError(ConnectionError):
     """The server closed the connection mid-conversation."""
 
@@ -73,7 +77,7 @@ class ServeClient:
         self._trace_prefix = trace
         self._trace_ids = itertools.count(1)
         self._sock: Optional[socket.socket] = None
-        self._file = None
+        self._rbuf = b""        # received bytes past the last reply line
         self._connect()
 
     # -- plumbing ------------------------------------------------------------
@@ -95,7 +99,6 @@ class ServeClient:
                     self._sock = socket.create_connection(
                         (self.address.host, self.address.port),
                         timeout=self.timeout)
-                self._file = self._sock.makefile("rwb")
                 return
             except OSError as err:
                 last = err
@@ -118,19 +121,16 @@ class ServeClient:
                     continue
                 if act.phase == "mid":
                     # A torn request: half the line, no newline, gone.
-                    self._file.write(data[:len(data) // 2])
-                    self._file.flush()
+                    self._sock.sendall(data[:len(data) // 2])
                     self.close()
                     raise ServeConnectionError(
                         "chaos: connection dropped mid-line")
-                self._file.write(data)      # phase == "after"
-                self._file.flush()
+                self._sock.sendall(data)    # phase == "after"
                 self.close()
                 raise ServeConnectionError(
                     "chaos: connection dropped awaiting reply")
-        self._file.write(data)
-        self._file.flush()
-        line = self._file.readline()
+        self._sock.sendall(data)
+        line = self._readline()
         if not line:
             raise ServeConnectionError("server closed the connection")
         # A reply torn by a dying server (half a line, then EOF) or one
@@ -145,6 +145,21 @@ class ServeClient:
                 f"reply for request {response.get('id')!r} while awaiting "
                 f"{msg['id']!r}")
         return response
+
+    def _readline(self) -> bytes:
+        """The next reply line; at EOF what arrived of it (maybe b"")."""
+        buf, scanned = self._rbuf, 0
+        while True:
+            end = buf.find(b"\n", scanned) + 1
+            if end:
+                self._rbuf = buf[end:]
+                return buf[:end]
+            scanned = len(buf)
+            chunk = self._sock.recv(_RECV_BYTES)
+            if not chunk:
+                self._rbuf = b""
+                return buf
+            buf += chunk
 
     def _rpc(self, msg: Dict[str, Any]) -> Dict[str, Any]:
         msg = dict(msg, id=next(self._ids), v=protocol.VERSION)
@@ -206,12 +221,7 @@ class ServeClient:
         return self._rpc({"op": "shutdown"})
 
     def close(self) -> None:
-        if self._file is not None:
-            try:
-                self._file.close()
-            except OSError:
-                pass
-            self._file = None
+        self._rbuf = b""
         if self._sock is not None:
             try:
                 self._sock.close()

@@ -37,6 +37,8 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
+from repro.sweep import CANONICAL
+
 #: Wire-protocol version stamped by clients and validated by servers.
 VERSION = 1
 
@@ -153,7 +155,7 @@ def check_version(msg: Dict[str, Any]) -> Optional[Dict[str, Any]]:
 
 def encode(obj: Dict[str, Any]) -> bytes:
     """One canonical-JSON line (sorted keys, compact separators)."""
-    return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    return (CANONICAL.encode(obj) + "\n").encode()
 
 
 def decode(line: bytes) -> Dict[str, Any]:

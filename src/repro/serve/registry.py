@@ -34,13 +34,13 @@ importers (fork start method) or live in an importable module
 from __future__ import annotations
 
 import difflib
-import json
 import os
 import time
 from typing import Any, Callable, Dict, List
 
 from repro.api import SimSpec, run_world
 from repro.ompi.constants import SUM
+from repro.sweep import CANONICAL
 
 ScenarioFn = Callable[..., Any]
 
@@ -124,8 +124,7 @@ def _run_simspec(spec: Any, program: str, seed: int, tracer: Any) -> Dict[str, A
     results, t_end = res.result_list(sp.nprocs), res.t_end
     import hashlib     # kept off the import path of a plain simulation
 
-    blob = json.dumps({"results": results, "t_end": t_end},
-                      sort_keys=True, separators=(",", ":"))
+    blob = CANONICAL.encode({"results": results, "t_end": t_end})
     return {
         "program": program,
         "seed": seed,

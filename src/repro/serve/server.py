@@ -32,9 +32,11 @@ optional :class:`repro.chaos.ChaosPlan` injects worker kills, pipe
 breaks, hangs and cache corruption through the ``worker.call`` and
 ``cache.put`` hook points.
 
-Everything observable lands in a :class:`repro.obs.metrics
-.MetricsRegistry`: queue depth, admission rejections, cache hit rate,
-latency histograms (p50/p99 via the ``stats`` op), worker deaths.
+Counters (requests by status, cache hits, retries, worker deaths...)
+have one record, :class:`ServeStats`; the server's
+:class:`repro.obs.metrics.MetricsRegistry` keeps the latency
+histograms and the queue-depth gauge, and reads the counters from
+:class:`ServeStats` whenever it is queried (the ``metrics`` op).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import math
 import os
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
 from repro.obs.live import LiveTelemetry, trace_id
 from repro.obs.metrics import MetricsRegistry
@@ -80,7 +82,8 @@ class _Request:
 
 @dataclass
 class ServeStats:
-    """Counters the ``stats`` op reports (beyond the metrics registry)."""
+    """The one record of a server's counters: the ``stats`` op reports
+    them, and the metrics registry reads them through :meth:`samples`."""
 
     started: float = 0.0
     submitted: int = 0
@@ -97,6 +100,20 @@ class ServeStats:
     breaker_trips: int = 0
     degraded_rejects: int = 0
     coalesced: int = 0
+
+    def samples(self) -> Iterator[Tuple[str, Dict[str, Any], int]]:
+        """The counters under their registry names and labels."""
+        for status, n in (("ok", self.ok), ("error", self.errors),
+                          ("rejected", self.rejected),
+                          ("expired", self.expired)):
+            yield "serve.requests", {"status": status}, n
+        yield "serve.cache", {"result": "hit"}, self.cache_hits
+        yield "serve.cache", {"result": "miss"}, self.cache_misses
+        yield "serve.coalesced", {}, self.coalesced
+        yield "serve.retries", {}, self.retries
+        yield "serve.worker.spawns", {}, self.worker_spawns
+        yield "serve.worker.deaths", {}, self.worker_deaths
+        yield "serve.breaker.trips", {}, self.breaker_trips
 
 
 #: Base of the seeded exponential backoff before a worker-death retry.
@@ -142,8 +159,10 @@ class SimServer(Endpoint):
         self.capacity = capacity
         self.retry_limit = retry_limit
         self.retry_seed = retry_seed
+        self.stats = ServeStats()
         self.metrics = MetricsRegistry(
-            enabled=True, histogram_max_samples=HISTOGRAM_MAX_SAMPLES)
+            enabled=True, histogram_max_samples=HISTOGRAM_MAX_SAMPLES,
+            collect=self.stats.samples)
         # Live telemetry (docs/observability.md), off by default: each
         # instrumentation site costs one `is not None` branch when off.
         # A trace_dir turns it on and holds the wall trace, the run
@@ -182,7 +201,6 @@ class SimServer(Endpoint):
         # what makes client resubmits after a dropped reply safe).
         self._singleflight: Dict[str, "asyncio.Future[Dict[str, Any]]"] = {}
         self._trace_seq = itertools.count(1)   # fallback server-side ids
-        self.stats = ServeStats()
         self._target_workers = workers
         self._queue: "asyncio.Queue[_Request]" = asyncio.Queue(maxsize=capacity)
         self._seq = itertools.count()
@@ -256,7 +274,6 @@ class SimServer(Endpoint):
             worker = Worker(wid)
             self._workers[wid] = worker
             self.stats.worker_spawns += 1
-            self.metrics.inc("serve.worker.spawns")
         return worker
 
     def _kill_worker(self, wid: int) -> None:
@@ -351,7 +368,6 @@ class SimServer(Endpoint):
             except WorkerDied:
                 self._kill_worker(wid)
                 self.stats.worker_deaths += 1
-                self.metrics.inc("serve.worker.deaths")
                 self._note_worker_death()
                 if tel is not None:
                     tel.annotate(sid_run, outcome="worker-died")
@@ -366,7 +382,6 @@ class SimServer(Endpoint):
                     })
                     return
                 self.stats.retries += 1
-                self.metrics.inc("serve.retries")
                 await asyncio.sleep(self._backoff(req))
                 continue
             self._consec_deaths = 0     # a live worker answered
@@ -404,7 +419,6 @@ class SimServer(Endpoint):
             self.degraded = True
             self._breaker_opened = asyncio.get_running_loop().time()
             self.stats.breaker_trips += 1
-            self.metrics.inc("serve.breaker.trips")
 
     def _degraded_active(self, now: float) -> bool:
         """Is cache-only mode in force right now?  Half-opens after the
@@ -438,8 +452,8 @@ class SimServer(Endpoint):
         # drain, return a coroutine (and get a task).
         bad_version = protocol.check_version(msg)
         if bad_version is not None:
-            self.metrics.inc("serve.requests", status="error")
-            return dict(bad_version)
+            self.stats.errors += 1
+            return bad_version
         op = msg.get("op")
         if op == "submit":
             return self._op_submit(msg)
@@ -512,7 +526,6 @@ class SimServer(Endpoint):
             if tel is not None:
                 tel.event(f"req:{trace}", "serve.cache.probe", trace=trace,
                           result=probe)
-            self.metrics.inc("serve.cache", result=probe)
             if hit is not None:
                 self.stats.cache_hits += 1
                 return self._finish(
@@ -527,7 +540,6 @@ class SimServer(Endpoint):
         leader = self._singleflight.get(key)
         if leader is not None and not leader.done():
             self.stats.coalesced += 1
-            self.metrics.inc("serve.coalesced")
             return self._settle(leader, t0, scenario, key, trace, sid)
 
         reason = None
@@ -577,7 +589,6 @@ class SimServer(Endpoint):
         """A submit refused for its own shape; ``sid`` is its
         ``serve.request`` span when one was already open."""
         self.stats.errors += 1
-        self.metrics.inc("serve.requests", status="error")
         if sid is not None:
             self.tel.annotate(sid, status="error")
             self.tel.end(sid)
@@ -587,7 +598,6 @@ class SimServer(Endpoint):
                 sid: Optional[int]) -> Dict[str, Any]:
         """Admission control said no (draining, degraded, queue full)."""
         self.stats.rejected += 1
-        self.metrics.inc("serve.requests", status="rejected")
         if sid is not None:
             self.tel.annotate(sid, status="rejected", reason=reason)
             self.tel.end(sid)
@@ -615,7 +625,6 @@ class SimServer(Endpoint):
             self.stats.expired += 1
         else:
             self.stats.errors += 1
-        self.metrics.inc("serve.requests", status=status)
         if sid is not None:
             marks = {k: True for k in ("cached", "coalesced")
                      if response.get(k) is True}

@@ -49,6 +49,11 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 _SRC_ROOT = os.path.dirname(os.path.abspath(__file__))
 
+#: Canonical JSON (sorted keys, compact separators): cache keys, result
+#: digests and the serve wire format.  One encoder for all of them, as
+#: ``json.dumps`` with these options builds a new one per call.
+CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 _source_digest_cache: Optional[str] = None
 
 
@@ -78,10 +83,8 @@ def cache_key(scenario: str, params: Dict[str, Any]) -> str:
     """Stable key for one sweep point: (scenario, params, source digest)."""
     import hashlib     # kept off the import path of a plain simulation
 
-    blob = json.dumps(
-        {"scenario": scenario, "params": params, "source": source_digest()},
-        sort_keys=True, separators=(",", ":"),
-    )
+    blob = CANONICAL.encode(
+        {"scenario": scenario, "params": params, "source": source_digest()})
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -94,7 +97,7 @@ def result_digest(result: Any) -> str:
     """sha256 over the canonical JSON of a cached result payload."""
     import hashlib
 
-    blob = json.dumps(result, sort_keys=True, separators=(",", ":"))
+    blob = CANONICAL.encode(result)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
