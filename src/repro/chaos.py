@@ -47,7 +47,6 @@ derives such a plan from a seed; same seed, same plan, same injections.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import shutil
@@ -56,6 +55,8 @@ import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
+
+from repro.sweep import result_digest
 
 KINDS = (
     "kill_worker",
@@ -293,14 +294,6 @@ def chaos_plan(
 # ---------------------------------------------------------------------------
 # The chaos soak (python -m repro chaos)
 # ---------------------------------------------------------------------------
-def _digest(obj: Any) -> str:
-    """sha256 of the canonical JSON — byte-parity is digest equality."""
-    import hashlib     # kept off the import path of a plain simulation
-
-    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 def soak_point(x: int = 0, seed: int = 0) -> Dict[str, Any]:
     """The sweep soak's unit of work: pure, fast, picklable, seeded."""
     rng = random.Random(f"chaos-soak:{seed}:{x}")
@@ -351,9 +344,9 @@ def serve_soak(seed: int, workdir: str, *, requests: int = 4,
         deaths = srv.server.stats.worker_deaths
 
     return {
-        "clean_digest": _digest(clean),
-        "chaos_digest": _digest(injected),
-        "ok": _digest(clean) == _digest(injected),
+        "clean_digest": result_digest(clean),
+        "chaos_digest": result_digest(injected),
+        "ok": result_digest(clean) == result_digest(injected),
         "injected": dict(sorted(plan.stats.items())),
         "worker_deaths": deaths,
         "client_reconnects": reconnects,
@@ -381,12 +374,12 @@ def sweep_soak(seed: int, workdir: str, *, points_n: int = 6,
     first = run_sweep(pts, jobs=jobs, cache=damaged)
     reread = SweepCache(cdir)
     second = run_sweep(pts, jobs=jobs, cache=reread)
-    d_clean = _digest(clean)
+    d_clean = result_digest(clean)
     return {
         "clean_digest": d_clean,
-        "chaos_digest": _digest(first),
-        "reread_digest": _digest(second),
-        "ok": d_clean == _digest(first) == _digest(second),
+        "chaos_digest": result_digest(first),
+        "reread_digest": result_digest(second),
+        "ok": d_clean == result_digest(first) == result_digest(second),
         "injected": dict(sorted(plan.stats.items())),
         "quarantined": reread.corrupt,
     }
@@ -409,7 +402,7 @@ def soak_run(seed: int, *, workdir: Optional[str] = None, requests: int = 4,
             shutil.rmtree(workdir, ignore_errors=True)
     rec = {"seed": seed, "ok": serve["ok"] and sweep["ok"],
            "serve": serve, "sweep": sweep}
-    rec["digest"] = _digest(rec)
+    rec["digest"] = result_digest(rec)
     return rec
 
 

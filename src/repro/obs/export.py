@@ -16,9 +16,10 @@ specified, ids come from the tracer's own counters, and
 
 from __future__ import annotations
 
-import json
 import re
 from typing import Any, Dict, List, Tuple
+
+from repro.sweep import CANONICAL
 
 #: Simulated seconds -> trace microseconds.
 _US = 1e6
@@ -203,7 +204,7 @@ def canonical_chrome_trace(obj: Dict[str, Any]) -> Dict[str, Any]:
 def dumps(obj: Any) -> str:
     """Deterministic JSON: sorted keys, fixed separators, no whitespace
     drift — two identical runs serialize byte-identically."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return CANONICAL.encode(obj)
 
 
 def validate_chrome_trace(obj: Any) -> List[str]:

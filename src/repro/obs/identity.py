@@ -8,12 +8,12 @@ from the parent tree and from its own.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Iterable, Iterator
 
-from repro.obs.export import chrome_trace, dumps
+from repro.obs.export import chrome_trace
 from repro.obs.scenarios import run_scenario, scenario_names
 from repro.simtime.trace import Tracer
+from repro.sweep import result_digest
 
 #: ``(nodes, ppn)`` every scenario runs at.
 SCENARIO_SIZES = ((2, 2), (4, 4), (8, 8))
@@ -21,16 +21,12 @@ SCENARIO_SIZES = ((2, 2), (4, 4), (8, 8))
 SOAK_SIZES = ((8, 16), (8, 32))
 
 
-def _sha(obj) -> str:
-    return hashlib.sha256(dumps(obj).encode()).hexdigest()
-
-
 def _soak_line(label: str, seed: int, **kwargs) -> str:
     from repro.recovery import soak_run
 
     tracer = Tracer()
     record = soak_run(seed, tracer=tracer, **kwargs)
-    return f"{label} {record['digest']} {_sha(chrome_trace(tracer))}"
+    return f"{label} {record['digest']} {result_digest(chrome_trace(tracer))}"
 
 
 def identity_lines(seeds: Iterable[int] = ()) -> Iterator[str]:
@@ -40,9 +36,9 @@ def identity_lines(seeds: Iterable[int] = ()) -> Iterator[str]:
     for name in scenario_names():
         for nodes, ppn in SCENARIO_SIZES:
             run = run_scenario(name, nodes=nodes, ppn=ppn)
-            yield (f"{name} {nodes}x{ppn} {_sha(chrome_trace(run.tracer))} "
+            yield (f"{name} {nodes}x{ppn} {result_digest(chrome_trace(run.tracer))} "
                    f"{run.cluster.engine.events_executed} {run.t_end!r} "
-                   f"{_sha(run.metrics.to_dict())}")
+                   f"{result_digest(run.metrics.to_dict())}")
     for num_nodes, num_ranks in SOAK_SIZES:
         yield _soak_line(f"soak/0@{num_nodes}x{num_ranks}", 0,
                          num_nodes=num_nodes, num_ranks=num_ranks)

@@ -2,8 +2,10 @@
 
 Open MPI's classic algorithm: the CID is a 16-bit index into each
 process's local communicator array, and all members of a communicator
-must agree on the index.  Agreement runs rounds of reductions over the
-*parent* communicator:
+must agree on the index.  Agreement runs rounds of reductions on the
+parent's point-to-point, among the ranks that will belong to the new
+communicator (all of the parent's for ``dup``/``create``, the subgroup
+for ``split``/``create_group``/``shrink``):
 
 1. each process proposes its lowest free index at or above the current
    floor;
@@ -24,6 +26,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.ompi import constants
+from repro.ompi.coll.reduce import allreduce_indexed
 from repro.ompi.errors import MPIErrIntern
 
 MAX_CID = 2**16
@@ -77,28 +80,33 @@ class CidTable:
         return len(self.comms)
 
 
-def allocate_consensus_cid(parent_comm):
-    """Sub-generator: agree on a free CID using the parent communicator.
+def allocate_consensus_cid(comm, members=None):
+    """Sub-generator: agree on a free CID over ``comm``'s point-to-point.
 
-    Returns the agreed CID (not yet reserved — the caller reserves it
-    for the new communicator).  Runs entirely on MPI point-to-point
-    traffic via the parent's allreduce, exactly like Open MPI.
+    The one §III-B2 loop.  ``members`` (comm ranks, in the new group's
+    order) restricts the agreement to a subgroup — Open MPI's subgroup
+    nextcid for ``split``/``create_group``/``shrink``; ``None`` agrees
+    over every rank of ``comm``.  Returns the agreed CID (not yet
+    reserved — the caller reserves it for the new communicator).
     """
-    table: CidTable = parent_comm.runtime.cid_table
+    table: CidTable = comm.runtime.cid_table
+    if members is None:
+        members, my_idx = range(comm.size), comm.rank
+    else:
+        my_idx = members.index(comm.rank)
     floor = 0
-    rounds = 0
-    while True:
-        rounds += 1
-        if rounds > MAX_CID:  # pragma: no cover - defensive
-            raise MPIErrIntern("CID consensus failed to converge")
+    for _round in range(MAX_CID):
         proposed = table.lowest_free(at_least=floor)
-        agreed = yield from parent_comm._internal_allreduce(
-            proposed, constants.MAX, constants._TAG_CID
+        agreed = yield from allreduce_indexed(
+            comm, members, my_idx, proposed, constants.MAX, nbytes=8,
+            tag=constants._TAG_CID,
         )
         unanimous = proposed == agreed and table.is_free(agreed)
-        all_ok = yield from parent_comm._internal_allreduce(
-            1 if unanimous else 0, constants.MIN, constants._TAG_CID
+        all_ok = yield from allreduce_indexed(
+            comm, members, my_idx, 1 if unanimous else 0, constants.MIN,
+            nbytes=8, tag=constants._TAG_CID,
         )
         if all_ok:
             return agreed
         floor = agreed
+    raise MPIErrIntern("CID consensus failed to converge")  # pragma: no cover

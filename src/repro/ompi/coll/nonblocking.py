@@ -39,45 +39,36 @@ def runner(gen, request):
     return run()
 
 
-def ibcast(comm, obj, root: int = 0, nbytes=None):
-    """Sub-generator: MPI_Ibcast; request.payload is the object."""
+def _start(kind: str, comm, gen):
+    """Sub-generator: run ``gen`` in a helper process; returns the
+    request of kind ``kind`` it completes."""
     from repro.ompi.request import Request
     from repro.simtime.process import Spawn
 
-    req = Request("ibcast")
-    gen = coll.bcast(comm, obj, root, nbytes, tag=_TAG_IBCAST)
-    yield Spawn(runner(gen, req), name=f"ibcast-{comm.name}-r{comm.rank}")
+    req = Request(kind)
+    yield Spawn(runner(gen, req), name=f"{kind}-{comm.name}-r{comm.rank}")
     return req
+
+
+def ibcast(comm, obj, root: int = 0, nbytes=None):
+    """Sub-generator: MPI_Ibcast; request.payload is the object."""
+    return _start("ibcast", comm,
+                  coll.bcast(comm, obj, root, nbytes, tag=_TAG_IBCAST))
 
 
 def iallreduce(comm, value, op: Op, nbytes=None):
     """Sub-generator: MPI_Iallreduce; request.payload is the result."""
-    from repro.ompi.request import Request
-    from repro.simtime.process import Spawn
-
-    req = Request("iallreduce")
-    gen = coll.allreduce(comm, value, op, nbytes, tag=_TAG_IALLREDUCE)
-    yield Spawn(runner(gen, req), name=f"iallreduce-{comm.name}-r{comm.rank}")
-    return req
+    return _start("iallreduce", comm,
+                  coll.allreduce(comm, value, op, nbytes, tag=_TAG_IALLREDUCE))
 
 
 def igather(comm, value, root: int = 0, nbytes=None):
     """Sub-generator: MPI_Igather; request.payload is the list at root."""
-    from repro.ompi.request import Request
-    from repro.simtime.process import Spawn
-
-    req = Request("igather")
-    gen = coll.gather(comm, value, root, nbytes, tag=_TAG_IGATHER)
-    yield Spawn(runner(gen, req), name=f"igather-{comm.name}-r{comm.rank}")
-    return req
+    return _start("igather", comm,
+                  coll.gather(comm, value, root, nbytes, tag=_TAG_IGATHER))
 
 
 def iallgather(comm, value, nbytes=None):
     """Sub-generator: MPI_Iallgather; request.payload is the list."""
-    from repro.ompi.request import Request
-    from repro.simtime.process import Spawn
-
-    req = Request("iallgather")
-    gen = coll.allgather(comm, value, nbytes, tag=_TAG_IALLGATHER)
-    yield Spawn(runner(gen, req), name=f"iallgather-{comm.name}-r{comm.rank}")
-    return req
+    return _start("iallgather", comm,
+                  coll.allgather(comm, value, nbytes, tag=_TAG_IALLGATHER))

@@ -4,9 +4,13 @@ The user-facing object: point-to-point (mpi4py-style lowercase
 methods, all blocking calls are sub-generators), collectives, and the
 constructors whose CID machinery is the heart of the paper:
 
-* ``dup`` / ``split`` / ``create`` / ``create_group`` — in consensus
-  mode they agree on a CID with the legacy allreduce loop over the
-  parent; in exCID mode they derive ids per the configured policy;
+* ``dup`` / ``split`` / ``create`` / ``create_group`` / ``shrink`` — all
+  obtain their id from ``Communicator._new_comm``.  In consensus mode it
+  runs the legacy allreduce loop on the parent's point-to-point: over
+  every parent rank for ``dup`` and ``create``, within the new subgroup
+  for ``split``, ``create_group`` and ``shrink``.  In exCID mode it takes
+  a fresh PGCID, unless ``dup`` derived a subfield id per the
+  configured policy;
 * ``comm_create_from_group`` (module function; also exposed via
   :meth:`repro.ompi.runtime.MpiRuntime.comm_create_from_group`) — the
   new Sessions constructor with *no parent*, which is exactly why the
@@ -16,7 +20,7 @@ constructors whose CID machinery is the heart of the paper:
 from __future__ import annotations
 
 import itertools
-from typing import Any, List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.ompi import coll
 from repro.ompi.cid import allocate_consensus_cid
@@ -189,14 +193,6 @@ class Communicator:
     def _obs_end(self, sid: int) -> None:
         engine = self.runtime.engine
         engine.tracer.end(engine.now, sid)
-
-    def get_rank(self) -> int:
-        self._check()
-        return self.rank
-
-    def get_size(self) -> int:
-        self._check()
-        return self.size
 
     def get_group(self) -> Group:
         self._check()
@@ -475,9 +471,6 @@ class Communicator:
             if sid:
                 self._obs_end(sid)
 
-    def _internal_allreduce(self, value, op: Op, tag: int):
-        return (yield from coll.allreduce(self, value, op, nbytes=8, tag=tag))
-
     def gather(self, value, root: int = 0, nbytes: Optional[int] = None):
         self._pre_coll()
         return (yield from coll.gather(self, value, root, nbytes))
@@ -567,48 +560,53 @@ class Communicator:
 
     def _dup_internal(self):
         runtime = self.runtime
-        if not runtime.excid_enabled:
-            cid = yield from allocate_consensus_cid(self)
-            new = Communicator(
-                runtime, self.group, cid, name=f"{self.name}.dup", session=self.session
-            )
-        else:
-            excid_state = yield from self._derive_excid_for_dup()
-            cid = runtime.cid_table.lowest_free()
-            new = Communicator(
-                runtime,
-                self.group,
-                cid,
-                excid_state=excid_state,
-                name=f"{self.name}.dup",
-                session=self.session,
-            )
+        excid_state = gid = None
+        if runtime.excid_enabled:
+            parent = self.excid_state
+            if (runtime.config.excid_dup_policy == "subfield"
+                    and parent is not None and parent.can_derive()):
+                # Purely local derivation; a barrier stands in for Open
+                # MPI's communicator-activation collective.
+                excid_state = parent.derive()
+                yield from coll.barrier(self)
+            else:
+                # A fresh PGCID (what the measured prototype did on every
+                # dup — Fig 4).
+                gid = f"dup:{self.identity()}:{self._dup_serial}"
+                self._dup_serial += 1
+        new = yield from self._new_comm(self.group, f"{self.name}.dup", gid,
+                                        subgroup=False, excid_state=excid_state)
         new.errhandler = self.errhandler
         new.attrs = self.attrs.copy_for_dup()
-        runtime.register_comm(new)
         return new
 
-    def _derive_excid_for_dup(self):
-        """Sub-generator: obtain the child's exCID state per the policy."""
+    def _new_comm(self, group: Group, name: str, gid: Optional[str],
+                  subgroup: bool = True,
+                  excid_state: Optional[ExcidState] = None):
+        """Sub-generator: the one place a constructor obtains its id.
+
+        Builds and registers a communicator over ``group``; every member
+        calls.  The id is ``excid_state`` when the caller derived one
+        (``dup``'s subfield policy); else, with the exCID generator, a
+        fresh PGCID from PMIx group construction under ``gid``
+        (§III-B3); else the consensus loop's CID (§III-B2), agreed among
+        ``group``'s members when ``subgroup``, over every parent rank
+        otherwise.
+        """
         runtime = self.runtime
-        policy = runtime.config.excid_dup_policy
-        if (
-            policy == "subfield"
-            and self.excid_state is not None
-            and self.excid_state.can_derive()
-        ):
-            # Purely local derivation; a barrier stands in for Open MPI's
-            # communicator-activation collective.
-            child = self.excid_state.derive()
-            yield from coll.barrier(self)
-            return child
-        # Acquire a fresh PGCID via PMIx group construction (what the
-        # measured prototype did on every dup — Fig 4).
-        serial = self._dup_serial
-        self._dup_serial += 1
-        gid = f"dup:{self.identity()}:{serial}"
-        pgcid = yield from runtime.pmix.group_construct(gid, self.group.members())
-        return ExcidState.from_pgcid(pgcid)
+        if excid_state is None and runtime.excid_enabled:
+            pgcid = yield from runtime.pmix.group_construct(gid, group.members())
+            excid_state = ExcidState.from_pgcid(pgcid)
+        if excid_state is not None:
+            cid = runtime.cid_table.lowest_free()
+        else:
+            members = ([self.group.rank_of(p) for p in group.members()]
+                       if subgroup else None)
+            cid = yield from allocate_consensus_cid(self, members)
+        new = Communicator(runtime, group, cid, excid_state=excid_state,
+                           name=name, session=self.session)
+        runtime.register_comm(new)
+        return new
 
     def split(self, color: int, key: int = 0):
         """Sub-generator: MPI_Comm_split.  color=UNDEFINED -> None."""
@@ -618,14 +616,10 @@ class Communicator:
             # Open MPI's split derives subgroup ids from the gathered
             # data; excluded ranks are done after the allgather.
             return None
-        mine = sorted(
-            [(k, r) for (c, k, r) in triples if c == color],
-        )
-        members = [self.group.proc(r) for _k, r in mine]
-        new_group = Group(members)
-        name = f"{self.name}.split{color}"
-        comm = yield from self._make_subset_comm(new_group, f"split:{self.identity()}:{color}", name)
-        return comm
+        mine = sorted((k, r) for (c, k, r) in triples if c == color)
+        group = Group([self.group.proc(r) for _k, r in mine])
+        return (yield from self._new_comm(
+            group, f"{self.name}.split{color}", f"split:{self.identity()}:{color}"))
 
     def split_type(self, split_type: str = "shared", key: int = 0):
         """Sub-generator: MPI_Comm_split_type.
@@ -651,96 +645,17 @@ class Communicator:
                 # Everyone participates in the agreement on the parent.
                 yield from allocate_consensus_cid(self)
             return None
-        return (yield from self._comm_create_common(group, "create"))
+        return (yield from self._new_comm(group, f"{self.name}.create",
+                                          f"create:{self.identity()}",
+                                          subgroup=False))
 
     def create_group(self, group: Group, tag: int = 0):
         """Sub-generator: MPI_Comm_create_group (only group members call)."""
         self._check()
         if self.runtime.proc not in group:
             raise MPIErrGroup("create_group caller must be a group member")
-        return (yield from self._comm_create_common(group, f"cgrp{tag}"))
-
-    def _comm_create_common(self, group: Group, what: str):
-        runtime = self.runtime
-        if not runtime.excid_enabled:
-            if what == "create":
-                cid = yield from allocate_consensus_cid(self)
-            else:
-                cid = yield from self._subset_consensus_cid(group)
-            new = Communicator(
-                runtime, group, cid, name=f"{self.name}.{what}", session=self.session
-            )
-        else:
-            # "not all processes are participating in the communicator
-            # creation" -> always a new PGCID (paper §III-B3).
-            gid = f"{what}:{self.identity()}"
-            pgcid = yield from runtime.pmix.group_construct(gid, group.members())
-            new = Communicator(
-                runtime,
-                group,
-                runtime.cid_table.lowest_free(),
-                excid_state=ExcidState.from_pgcid(pgcid),
-                name=f"{self.name}.{what}",
-                session=self.session,
-            )
-        runtime.register_comm(new)
-        return new
-
-    def _subset_consensus_cid(self, group: Group):
-        """Consensus among a subgroup, communicating over the parent.
-
-        Models Open MPI's create_group path: the agreement allreduce runs
-        on parent point-to-point among group members only.
-        """
-        from repro.ompi import constants
-        from repro.ompi.cid import MAX_CID
-
-        table = self.runtime.cid_table
-        members = [self.group.rank_of(p) for p in group.members()]
-        my_idx = members.index(self.rank)
-        floor = 0
-        while True:
-            proposed = table.lowest_free(at_least=floor)
-            agreed = yield from self._subset_allreduce(members, my_idx, proposed, constants.MAX)
-            unanimous = proposed == agreed and table.is_free(agreed)
-            all_ok = yield from self._subset_allreduce(
-                members, my_idx, 1 if unanimous else 0, constants.MIN
-            )
-            if all_ok:
-                return agreed
-            floor = agreed
-            if floor >= MAX_CID:  # pragma: no cover - defensive
-                raise MPIErrArg("CID space exhausted in subset consensus")
-
-    def _subset_allreduce(self, members: List[int], my_idx: int, value, op: Op):
-        """Allreduce among a rank subset of self (consensus-CID agreement)."""
-        from repro.ompi.coll.reduce import allreduce_indexed
-        from repro.ompi.constants import _TAG_CID
-
-        return (
-            yield from allreduce_indexed(
-                self, members, my_idx, value, op, nbytes=8, tag=_TAG_CID
-            )
-        )
-
-    def _make_subset_comm(self, group: Group, gid: str, name: str):
-        """Shared by split: build a communicator over ``group``."""
-        runtime = self.runtime
-        if not runtime.excid_enabled:
-            cid = yield from self._subset_consensus_cid(group)
-            new = Communicator(runtime, group, cid, name=name, session=self.session)
-        else:
-            pgcid = yield from runtime.pmix.group_construct(gid, group.members())
-            new = Communicator(
-                runtime,
-                group,
-                runtime.cid_table.lowest_free(),
-                excid_state=ExcidState.from_pgcid(pgcid),
-                name=name,
-                session=self.session,
-            )
-        runtime.register_comm(new)
-        return new
+        return (yield from self._new_comm(group, f"{self.name}.cgrp{tag}",
+                                          f"cgrp{tag}:{self.identity()}"))
 
     # ------------------------------------------------------------------
     # ULFM-lite recovery (docs/recovery.md)
@@ -870,23 +785,20 @@ class Communicator:
                     r = self.group.rank_of(proc)
                     if r >= 0:
                         self._mark_failed(r)
-            new_group = Group(survivors)
             name = f"{self.name}.shrink"
             if not rt.excid_enabled:
                 self._ft_mode = True
                 try:
-                    cid = yield from self._subset_consensus_cid(new_group)
+                    new = yield from self._new_comm(Group(survivors), name, None)
                 finally:
                     self._ft_mode = False
-                new = Communicator(rt, new_group, cid, name=name,
-                                   session=self.session)
             else:
                 procs = list(survivors)
-                pgcid = None
-                for _attempt in range(4):
-                    gid = f"shrink:{self.identity()}:{serial}:{_attempt}"
+                new = None
+                for attempt in range(4):
+                    gid = f"shrink:{self.identity()}:{serial}:{attempt}"
                     try:
-                        pgcid = yield from rt.pmix.group_construct(gid, procs)
+                        new = yield from self._new_comm(Group(procs), name, gid)
                         break
                     except PmixError as err:
                         if err.status == PMIX_ERR_PROC_ABORTED and err.failed_procs:
@@ -894,21 +806,14 @@ class Communicator:
                             procs = [p for p in procs if p not in dead]
                             continue
                         raise
-                if pgcid is None:
+                if new is None:
                     raise MPIErrProcFailed(
                         f"{self.name}: shrink group construction kept failing"
                     )
-                new_group = Group(procs)
-                new = Communicator(
-                    rt, new_group, rt.cid_table.lowest_free(),
-                    excid_state=ExcidState.from_pgcid(pgcid), name=name,
-                    session=self.session,
-                )
         finally:
             if sid:
                 self._obs_end(sid)
         new.errhandler = self.errhandler
-        rt.register_comm(new)
         rt.cluster.recovery_stats["shrink"] += 1
         return new
 
@@ -946,10 +851,6 @@ class MatchedMessage:
     @property
     def tag(self) -> int:
         return self._msg.tag
-
-    @property
-    def count(self) -> int:
-        return self._msg.nbytes
 
     def mrecv(self, status: Optional[Status] = None):
         """Sub-generator: MPI_Mrecv — receive exactly this message."""

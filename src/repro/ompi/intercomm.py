@@ -16,7 +16,7 @@ remote group).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.ompi.constants import ANY_SOURCE, ANY_TAG
 from repro.ompi.errors import MPIErrArg, MPIErrGroup, MPIErrRank
@@ -139,16 +139,6 @@ class Intercomm:
             proc = self._bridge.group.proc(status.source)
             status.source = self.remote_group.rank_of(proc)
         return payload
-
-    def isend(self, obj, dest: int, tag: int = 0, nbytes: Optional[int] = None):
-        self._check()
-        return (yield from self._bridge.isend(obj, self._bridge_rank(dest), tag, nbytes))
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        self._check()
-        if source == ANY_SOURCE:
-            return self._bridge.irecv(ANY_SOURCE, tag)
-        return self._bridge.irecv(self._bridge_rank(source), tag)
 
     # -- collectives ---------------------------------------------------------
     def barrier(self):

@@ -19,9 +19,8 @@ Shared by ``python -m repro recovery`` (the chaos-soak CLI) and
 
 from __future__ import annotations
 
-import json
 import random
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.api import SimSpec, run_world
 from repro.faults import FaultPlan, random_plan
@@ -29,6 +28,7 @@ from repro.machine.presets import laptop
 from repro.ompi.constants import SUM
 from repro.ompi.errors import ERRORS_RETURN, MPIErrProcFailed, MPIErrRevoked
 from repro.simtime.process import Sleep
+from repro.sweep import result_digest
 
 # Timeline (seconds of simulated time).  mpi_init for 8 ranks on the
 # laptop preset ends near t=0.003, so the fault window opens mid-way
@@ -225,8 +225,4 @@ def soak_run(
 def digest(record: Dict[str, Any]) -> str:
     """Canonical sha256 over a result record (minus any digest field):
     two runs of the same seed must produce the same digest."""
-    import hashlib     # kept off the import path of a plain simulation
-
-    clean = {k: v for k, v in record.items() if k != "digest"}
-    blob = json.dumps(clean, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return result_digest({k: v for k, v in record.items() if k != "digest"})

@@ -21,7 +21,6 @@ Two self-hosting probes sit beside it (``tests/serve/`` runs both):
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -32,7 +31,7 @@ from repro.recovery import soak_run
 from repro.serve.client import ServeClient
 from repro.serve.protocol import ServeAddress, as_address
 from repro.serve.thread import ServerThread
-from repro.sweep import SweepPoint, run_sweep
+from repro.sweep import CANONICAL, SweepPoint, run_sweep
 
 Workload = List[Tuple[str, Dict[str, Any]]]
 
@@ -201,8 +200,7 @@ def determinism_check(seeds: Sequence[int], *, workers: int = 2,
 
     serial = run_sweep([SweepPoint("recovery-soak", soak_run, p)
                         for p in params])
-    canon = lambda obj: json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    matches = [canon(served.get(i)) == canon(serial[i])
+    matches = [CANONICAL.encode(served.get(i)) == CANONICAL.encode(serial[i])
                for i in range(len(params))]
     return {
         "seeds": list(seeds),

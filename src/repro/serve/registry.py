@@ -40,7 +40,7 @@ from typing import Any, Callable, Dict, List
 
 from repro.api import SimSpec, run_world
 from repro.ompi.constants import SUM
-from repro.sweep import CANONICAL
+from repro.sweep import result_digest
 
 ScenarioFn = Callable[..., Any]
 
@@ -122,16 +122,13 @@ def _run_simspec(spec: Any, program: str, seed: int, tracer: Any) -> Dict[str, A
     res = run_world(sp, PROGRAMS[program], args=(seed,))
     res.raise_first_failure()
     results, t_end = res.result_list(sp.nprocs), res.t_end
-    import hashlib     # kept off the import path of a plain simulation
-
-    blob = CANONICAL.encode({"results": results, "t_end": t_end})
     return {
         "program": program,
         "seed": seed,
         "nprocs": sp.nprocs,
         "results": results,
         "t_end": t_end,
-        "digest": hashlib.sha256(blob.encode()).hexdigest(),
+        "digest": result_digest({"results": results, "t_end": t_end}),
     }
 
 

@@ -50,8 +50,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 _SRC_ROOT = os.path.dirname(os.path.abspath(__file__))
 
 #: Canonical JSON (sorted keys, compact separators): cache keys, result
-#: digests and the serve wire format.  One encoder for all of them, as
-#: ``json.dumps`` with these options builds a new one per call.
+#: digests, the serve wire format and trace export.  One encoder for all
+#: of them, as ``json.dumps`` with these options builds a new one per call.
 CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 _source_digest_cache: Optional[str] = None
@@ -94,7 +94,9 @@ ENVELOPE_VERSION = 1
 
 
 def result_digest(result: Any) -> str:
-    """sha256 over the canonical JSON of a cached result payload."""
+    """sha256 over the canonical JSON of ``result``: the one digest of
+    cached results, served ``sim`` runs, soak records and the identity
+    corpus."""
     import hashlib
 
     blob = CANONICAL.encode(result)

@@ -1,11 +1,51 @@
 """The legacy consensus CID allocator (paper §III-B2)."""
 
+from collections import Counter
+
 import pytest
 
+from repro.api import SimSpec, run_world
+from repro.machine.presets import laptop
 from repro.ompi.cid import MAX_CID, CidTable
-from repro.ompi.constants import SUM
+from repro.ompi.config import MpiConfig
+from repro.ompi.constants import _TAG_ALLGATHER, _TAG_CID, SUM
 from repro.ompi.errors import MPIErrIntern
+from repro.ompi.pml.ob1 import Ob1Endpoint
 from tests.ompi.conftest import world_program
+
+#: The three constructors whose consensus runs over a different member
+#: list: every parent rank (dup), a reversed-key half of the parent
+#: (split: members [4, 2, 0] and [5, 3, 1]), an unsorted subgroup
+#: (create_group over parent ranks [3, 0, 5, 2]).
+CONSTRUCTORS = ("dup", "split", "create_group")
+
+#: (t_end, pml.packets) of :meth:`TestConsensus.test_fragmented_split_is_pinned`.
+PINNED_SPLIT = (0.004800244658872456, 430)
+#: Sends per tag in that run: the split's allgather and its consensus
+#: (init and finalize send nothing through ob1).
+PINNED_SPLIT_TAGS = {_TAG_ALLGATHER: 30, _TAG_CID: 400}
+
+
+def construct(kind, comm):
+    """Sub-generator: build a ``kind`` communicator from ``comm``;
+    None on a rank outside create_group's subgroup."""
+    if kind == "dup":
+        return (yield from comm.dup())
+    if kind == "split":
+        return (yield from comm.split(color=comm.rank % 2, key=-comm.rank))
+    members = [3, 0, 5, 2]
+    if comm.rank not in members:
+        return None
+    return (yield from comm.create_group(comm.get_group().incl(members), tag=5))
+
+
+def fragment_table(mpi, rank):
+    """Block eight staggered CID indices, a different set per rank."""
+    sentinel = object()
+    for i in range(8):
+        idx = 2 + (rank + i * 3) % 24
+        if mpi.cid_table.is_free(idx):
+            mpi.cid_table.reserve(idx, sentinel)
 
 
 class TestCidTable:
@@ -59,9 +99,11 @@ class TestConsensus:
 
         assert set(mpi_run(4, world_program(body))) == {True}
 
-    def test_agreement_despite_asymmetric_fragmentation(self, mpi_run):
+    @pytest.mark.parametrize("kind", CONSTRUCTORS)
+    def test_agreement_despite_asymmetric_fragmentation(self, mpi_run, kind):
         """Each rank fragments its table differently; the consensus
-        still converges on a mutually free index."""
+        still converges on a mutually free index — over the parent for
+        dup, within the subgroup for split and create_group."""
 
         def body(mpi, comm):
             sentinel = object()
@@ -70,42 +112,63 @@ class TestConsensus:
                 idx = 2 + comm.rank + i * 2
                 if mpi.cid_table.is_free(idx):
                     mpi.cid_table.reserve(idx, sentinel)
-            dup = yield from comm.dup()
-            agreed = yield from comm.allgather(dup.local_cid)
-            locally_valid = mpi.cid_table.get(dup.local_cid) is dup
-            dup.free()
+            new = yield from construct(kind, comm)
+            if new is None:
+                return None
+            agreed = yield from new.allgather(new.local_cid)
+            locally_valid = mpi.cid_table.get(new.local_cid) is new
+            new.free()
             return (len(set(agreed)) == 1, locally_valid)
 
-        assert set(mpi_run(4, world_program(body))) == {(True, True)}
+        results = mpi_run(6, world_program(body))
+        assert set(results) - {None} == {(True, True)}
 
-    def test_fragmentation_costs_rounds(self, mpi_run):
+    @pytest.mark.parametrize("kind", CONSTRUCTORS)
+    def test_fragmentation_costs_rounds(self, mpi_run, kind):
         """More rounds of reductions when proposals conflict (the
         weakness §IV-C2 discusses)."""
 
-        def clean(mpi, comm):
-            yield from comm.barrier()
-            t0 = mpi.engine.now
-            dup = yield from comm.dup()
-            elapsed = mpi.engine.now - t0
-            dup.free()
-            return elapsed
+        def timed(fragment):
+            def body(mpi, comm):
+                if fragment:
+                    fragment_table(mpi, comm.rank)
+                yield from comm.barrier()
+                t0 = mpi.engine.now
+                new = yield from construct(kind, comm)
+                elapsed = mpi.engine.now - t0
+                if new is None:
+                    return 0.0
+                new.free()
+                return elapsed
 
-        def fragmented(mpi, comm):
-            sentinel = object()
-            for i in range(8):
-                idx = 2 + (comm.rank + i * 3) % 24
-                if mpi.cid_table.is_free(idx):
-                    mpi.cid_table.reserve(idx, sentinel)
-            yield from comm.barrier()
-            t0 = mpi.engine.now
-            dup = yield from comm.dup()
-            elapsed = mpi.engine.now - t0
-            dup.free()
-            return elapsed
+            return max(mpi_run(6, world_program(body)))
 
-        t_clean = max(mpi_run(4, world_program(clean)))
-        t_frag = max(mpi_run(4, world_program(fragmented)))
-        assert t_frag > t_clean
+        assert timed(fragment=True) > timed(fragment=False)
+
+    def test_fragmented_split_is_pinned(self, monkeypatch):
+        """The subgroup loop's member order and tag fix the simulated
+        time, the packet count and the tags on the wire: a fragmented
+        split of six ranks into two reversed-key halves."""
+        tags = Counter()
+        start_send = Ob1Endpoint.start_send
+
+        def counting(self, comm, payload, dest, tag, *rest):
+            tags[tag] += 1
+            return start_send(self, comm, payload, dest, tag, *rest)
+
+        def main(mpi):
+            comm = yield from mpi.mpi_init()
+            fragment_table(mpi, comm.rank)
+            new = yield from construct("split", comm)
+            new.free()
+            yield from mpi.mpi_finalize()
+
+        monkeypatch.setattr(Ob1Endpoint, "start_send", counting)
+        res = run_world(SimSpec(nprocs=6, machine=laptop(num_nodes=2), ppn=3,
+                                config=MpiConfig.baseline()), main)
+        res.raise_first_failure()
+        assert (res.t_end, res.counters["pml.packets"]) == PINNED_SPLIT
+        assert dict(tags) == PINNED_SPLIT_TAGS
 
     def test_subset_consensus_via_create_group(self, mpi_run):
         def body(mpi, comm):
