@@ -6,9 +6,16 @@ latency test; ``figures`` exposes one entry point per paper table or
 figure, each printing the same rows/series the paper reports and
 returning structured data; ``claims`` holds the paper's claims about
 them as one checked table.
+
+``figures`` and the ``harness`` names resolve on first use, so importing
+one submodule (``perf``, ``osu``, ...) loads no figure code.
 """
 
-from repro.bench.harness import BenchResult, Series, format_table
-from repro.bench import figures
+from repro._lazy import lazy_getattr
+
+#: Names resolved on first use, and the submodule that defines each.
+_LAZY = {"BenchResult": "harness", "Series": "harness",
+         "format_table": "harness", "figures": "figures"}
+__getattr__ = lazy_getattr(__name__, _LAZY)
 
 __all__ = ["BenchResult", "Series", "format_table", "figures"]

@@ -8,7 +8,7 @@ jobs and MPI rank processes on top of it.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from repro.faults import FaultManager, FaultPlan
 from repro.machine.model import MachineModel
@@ -20,6 +20,9 @@ from repro.prrte.psets import PsetRegistry
 from repro.simtime.engine import Engine
 from repro.simtime.process import SimProcess
 from repro.simtime.trace import NULL_TRACER, Tracer
+
+if TYPE_CHECKING:
+    from repro.obs.metrics import MetricsRegistry
 
 
 class Cluster:
@@ -38,14 +41,10 @@ class Cluster:
         self.engine = Engine()
         self.tracer = tracer or NULL_TRACER
         # Observability (docs/observability.md): every layer reaches the
-        # tracer through the engine it already holds; metrics stay
-        # disabled until a caller flips ``metrics.enabled`` (snapshot
-        # harvesting works regardless).
+        # tracer and the metrics registry through the engine it already
+        # holds.  ``engine.metrics`` stays ``None`` (disabled) until the
+        # first read of :attr:`metrics`.
         self.engine.tracer = self.tracer
-        from repro.obs.metrics import MetricsRegistry
-
-        self.metrics = MetricsRegistry()
-        self.engine.metrics = self.metrics
         self.psets = PsetRegistry()
         self.dvm = DVM(self.engine, self.machine, grpcomm_mode, grpcomm_radix)
         self.servers = [PmixServer(daemon, self.psets) for daemon in self.dvm.daemons]
@@ -66,6 +65,21 @@ class Cluster:
             self.dvm.rml.enable_reliability(seed=recovery_seed)
             for daemon in self.dvm.daemons:
                 daemon.grpcomm.recovery = True
+
+    @property
+    def metrics(self) -> "MetricsRegistry":
+        """The metrics registry, built on first use.
+
+        It stays disabled until a caller flips ``metrics.enabled``
+        (snapshot harvesting works regardless), so a run that never asks
+        for it makes no call into ``repro.obs``.
+        """
+        registry = self.engine.metrics
+        if registry is None:
+            from repro.obs.metrics import MetricsRegistry
+
+            registry = self.engine.metrics = MetricsRegistry()
+        return registry
 
     def __del__(self) -> None:
         """The DVM goes down with the last reference to its cluster.

@@ -20,12 +20,29 @@ telemetry" section of ``docs/observability.md``:
 * :mod:`repro.obs.prom` — Prometheus text exposition of the registry.
 """
 
-from repro.obs.critical_path import compute_critical_path
-from repro.obs.export import chrome_trace, dumps, flame_report, validate_chrome_trace
-from repro.obs.live import LiveTelemetry, normalize_chrome_trace, trace_id
-from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.prom import prometheus_text
-from repro.obs.store import RunLedger
+from repro._lazy import lazy_getattr
+
+#: Every public name and submodule, and the submodule that defines it.
+#: They resolve on first use, so a job that never traces, exports or
+#: serves loads none of these modules.
+_LAZY = {
+    "compute_critical_path": "critical_path",
+    "chrome_trace": "export",
+    "dumps": "export",
+    "flame_report": "export",
+    "validate_chrome_trace": "export",
+    "LiveTelemetry": "live",
+    "normalize_chrome_trace": "live",
+    "trace_id": "live",
+    "Histogram": "metrics",
+    "MetricsRegistry": "metrics",
+    "prometheus_text": "prom",
+    "RunLedger": "store",
+    **{module: module for module in (
+        "critical_path", "export", "identity", "live", "metrics", "prom",
+        "scenarios", "store")},
+}
+__getattr__ = lazy_getattr(__name__, _LAZY)
 
 __all__ = [
     "Histogram",

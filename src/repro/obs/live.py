@@ -37,7 +37,6 @@ import threading
 import time
 from typing import Any, Callable, Dict
 
-from repro.obs.export import chrome_trace, dumps
 from repro.simtime.trace import Tracer
 
 
@@ -97,11 +96,15 @@ class LiveTelemetry:
     # -- export --------------------------------------------------------------
     def export(self) -> Dict[str, Any]:
         """The Chrome ``trace_event`` object for everything recorded."""
+        from repro.obs.export import chrome_trace
+
         with self._lock:
             return chrome_trace(self.tracer)
 
     def write(self, path: str) -> None:
         """Write the export as deterministic JSON (modulo timestamps)."""
+        from repro.obs.export import dumps
+
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "w") as fh:
             fh.write(dumps(self.export()))
@@ -121,6 +124,8 @@ def normalize_chrome_trace(obj: Dict[str, Any]) -> Dict[str, Any]:
     sequences must serialize byte-identically (the live-telemetry
     determinism contract asserted by ``tests/serve/test_telemetry.py``).
     """
+    from repro.obs.export import dumps
+
     out = dict(obj)
     events = []
     for ev in obj.get("traceEvents", ()):

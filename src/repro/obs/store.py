@@ -26,6 +26,8 @@ import threading
 import time
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
+from repro.sweep import CANONICAL
+
 if TYPE_CHECKING:  # the first connection imports it, not a plain simulation
     import sqlite3
 
@@ -79,9 +81,12 @@ class RunLedger:
                trace: str = "", trace_path: str = "",
                detail: Optional[Dict[str, Any]] = None,
                ts: Optional[float] = None) -> int:
-        """Append one run row; returns its ledger id."""
-        blob = json.dumps(detail or {}, sort_keys=True,
-                          separators=(",", ":"), default=str)
+        """Append one run row; returns its ledger id.
+
+        ``detail`` is stored as canonical JSON; a value JSON cannot
+        encode raises ``TypeError``.
+        """
+        blob = CANONICAL.encode(detail or {})
         with self._lock:
             conn = self._connect()
             cur = conn.execute(

@@ -8,8 +8,12 @@ CID allocator and the new exCID generator, communicators/groups/
 collectives, and the two initialization models — the classic World
 Process Model (``MPI_Init``/``MPI_COMM_WORLD``) and the Sessions
 Process Model (``MPI_Session_init`` → pset → group → communicator).
+
+``Info``, ``Window`` and ``File`` (the names in ``_LAZY``) resolve on
+first use, so a job that never creates one never loads their modules.
 """
 
+from repro._lazy import lazy_getattr
 from repro.ompi.constants import (
     ANY_SOURCE,
     ANY_TAG,
@@ -40,7 +44,6 @@ from repro.ompi.errors import (
     ERRORS_ARE_FATAL,
     ERRORS_RETURN,
 )
-from repro.ompi.info import Info
 from repro.ompi.datatype import (
     Datatype,
     BYTE,
@@ -59,8 +62,10 @@ from repro.ompi.config import MpiConfig
 from repro.ompi.runtime import MpiRuntime
 from repro.ompi.session import Session
 from repro.ompi.comm import Communicator
-from repro.ompi.win import Window
-from repro.ompi.io import File
+
+#: Names whose modules a plain job never needs.
+_LAZY = {"Info": "info", "Window": "win", "File": "io"}
+__getattr__ = lazy_getattr(__name__, _LAZY)
 
 __all__ = [
     "ANY_SOURCE",

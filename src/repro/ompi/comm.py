@@ -495,31 +495,6 @@ class Communicator:
         self._pre_coll()
         return (yield from coll.exscan(self, value, op, nbytes))
 
-    # -- v-variants and reduce_scatter ----------------------------------
-    def gatherv(self, value, root: int = 0, nbytes: Optional[int] = None):
-        self._pre_coll()
-        from repro.ompi.coll.vcolls import gatherv
-
-        return (yield from gatherv(self, value, root, nbytes))
-
-    def scatterv(self, values, root: int = 0):
-        self._pre_coll()
-        from repro.ompi.coll.vcolls import scatterv
-
-        return (yield from scatterv(self, values, root))
-
-    def allgatherv(self, value, nbytes: Optional[int] = None):
-        self._pre_coll()
-        from repro.ompi.coll.vcolls import allgatherv
-
-        return (yield from allgatherv(self, value, nbytes))
-
-    def reduce_scatter_block(self, values, op: Op, nbytes: Optional[int] = None):
-        self._pre_coll()
-        from repro.ompi.coll.vcolls import reduce_scatter_block
-
-        return (yield from reduce_scatter_block(self, values, op, nbytes))
-
     # -- nonblocking collectives ------------------------------------------
     def ibcast(self, obj, root: int = 0, nbytes: Optional[int] = None):
         self._pre_coll()

@@ -30,8 +30,7 @@ def build_bridge(runtime, session, my_members, remote_members, tag_str: str,
                  consensus_tag: int):
     """Sub-generator: the hidden intracommunicator spanning both sides.
 
-    Shared by :meth:`Intercomm.create`, :meth:`Intercomm.merge`, and
-    ``dynamic.comm_connect/accept``.  Both sides order the union
+    Used by :meth:`Intercomm.create`.  Both sides order the union
     identically (group with the lowest leader process first) and build
     it with the exCID machinery, or via ``create_group`` on the WPM
     world when the exCID generator is unavailable.

@@ -296,36 +296,6 @@ class PmixClient:
             raise PmixError(PMIX_ERR_NOT_FOUND, f"process set {name!r}")
         return members
 
-    # -- publish / lookup ------------------------------------------------------------
-    def publish(self, key: str, value: Any):
-        """PMIx_Publish: post (key, value) on the job-global data board.
-
-        The classic dynamic-process rendezvous: a server publishes its
-        "port", clients look it up.
-        """
-        yield Sleep(self.machine.local_rpc_cost)
-        self.server.publish(key, value)
-
-    def lookup(self, key: str, wait: bool = False, timeout: Optional[float] = None):
-        """PMIx_Lookup: fetch a published value.
-
-        ``wait=False``: returns (found, value) immediately (one HNP round
-        trip).  ``wait=True``: blocks until someone publishes the key (or
-        raises PMIX_ERR_TIMEOUT after ``timeout`` seconds).
-        """
-        yield Sleep(self.machine.local_rpc_cost)
-        ev = self.server.lookup(key, wait)
-        try:
-            found, value = yield Wait(ev, timeout=timeout)
-        except SimTimeout:
-            raise PmixError(PMIX_ERR_TIMEOUT, f"lookup of {key!r} timed out") from None
-        return found, value
-
-    def unpublish(self, key: str):
-        """PMIx_Unpublish."""
-        yield Sleep(self.machine.local_rpc_cost)
-        self.server.unpublish(key)
-
     # -- asynchronous groups (invite/join, paper §III-A) -----------------------------
     def set_invite_handler(self, fn: Callable[[str, PmixProc, Dict], bool]) -> None:
         """Register the callback deciding whether to join invited groups."""

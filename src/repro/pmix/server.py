@@ -110,9 +110,6 @@ class PmixServer(AsyncGroupServerMixin):
         daemon.add_handler("dmodex_req", self._handle_dmodex_req)
         daemon.add_handler("dmodex_resp", self._handle_dmodex_resp)
         daemon.add_handler("event_fwd", self._handle_event_fwd)
-        daemon.add_handler("pub_resp", self._handle_pub_resp)
-        self._pub_pending: Dict[int, SimEvent] = {}
-        self._pub_ids = itertools.count()
         self._init_async_groups()
 
     # -- registration -------------------------------------------------------
@@ -532,30 +529,6 @@ class PmixServer(AsyncGroupServerMixin):
             return
         self.datastore.merge_blob(msg.payload["proc"], msg.payload["blob"])
         ev.succeed(msg.payload["blob"])
-
-    # -- publish / lookup (HNP data board) --------------------------------------------
-    def publish(self, key: str, value: Any) -> None:
-        self.daemon.send(self.daemon.dvm.hnp_node, "pub_put", {"key": key, "value": value})
-
-    def unpublish(self, key: str) -> None:
-        self.daemon.send(self.daemon.dvm.hnp_node, "pub_unpublish", {"key": key})
-
-    def lookup(self, key: str, wait: bool) -> SimEvent:
-        """Returns an event succeeding with (found, value)."""
-        req_id = next(self._pub_ids)
-        ev = SimEvent()
-        self._pub_pending[req_id] = ev
-        self.daemon.send(
-            self.daemon.dvm.hnp_node,
-            "pub_lookup",
-            {"key": key, "reply_to": self.node, "req_id": req_id, "wait": wait},
-        )
-        return ev
-
-    def _handle_pub_resp(self, msg) -> None:
-        ev = self._pub_pending.pop(msg.payload["req_id"], None)
-        if ev is not None:
-            ev.succeed((msg.payload["found"], msg.payload["value"]))
 
     # -- events ----------------------------------------------------------------------
     def register_event_handler(

@@ -43,9 +43,6 @@ class Daemon:
             "grpcomm_flat": self.grpcomm.handle_flat,
             "pgcid_req": self._handle_pgcid_req,
             "pgcid_resp": self.grpcomm.handle_pgcid_resp,
-            "pub_put": self._handle_pub_put,
-            "pub_lookup": self._handle_pub_lookup,
-            "pub_unpublish": self._handle_pub_unpublish,
             "daemon_down": self._handle_daemon_down,
         }
         dvm.rml.register(node, self.deliver)
@@ -139,39 +136,6 @@ class Daemon:
             self.pmix_server.node_down(down)
 
     # -- HNP services -----------------------------------------------------
-    def _require_hnp(self) -> None:
-        if self.node != self.dvm.hnp_node:
-            raise RuntimeError("publish/lookup request routed to non-HNP daemon")
-
-    def _handle_pub_put(self, msg: RmlMessage) -> None:
-        """PMIx_Publish: store on the HNP's board; wake pending lookups."""
-        self._require_hnp()
-        key = msg.payload["key"]
-        self.dvm.published[key] = msg.payload["value"]
-        for reply_to, req_id in self.dvm.pending_lookups.pop(key, []):
-            self.send(reply_to, "pub_resp",
-                      {"req_id": req_id, "found": True, "value": msg.payload["value"]})
-
-    def _handle_pub_lookup(self, msg: RmlMessage) -> None:
-        """PMIx_Lookup: answer immediately, or queue if wait requested."""
-        self._require_hnp()
-        key = msg.payload["key"]
-        if key in self.dvm.published:
-            self.send(msg.payload["reply_to"], "pub_resp",
-                      {"req_id": msg.payload["req_id"], "found": True,
-                       "value": self.dvm.published[key]})
-        elif msg.payload.get("wait"):
-            self.dvm.pending_lookups.setdefault(key, []).append(
-                (msg.payload["reply_to"], msg.payload["req_id"])
-            )
-        else:
-            self.send(msg.payload["reply_to"], "pub_resp",
-                      {"req_id": msg.payload["req_id"], "found": False, "value": None})
-
-    def _handle_pub_unpublish(self, msg: RmlMessage) -> None:
-        self._require_hnp()
-        self.dvm.published.pop(msg.payload["key"], None)
-
     def _handle_pgcid_req(self, msg: RmlMessage) -> None:
         if self.node != self.dvm.hnp_node:
             raise RuntimeError("pgcid_req routed to non-HNP daemon")
@@ -210,9 +174,6 @@ class DVM:
         self._job_counter = itertools.count(1)
         self.fence_retries = 0   # survivor-reissued fences (recovery mode)
         self.boot_time = self._model_boot_time()
-        # PMIx publish/lookup board, owned by the HNP.
-        self.published: Dict[str, Any] = {}
-        self.pending_lookups: Dict[str, List] = {}
 
     def _model_boot_time(self) -> float:
         """Simulated DVM bootstrap cost (daemons wire up over a tree)."""

@@ -19,8 +19,7 @@ Importing the package loads no asyncio or multiprocessing: the names in
 ``_LAZY`` resolve on first use, and ``ServerThread`` loads the server.
 """
 
-import importlib
-
+from repro._lazy import lazy_getattr
 from repro.serve.client import ServeClient, ServeConnectionError
 from repro.serve.protocol import VERSION, ServeAddress
 from repro.serve.registry import (
@@ -38,14 +37,7 @@ from repro.serve.thread import ServerThread
 #: Names whose modules load the serving runtime.
 _LAZY = {"ServeStats": "server", "SimServer": "server",
          "Worker": "pool", "WorkerDied": "pool"}
-
-
-def __getattr__(name: str):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
-    globals()[name] = value
-    return value
+__getattr__ = lazy_getattr(__name__, _LAZY)
 
 __all__ = [
     "PROGRAMS",

@@ -22,7 +22,7 @@ from repro.simtime.process import (
     Self,
     ProcessKilled,
 )
-from repro.simtime.primitives import SimEvent, Mailbox, Semaphore, SimBarrier
+from repro.simtime.primitives import SimEvent, SimBarrier
 
 __all__ = [
     "Engine",
@@ -38,7 +38,5 @@ __all__ = [
     "Self",
     "ProcessKilled",
     "SimEvent",
-    "Mailbox",
-    "Semaphore",
     "SimBarrier",
 ]

@@ -232,30 +232,6 @@ class Engine:
         return len(self._live)
 
     # -- run loop ---------------------------------------------------------
-    def step(self) -> bool:
-        """Run the next scheduled event.  Returns False if queue empty."""
-        ready = self._ready
-        q = self._queue
-        while True:
-            # Heap entries due at now predate (smaller seq) every ready
-            # entry, so they drain first; see the module docstring.
-            if ready and (not q or q[0][0] > self.now):
-                fn = ready.popleft()[2]
-                if fn is _CANCELED:
-                    self._ncanceled -= 1
-                    continue
-            elif q:
-                when, _seq, fn = heapq.heappop(q)
-                if fn is _CANCELED:
-                    self._ncanceled -= 1
-                    continue
-                self.now = when
-            else:
-                return False
-            self.events_executed += 1
-            fn()
-            return True
-
     def run(self, until: Optional[float] = None, *, detect_deadlock: bool = True) -> float:
         """Run events until the queue drains or ``until`` is reached.
 

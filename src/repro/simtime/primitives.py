@@ -1,13 +1,14 @@
 """Synchronization primitives for simulated processes.
 
-These are *simulation-level* primitives used to build the middleware
-stack; they are distinct from the MPI-level objects (``MPI_Barrier``
-etc.) implemented on top of the simulated transport.
+:class:`SimEvent` is the one-shot event every blocking effect waits on;
+:class:`SimBarrier` is the reusable barrier QUO's node-local contexts
+use.  Both are *simulation-level* primitives used to build the
+middleware stack; they are distinct from the MPI-level objects
+(``MPI_Barrier`` etc.) implemented on top of the simulated transport.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Callable, Optional
 
 
@@ -87,81 +88,6 @@ class SimEvent:
                 cb(None, exc)
         elif waiters is not None:
             waiters(None, exc)
-
-
-class Mailbox:
-    """Unbounded FIFO channel between simulated processes.
-
-    ``put`` never blocks; ``get`` is a sub-generator to be used as
-    ``item = yield from mbox.get()``.
-    """
-
-    __slots__ = ("_items", "_waiters")
-
-    def __init__(self) -> None:
-        self._items: deque = deque()
-        self._waiters: deque = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        while self._waiters:
-            ev = self._waiters.popleft()
-            if not ev.triggered:
-                ev.succeed(item)
-                return
-        self._items.append(item)
-
-    def get(self):
-        """Sub-generator: receive the next item, blocking if empty."""
-        from repro.simtime.process import Wait
-
-        if self._items:
-            return self._items.popleft()
-        ev = SimEvent()
-        self._waiters.append(ev)
-        item = yield Wait(ev)
-        return item
-
-    def get_nowait(self) -> Any:
-        """Pop the next item immediately; raises IndexError if empty."""
-        return self._items.popleft()
-
-
-class Semaphore:
-    """Counting semaphore with FIFO wakeup."""
-
-    __slots__ = ("_count", "_waiters")
-
-    def __init__(self, value: int = 1) -> None:
-        if value < 0:
-            raise ValueError("semaphore initial value must be >= 0")
-        self._count = value
-        self._waiters: deque = deque()
-
-    @property
-    def value(self) -> int:
-        return self._count
-
-    def acquire(self):
-        """Sub-generator: ``yield from sem.acquire()``."""
-        from repro.simtime.process import Wait
-
-        if self._count > 0 and not self._waiters:
-            self._count -= 1
-            return
-        ev = SimEvent()
-        self._waiters.append(ev)
-        yield Wait(ev)
-
-    def release(self) -> None:
-        while self._waiters:
-            ev = self._waiters.popleft()
-            if not ev.triggered:
-                ev.succeed(None)
-                return
-        self._count += 1
 
 
 class SimBarrier:

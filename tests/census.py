@@ -6,6 +6,8 @@ Usage (from the repository root)::
     python tests/census.py entry          # ... by the entry points below
     python tests/census.py entry --commands FILE   # ... by FILE's commands
     python tests/census.py                # both
+    python tests/census.py --write        # both, and commit the lists
+    python tests/census.py --check        # both; exit 1 on a new def
 
 Each run is a shell command executed with a ``sitecustomize`` module
 first on ``PYTHONPATH``, so every Python process it starts — pytest,
@@ -17,16 +19,25 @@ enters it, with one ``O_APPEND`` write, so even a worker that is killed
 has already reported.  A function counts as entered when any process
 entered it; the universe is every ``def`` under ``src/repro``.
 
-The census records; it gates nothing.  Under the hook every call costs
-more, so wall-clock and per-rank footprint gates (the two in
-``tests/ompi/test_rank_footprint.py`` among them) read high and may fail
-in the tier-1 run; their functions are entered all the same.
+Under the hook every call costs more, so wall-clock and per-rank
+footprint gates (the two in ``tests/ompi/test_rank_footprint.py`` among
+them) read high and may fail in the tier-1 run; their functions are
+entered all the same.
+
+The ratchet: ``--write`` commits each census's never-entered defs as
+sorted ``file:qualname`` lines to ``tests/census/never_entered_<what>.txt``
+and lowers (never raises) that list's ceiling in
+``tests/census/ceilings.json``; ``--check`` exits 1 when a def the census
+never entered is missing from its list.  ``tests/test_census_lint.py``
+(tier-1, AST only) fails when a listed def no longer exists or a list
+outgrows its ceiling.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import json
 import os
 import shlex
 import socket
@@ -102,6 +113,10 @@ TIER1 = ["{py} -m pytest -q -p no:cacheprovider"]
 
 Func = Tuple[str, int]          # (path relative to SRC, first line)
 
+#: The committed lists and their ceilings.
+LISTS = os.path.join(ROOT, "tests", "census")
+CEILINGS = os.path.join(LISTS, "ceilings.json")
+
 
 def universe() -> Dict[Func, Tuple[str, int]]:
     """Every ``def`` under SRC: (path, first line) -> (qualname, lines).
@@ -169,7 +184,9 @@ def entered(commands: List[str]) -> Set[Func]:
 
 
 def report(title: str, funcs: Dict[Func, Tuple[str, int]],
-           seen: Set[Func]) -> None:
+           seen: Set[Func]) -> List[str]:
+    """Print what ``seen`` never entered; return it as sorted
+    ``file:qualname`` lines."""
     never = sorted(set(funcs) - seen)
     lines = sum(funcs[f][1] for f in never)
     print(f"never entered by {title}: {len(never)} of {len(funcs)} "
@@ -177,6 +194,42 @@ def report(title: str, funcs: Dict[Func, Tuple[str, int]],
     for rel, first in never:
         name, n = funcs[rel, first]
         print(f"  repro/{rel}:{first}  {name}  ({n} lines)")
+    return sorted({f"{rel}:{funcs[rel, first][0]}" for rel, first in never})
+
+
+def list_path(what: str) -> str:
+    return os.path.join(LISTS, f"never_entered_{what}.txt")
+
+
+def read_list(what: str) -> List[str]:
+    with open(list_path(what)) as fh:
+        return [ln.rstrip("\n") for ln in fh if ln.strip()]
+
+
+def read_ceilings() -> Dict[str, int]:
+    with open(CEILINGS) as fh:
+        return json.load(fh)
+
+
+def write_list(what: str, never: List[str]) -> None:
+    """Commit ``never`` as the list; lower its ceiling if it shrank."""
+    os.makedirs(LISTS, exist_ok=True)
+    with open(list_path(what), "w") as fh:
+        fh.writelines(f"{line}\n" for line in never)
+    ceilings = read_ceilings() if os.path.exists(CEILINGS) else {}
+    ceilings[what] = min(ceilings.get(what, len(never)), len(never))
+    with open(CEILINGS, "w") as fh:
+        json.dump(ceilings, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def check_list(what: str, never: List[str]) -> int:
+    """1 if the census never entered a def its committed list lacks."""
+    new = sorted(set(never) - set(read_list(what)))
+    for line in new:
+        print(f"census: {what}: never entered and not listed: {line}",
+              file=sys.stderr)
+    return 1 if new else 0
 
 
 def main(argv=None) -> int:
@@ -187,17 +240,33 @@ def main(argv=None) -> int:
                         help="entry mode: one shell command per line, "
                              "{py}/{tmp}/{addr} as in ENTRY_POINTS "
                              "(default: ENTRY_POINTS)")
+    parser.add_argument("--write", action="store_true",
+                        help="commit the never-entered lists (and lower "
+                             "their ceilings) under tests/census/")
+    parser.add_argument("--check", action="store_true",
+                        help="exit 1 if a never-entered def is missing "
+                             "from its committed list")
     args = parser.parse_args(argv)
+    if args.commands and (args.write or args.check):
+        parser.error("--write/--check compare the default entry points")
     funcs = universe()
+    legs = []
     if args.what in ("tier1", "all"):
-        report("tier-1", funcs, entered(TIER1))
+        legs.append(("tier1", "tier-1", TIER1))
     if args.what in ("entry", "all"):
         commands = ENTRY_POINTS
         if args.commands:
             with open(args.commands) as fh:
                 commands = [ln.strip() for ln in fh if ln.strip()]
-        report("entry points", funcs, entered(commands))
-    return 0
+        legs.append(("entry", "entry points", commands))
+    rc = 0
+    for what, title, commands in legs:
+        never = report(title, funcs, entered(commands))
+        if args.write:
+            write_list(what, never)
+        if args.check:
+            rc |= check_list(what, never)
+    return rc
 
 
 if __name__ == "__main__":

@@ -8,9 +8,10 @@ guarantee than "within noise" — the guard asserts exact equality.
 With tracing off every instrumentation site is one ``tracer.enabled``
 branch (or a test of the span id it stored): the free-when-off gate
 counts Python calls (``tests/_callcount.py``) into the tracer, into the
-``trace``/``_obs_*`` helpers and into the ``obs_track`` properties that
-build their arguments, from world construction to quiescence, and
-requires none.
+``trace``/``_obs_*`` helpers, into the ``obs_track`` properties that
+build their arguments and anywhere in ``repro.obs`` (a world builds its
+metrics registry only when something reads it), from world construction
+to quiescence, and requires none.
 """
 
 import pytest
@@ -69,14 +70,16 @@ class TestZeroOverhead:
                 raise p.exception
         tr = world.cluster.engine.tracer
         assert not tr.spans and not tr.flows and not tr.instants
+        assert world.cluster.engine.metrics is None     # built on first read
         assert world.cluster.metrics.counters == {}
         assert world.cluster.metrics.histograms == {}
 
 
 def _tracing_calls(tally):
-    """The calls of ``tally`` that only tracing should make."""
+    """The calls of ``tally`` that only tracing or metrics should make."""
     return {(path, name): n for (path, name), n in tally.items()
-            if path == "simtime/trace.py" or name == "obs_track"
+            if path == "simtime/trace.py" or path.startswith("obs/")
+            or name == "obs_track"
             or (path, name) in {("faults/__init__.py", "trace"),
                                 ("ompi/comm.py", "_obs_begin"),
                                 ("ompi/comm.py", "_obs_end")}}

@@ -5,6 +5,7 @@ import threading
 import pytest
 
 from repro.obs.store import RunLedger
+from repro.sweep import CANONICAL
 
 pytestmark = pytest.mark.obs
 
@@ -33,6 +34,19 @@ class TestRecord:
                       detail={"events": 1768, "speedup": 2.5})
         row = ledger.query()[0]
         assert row["detail"] == {"events": 1768, "speedup": 2.5}
+
+    def test_detail_is_stored_canonically(self, ledger):
+        detail = {"z": [1, 2.5, None], "a": {"nested": "é", "b": True}}
+        ledger.record(kind="bench", scenario="s", ts=1.0, detail=detail)
+        row = ledger.query()[0]
+        assert CANONICAL.encode(row["detail"]) == CANONICAL.encode(detail)
+        stored, = ledger._connect().execute("SELECT detail FROM runs").fetchone()
+        assert stored == CANONICAL.encode(detail)
+
+    def test_detail_that_is_not_json_raises(self, ledger):
+        with pytest.raises(TypeError):
+            ledger.record(kind="bench", scenario="s", detail={"when": object()})
+        assert ledger.count() == 0
 
     def test_persists_across_instances(self, tmp_path):
         path = str(tmp_path / "l.sqlite")

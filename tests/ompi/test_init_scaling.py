@@ -15,6 +15,8 @@ one ``serve-cold`` request has a ceiling of its own.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.api import SimSpec, make_world
@@ -22,7 +24,9 @@ from repro.machine.presets import jupiter
 from repro.ompi.config import MpiConfig
 from repro.serve.registry import run_simspec
 from tests._callcount import counting_calls
+from tests.test_numpy_lazy import run_fresh
 
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 PPN = 16
 
 
@@ -72,8 +76,10 @@ def calls_per_rank(job: str, nodes: int) -> float:
 CEILING = {"sessions": 420, "mpi_init": 295}
 
 #: One ``serve-cold`` request's simulation (the Sessions program of
-#: ``run_simspec`` on jupiter 2x8) from its spec payload to the digest:
-#: 9 791 calls, 11 953 before the changes above.
+#: ``run_simspec`` on jupiter 2x8) from its spec payload to the digest,
+#: as the first job of a process: 9 791 calls, 11 953 before the changes
+#: above (9 807 while each world built a metrics registry and the first
+#: job imported ``repro.obs.metrics``).
 SIMSPEC_CEILING = 9800
 
 
@@ -97,11 +103,22 @@ def test_calls_per_rank_flat_128_to_512(job):
 
 
 def test_calls_per_simspec_job():
-    with counting_calls() as tally:
-        simspec_job()
-    assert tally.total <= SIMSPEC_CEILING, (
-        f"{tally.total} calls for one run_simspec job (ceiling "
-        f"{SIMSPEC_CEILING}); calls by function:\n{tally.top(15)}")
+    """Counted in a fresh interpreter, so the first job of a process
+    pays its one-time costs (the modules it imports lazily) here too,
+    whatever ran before this test."""
+    run_fresh(f"""
+        import sys
+        sys.path.insert(0, {ROOT!r})
+        from tests._callcount import counting_calls
+        from tests.ompi.test_init_scaling import SIMSPEC_CEILING, simspec_job
+
+        with counting_calls() as tally:
+            simspec_job()
+        assert tally.total <= SIMSPEC_CEILING, (
+            f"{{tally.total}} calls for the first run_simspec job of a "
+            f"process (ceiling {{SIMSPEC_CEILING}}); calls by function:\\n"
+            f"{{tally.top(15)}}")
+    """)
 
 
 @pytest.mark.slow

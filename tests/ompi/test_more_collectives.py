@@ -1,4 +1,4 @@
-"""v-variant, reduce_scatter, split_type, and nonblocking collectives."""
+"""split_type and nonblocking collectives."""
 
 import pytest
 
@@ -10,65 +10,6 @@ from tests.ompi.conftest import sessions_program, world_program
 @pytest.fixture(params=["world", "sessions"])
 def program(request):
     return world_program if request.param == "world" else sessions_program
-
-
-class TestVVariants:
-    def test_gatherv_ragged(self, mpi_run, program):
-        def body(mpi, comm):
-            mine = list(range(comm.rank + 1))  # rank r contributes r+1 items
-            return (yield from comm.gatherv(mine, root=0))
-
-        results = mpi_run(4, program(body))
-        assert results[0] == [[0], [0, 1], [0, 1, 2], [0, 1, 2, 3]]
-
-    def test_scatterv_ragged(self, mpi_run, program):
-        def body(mpi, comm):
-            if comm.rank == 0:
-                values = [["a"] * (i + 1) for i in range(comm.size)]
-            else:
-                values = None
-            return (yield from comm.scatterv(values, root=0))
-
-        results = mpi_run(3, program(body))
-        assert results == [["a"], ["a", "a"], ["a", "a", "a"]]
-
-    def test_scatterv_wrong_length(self, mpi_run, program):
-        def body(mpi, comm):
-            try:
-                yield from comm.scatterv([1, 2, 3], root=0)
-            except MPIErrArg:
-                return "rejected"
-            return "accepted"
-
-        assert mpi_run(1, program(body), nodes=1) == ["rejected"]
-
-    def test_allgatherv_ragged(self, mpi_run, program):
-        def body(mpi, comm):
-            return (yield from comm.allgatherv(bytes([comm.rank]) * (comm.rank + 1)))
-
-        results = mpi_run(3, program(body))
-        expected = [b"\x00", b"\x01\x01", b"\x02\x02\x02"]
-        assert all(r == expected for r in results)
-
-    def test_reduce_scatter_block(self, mpi_run, program):
-        def body(mpi, comm):
-            # Rank r contributes block j = r*10 + j.
-            blocks = [comm.rank * 10 + j for j in range(comm.size)]
-            return (yield from comm.reduce_scatter_block(blocks, op=SUM))
-
-        results = mpi_run(3, program(body))
-        # Rank j gets sum over r of (r*10 + j) = 30 + 3j.
-        assert results == [30, 33, 36]
-
-    def test_reduce_scatter_wrong_blocks(self, mpi_run, program):
-        def body(mpi, comm):
-            try:
-                yield from comm.reduce_scatter_block([1], op=SUM)
-            except MPIErrArg:
-                return "rejected"
-            return "accepted"
-
-        assert set(mpi_run(2, program(body))) == {"rejected"}
 
 
 class TestSplitType:

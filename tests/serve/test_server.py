@@ -61,6 +61,11 @@ class TestRegistry:
             assert name in scenario_names()
             assert callable(scenario(name))
 
+    def test_figure_scenario_runs_one_figure(self):
+        from repro.bench.figures import run_point
+
+        assert scenario("figure")(figure="table1") == run_point("table1")
+
     def test_unknown_scenario_suggests(self):
         with pytest.raises(KeyError, match="sim"):
             scenario("simm")

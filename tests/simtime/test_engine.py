@@ -120,10 +120,6 @@ def test_timer_cancel():
     assert seen == ["y"]
 
 
-def test_step_returns_false_when_empty():
-    assert Engine().step() is False
-
-
 def test_zero_delay_runs_at_current_time():
     eng = Engine()
     seen = []

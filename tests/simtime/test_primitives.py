@@ -1,9 +1,9 @@
-"""Unit tests for mailboxes, semaphores and simulation barriers."""
+"""Unit tests for simulation events and barriers."""
 
 import pytest
 
 from repro.simtime.engine import Engine
-from repro.simtime.primitives import Mailbox, Semaphore, SimBarrier, SimEvent
+from repro.simtime.primitives import SimBarrier, SimEvent
 from repro.simtime.process import SimProcess, Sleep
 
 
@@ -49,115 +49,6 @@ class TestSimEvent:
         ev.discard_waiter(cb)
         ev.succeed(None)
         assert seen == []
-
-
-class TestMailbox:
-    def test_put_then_get(self):
-        eng = Engine()
-        mbox = Mailbox()
-        mbox.put("a")
-        mbox.put("b")
-
-        def p():
-            x = yield from mbox.get()
-            y = yield from mbox.get()
-            return [x, y]
-
-        proc = start(eng, p())
-        eng.run()
-        assert proc.result == ["a", "b"]
-
-    def test_get_blocks_until_put(self):
-        eng = Engine()
-        mbox = Mailbox()
-
-        def getter():
-            item = yield from mbox.get()
-            return item
-
-        def putter():
-            yield Sleep(2.0)
-            mbox.put("late")
-
-        g = start(eng, getter())
-        start(eng, putter())
-        eng.run()
-        assert g.result == "late"
-        assert eng.now == 2.0
-
-    def test_fifo_across_waiters(self):
-        eng = Engine()
-        mbox = Mailbox()
-        results = []
-
-        def getter(tag):
-            item = yield from mbox.get()
-            results.append((tag, item))
-
-        def putter():
-            yield Sleep(1.0)
-            mbox.put(1)
-            mbox.put(2)
-
-        start(eng, getter("a"))
-        start(eng, getter("b"))
-        start(eng, putter())
-        eng.run()
-        assert results == [("a", 1), ("b", 2)]
-
-    def test_get_nowait_raises_when_empty(self):
-        with pytest.raises(IndexError):
-            Mailbox().get_nowait()
-
-    def test_len(self):
-        mbox = Mailbox()
-        assert len(mbox) == 0
-        mbox.put(1)
-        assert len(mbox) == 1
-
-
-class TestSemaphore:
-    def test_initial_negative_rejected(self):
-        with pytest.raises(ValueError):
-            Semaphore(-1)
-
-    def test_mutual_exclusion_serializes(self):
-        eng = Engine()
-        sem = Semaphore(1)
-        timeline = []
-
-        def worker(tag):
-            yield from sem.acquire()
-            timeline.append((tag, "in", eng.now))
-            yield Sleep(1.0)
-            timeline.append((tag, "out", eng.now))
-            sem.release()
-
-        start(eng, worker("a"))
-        start(eng, worker("b"))
-        eng.run()
-        assert timeline == [
-            ("a", "in", 0.0),
-            ("a", "out", 1.0),
-            ("b", "in", 1.0),
-            ("b", "out", 2.0),
-        ]
-
-    def test_capacity_two_allows_overlap(self):
-        eng = Engine()
-        sem = Semaphore(2)
-        entered = []
-
-        def worker(tag):
-            yield from sem.acquire()
-            entered.append((tag, eng.now))
-            yield Sleep(1.0)
-            sem.release()
-
-        for t in "abc":
-            start(eng, worker(t))
-        eng.run()
-        assert entered == [("a", 0.0), ("b", 0.0), ("c", 1.0)]
 
 
 class TestSimBarrier:

@@ -9,6 +9,12 @@ first server imports them (sibling of ``tests/test_numpy_lazy.py``;
 fresh interpreters for the same reason).  Module names alone would miss
 a shared library that a different module maps, so the job's check also
 reads ``/proc/self/maps``.
+
+Nor does it load the parts of the stack it never enters: trace export,
+live telemetry, Prometheus text, the run ledger, the metrics registry,
+the figure harness, and the MPI info, window and file objects
+(``repro.obs``, ``repro.bench`` and ``repro.ompi`` resolve those names
+on first use).
 """
 
 from __future__ import annotations
@@ -20,6 +26,12 @@ HEAVY = ("hashlib", "_hashlib", "sqlite3", "_sqlite3", "asyncio", "ssl",
 
 #: Shared objects those modules map.
 HEAVY_LIBS = ("libssl", "libcrypto", "libsqlite3")
+
+#: Modules of the stack a plain Sessions job never needs.
+UNUSED = tuple(f"repro.{name}" for name in (
+    "obs.critical_path", "obs.export", "obs.live", "obs.metrics",
+    "obs.prom", "obs.store", "bench.figures", "ompi.info", "ompi.io",
+    "ompi.win"))
 
 
 def test_imports_and_a_sessions_job_import_neither():
@@ -49,6 +61,8 @@ def test_imports_and_a_sessions_job_import_neither():
         assert run_mpi(spec, main) == [10] * 4
         loaded = [m for m in {HEAVY} if m in sys.modules]
         assert not loaded, f"running a job pulled in {{loaded}}"
+        loaded = [m for m in {UNUSED} if m in sys.modules]
+        assert not loaded, f"running a job loaded {{loaded}}"
         if os.path.exists("/proc/self/maps"):
             with open("/proc/self/maps") as fh:
                 maps = fh.read()
@@ -126,4 +140,27 @@ def test_a_lazily_loaded_server_still_serves():
         assert isinstance(srv.server, SimServer)
         assert issubclass(WorkerDied, RuntimeError)
         assert isinstance(srv.server.stats, ServeStats)
+    """)
+
+
+def test_lazy_names_resolve_to_the_real_thing():
+    """What ``repro.obs``, ``repro.bench``, ``repro.ompi`` and
+    ``repro.serve`` resolve on first use is what their submodules
+    define (or the submodule itself)."""
+    run_fresh("""
+        import importlib
+        import repro.bench, repro.obs, repro.ompi, repro.serve
+
+        for package in (repro.bench, repro.obs, repro.ompi, repro.serve):
+            for name, where in sorted(package._LAZY.items()):
+                value = getattr(package, name)
+                module = importlib.import_module(f"{package.__name__}.{where}")
+                assert value is (module if where == name
+                                 else getattr(module, name)), name
+            try:
+                package.no_such_name
+            except AttributeError:
+                pass
+            else:
+                raise AssertionError(f"{package.__name__}.no_such_name")
     """)
