@@ -57,7 +57,7 @@ from repro.ompi.datatype import (
 )
 from repro.ompi.status import Status
 from repro.ompi.request import Request
-from repro.ompi.group import Group, GROUP_EMPTY
+from repro.ompi.group import Group
 from repro.ompi.config import MpiConfig
 from repro.ompi.runtime import MpiRuntime
 from repro.ompi.session import Session
@@ -107,7 +107,6 @@ __all__ = [
     "Status",
     "Request",
     "Group",
-    "GROUP_EMPTY",
     "MpiConfig",
     "MpiRuntime",
     "Session",

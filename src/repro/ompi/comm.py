@@ -20,7 +20,7 @@ constructors whose CID machinery is the heart of the paper:
 from __future__ import annotations
 
 import itertools
-from typing import Any, Optional, Tuple
+from typing import Optional
 
 from repro.ompi import coll
 from repro.ompi.cid import allocate_consensus_cid
@@ -78,7 +78,6 @@ class Communicator:
             raise MPIErrGroup(f"{runtime.proc} is not a member of {self.name}")
         self.size = group.size
         self.errhandler: Errhandler = ERRORS_ARE_FATAL
-        self.attrs = runtime.new_attr_cache()
         self.freed = False
         # Fault state (ULFM-lite, docs/faults.md): ranks known to have
         # failed.  A communicator with failed peers is *damaged* — every
@@ -195,8 +194,9 @@ class Communicator:
         engine.tracer.end(engine.now, sid)
 
     def get_group(self) -> Group:
+        """MPI_Comm_group: a new handle on this communicator's group."""
         self._check()
-        return self.group
+        return Group(self.group.members())
 
     def set_errhandler(self, handler: Errhandler) -> None:
         self._check()
@@ -205,21 +205,6 @@ class Communicator:
     def identity(self) -> str:
         """Globally consistent name for runtime-side disambiguation."""
         return self._identity
-
-    # ------------------------------------------------------------------
-    # attribute caching
-    # ------------------------------------------------------------------
-    def set_attr(self, keyval: int, value: Any) -> None:
-        self._check()
-        self.attrs.set(keyval, value)
-
-    def get_attr(self, keyval: int) -> Tuple[bool, Any]:
-        self._check()
-        return self.attrs.get(keyval)
-
-    def delete_attr(self, keyval: int) -> None:
-        self._check()
-        self.attrs.delete(keyval)
 
     # ------------------------------------------------------------------
     # point-to-point (user tags must be >= 0)
@@ -421,13 +406,6 @@ class Communicator:
 
         return (yield from cart_create(self, dims, periods, ndims))
 
-    # -- error handler dispatch ---------------------------------------------------
-    def call_errhandler(self, error) -> None:
-        """MPI_Comm_call_errhandler: route ``error`` through this
-        communicator's handler (ERRORS_ARE_FATAL aborts the rank)."""
-        self._check()
-        self.errhandler.invoke(self, error)
-
     # ------------------------------------------------------------------
     # collectives
     # ------------------------------------------------------------------
@@ -552,7 +530,6 @@ class Communicator:
         new = yield from self._new_comm(self.group, f"{self.name}.dup", gid,
                                         subgroup=False, excid_state=excid_state)
         new.errhandler = self.errhandler
-        new.attrs = self.attrs.copy_for_dup()
         return new
 
     def _new_comm(self, group: Group, name: str, gid: Optional[str],
@@ -620,7 +597,7 @@ class Communicator:
                 # Everyone participates in the agreement on the parent.
                 yield from allocate_consensus_cid(self)
             return None
-        return (yield from self._new_comm(group, f"{self.name}.create",
+        return (yield from self._new_comm(Group(group.members()), f"{self.name}.create",
                                           f"create:{self.identity()}",
                                           subgroup=False))
 
@@ -629,7 +606,7 @@ class Communicator:
         self._check()
         if self.runtime.proc not in group:
             raise MPIErrGroup("create_group caller must be a group member")
-        return (yield from self._new_comm(group, f"{self.name}.cgrp{tag}",
+        return (yield from self._new_comm(Group(group.members()), f"{self.name}.cgrp{tag}",
                                           f"cgrp{tag}:{self.identity()}"))
 
     # ------------------------------------------------------------------
@@ -799,7 +776,6 @@ class Communicator:
         """Release this communicator (local bookkeeping; the prototype's
         sessions comms do not run a collective destructor — see DESIGN)."""
         self._check()
-        self.attrs.clear()
         self.runtime.deregister_comm(self)
         self._send_peers = None
         self.freed = True

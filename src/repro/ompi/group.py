@@ -43,11 +43,6 @@ class Group:
         self.session = None
 
     # -- introspection ------------------------------------------------------
-    @property
-    def is_strided(self) -> bool:
-        """True when this group's membership is a regular rank pattern."""
-        return self._members.stride is not None
-
     def _check(self) -> None:
         if self.freed:
             raise MPIErrGroup("group used after free")
@@ -77,10 +72,12 @@ class Group:
     def __contains__(self, proc: PmixProc) -> bool:
         return self.rank_of(proc) != UNDEFINED
 
-    def __len__(self) -> int:
-        return self.size
-
     def free(self) -> None:
+        """MPI_Group_free: this handle is unusable afterwards.  A
+        communicator keeps its own ``Group`` over the same membership,
+        taken when it is built and copied again by ``get_group``, so
+        freeing a handle never reaches a communicator (MPI-4.0 §7.3.3:
+        operations using a freed group complete normally)."""
         self._check()
         self.freed = True
 
@@ -172,8 +169,5 @@ class Group:
         return out
 
     def __repr__(self) -> str:  # pragma: no cover
-        kind = "strided" if self.is_strided else "dense"
+        kind = "dense" if self._members.stride is None else "strided"
         return f"<Group size={len(self._members)} {kind}>"
-
-
-GROUP_EMPTY = Group(())

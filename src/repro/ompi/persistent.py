@@ -17,7 +17,8 @@ from repro.ompi.status import Status
 
 
 class PersistentRequest:
-    """Base: holds frozen arguments + the currently active Request."""
+    """Base: holds frozen arguments + the currently active Request;
+    a subclass's ``_launch`` sub-generator starts one instance."""
 
     def __init__(self, comm) -> None:
         self.comm = comm
@@ -50,12 +51,6 @@ class PersistentRequest:
         status = yield from self._active.wait()
         return status
 
-    def test(self):
-        self._check()
-        if self._active is None:
-            return False, None
-        return self._active.test()
-
     @property
     def payload(self):
         return self._active.payload if self._active is not None else None
@@ -65,10 +60,6 @@ class PersistentRequest:
         if self.active:
             raise MPIErrRequest("persistent request freed while active")
         self.freed = True
-
-    def _launch(self):
-        raise NotImplementedError
-        yield  # pragma: no cover
 
 
 class PersistentSend(PersistentRequest):

@@ -4,19 +4,19 @@ A :class:`Request` *is* its completion :class:`SimEvent` — a process
 blocks on it with ``Wait(request)`` — and, for a receive, *is* the
 posted receive the matching engine queues (``src``/``tag``).  ``wait``
 is a sub-generator (it suspends the simulated process); ``test`` is an
-instantaneous poll.  ``waitall``/``waitany``/``testall`` mirror the MPI
-operations over collections of requests.
+instantaneous poll.  ``waitall`` mirrors MPI_Waitall over a list of
+requests.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from repro.ompi.constants import ANY_SOURCE, ANY_TAG
 from repro.ompi.errors import MPIErrRequest
 from repro.ompi.status import Status
 from repro.simtime.primitives import SimEvent
-from repro.simtime.process import Wait, WaitAny
+from repro.simtime.process import Wait
 
 
 class Request(SimEvent):
@@ -66,9 +66,6 @@ class Request(SimEvent):
     def completed(self) -> bool:
         return self.triggered
 
-    def get_status(self) -> Optional[Status]:
-        return self.value
-
     def wait(self):
         """Sub-generator: block until complete; returns the Status."""
         if self._freed:
@@ -108,19 +105,3 @@ def waitall(requests: Iterable[Request]):
         statuses.append((yield Wait(req)))
     return statuses
 
-
-def waitany(requests: List[Request]):
-    """Sub-generator: wait for the first completion; returns (index, status)."""
-    if not requests:
-        raise MPIErrRequest("waitany on empty request list")
-    idx, status = yield WaitAny(requests)
-    return idx, status
-
-
-def testall(requests: Iterable[Request]) -> Tuple[bool, Optional[List[Status]]]:
-    """Instantaneous: (all_done, statuses-or-None); raises the error of
-    the first failed request."""
-    polled = [req.test() for req in requests]
-    if all(flag for flag, _status in polled):
-        return True, [status for _flag, status in polled]
-    return False, None

@@ -13,9 +13,8 @@ implements:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.ompi.attributes import AttributeCache, KeyvalRegistry
 from repro.ompi.cid import CidTable
 from repro.ompi.comm import Communicator
 from repro.ompi.config import MpiConfig
@@ -52,7 +51,7 @@ class MpiRuntime:
     __slots__ = (
         "cluster", "engine", "machine", "job", "fabric", "config",
         "rank_in_job", "proc", "node", "pmix",
-        "keyvals", "cleanup", "subsystems", "mca",
+        "cleanup", "subsystems", "mca",
         "endpoint", "cid_table", "_excid_index", "_early_excid_pkts",
         "_early_cid_pkts",
         "instance_refcount", "sessions", "world_session", "world_finalized",
@@ -73,7 +72,6 @@ class MpiRuntime:
         self.pmix = job.client(rank)
 
         # Pre-init-usable state (paper §III-B5).
-        self.keyvals = KeyvalRegistry()
         self.cleanup = CleanupFramework()
         self.subsystems = SubsystemRegistry(self.cleanup, SUBSYSTEMS, TEARDOWN)
         self.mca = MCARegistry()
@@ -105,9 +103,6 @@ class MpiRuntime:
     # ------------------------------------------------------------------
     # small helpers used across the library
     # ------------------------------------------------------------------
-    def new_attr_cache(self) -> AttributeCache:
-        return AttributeCache(self.keyvals)
-
     def reset_cid_state(self) -> None:
         """Called by pml cleanup: forget every communicator mapping."""
         self.cid_table = CidTable()
@@ -415,7 +410,7 @@ class MpiRuntime:
             m.inc("ompi.comm.creates", node=self.node)
         comm = Communicator(
             self,
-            group,
+            Group(group.members()),     # its own handle (see Group.free)
             self.cid_table.lowest_free(),
             excid_state=ExcidState.from_pgcid(pgcid),
             name=f"comm({stringtag})",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 
-from repro.ompi.attributes import AttributeCache
+from repro.ompi.constants import THREAD_LEVEL_NAMES
 from repro.ompi.errors import (
     ERRORS_ARE_FATAL,
     Errhandler,
@@ -51,7 +51,6 @@ class Session:
         self.internal = internal            # the session backing MPI_Init
         self.handle_id = next(self._ids)
         self.finalized = False
-        self.attrs: AttributeCache = runtime.new_attr_cache()
         # After re_query_psets() the session's pset views exclude
         # processes known to have failed (docs/recovery.md), so a
         # comm_create_from_group over a re-queried pset spans only
@@ -64,12 +63,18 @@ class Session:
             raise MPIErrSession(f"session {self.handle_id} used after finalize")
 
     def mark_finalized(self) -> None:
-        self.attrs.clear()
         self.finalized = True
 
     def get_info(self):
+        """MPI_Session_get_info: a new :class:`~repro.ompi.info.Info`
+        holding the session's hints — the user's, and the
+        ``thread_level`` it provides (MPI-4.0 §11.3)."""
         self._check()
-        return self.info
+        from repro.ompi.info import Info
+
+        info = Info(dict(self.info.items()) if self.info is not None else None)
+        info.set("thread_level", THREAD_LEVEL_NAMES[self.thread_level])
+        return info
 
     def set_errhandler(self, handler: Errhandler) -> None:
         """MPI_Session_set_errhandler."""
@@ -77,11 +82,17 @@ class Session:
         self.errhandler = handler
 
     def call_errhandler(self, error) -> None:
-        """MPI_Session_call_errhandler: route ``error`` (e.g. a
-        :class:`~repro.ompi.errors.MPIErrProcFailed` from fault
-        injection) through this session's handler."""
+        """MPI_Session_call_errhandler: run this session's handler on
+        ``error`` (e.g. a :class:`~repro.ompi.errors.MPIErrProcFailed`
+        from fault injection).  A user handler that returns lets the
+        call return (MPI-4.0 §9.3.4); the predefined handlers abort
+        (``ERRORS_ARE_FATAL``) or raise (``ERRORS_RETURN``)."""
         self._check()
-        self.errhandler.invoke(self, error)
+        handler = self.errhandler
+        if handler.fn is not None:
+            handler.fn(self, error)
+        else:
+            handler.invoke(self, error)
 
     # ------------------------------------------------------------------
     # process sets

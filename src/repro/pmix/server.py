@@ -256,9 +256,12 @@ class PmixServer(AsyncGroupServerMixin):
         # Sized here, once; grpcomm adds sizes up from now on.
         contribution = SizedDict(entries)
         nodes = list(state.participants.by_node(self.node_of))
-        # Nodes known dead cannot contribute; surviving daemons that have
-        # heard the daemon_down announcement agree on the reduced set.
-        nodes = [n for n in nodes if n == self.node or not self.daemon.is_node_down(n)]
+        if self.daemon.known_down:
+            # Nodes known dead cannot contribute; surviving daemons that
+            # have heard the daemon_down announcement agree on the
+            # reduced set.  A fault-free run makes no call here.
+            nodes = [n for n in nodes
+                     if n == self.node or not self.daemon.is_node_down(n)]
         if self.daemon.grpcomm.recovery:
             # A live node whose local participants ALL died will never
             # launch this collective (no client is left to call in), so

@@ -101,7 +101,7 @@ class GrpcommModule:
         arrived at this daemon.
         """
         participants = sorted(participants)
-        if self.recovery:
+        if self.recovery and self.daemon.known_down:
             # Exclude nodes this daemon already knows are dead; peers
             # that learn later converge via _restart_instance, and the
             # parts gating below keeps mismatched generations apart.

@@ -35,8 +35,8 @@ class Endpoint:
     """A listening newline-JSON endpoint; owners supply ``_dispatch``.
 
     ``await start()`` binds ``address`` (``port=0`` is rebound to the
-    ephemeral port taken, so ``address``/``host``/``port`` name the live
-    socket); ``stopped`` is set once ``await stop()`` completes.
+    ephemeral port taken, so ``address`` names the live socket);
+    ``stopped`` is set once ``await stop()`` completes.
     """
 
     def __init__(self, address: protocol.ServeAddress) -> None:
@@ -46,14 +46,6 @@ class Endpoint:
         self._conns: Set[_Connection] = set()
         self._stopping = False
         self.stopped = asyncio.Event()      # set once stop() completes
-
-    @property
-    def host(self) -> str:
-        return self.address.host
-
-    @property
-    def port(self) -> int:
-        return self.address.port
 
     # -- what an owner supplies ----------------------------------------------
     def _dispatch(self, msg: Dict[str, Any]) -> Reply:

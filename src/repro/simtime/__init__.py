@@ -15,7 +15,6 @@ from repro.simtime.process import (
     SimProcess,
     Sleep,
     Wait,
-    WaitAny,
     Spawn,
     Join,
     Now,
@@ -31,7 +30,6 @@ __all__ = [
     "SimProcess",
     "Sleep",
     "Wait",
-    "WaitAny",
     "Spawn",
     "Join",
     "Now",

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from functools import partial
 from heapq import heappush
-from typing import Any, Generator, Iterable, Optional
+from typing import Any, Generator, Optional
 
 from repro.simtime.engine import Engine, SimulationError
 from repro.simtime.primitives import SimEvent
@@ -87,19 +87,6 @@ class Wait:
     def __init__(self, event: SimEvent, timeout: Optional[float] = None) -> None:
         self.event = event
         self.timeout = timeout
-
-
-class WaitAny:
-    """Effect: block until any of ``events`` triggers.
-
-    Evaluates to ``(index, value)`` of the first event to fire.  Events
-    already triggered are served immediately (lowest index wins).
-    """
-
-    __slots__ = ("events",)
-
-    def __init__(self, events: Iterable[SimEvent]) -> None:
-        self.events = list(events)
 
 
 class Spawn:
@@ -319,9 +306,6 @@ class SimProcess:
                 elif cls is Join:
                     self._do_join(effect.proc)
                     return
-                elif cls is WaitAny:
-                    self._do_wait_any(effect)
-                    return
                 else:
                     raise SimulationError(
                         f"process {self.name!r} yielded non-effect {effect!r}"
@@ -357,42 +341,6 @@ class SimProcess:
 
         event.add_waiter(on_event)
         timer = self.engine.call_later(timeout, on_timeout)
-
-    def _do_wait_any(self, effect: WaitAny) -> None:
-        events = effect.events
-        if not events:
-            raise SimulationError("WaitAny on empty event list")
-        for idx, ev in enumerate(events):
-            if ev.triggered:
-                if ev.exception is not None:
-                    exc = ev.exception
-                    self.engine.post_at(self.engine.now, lambda e=exc: self._step(None, e))
-                else:
-                    pair = (idx, ev.value)
-                    self.engine.post_at(self.engine.now, lambda p=pair: self._step(p, None))
-                return
-        fired = [False]
-        callbacks = []
-
-        def make_cb(idx: int, ev: SimEvent):
-            def cb(value: Any, exc: Optional[BaseException]) -> None:
-                if fired[0]:
-                    return
-                fired[0] = True
-                for other, other_cb in callbacks:
-                    if other is not ev:
-                        other.discard_waiter(other_cb)
-                if exc is not None:
-                    self._step(None, exc)
-                else:
-                    self._step((idx, value), None)
-
-            return cb
-
-        for idx, ev in enumerate(events):
-            cb = make_cb(idx, ev)
-            callbacks.append((ev, cb))
-            ev.add_waiter(cb)
 
     def _do_join(self, proc: "SimProcess") -> None:
         proc.defuse()

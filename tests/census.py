@@ -82,10 +82,11 @@ if _out:
 '''
 
 #: The entry points a user runs: every example, the benchmark's smoke
-#: run, and the one-shot ``python -m repro`` commands of README.md (the
-#: server ones as one start/submit/metrics/shutdown sequence).  In a
-#: command, ``{py}`` is this interpreter, ``{tmp}`` a scratch directory
-#: and ``{addr}`` a free local port.
+#: run, the one-shot ``python -m repro`` commands of README.md (the
+#: server ones as one start/submit/metrics/shutdown sequence), and the
+#: Sessions conformance rows (docs/conformance.md), which decide what
+#: MPI surface stays.  In a command, ``{py}`` is this interpreter,
+#: ``{tmp}`` a scratch directory and ``{addr}`` a free local port.
 ENTRY_POINTS = [
     *(f"{{py}} examples/{name}" for name in (
         "checkpoint_restart.py", "client_server_isolation.py",
@@ -107,6 +108,7 @@ ENTRY_POINTS = [
     "{py} -m repro serve shutdown --addr {addr}; wait; "
     "{py} -m repro obs --runs {tmp}/tel/ledger.sqlite",
     "{py} -m repro chaos --verify-determinism",
+    "{py} -m pytest -q -p no:cacheprovider tests/conformance",
 ]
 
 TIER1 = ["{py} -m pytest -q -p no:cacheprovider"]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.ompi.constants import UNDEFINED
 from repro.ompi.errors import MPIErrArg, MPIErrGroup, MPIErrRank
-from repro.ompi.group import GROUP_EMPTY, IDENT, SIMILAR, UNEQUAL, Group
+from repro.ompi.group import IDENT, SIMILAR, UNEQUAL, Group
 from repro.pmix.types import PmixProc
 
 
@@ -29,8 +29,7 @@ class TestBasics:
             Group(procs(1, 1))
 
     def test_empty_group(self):
-        assert GROUP_EMPTY.size == 0
-        assert len(Group(())) == 0
+        assert Group(()).size == 0
 
     def test_proc_out_of_range(self):
         g = Group(procs(0))
@@ -47,25 +46,25 @@ class TestBasics:
 class TestSparseStorage:
     def test_contiguous_detected(self):
         g = Group(procs(*range(100)))
-        assert g.is_strided
+        assert g.members().stride is not None
 
     def test_strided_detected(self):
         g = Group(procs(0, 3, 6, 9, 12))
-        assert g.is_strided
+        assert g.members().stride is not None
         assert g.proc(2) == PmixProc("job", 6)
         assert g.rank_of(PmixProc("job", 9)) == 3
 
     def test_irregular_stays_dense(self):
         g = Group(procs(0, 1, 2, 10))
-        assert not g.is_strided
+        assert g.members().stride is None
 
     def test_small_groups_stay_dense(self):
-        assert not Group(procs(0, 1, 2)).is_strided
+        assert Group(procs(0, 1, 2)).members().stride is None
 
     def test_strided_semantics_match_dense(self):
         members = procs(2, 5, 8, 11, 14, 17)
         sparse = Group(members)
-        assert sparse.is_strided
+        assert sparse.members().stride is not None
         assert sparse.members() == tuple(members)
         assert [sparse.rank_of(p) for p in members] == list(range(6))
         # A rank between stride points is not a member.
@@ -73,7 +72,7 @@ class TestSparseStorage:
 
     def test_mixed_namespace_not_strided(self):
         g = Group([PmixProc("a", 0), PmixProc("b", 1), PmixProc("a", 2), PmixProc("b", 3)])
-        assert not g.is_strided
+        assert g.members().stride is None
 
 
 class TestCompare:
@@ -103,8 +102,9 @@ class TestSetOps:
 
     def test_union_with_empty(self):
         g = Group(procs(1, 2))
-        assert g.union(GROUP_EMPTY).compare(g) == IDENT
-        assert GROUP_EMPTY.union(g).members() == g.members()
+        empty = Group(())
+        assert g.union(empty).compare(g) == IDENT
+        assert empty.union(g).members() == g.members()
 
     def test_intersection_disjoint_is_empty(self):
         assert Group(procs(1)).intersection(Group(procs(2))).size == 0
@@ -170,7 +170,7 @@ class TestSharedMembership:
 
     def test_derived_groups_never_inherit_the_parents_facts(self):
         parent = Group(procs(*range(0, 16, 2)))        # strided, sorted
-        assert parent.is_strided and parent.members().is_sorted
+        assert parent.members().stride is not None and parent.members().is_sorted
         other = Group(procs(6, 4, 40))
         derived = {
             "union": parent.union(other),
@@ -192,7 +192,7 @@ class TestSharedMembership:
             ranks = [p.rank for p in members]
             assert ranks == expect[name], name
             # Every fact is the derived membership's own.
-            assert not group.is_strided, name
+            assert members.stride is None, name
             assert members.is_sorted == (ranks == sorted(ranks)), name
             ordered = members.canonical()
             assert [p.rank for p in ordered] == sorted(ranks), name

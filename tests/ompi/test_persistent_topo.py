@@ -4,7 +4,7 @@ MPI_Wtime, and the PML exCID-fallback rule."""
 import pytest
 
 from repro.ompi.constants import PROC_NULL, SUM
-from repro.ompi.errors import ERRORS_RETURN, MPIAbort, MPIErrComm, MPIErrRequest, MPIError
+from repro.ompi.errors import ERRORS_RETURN, MPIAbort, MPIErrComm, MPIErrRequest, MPIErrRevoked
 from repro.ompi.persistent import startall
 from repro.ompi.persistent import waitall as pwaitall
 from repro.ompi.topo import CartTopology
@@ -147,28 +147,31 @@ class TestCartTopology:
 
 
 class TestErrhandlerDispatch:
+    """An error a call detects goes through the communicator's handler
+    (here: a collective on a revoked communicator)."""
+
     def test_fatal_aborts(self, mpi_run, program):
         def body(mpi, comm):
+            comm.revoke()
             try:
-                comm.call_errhandler(MPIErrComm("synthetic"))
+                yield from comm.barrier()
             except MPIAbort:
                 return "aborted"
             return "continued"
-            yield  # pragma: no cover
 
         assert set(mpi_run(1, program(body), nodes=1)) == {"aborted"}
 
     def test_errors_return_raises_original(self, mpi_run, program):
         def body(mpi, comm):
             comm.set_errhandler(ERRORS_RETURN)
+            comm.revoke()
             try:
-                comm.call_errhandler(MPIErrComm("synthetic"))
+                yield from comm.barrier()
             except MPIAbort:
                 return "aborted"
-            except MPIError:
+            except MPIErrRevoked:
                 return "returned"
             return "continued"
-            yield  # pragma: no cover
 
         assert set(mpi_run(1, program(body), nodes=1)) == {"returned"}
 

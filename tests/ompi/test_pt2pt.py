@@ -12,9 +12,7 @@ from repro.ompi.errors import (
     MPIErrRequest,
     MPIErrTag,
 )
-from repro.ompi.request import Request
-from repro.ompi.request import testall as mpi_testall
-from repro.ompi.request import waitall, waitany
+from repro.ompi.request import Request, waitall
 from repro.ompi.status import Status
 from repro.simtime.process import Sleep
 from tests.faults.conftest import spawn_ranks
@@ -59,9 +57,8 @@ class TestBlocking:
                 limit = mpi.machine.eager_limit
                 small = yield from comm.isend("s", 0, tag=1, nbytes=limit)
                 large = yield from comm.isend("L", 0, tag=2, nbytes=limit + 1)
-                yield from waitall([small, large])
-                return [(r.get_status().source, r.get_status().tag,
-                         r.get_status().count) for r in (small, large)]
+                statuses = yield from waitall([small, large])
+                return [(st.source, st.tag, st.count) for st in statuses]
             first = yield from comm.recv(1, tag=1)
             second = yield from comm.recv(1, tag=2)
             return first + second
@@ -137,48 +134,6 @@ class TestNonblocking:
 
         results = mpi_run(2, program(body))
         assert results[1] == [0, 1, 2, 3, 4]
-
-    def test_waitany_returns_first(self, mpi_run, program):
-        def body(mpi, comm):
-            from repro.simtime.process import Sleep
-
-            if comm.rank == 0:
-                yield Sleep(100e-6)
-                yield from comm.send("slow", 1, tag=1)
-                return None
-            if comm.rank == 2:
-                yield from comm.send("fast", 1, tag=2)
-                return None
-            reqs = [comm.irecv(source=0, tag=1), comm.irecv(source=2, tag=2)]
-            idx, _status = yield from waitany(reqs)
-            got_first = reqs[idx].payload
-            yield from reqs[0].wait()
-            return (idx, got_first)
-
-        results = mpi_run(3, program(body))
-        assert results[1] == (1, "fast")
-
-    def test_test_and_testall(self, mpi_run, program):
-        def body(mpi, comm):
-            if comm.rank == 0:
-                yield from comm.send(1, 1, tag=1)
-                return None
-            req = comm.irecv(source=0, tag=1)
-            # Spin (simulated) until test succeeds.
-            from repro.simtime.process import Sleep
-
-            polls = 0
-            while True:
-                done, status = req.test()
-                if done:
-                    break
-                polls += 1
-                yield Sleep(1e-6)
-            all_done, statuses = mpi_testall([req])
-            return (req.payload, all_done, len(statuses))
-
-        results = mpi_run(2, program(body))
-        assert results[1] == (1, True, 1)
 
     def test_iprobe(self, mpi_run, program):
         def body(mpi, comm):
@@ -271,26 +226,21 @@ class TestRequestRecord:
     """A Request is its own completion event and its own posted receive;
     the MPI-facing rules did not move with the merge."""
 
-    def test_failed_request_raises_from_test_and_testall(self):
+    def test_failed_request_raises_from_test(self):
         """MPI-4.0 §3.7.3: the call that observes a failed request reports
         the failure — a poll must not read it as a success."""
         failed = Request("recv")
         failed.fail(MPIErrProcFailed("peer died"))
         with pytest.raises(MPIErrProcFailed):
             failed.test()
-        with pytest.raises(MPIErrProcFailed):
-            mpi_testall([failed])
-        with pytest.raises(MPIErrProcFailed):
-            mpi_testall([Request("recv"), failed])    # one still pending
-        assert failed.completed and failed.get_status() is None
+        assert failed.completed and failed.value is None
 
     def test_completed_twice_raises(self):
         req = Request("send")
         req.complete(Status(0, 1, 2))
         with pytest.raises(MPIErrRequest):
             req.complete(Status(0, 1, 2))
-        assert req.test() == (True, req.get_status())
-        assert mpi_testall([req]) == (True, [req.get_status()])
+        assert req.test() == (True, req.value)
 
     def test_freed_request_raises_from_wait_test_and_waitall(self):
         req = Request("recv")
@@ -301,8 +251,6 @@ class TestRequestRecord:
             req.test()
         with pytest.raises(MPIErrRequest):
             next(waitall([req]))
-        with pytest.raises(MPIErrRequest):
-            mpi_testall([req])
 
     def test_a_receive_request_names_what_it_matches(self, mpi_run, program):
         def body(mpi, comm):

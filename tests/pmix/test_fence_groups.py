@@ -218,3 +218,32 @@ def test_group_construct_all_grpcomm_modes(mode, radix):
 
     results = run_procs(cluster, *(rank_proc(r) for r in range(8)))
     assert len(set(results)) == 1
+
+
+@pytest.mark.parametrize("recovery", [False, True], ids=["plain", "recovery"])
+def test_fault_free_fence_makes_no_dead_node_lookup(recovery, monkeypatch):
+    """With no node known dead, neither the PMIx server's launch nor
+    grpcomm's recovery-mode participant filter asks about every node: a
+    64-node fence would otherwise cost O(nodes^2) lookups."""
+    from repro.prrte.dvm import Daemon
+
+    calls = []
+    lookup = Daemon.is_node_down
+
+    def counting(self, node):
+        calls.append(node)
+        return lookup(self, node)
+
+    monkeypatch.setattr(Daemon, "is_node_down", counting)
+    cluster, job = make_job(nodes=64, ranks=64, ppn=1, recovery=recovery)
+
+    def rank_proc(rank):
+        client = job.client(rank)
+        yield from client.init()
+        yield from client.commit()
+        yield from client.fence()
+        return True
+
+    assert run_procs(cluster, *(rank_proc(r) for r in range(job.num_ranks))) \
+        == [True] * 64
+    assert calls == []

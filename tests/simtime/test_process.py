@@ -14,7 +14,6 @@ from repro.simtime.process import (
     Sleep,
     Spawn,
     Wait,
-    WaitAny,
 )
 
 
@@ -131,40 +130,6 @@ def test_wait_timeout_not_fired_when_event_first():
     eng.run()
     assert proc.result == "fast"
     assert eng.now == pytest.approx(1.0)
-
-
-def test_wait_any_returns_first():
-    eng = Engine()
-    a, b = SimEvent(), SimEvent()
-
-    def p():
-        idx, value = yield WaitAny([a, b])
-        return idx, value
-
-    def trigger():
-        yield Sleep(1.0)
-        b.succeed("bee")
-        yield Sleep(1.0)
-        a.succeed("ay")
-
-    proc = start(eng, p())
-    start(eng, trigger())
-    eng.run()
-    assert proc.result == (1, "bee")
-
-
-def test_wait_any_pretriggered_lowest_index_wins():
-    eng = Engine()
-    a, b = SimEvent(), SimEvent()
-    a.succeed("A")
-    b.succeed("B")
-
-    def p():
-        return (yield WaitAny([a, b]))
-
-    proc = start(eng, p())
-    eng.run()
-    assert proc.result == (0, "A")
 
 
 def test_spawn_and_join():
