@@ -34,7 +34,7 @@ def main(mpi):
     total = yield from comm.allreduce(comm.rank, op=SUM)
     if comm.rank == 0:
         print(f"process sets visible to the runtime: {names}")
-        print(f"mpi://world size reported by the runtime: {info['mpi_size']}")
+        print(f"mpi://world size reported by the runtime: {info.get('mpi_size')}")
         print(f"allreduce over ranks 0..{comm.size - 1}: {total}")
 
     comm.free()

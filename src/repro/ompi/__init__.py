@@ -1,11 +1,11 @@
 """Simulated Open MPI.
 
 The MPI library linked into every simulated process.  Mirrors the parts
-of Open MPI the paper's prototype touched: the OPAL object/cleanup/MCA
-layers, the ob1 point-to-point messaging layer (PML) with its 14-byte
-match header and the new extended-CID handshake, the legacy consensus
-CID allocator and the new exCID generator, communicators/groups/
-collectives, and the two initialization models — the classic World
+of Open MPI the paper's prototype touched: the re-initialisable
+instance lifecycle (``instance.py``), the ob1 point-to-point messaging
+layer (PML) with its 14-byte match header and the new extended-CID
+handshake, the legacy consensus CID allocator and the new exCID
+generator, communicators/groups/collectives, and the two initialization models — the classic World
 Process Model (``MPI_Init``/``MPI_COMM_WORLD``) and the Sessions
 Process Model (``MPI_Session_init`` → pset → group → communicator).
 

@@ -136,15 +136,9 @@ class Errhandler:
         Errhandler._counter += 1
         self.fn = fn
         self.name = name or f"errhandler-{Errhandler._counter}"
-        self.freed = False
-
-    def free(self) -> None:
-        self.freed = True
 
     def invoke(self, origin: object, error: MPIError) -> None:
         """Dispatch ``error`` raised on ``origin`` (a comm/session/...)."""
-        if self.freed:
-            raise MPIErrArg(f"errhandler {self.name} used after free")
         if self is ERRORS_ARE_FATAL:
             raise MPIAbort(error.errclass, str(error))
         if self.fn is not None:

@@ -2,17 +2,22 @@
 
 Paper §III-B5: instead of initializing the whole library in MPI_Init
 and tearing it down in a carefully ordered MPI_Finalize, the prototype
-initializes subsystems on demand, counts references, registers cleanup
-callbacks with the OPAL framework, and runs them when the *last*
-session is finalized — after which a new session can start the cycle
-over.  Both the Sessions path and the restructured legacy
-MPI_Init/MPI_Finalize path (which wrap an internal session) share this
-machinery, "removing the need for any duplicate code".
+initializes subsystems on first use, counts references, and tears them
+down when the *last* session is finalized — after which the library is
+"truly uninitialized" and a new session can start the cycle over.  Both
+the Sessions path and the restructured legacy MPI_Init/MPI_Finalize
+path (which wrap an internal session) share this lifecycle, "removing
+the need for any duplicate code".
+
+The ten :data:`SUBSYSTEMS` always come up and go down together, so the
+whole lifecycle is three fields of the rank's runtime:
+``instance_refcount`` (sessions holding the instance), ``instance_up``
+(true from the cold init until the teardown) and ``instance_epochs``
+(cold inits so far).
 """
 
 from __future__ import annotations
 
-from repro.ompi.opal.mca import MCAComponent
 from repro.simtime.process import Sleep, SleepUntil
 
 #: Subsystems the instance brings up, in dependency order.  Each costs
@@ -30,28 +35,17 @@ SUBSYSTEMS = (
     "group",
 )
 
-
-#: The components every rank registers, per framework.  They are the same
-#: for every rank of every world, so they are built once and each rank's
-#: frameworks hold the tables by reference.
-MCA_COMPONENTS = {
-    framework: {c.name: c for c in components}
-    for framework, components in (
-        ("pml", (MCAComponent("ob1", priority=20), MCAComponent("cm", priority=10))),
-        ("btl", (MCAComponent("sm", priority=50), MCAComponent("net", priority=30))),
-        ("coll", (MCAComponent("tuned", priority=30), MCAComponent("basic", priority=10))),
-    )
-}
+#: The PMLs a configuration may name (MCA's ``pml`` framework).
+PMLS = ("ob1", "cm")
 
 
 def instance_acquire(runtime):
-    """Sub-generator: retain the instance's subsystems, initializing all
-    of them on the first acquire of an epoch."""
-    reg = runtime.subsystems
-    if not reg.is_initialized("pml_ob1"):
+    """Sub-generator: retain the instance, initializing every subsystem
+    on the first acquire of an epoch."""
+    if not runtime.instance_up:
         yield from _init_fused(runtime)
-        reg.mark_all_initialized(runtime)
-    reg.retain("pml_ob1")       # one record for all of SUBSYSTEMS
+        runtime.instance_up = True
+        runtime.instance_epochs += 1
     runtime.instance_refcount += 1
 
 
@@ -63,7 +57,7 @@ _AFTER_PML = len(SUBSYSTEMS) - _THROUGH_PML
 def _init_fused(runtime):
     """Cold init: each subsystem costs one ``session_subsys_init``.
 
-    Only process-local bookkeeping (MCA registration) happens between
+    Only process-local bookkeeping (the PML selection) happens between
     two subsystems' inits, and nothing outside this rank can observe
     those intermediate instants, so a run of subsystems is a single
     :class:`SleepUntil` at the run's final time, charged as one logical
@@ -79,7 +73,10 @@ def _init_fused(runtime):
         # frozen-bytes corpus pins depend on the rounding of each add.
         t = t + d
     yield SleepUntil(t, _THROUGH_PML - 1)
-    _mca_register(runtime)
+    if runtime.config.pml not in PMLS:
+        from repro.ompi.errors import MPIErrIntern
+
+        raise MPIErrIntern(f"no component pml/{runtime.config.pml}")
     _pml_setup(runtime)
     yield from runtime.pmix.commit()
     t = engine.now
@@ -89,37 +86,17 @@ def _init_fused(runtime):
 
 
 def instance_release(runtime):
-    """Sub-generator: drop one instance reference; the last one triggers
-    the cleanup framework (LIFO teardown of every subsystem)."""
+    """Sub-generator: drop one instance reference; the last one tears
+    every subsystem down."""
     if runtime.instance_refcount <= 0:
         from repro.ompi.errors import MPIErrIntern
 
         raise MPIErrIntern("instance released more times than acquired")
-    runtime.subsystems.release("pml_ob1")
     runtime.instance_refcount -= 1
     if runtime.instance_refcount == 0:
         yield Sleep(runtime.machine.proc_local_init / 2)  # teardown work
-        runtime.cleanup.run_all()
-    return
-    yield  # pragma: no cover
-
-
-def _mca_register(runtime):
-    """Open MCA frameworks, register the standard components and select
-    one per framework."""
-    mca = runtime.mca
-    for name, components in MCA_COMPONENTS.items():
-        mca.framework(name, components).open()
-    mca.framework("pml").select(prefer=runtime.config.pml)
-    mca.framework("btl").select()
-    mca.framework("coll").select()
-
-
-def _mca_cleanup(runtime):
-    for name in MCA_COMPONENTS:
-        fw = runtime.mca.framework(name)
-        if fw.is_open:
-            fw.close()
+        _pml_cleanup(runtime)
+        runtime.instance_up = False
 
 
 def _pml_setup(runtime):
@@ -148,11 +125,3 @@ def _pml_cleanup(runtime):
             faults.deregister_runtime(runtime)
         runtime.endpoint = None
     runtime.reset_cid_state()
-
-
-#: The teardown every rank registers by reference: ``(name, cleanup)``
-#: rows, newest subsystem first, ``cleanup(runtime)`` where there is one.
-TEARDOWN = tuple(
-    (name, {"mca_base": _mca_cleanup, "pml_ob1": _pml_cleanup}.get(name))
-    for name in reversed(SUBSYSTEMS)
-)

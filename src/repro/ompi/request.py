@@ -27,7 +27,7 @@ class Request(SimEvent):
     with by ``wait`` and ``test``.
     """
 
-    __slots__ = ("kind", "src", "tag", "_freed", "payload")
+    __slots__ = ("kind", "src", "tag", "payload")
 
     def __init__(self, kind: str = "generic", src: int = ANY_SOURCE,
                  tag: int = ANY_TAG) -> None:
@@ -40,7 +40,6 @@ class Request(SimEvent):
         #: What a receive matches (the matching engine reads these).
         self.src = src
         self.tag = tag
-        self._freed = False
         #: The received object (recv requests, after completion).
         self.payload = None
 
@@ -68,28 +67,17 @@ class Request(SimEvent):
 
     def wait(self):
         """Sub-generator: block until complete; returns the Status."""
-        if self._freed:
-            self._check()
         status = yield Wait(self)
         return status
 
     def test(self) -> Tuple[bool, Optional[Status]]:
         """Instantaneous poll: (flag, status-or-None).  Like ``wait``, it
         raises the error of a failed request (MPI-4.0 §3.7.3)."""
-        if self._freed:
-            self._check()
         if not self.triggered:
             return False, None
         if self.exception is not None:
             raise self.exception
         return True, self.value
-
-    def free(self) -> None:
-        self._freed = True
-
-    def _check(self) -> None:
-        if self._freed:
-            raise MPIErrRequest("request used after free")
 
     def __repr__(self) -> str:  # pragma: no cover
         state = "done" if self.triggered else "pending"
@@ -100,8 +88,6 @@ def waitall(requests: Iterable[Request]):
     """Sub-generator: wait for every request; returns list of statuses."""
     statuses = []
     for req in requests:
-        if req._freed:
-            req._check()
         statuses.append((yield Wait(req)))
     return statuses
 

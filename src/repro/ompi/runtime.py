@@ -2,7 +2,7 @@
 
 One :class:`MpiRuntime` per simulated process — the analogue of the
 Open MPI library linked into an application.  It owns the communicator
-tables, the OPAL cleanup/subsystem machinery, the PML endpoint, and
+tables, the instance lifecycle (paper §III-B5), the PML endpoint, and
 implements:
 
 * the World Process Model: :meth:`mpi_init` / :meth:`mpi_finalize`
@@ -30,9 +30,7 @@ from repro.ompi.errors import (
 )
 from repro.ompi.excid import ExcidState
 from repro.ompi.group import Group
-from repro.ompi.instance import SUBSYSTEMS, TEARDOWN, instance_acquire, instance_release
-from repro.ompi.opal.cleanup import CleanupFramework, SubsystemRegistry
-from repro.ompi.opal.mca import MCARegistry
+from repro.ompi.instance import instance_acquire, instance_release
 from repro.ompi.session import Session
 from repro.pmix.types import PMIX_ERR_PROC_ABORTED, PMIX_ERR_TIMEOUT, PmixError
 from repro.simtime.process import Sleep
@@ -51,10 +49,10 @@ class MpiRuntime:
     __slots__ = (
         "cluster", "engine", "machine", "job", "fabric", "config",
         "rank_in_job", "proc", "node", "pmix",
-        "cleanup", "subsystems", "mca",
         "endpoint", "cid_table", "_excid_index", "_early_excid_pkts",
         "_early_cid_pkts",
-        "instance_refcount", "sessions", "world_session", "world_finalized",
+        "instance_refcount", "instance_up", "instance_epochs",
+        "sessions", "world_session", "world_finalized",
         "thread_level", "COMM_WORLD", "COMM_SELF", "_binary_loaded",
         "live_comms", "_pending_revokes",
     )
@@ -71,11 +69,6 @@ class MpiRuntime:
         self.node = job.topology.node_of(rank)
         self.pmix = job.client(rank)
 
-        # Pre-init-usable state (paper §III-B5).
-        self.cleanup = CleanupFramework()
-        self.subsystems = SubsystemRegistry(self.cleanup, SUBSYSTEMS, TEARDOWN)
-        self.mca = MCARegistry()
-
         # Messaging state (populated by the pml subsystem).
         self.endpoint = None
         self.cid_table = CidTable()
@@ -83,8 +76,10 @@ class MpiRuntime:
         self._early_excid_pkts: Dict[Tuple, List] = {}
         self._early_cid_pkts: Dict[int, List] = {}
 
-        # Lifecycle.
+        # Lifecycle (paper §III-B5; see repro.ompi.instance).
         self.instance_refcount = 0
+        self.instance_up = False
+        self.instance_epochs = 0
         self.sessions: List[Session] = []
         self.world_session: Optional[Session] = None
         self.world_finalized = False
@@ -331,8 +326,7 @@ class MpiRuntime:
         sid = tr.enabled and tr.begin(self.engine.now, self.obs_track, "ompi.session.init")
         yield from self._load_binary()
         yield from self._pmix_up()
-        first_of_epoch = self.instance_refcount == 0 and not self.subsystems.is_initialized("pml_ob1")
-        if first_of_epoch:
+        if not self.instance_up:    # the first session of an epoch
             yield Sleep(self.machine.proc_local_init)
             yield Sleep(self.machine.session_handle_init_cost)
         yield from instance_acquire(self)

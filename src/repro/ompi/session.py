@@ -117,10 +117,14 @@ class Session:
         return names[n]
 
     def get_pset_info(self, name: str):
-        """Sub-generator: MPI_Session_get_pset_info -> {'mpi_size': N}."""
+        """Sub-generator: MPI_Session_get_pset_info — a new
+        :class:`~repro.ompi.info.Info` whose ``mpi_size`` is the set's
+        size as a decimal string (MPI-4.0 §11.3.2)."""
         self._check()
         members = yield from self._pset_members(name)
-        return {"mpi_size": len(members)}
+        from repro.ompi.info import Info
+
+        return Info({"mpi_size": str(len(members))})
 
     def re_query_psets(self):
         """Sub-generator: refresh this session's process-set view after

@@ -70,16 +70,6 @@ class CartTopology:
             dest if dest is not None else PROC_NULL,
         )
 
-    def neighbors(self, rank: int) -> List[int]:
-        """Distinct ±1 neighbors across every dimension."""
-        out: List[int] = []
-        for dim in range(self.ndims):
-            for disp in (-1, 1):
-                _src, dest = self.shift(rank, dim, disp)
-                if dest not in (PROC_NULL, rank) and dest not in out:
-                    out.append(dest)
-        return out
-
 
 def cart_create(comm, dims: Optional[Sequence[int]] = None,
                 periods=True, ndims: int = 2):

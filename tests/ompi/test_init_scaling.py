@@ -67,20 +67,23 @@ def calls_per_rank(job: str, nodes: int) -> float:
     return calls / (nodes * PPN)
 
 
-#: Calls per rank at 128 ranks may not rise either; achieved 413.8 and
-#: 289.4 (519.8 / 387.0 while an untraced run still called the null
-#: tracer, read the clock through a property, sized payloads with
-#: generators and rescanned a node's participants per arrival; 584.6 /
-#: 423.8 while a rank registered ten cleanup entries and every server
-#: merged a collected fence entry by entry).
-CEILING = {"sessions": 420, "mpi_init": 295}
+#: Calls per rank at 128 ranks may not rise either; achieved 366.1 and
+#: 236.3 (410.1 / 278.3 while a rank kept its instance lifecycle in an
+#: OPAL subsystem registry and cleanup stack and opened, selected and
+#: closed three MCA frameworks; 519.8 / 387.0 while an untraced run still
+#: called the null tracer, read the clock through a property, sized
+#: payloads with generators and rescanned a node's participants per
+#: arrival; 584.6 / 423.8 while a rank registered ten cleanup entries and
+#: every server merged a collected fence entry by entry).
+CEILING = {"sessions": 375, "mpi_init": 250}
 
 #: One ``serve-cold`` request's simulation (the Sessions program of
 #: ``run_simspec`` on jupiter 2x8) from its spec payload to the digest,
-#: as the first job of a process: 9 791 calls, 11 953 before the changes
-#: above (9 807 while each world built a metrics registry and the first
-#: job imported ``repro.obs.metrics``).
-SIMSPEC_CEILING = 9800
+#: as the first job of a process: 9 035 calls (9 739 with the OPAL
+#: registry and MCA frameworks above), 11 953 before the changes above
+#: (9 807 while each world built a metrics registry and the first job
+#: imported ``repro.obs.metrics``).
+SIMSPEC_CEILING = 9100
 
 
 def simspec_job(seed: int = 3) -> dict:

@@ -114,10 +114,6 @@ class TestCartTopology:
         assert src == PROC_NULL
         assert dest == 1
 
-    def test_neighbors_dedup(self):
-        topo = CartTopology((2, 2), (True, True))
-        assert sorted(topo.neighbors(0)) == [1, 2]
-
     def test_cart_create_and_exchange(self, mpi_run, program):
         def body(mpi, comm):
             cart = yield from comm.create_cart(dims=(2, 3))

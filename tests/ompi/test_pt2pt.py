@@ -242,16 +242,6 @@ class TestRequestRecord:
             req.complete(Status(0, 1, 2))
         assert req.test() == (True, req.value)
 
-    def test_freed_request_raises_from_wait_test_and_waitall(self):
-        req = Request("recv")
-        req.free()
-        with pytest.raises(MPIErrRequest):
-            next(req.wait())
-        with pytest.raises(MPIErrRequest):
-            req.test()
-        with pytest.raises(MPIErrRequest):
-            next(waitall([req]))
-
     def test_a_receive_request_names_what_it_matches(self, mpi_run, program):
         def body(mpi, comm):
             if comm.rank == 1:

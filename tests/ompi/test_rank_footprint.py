@@ -3,10 +3,9 @@
 Both Fig-3 jobs are sampled by rank 0 right after the barrier that
 follows init (``tests/_objcount.py``) at 128 and at 512 ranks; the
 *marginal* GC-tracked objects and ``tracemalloc`` kilobytes per rank
-between the two worlds are gated.  The §III-B5 instance machinery
-(``ompi/opal``, ``ompi/instance``) must cost a rank no closure at all:
-its cleanup stack holds plain tuples and its component tables are shared
-by every rank of the process.  On failure the heaviest allocation sites
+between the two worlds are gated.  The §III-B5 instance lifecycle
+(``ompi/instance``) must cost a rank no closure at all: it is three
+plain fields of the rank's runtime.  On failure the heaviest allocation sites
 are printed, so a regression arrives attributed to a ``file:line``.
 
 Two rounds took it here.  Closure-free cleanup stack, module-level
@@ -14,7 +13,10 @@ component tables and slotted per-rank records: 147.9 objects / 21.3 KB
 (sessions) and 154.5 / 23.5 KB (``MPI_Init``) -> 74.9 / 11.45 and 80.5 /
 13.65.  One modex table per world instead of a copy per server, one
 lifecycle record per rank instead of ten cleanup tuples, fault-only
-containers made on first use: -> the limits below.  See
+containers made on first use: -> 59.5 / 9.62 and 60.5 / 9.83.  No OPAL
+subsystem registry, cleanup stack or MCA frameworks per rank (the
+lifecycle is a refcount, a flag and an epoch count on the runtime): ->
+the limits below.  See
 docs/performance.md, "Footprint and lifetime of a rank".
 """
 
@@ -24,11 +26,12 @@ import pytest
 
 from tests._objcount import JOBS, fresh_pair_us_per_rank, gc_passes, marginal, sample, survivors
 
-#: job -> (objects, KB) per rank; achieved 59.5 / 9.62 and 60.5 / 9.83,
-#: 58.6 / 9.75 and 59.6 / 9.98 with the per-communicator peer table.
-#: ``MPI_Init`` is no longer heavier by a per-server copy of its modex:
-#: the servers of a world hold the one collected table between them.
-LIMITS = {"sessions": (60, 9.8), "mpi_init": (61, 10.0)}
+#: job -> (objects, KB) per rank; achieved 45.3 / 8.29 and 44.3 / 8.35
+#: (55.3 / 9.15 and 54.3 / 9.21 with the OPAL registry, cleanup stack
+#: and three MCA frameworks per rank).  ``MPI_Init`` is no longer
+#: heavier by a per-server copy of its modex: the servers of a world
+#: hold the one collected table between them.
+LIMITS = {"sessions": (50, 8.8), "mpi_init": (50, 8.9)}
 
 
 @pytest.mark.parametrize("job", sorted(JOBS))
@@ -40,10 +43,10 @@ def test_marginal_footprint_per_rank_128_to_512(job):
         f"{m.kb_per_rank:.2f} KB alive after init (limits {max_objects} / "
         f"{max_kb} KB); heaviest sites and types per rank:\n{m.top(10)}"
     )
-    owned = m.owned_by("ompi/opal", "ompi/instance")
+    owned = m.owned_by("ompi/instance")
     assert owned == 0, (
         f"{job}: {owned:.2f} functions + closure cells per rank defined in "
-        f"ompi/opal or ompi/instance: {m.closures}"
+        f"ompi/instance: {m.closures}"
     )
 
 

@@ -70,6 +70,38 @@ def test_excid_enabled_matrix():
         assert rt.excid_enabled is expected, config
 
 
+def test_instance_release_without_acquire_rejected():
+    from repro.ompi.errors import MPIErrIntern
+    from repro.ompi.instance import instance_release
+    from repro.ompi.runtime import MpiRuntime
+
+    world = make_world(spec=SimSpec(nprocs=1, machine=laptop(num_nodes=1), ppn=1))
+    rt = MpiRuntime(world.cluster, world.job, world.fabric, 0)
+    with pytest.raises(MPIErrIntern, match="released more times than acquired"):
+        next(instance_release(rt))
+    assert rt.instance_refcount == 0 and not rt.instance_up
+
+
+@pytest.mark.parametrize("entry", ["session_init", "mpi_init"])
+def test_unknown_pml_fails_the_first_init(entry):
+    """A config naming no real PML is accepted until the instance first
+    comes up, where the PML is selected (MCA ``select``)."""
+    from repro.ompi.errors import MPIErrIntern
+
+    world = make_world(spec=SimSpec(nprocs=1, machine=laptop(num_nodes=1), ppn=1,
+                                    config=MpiConfig(pml="laptop")))
+
+    def main(mpi):
+        yield from getattr(mpi, entry)()
+
+    procs = world.spawn_ranks(main)
+    world.run()
+    err = procs[0].exception
+    assert isinstance(err, MPIErrIntern), err
+    assert "pml/laptop" in str(err)
+    assert world.runtimes[0].endpoint is None
+
+
 def test_bad_config_values_rejected():
     with pytest.raises(ValueError):
         MpiConfig(cid_mode="telepathy")

@@ -5,7 +5,6 @@ import pytest
 
 from repro.ompi.constants import SUM, THREAD_MULTIPLE, THREAD_SINGLE
 from repro.ompi.errors import MPIErrArg, MPIErrSession
-from repro.ompi.instance import SUBSYSTEMS
 from repro.ompi.session import BUILTIN_PSETS
 
 
@@ -93,9 +92,9 @@ class TestPsets:
             s = yield from mpi.session_init()
             info = yield from s.get_pset_info("mpi://world")
             yield from s.finalize()
-            return info["mpi_size"]
+            return info.get("mpi_size")
 
-        assert set(mpi_run(4, main, sessions=True)) == {4}
+        assert set(mpi_run(4, main, sessions=True)) == {"4"}
 
     def test_self_pset(self, mpi_run):
         def main(mpi):
@@ -178,9 +177,10 @@ class TestReinitCycles:
             epochs = []
             for _cycle in range(3):
                 s = yield from mpi.session_init()
-                epochs.append(mpi.subsystems.init_epochs["pml_ob1"])
+                epochs.append(mpi.instance_epochs)
                 yield from s.finalize()
                 assert mpi.instance_refcount == 0
+                assert not mpi.instance_up
             return epochs
 
         results = mpi_run(2, main, sessions=True)
@@ -191,13 +191,13 @@ class TestReinitCycles:
             s1 = yield from mpi.session_init()
             s2 = yield from mpi.session_init()
             s3 = yield from mpi.session_init()
-            epoch = mpi.subsystems.init_epochs["pml_ob1"]
+            epoch = mpi.instance_epochs
             yield from s2.finalize()
             yield from s1.finalize()
             # Subsystems stay alive while any session exists.
-            alive = mpi.subsystems.is_initialized("pml_ob1")
+            alive = mpi.instance_up
             yield from s3.finalize()
-            gone = not mpi.subsystems.is_initialized("pml_ob1")
+            gone = not mpi.instance_up
             return (epoch, alive, gone)
 
         assert set(mpi_run(2, main, sessions=True)) == {(1, True, True)}
@@ -205,14 +205,19 @@ class TestReinitCycles:
     def test_cleanup_runs_all_subsystems(self, mpi_run):
         def main(mpi):
             s = yield from mpi.session_init()
-            live = list(mpi.subsystems.live_subsystems)
+            up = (mpi.instance_up, mpi.endpoint is not None,
+                  mpi.proc in mpi.fabric._endpoints)
             yield from s.finalize()
-            return (sorted(live), mpi.cleanup.pending)
+            down = (mpi.instance_up, mpi.endpoint is not None,
+                    mpi.proc in mpi.fabric._endpoints)
+            return up, down
 
         results = mpi_run(1, main, sessions=True, nodes=1)
-        live, pending = results[0]
-        assert live == sorted(SUBSYSTEMS)
-        assert pending == 0
+        up, down = results[0]
+        assert up == (True, True, True)
+        # Truly uninitialized: the endpoint is gone and the fabric no
+        # longer delivers to this rank.
+        assert down == (False, False, False)
 
     def test_communication_works_after_reinit(self, mpi_run):
         def main(mpi):
@@ -342,7 +347,7 @@ class TestCoexistence:
             s = yield from mpi.session_init()
             yield from mpi.mpi_finalize()
             # The session keeps the instance alive after MPI_Finalize.
-            alive = mpi.subsystems.is_initialized("pml_ob1")
+            alive = mpi.instance_up
             group = yield from s.group_from_pset("mpi://world")
             comm = yield from mpi.comm_create_from_group(group, "late")
             total = yield from comm.allreduce(1, op=SUM)

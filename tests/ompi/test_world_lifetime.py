@@ -11,7 +11,7 @@ reference counting — measured here with the collector *disabled*
 survivors per rank must be (next to) zero.  Before, 35.9 (Sessions) and
 38.8 (``MPI_Init``) GC-tracked objects per rank waited for a gen-2 pass:
 ``SimProcess`` <-> its resume ``partial``, ``MpiRuntime``, ``PmixClient``,
-three ``MCAFramework``, six lists, six dicts...
+three component-framework records, six lists, six dicts...
 """
 
 from __future__ import annotations
