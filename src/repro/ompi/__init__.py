@@ -44,17 +44,6 @@ from repro.ompi.errors import (
     ERRORS_ARE_FATAL,
     ERRORS_RETURN,
 )
-from repro.ompi.datatype import (
-    Datatype,
-    BYTE,
-    CHAR,
-    INT,
-    LONG,
-    FLOAT,
-    DOUBLE,
-    COMPLEX,
-    BOOL,
-)
 from repro.ompi.status import Status
 from repro.ompi.request import Request
 from repro.ompi.group import Group
@@ -95,15 +84,6 @@ __all__ = [
     "ERRORS_ARE_FATAL",
     "ERRORS_RETURN",
     "Info",
-    "Datatype",
-    "BYTE",
-    "CHAR",
-    "INT",
-    "LONG",
-    "FLOAT",
-    "DOUBLE",
-    "COMPLEX",
-    "BOOL",
     "Status",
     "Request",
     "Group",

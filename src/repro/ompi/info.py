@@ -4,15 +4,18 @@ Usable *before* MPI (or any session) is initialized — paper §III-B5:
 "calls related to MPI_Info objects including object creation,
 duplication, destruction, and the insertion and deletion of key/value
 pairs" must work pre-init and be thread-safe.  In the prototype this
-meant always-enabled locks; here the lock is a no-op placeholder kept to
-mirror the structure (simulated processes are cooperatively scheduled),
-but the *lifecycle* rules (use-after-free detection, key limits) are
-enforced.
+meant always-enabled locks; simulated processes are cooperatively
+scheduled, so no lock is needed, but the *lifecycle* rules
+(use-after-free detection, key and value limits) are enforced.
+
+The object carries what a session reads: the hints passed to
+``session_init`` (``Session.get_info`` copies them through ``items``)
+and the ``mpi_size`` of ``Session.get_pset_info``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, Optional
 
 from repro.ompi.errors import MPIErrArg
 
@@ -57,53 +60,12 @@ class Info:
         self._check_key(key)
         return self._data.get(key)
 
-    def delete(self, key: str) -> None:
-        self._check()
-        self._check_key(key)
-        if key not in self._data:
-            raise MPIErrArg(f"info key {key!r} not present")
-        del self._data[key]
-
-    def get_nkeys(self) -> int:
-        self._check()
-        return len(self._data)
-
-    def get_nthkey(self, n: int) -> str:
-        self._check()
-        keys = list(self._data)
-        if not 0 <= n < len(keys):
-            raise MPIErrArg(f"info key index {n} out of range")
-        return keys[n]
-
-    def dup(self) -> "Info":
-        self._check()
-        return Info(dict(self._data))
-
     def free(self) -> None:
         self._check()
         self.freed = True
         self._data.clear()
 
-    # -- conveniences ----------------------------------------------------------
-    def keys(self) -> List[str]:
-        self._check()
-        return list(self._data)
-
     def items(self) -> Iterator:
         self._check()
         return iter(self._data.items())
 
-    def __contains__(self, key: str) -> bool:
-        self._check()
-        return key in self._data
-
-    def __len__(self) -> int:
-        self._check()
-        return len(self._data)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        state = "freed" if self.freed else repr(self._data)
-        return f"<Info {state}>"
-
-
-INFO_NULL = None

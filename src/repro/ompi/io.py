@@ -1,7 +1,7 @@
 """MPI-IO over a simulated shared (NFS-like) filesystem.
 
-Completes the paper's §III-B6 object set: files, like windows, can be
-created from groups through the intermediate-communicator path
+Completes the paper's §III-B6 object set: files can be created from
+groups through the intermediate-communicator path
 (:meth:`File.open_from_group`).  The filesystem is one shared byte
 store per cluster with latency/bandwidth costs; collective writes model
 two-phase I/O by aggregating the per-rank requests at a barrier before

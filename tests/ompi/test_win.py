@@ -1,9 +1,8 @@
-"""One-sided communication (windows), including creation from groups."""
+"""One-sided communication (windows): allocate, put, fence."""
 
 import numpy as np
 import pytest
 
-from repro.ompi.constants import SUM
 from repro.ompi.errors import MPIErrArg
 from repro.ompi.win import Window
 from tests.ompi.conftest import sessions_program, world_program
@@ -32,8 +31,6 @@ class TestActiveTarget:
 
     def test_put_not_visible_before_fence(self, mpi_run, program):
         def body(mpi, comm):
-            from repro.simtime.process import Sleep
-
             win = yield from Window.allocate(comm, 2)
             yield from win.fence()
             if comm.rank == 0:
@@ -51,92 +48,6 @@ class TestActiveTarget:
 
         results = mpi_run(2, program(body))
         assert results[1] == (0.0, 9.0)
-
-    def test_get_after_fence(self, mpi_run, program):
-        def body(mpi, comm):
-            win = yield from Window.allocate(comm, 3)
-            win.memory[:] = comm.rank + 1
-            yield from win.fence()
-            handle = yield from win.get(target=(comm.rank + 1) % comm.size, count=3)
-            assert not handle.complete
-            yield from win.fence()
-            win.free()
-            return handle.data.tolist()
-
-        results = mpi_run(3, program(body))
-        assert results == [[2.0] * 3, [3.0] * 3, [1.0] * 3]
-
-    def test_accumulate_sum(self, mpi_run, program):
-        def body(mpi, comm):
-            win = yield from Window.allocate(comm, 1)
-            yield from win.fence()
-            yield from win.accumulate(np.array([float(comm.rank + 1)]), target=0, op=SUM)
-            yield from win.fence()
-            out = win.memory[0]
-            yield from comm.barrier()
-            win.free()
-            return out
-
-        results = mpi_run(3, program(body))
-        assert results[0] == 6.0
-
-
-class TestPassiveTarget:
-    def test_lock_put_unlock(self, mpi_run, program):
-        def body(mpi, comm):
-            from repro.simtime.process import Sleep
-
-            win = yield from Window.allocate(comm, 1)
-            if comm.rank == 0:
-                yield from win.lock(1)
-                yield from win.put(np.array([7.0]), target=1)
-                yield from win.unlock(1)
-                yield from comm.send(None, 1, tag=1, nbytes=0)
-                yield from comm.barrier()
-                win.free()
-                return None
-            yield from comm.recv(0, tag=1)
-            out = win.memory[0]
-            yield from comm.barrier()
-            win.free()
-            return out
-
-        results = mpi_run(2, program(body))
-        assert results[1] == 7.0
-
-    def test_unlock_wrong_target_rejected(self, mpi_run, program):
-        def body(mpi, comm):
-            win = yield from Window.allocate(comm, 1)
-            yield from win.lock(0)
-            try:
-                yield from win.unlock(1 % comm.size)
-            except MPIErrArg:
-                result = "rejected"
-            else:
-                result = "accepted"
-            yield from win.unlock(0)
-            yield from comm.barrier()
-            win.free()
-            return result
-
-        assert set(mpi_run(2, program(body))) == {"rejected"}
-
-    def test_double_lock_rejected(self, mpi_run, program):
-        def body(mpi, comm):
-            win = yield from Window.allocate(comm, 1)
-            yield from win.lock(0)
-            try:
-                yield from win.lock(0)
-            except MPIErrArg:
-                result = "rejected"
-            else:
-                result = "accepted"
-            yield from win.unlock(0)
-            yield from comm.barrier()
-            win.free()
-            return result
-
-        assert set(mpi_run(2, program(body))) == {"rejected"}
 
 
 class TestValidation:
@@ -172,49 +83,3 @@ class TestValidation:
             return result
 
         assert set(mpi_run(2, program(body))) == {"rejected"}
-
-
-class TestFromGroup:
-    def test_window_from_group(self, mpi_run):
-        """Paper §III-B6: window creation via intermediate communicator."""
-
-        def main(mpi):
-            session = yield from mpi.session_init()
-            group = yield from session.group_from_pset("mpi://world")
-            win = yield from Window.create_from_group(mpi, group, "wtest", count=2)
-            yield from win.fence()
-            if win.rank == 0:
-                for t in range(1, win.size):
-                    yield from win.put(np.array([float(t), float(t)]), target=t)
-            yield from win.fence()
-            out = win.memory.tolist()
-            # The intermediate comm is already gone; only the window's
-            # internal dup is alive — finalize must complain about it.
-            win.free()
-            yield from session.finalize()
-            return out
-
-        results = mpi_run(3, main, sessions=True)
-        assert results == [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]
-
-    def test_window_subgroup(self, mpi_run):
-        def main(mpi):
-            session = yield from mpi.session_init()
-            group = yield from session.group_from_pset("mpi://world")
-            if mpi.rank_in_job < 2:
-                pair = group.incl([0, 1])
-                pair.session = session
-                win = yield from Window.create_from_group(mpi, pair, "pair", count=1)
-                yield from win.fence()
-                yield from win.accumulate(np.array([1.0]), target=0, op=SUM)
-                yield from win.fence()
-                out = win.memory[0]
-                win.free()
-            else:
-                out = None
-            yield from session.finalize()
-            return out
-
-        results = mpi_run(4, main, sessions=True)
-        assert results[0] == 2.0
-        assert results[2:] == [None, None]

@@ -1,10 +1,10 @@
 """Property test: RMA epochs against a numpy reference model.
 
-Random sequences of put/accumulate across ranks; after every fence the
-window memory on each rank must equal the model applied in the same
-per-origin order (MPI leaves conflicting-origin order undefined, so the
-generated sequences never write overlapping ranges from two origins in
-one epoch)."""
+Random sequences of puts across ranks; after every fence the window
+memory on each rank must equal the model applied in the same per-origin
+order (MPI leaves conflicting-origin order undefined, so the generated
+sequences never write overlapping ranges from two origins in one
+epoch)."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -13,23 +13,21 @@ from hypothesis import strategies as st
 from repro.api import SimSpec, run_mpi
 from repro.machine.presets import laptop
 from repro.ompi.config import MpiConfig
-from repro.ompi.constants import SUM
 from repro.ompi.win import Window
 
 WIN = 8
 NRANKS = 3
 
-# One epoch = a list of ops; op = (origin, kind, target, offset, value).
+# One epoch = a list of puts; put = (origin, target, slot, value).
 # Offsets are partitioned by origin (origin o may write [o*2, o*2+2))
 # so concurrent writes never conflict.
-ops = st.tuples(
+puts = st.tuples(
     st.integers(0, NRANKS - 1),           # origin
-    st.sampled_from(["put", "acc"]),
     st.integers(0, NRANKS - 1),           # target
     st.integers(0, 1),                    # slot within the origin's range
     st.integers(-5, 5),                   # value
 )
-epochs = st.lists(st.lists(ops, max_size=6), min_size=1, max_size=4)
+epochs = st.lists(st.lists(puts, max_size=6), min_size=1, max_size=4)
 
 
 @given(epochs)
@@ -41,15 +39,11 @@ def test_window_matches_numpy_model(script):
         yield from win.fence()
         snapshots = []
         for epoch in script:
-            for origin, kind, target, slot, value in epoch:
+            for origin, target, slot, value in epoch:
                 if origin != comm.rank:
                     continue
                 offset = origin * 2 + slot
-                data = np.array([float(value)])
-                if kind == "put":
-                    yield from win.put(data, target, offset)
-                else:
-                    yield from win.accumulate(data, target, SUM, offset)
+                yield from win.put(np.array([float(value)]), target, offset)
             yield from win.fence()
             snapshots.append(win.memory.copy())
         yield from comm.barrier()
@@ -64,12 +58,8 @@ def test_window_matches_numpy_model(script):
     model = [np.zeros(WIN) for _ in range(NRANKS)]
     expected_snapshots = []
     for epoch in script:
-        for origin, kind, target, slot, value in epoch:
-            offset = origin * 2 + slot
-            if kind == "put":
-                model[target][offset] = value
-            else:
-                model[target][offset] += value
+        for origin, target, slot, value in epoch:
+            model[target][origin * 2 + slot] = value
         expected_snapshots.append([m.copy() for m in model])
 
     for rank in range(NRANKS):

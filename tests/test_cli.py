@@ -1,4 +1,5 @@
-"""The unified ``python -m repro`` CLI: dispatch, loadgen and ``figure``."""
+"""The unified ``python -m repro`` CLI: dispatch, ``recovery``, loadgen and
+``figure``."""
 
 import json
 import pathlib
@@ -94,6 +95,27 @@ class TestSizeFlags:
         err = capsys.readouterr().err
         assert f"error: argument {argv[-2]}: must be >= 1, got {argv[-1]}" in err
         assert "Traceback" not in err
+
+
+class TestRunRecovery:
+    def test_jobs_output_identical_to_serial(self):
+        serial = run_cli("recovery", "--seeds", "3", "--json")
+        fanned = run_cli("recovery", "--seeds", "3", "--jobs", "2", "--json")
+        assert serial.returncode == 0 and fanned.returncode == 0
+        assert serial.stdout == fanned.stdout     # records AND digests
+        digests = [json.loads(line)["digest"]
+                   for line in serial.stdout.splitlines()]
+        assert len(digests) == 3 and len(set(digests)) == 3
+
+    def test_cache_hits_on_rerun(self, tmp_path):
+        first = run_cli("recovery", "--seeds", "2", "--json",
+                        "--cache-dir", str(tmp_path))
+        again = run_cli("recovery", "--seeds", "2", "--json",
+                        "--cache-dir", str(tmp_path))
+        assert first.returncode == 0 and again.returncode == 0
+        assert "2 miss(es)" in first.stderr
+        assert "2 hit(s)" in again.stderr
+        assert first.stdout == again.stdout
 
 
 class TestServeLoadgen:

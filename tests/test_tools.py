@@ -1,37 +1,12 @@
 """Behaviour of the ``python -m repro`` subcommands, each driven as a
-subprocess the way a shell user would (dispatch itself and ``figure``
-are tests/test_cli.py)."""
+subprocess the way a shell user would (dispatch itself, ``recovery`` and
+``figure`` are tests/test_cli.py)."""
 
 import json
 import subprocess
 import sys
 
 import pytest
-
-
-class TestRunRecovery:
-    def run(self, *args):
-        return subprocess.run(
-            [sys.executable, "-m", "repro", "recovery", *args],
-            capture_output=True, text=True, timeout=600, cwd=".",
-        )
-
-    def test_jobs_output_identical_to_serial(self):
-        serial = self.run("--seeds", "3", "--json")
-        fanned = self.run("--seeds", "3", "--jobs", "2", "--json")
-        assert serial.returncode == 0 and fanned.returncode == 0
-        assert serial.stdout == fanned.stdout     # records AND digests
-        digests = [json.loads(line)["digest"]
-                   for line in serial.stdout.splitlines()]
-        assert len(digests) == 3 and len(set(digests)) == 3
-
-    def test_cache_hits_on_rerun(self, tmp_path):
-        first = self.run("--seeds", "2", "--json", "--cache-dir", str(tmp_path))
-        again = self.run("--seeds", "2", "--json", "--cache-dir", str(tmp_path))
-        assert first.returncode == 0 and again.returncode == 0
-        assert "2 miss(es)" in first.stderr
-        assert "2 hit(s)" in again.stderr
-        assert first.stdout == again.stdout
 
 
 @pytest.mark.serve
