@@ -58,6 +58,15 @@ class Communicator:
 
     _ids = itertools.count()
 
+    # Every rank holds one per communicator: slotted, no __dict__.
+    # ``cart`` is set only on a communicator made by ``create_cart``.
+    __slots__ = (
+        "runtime", "group", "local_cid", "excid_state", "session", "name",
+        "rank", "size", "errhandler", "freed", "failed_peers", "revoked",
+        "_ft_mode", "_ulfm_serial", "peer_cids", "acks_sent", "_send_peers",
+        "_dup_serial", "_identity", "cart",
+    )
+
     def __init__(
         self,
         runtime,
@@ -313,7 +322,7 @@ class Communicator:
 
     def _recv_internal(self, source: int, tag: int):
         req = self._irecv_internal(source, tag)
-        yield from req.wait()
+        yield Wait(req)
         return req.payload
 
     def sendrecv(
@@ -409,14 +418,25 @@ class Communicator:
     # ------------------------------------------------------------------
     # collectives
     # ------------------------------------------------------------------
-    def barrier(self):
-        self._pre_coll()
-        sid = self.runtime.engine.tracer.enabled and self._obs_begin("ompi.coll.barrier")
+    # Each entry point checks the communicator and returns the
+    # algorithm's sub-generator for the caller's ``yield from``: a rank
+    # blocked in a collective holds no frame of this class.  Only a
+    # traced run pays one, the span around it (``_traced``).
+    def _traced(self, gen, name: str, **attrs):
+        """Sub-generator: ``gen`` inside an ``ompi.coll`` span."""
+        sid = self._obs_begin(name, **attrs)
         try:
-            yield from coll.barrier(self)
+            return (yield from gen)
         finally:
             if sid:
                 self._obs_end(sid)
+
+    def barrier(self):
+        self._pre_coll()
+        gen = coll.barrier(self)
+        if self.runtime.engine.tracer.enabled:
+            return self._traced(gen, "ompi.coll.barrier")
+        return gen
 
     def ibarrier(self):
         """Sub-generator: returns a Request completed when all arrive."""
@@ -427,76 +447,70 @@ class Communicator:
 
     def bcast(self, obj, root: int = 0, nbytes: Optional[int] = None):
         self._pre_coll()
-        sid = (self.runtime.engine.tracer.enabled
-               and self._obs_begin("ompi.coll.bcast", root=root))
-        try:
-            return (yield from coll.bcast(self, obj, root, nbytes))
-        finally:
-            if sid:
-                self._obs_end(sid)
+        gen = coll.bcast(self, obj, root, nbytes)
+        if self.runtime.engine.tracer.enabled:
+            return self._traced(gen, "ompi.coll.bcast", root=root)
+        return gen
 
     def reduce(self, value, op: Op, root: int = 0, nbytes: Optional[int] = None):
         self._pre_coll()
-        return (yield from coll.reduce(self, value, op, root, nbytes))
+        return coll.reduce(self, value, op, root, nbytes)
 
     def allreduce(self, value, op: Op, nbytes: Optional[int] = None):
         self._pre_coll()
-        sid = (self.runtime.engine.tracer.enabled
-               and self._obs_begin("ompi.coll.allreduce"))
-        try:
-            return (yield from coll.allreduce(self, value, op, nbytes))
-        finally:
-            if sid:
-                self._obs_end(sid)
+        gen = coll.allreduce(self, value, op, nbytes)
+        if self.runtime.engine.tracer.enabled:
+            return self._traced(gen, "ompi.coll.allreduce")
+        return gen
 
     def gather(self, value, root: int = 0, nbytes: Optional[int] = None):
         self._pre_coll()
-        return (yield from coll.gather(self, value, root, nbytes))
+        return coll.gather(self, value, root, nbytes)
 
     def scatter(self, values, root: int = 0, nbytes: Optional[int] = None):
         self._pre_coll()
-        return (yield from coll.scatter(self, values, root, nbytes))
+        return coll.scatter(self, values, root, nbytes)
 
     def allgather(self, value, nbytes: Optional[int] = None):
         self._pre_coll()
-        return (yield from coll.allgather(self, value, nbytes))
+        return coll.allgather(self, value, nbytes)
 
     def alltoall(self, values, nbytes: Optional[int] = None):
         self._pre_coll()
-        return (yield from coll.alltoall(self, values, nbytes))
+        return coll.alltoall(self, values, nbytes)
 
     def scan(self, value, op: Op, nbytes: Optional[int] = None):
         self._pre_coll()
-        return (yield from coll.scan(self, value, op, nbytes))
+        return coll.scan(self, value, op, nbytes)
 
     def exscan(self, value, op: Op, nbytes: Optional[int] = None):
         self._pre_coll()
-        return (yield from coll.exscan(self, value, op, nbytes))
+        return coll.exscan(self, value, op, nbytes)
 
     # -- nonblocking collectives ------------------------------------------
     def ibcast(self, obj, root: int = 0, nbytes: Optional[int] = None):
         self._pre_coll()
         from repro.ompi.coll.nonblocking import ibcast
 
-        return (yield from ibcast(self, obj, root, nbytes))
+        return ibcast(self, obj, root, nbytes)
 
     def iallreduce(self, value, op: Op, nbytes: Optional[int] = None):
         self._pre_coll()
         from repro.ompi.coll.nonblocking import iallreduce
 
-        return (yield from iallreduce(self, value, op, nbytes))
+        return iallreduce(self, value, op, nbytes)
 
     def igather(self, value, root: int = 0, nbytes: Optional[int] = None):
         self._pre_coll()
         from repro.ompi.coll.nonblocking import igather
 
-        return (yield from igather(self, value, root, nbytes))
+        return igather(self, value, root, nbytes)
 
     def iallgather(self, value, nbytes: Optional[int] = None):
         self._pre_coll()
         from repro.ompi.coll.nonblocking import iallgather
 
-        return (yield from iallgather(self, value, nbytes))
+        return iallgather(self, value, nbytes)
 
     # ------------------------------------------------------------------
     # constructors

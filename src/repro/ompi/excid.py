@@ -35,7 +35,7 @@ SUBFIELD_MAX = 255
 _ZERO_SUB = (0,) * SUBFIELDS     # shared by every fresh exCID: known valid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExCid:
     """Immutable 128-bit identifier: (pgcid, 8 subfield bytes)."""
 

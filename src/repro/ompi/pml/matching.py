@@ -30,13 +30,15 @@ from repro.ompi.constants import ANY_SOURCE, ANY_TAG
 
 class _CommQueues:
     """Both queues are short and matched from the head; a list costs an
-    idle communicator 56 bytes where a deque holds a 760-byte block."""
+    idle communicator 56 bytes where a deque holds a 760-byte block.
+    The unexpected queue is made by the first message that arrives
+    before its receive: most communicators of most ranks never see one."""
 
     __slots__ = ("posted", "unexpected")
 
     def __init__(self) -> None:
         self.posted: List[Any] = []
-        self.unexpected: List[Any] = []
+        self.unexpected: Optional[List[Any]] = None
 
 
 class MatchingEngine:
@@ -64,14 +66,15 @@ class MatchingEngine:
         if q is None:
             q = self._by_cid[cid] = _CommQueues()
         unexpected = q.unexpected
-        src, tag = posted.src, posted.tag
-        for i, msg in enumerate(unexpected):
-            if src == msg.src or src == ANY_SOURCE:
-                if (msg.tag >= 0 if tag == ANY_TAG else tag == msg.tag):
-                    del unexpected[i]
-                    self.matches += 1
-                    self.unexpected_hits += 1
-                    return msg
+        if unexpected:
+            src, tag = posted.src, posted.tag
+            for i, msg in enumerate(unexpected):
+                if src == msg.src or src == ANY_SOURCE:
+                    if (msg.tag >= 0 if tag == ANY_TAG else tag == msg.tag):
+                        del unexpected[i]
+                        self.matches += 1
+                        self.unexpected_hits += 1
+                        return msg
         q.posted.append(posted)
         return None
 
@@ -91,13 +94,16 @@ class MatchingEngine:
                     del waiting[i]
                     self.matches += 1
                     return posted
-        q.unexpected.append(msg)
+        if q.unexpected is None:
+            q.unexpected = [msg]
+        else:
+            q.unexpected.append(msg)
         return None
 
     def probe(self, cid: int, src: int, tag: int) -> Optional[Any]:
         """Non-destructive search of the unexpected queue (MPI_Iprobe):
         the earliest message a receive of ``(src, tag)`` would match."""
-        for msg in self._queues(cid).unexpected:
+        for msg in self._queues(cid).unexpected or ():
             if src == msg.src or src == ANY_SOURCE:
                 if (msg.tag >= 0 if tag == ANY_TAG else tag == msg.tag):
                     return msg
@@ -128,7 +134,7 @@ class MatchingEngine:
         return len(self._queues(cid).posted)
 
     def pending_unexpected(self, cid: int) -> int:
-        return len(self._queues(cid).unexpected)
+        return len(self._queues(cid).unexpected or ())
 
     def drop_comm(self, cid: int) -> None:
         """Forget queues for a freed communicator (must be empty)."""
@@ -138,5 +144,5 @@ class MatchingEngine:
 
             raise MPIErrPending(
                 f"communicator freed with {len(q.posted)} posted / "
-                f"{len(q.unexpected)} unexpected messages (cid {cid})"
+                f"{len(q.unexpected or ())} unexpected messages (cid {cid})"
             )

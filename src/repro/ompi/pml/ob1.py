@@ -27,7 +27,8 @@ Cost accounting:
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Container, Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Any, Container, Dict, List, Mapping, Optional, Tuple
 
 from repro.ompi.btl.net import NetworkBTL
 from repro.ompi.btl.sm import SharedMemoryBTL
@@ -185,7 +186,8 @@ class Ob1Endpoint:
 
     __slots__ = ("runtime", "proc", "node", "engine", "machine", "fabric",
                  "matching", "nic_free", "match_busy", "_peers", "_added",
-                 "_pending", "_prune_at", "stats")
+                 "_pending", "_prune_at", "n_sent", "n_recv", "n_ext_sent",
+                 "n_ext_recv", "n_acks", "n_dup_dropped")
 
     def __init__(self, runtime) -> None:
         self.runtime = runtime
@@ -203,12 +205,26 @@ class Ob1Endpoint:
         # sends awaiting CTS, and matched rendezvous receives awaiting data.
         # Entries are (comm_identity, peer, request); peer_failed()/
         # comm_failed() fail them with MPI_ERR_PROC_FAILED instead of
-        # letting the rank hang forever.
-        self._pending: List[Tuple[Any, PmixProc, Any]] = []
+        # letting the rank hang forever.  Made by the first rendezvous:
+        # most ranks never start one.
+        self._pending: Optional[List[Tuple[Any, PmixProc, Any]]] = None
         self._prune_at = 64       # see _track_pending()
-        self.stats = {"sent": 0, "recv": 0, "ext_sent": 0, "ext_recv": 0,
-                      "acks": 0, "dup_dropped": 0}
+        # Message counters (read as a mapping through ``stats``).
+        self.n_sent = 0
+        self.n_recv = 0
+        self.n_ext_sent = 0
+        self.n_ext_recv = 0
+        self.n_acks = 0
+        self.n_dup_dropped = 0
         self.fabric.register(self.proc, self)
+
+    @property
+    def stats(self) -> Mapping[str, int]:
+        """The message counters as a read-only mapping."""
+        return MappingProxyType({
+            "sent": self.n_sent, "recv": self.n_recv,
+            "ext_sent": self.n_ext_sent, "ext_recv": self.n_ext_recv,
+            "acks": self.n_acks, "dup_dropped": self.n_dup_dropped})
 
     def harvest_metrics(self, m, force: bool = False) -> None:
         """Fold this endpoint's counters into a metrics registry.
@@ -320,7 +336,9 @@ class Ob1Endpoint:
     # ------------------------------------------------------------------
     def _track_pending(self, comm, peer: PmixProc, request) -> None:
         pending = self._pending
-        if len(pending) >= self._prune_at:
+        if pending is None:
+            pending = self._pending = []
+        elif len(pending) >= self._prune_at:
             # Drop completed entries once the list has doubled since the
             # last prune: amortized O(1) however deep the window.
             pending[:] = [e for e in pending if not e[2].triggered]
@@ -329,6 +347,8 @@ class Ob1Endpoint:
 
     def peer_failed(self, peer: PmixProc) -> None:
         """Fail in-flight requests that can only complete via ``peer``."""
+        if not self._pending:
+            return
         keep = []
         for ident, p, req in self._pending:
             if req.triggered:
@@ -341,6 +361,8 @@ class Ob1Endpoint:
 
     def comm_failed(self, comm) -> None:
         """Fail in-flight requests on a damaged communicator."""
+        if not self._pending:
+            return
         ident = comm.identity()
         keep = []
         for cid, p, req in self._pending:
@@ -394,9 +416,9 @@ class Ob1Endpoint:
             pkt = Packet("user", self.proc, hdr, ext, None, nbytes, "rts", request)
             pkt._rts_payload = payload
             self._track_pending(comm, peer.proc, request)
-        self.stats["sent"] += 1
+        self.n_sent += 1
         if ext is not None:
-            self.stats["ext_sent"] += 1
+            self.n_ext_sent += 1
             tr = self.engine.tracer
             if tr.enabled:
                 tr.event(self.engine.now, "events:pml", "pml.ext_send",
@@ -432,7 +454,7 @@ class Ob1Endpoint:
         if m is not None and m.enabled:
             q = self.matching._queues(comm.local_cid)
             m.observe("pml.match.posted_depth", len(q.posted), node=self.node)
-            m.observe("pml.match.unexpected_depth", len(q.unexpected),
+            m.observe("pml.match.unexpected_depth", len(q.unexpected or ()),
                       node=self.node)
         if pkt is not None:
             self._consume_match(comm, request, pkt)
@@ -497,7 +519,7 @@ class Ob1Endpoint:
                 self.runtime.stash_early_cid_packet(ctx, pkt)
                 return
 
-        self.stats["recv"] += 1
+        self.n_recv += 1
         sender = pkt.src_proc
         peer = self._peers.get(sender) or self.peer(sender)
         seqs = peer.recv_seq
@@ -507,7 +529,7 @@ class Ob1Endpoint:
         expected = seqs.get(ident, 0)
         if seq < expected:
             # Duplicate delivery (dup_msg fault): already consumed.
-            self.stats["dup_dropped"] += 1
+            self.n_dup_dropped += 1
             return
         if seq != expected:
             raise MPIErrIntern(
@@ -518,7 +540,7 @@ class Ob1Endpoint:
 
         match_cost = self.machine.match_overhead
         if ext is not None:
-            self.stats["ext_recv"] += 1
+            self.n_ext_recv += 1
             match_cost += self.machine.extended_match_overhead
             # Learn the sender's CID; reply with ours exactly once.
             if src not in comm.peer_cids:
@@ -587,7 +609,7 @@ class Ob1Endpoint:
             self._inject(self.peer(sender), cts)
 
     def _send_ack(self, comm, peer_rank: int) -> None:
-        self.stats["acks"] += 1
+        self.n_acks += 1
         peer = comm.group.proc(peer_rank)
         ack = Packet(
             kind="ack",

@@ -73,8 +73,11 @@ class MpiRuntime:
         self.endpoint = None
         self.cid_table = CidTable()
         self._excid_index: Dict[Tuple, Communicator] = {}
-        self._early_excid_pkts: Dict[Tuple, List] = {}
-        self._early_cid_pkts: Dict[int, List] = {}
+        # Packets that arrived before their communicator was registered
+        # here, by exCID key and by local CID: made by the first such
+        # packet (stash_early_packet / stash_early_cid_packet).
+        self._early_excid_pkts: Optional[Dict[Tuple, List]] = None
+        self._early_cid_pkts: Optional[Dict[int, List]] = None
 
         # Lifecycle (paper §III-B5; see repro.ompi.instance).
         self.instance_refcount = 0
@@ -102,8 +105,7 @@ class MpiRuntime:
         """Called by pml cleanup: forget every communicator mapping."""
         self.cid_table = CidTable()
         self._excid_index.clear()
-        self._early_excid_pkts.clear()
-        self._early_cid_pkts.clear()
+        self._early_excid_pkts = self._early_cid_pkts = None
         self.live_comms.clear()
 
     @property
@@ -139,10 +141,12 @@ class MpiRuntime:
             if key in self._excid_index:
                 raise MPIErrIntern(f"exCID collision on {comm.excid}")
             self._excid_index[key] = comm
-            for pkt in self._early_excid_pkts.pop(key, []):
+            if self._early_excid_pkts:
+                for pkt in self._early_excid_pkts.pop(key, ()):
+                    self.endpoint.deliver_user(pkt)
+        if self._early_cid_pkts:
+            for pkt in self._early_cid_pkts.pop(comm.local_cid, ()):
                 self.endpoint.deliver_user(pkt)
-        for pkt in self._early_cid_pkts.pop(comm.local_cid, []):
-            self.endpoint.deliver_user(pkt)
 
     def deregister_comm(self, comm: Communicator) -> None:
         if self.endpoint is not None:
@@ -150,11 +154,13 @@ class MpiRuntime:
         self.cid_table.release(comm.local_cid)
         if comm.excid is not None:
             self._excid_index.pop(comm.excid.key(), None)
-            self._early_excid_pkts.pop(comm.excid.key(), None)
+            if self._early_excid_pkts:
+                self._early_excid_pkts.pop(comm.excid.key(), None)
         # Drop any packets stashed under this local CID: replaying them
         # into a future communicator that reuses the index would be a
         # silent wrong-communicator delivery.
-        self._early_cid_pkts.pop(comm.local_cid, None)
+        if self._early_cid_pkts:
+            self._early_cid_pkts.pop(comm.local_cid, None)
         self.live_comms = [c for c in self.live_comms if c is not comm]
 
     # -- fault notification ----------------------------------------------------
@@ -193,9 +199,13 @@ class MpiRuntime:
         return self._excid_index.get(key)
 
     def stash_early_packet(self, key: Tuple, pkt) -> None:
+        if self._early_excid_pkts is None:
+            self._early_excid_pkts = {}
         self._early_excid_pkts.setdefault(key, []).append(pkt)
 
     def stash_early_cid_packet(self, cid: int, pkt) -> None:
+        if self._early_cid_pkts is None:
+            self._early_cid_pkts = {}
         self._early_cid_pkts.setdefault(cid, []).append(pkt)
 
     @property

@@ -36,6 +36,9 @@ class Session:
 
     _ids = itertools.count()
 
+    __slots__ = ("runtime", "thread_level", "info", "errhandler", "internal",
+                 "handle_id", "finalized", "_failed_excluded")
+
     def __init__(
         self,
         runtime,

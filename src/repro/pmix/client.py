@@ -42,7 +42,7 @@ class PmixClient:
         self.engine = server.engine
         self.machine = server.machine
         self.initialized = False
-        self._staged: Dict[str, Any] = {}
+        self._staged: Optional[Dict[str, Any]] = None    # made by put()
         self._coll_counters: Dict[Hashable, int] = {}
         self._group_pgcids: Dict[str, int] = {}
         # Asynchronous group construction (invite/join model).
@@ -82,6 +82,8 @@ class PmixClient:
     # -- kvs ---------------------------------------------------------------------
     def put(self, key: str, value: Any) -> None:
         """Stage a (key, value); visible to others after commit + fence."""
+        if self._staged is None:
+            self._staged = {}
         self._staged[key] = value
 
     def commit(self):
@@ -90,7 +92,7 @@ class PmixClient:
             yield Sleep(self.machine.local_rpc_cost)
             for key, value in self._staged.items():
                 self.server.datastore.put(self.proc, key, value)
-            self._staged.clear()
+            self._staged = None
 
     def get(self, proc: PmixProc, key: str):
         """PMIx_Get: local lookup, falling back to direct modex."""

@@ -25,7 +25,7 @@ Marker map (registered in pyproject.toml ``[tool.pytest.ini_options]``):
   ``repro.bench.claims.CLAIMS``, in simulated time at CI scale (its
   ``slow`` twin runs the paper-scale sweeps).
 * ``serve``       — serving-layer tests incl. the loadgen smoke
-  (tests/serve/, and ``TestServeCLI`` in tests/test_tools.py, which
+  (tests/serve/, and ``TestServeCLI`` in tests/test_cli.py, which
   drives ``python -m repro serve`` as a subprocess like the rest of
   that file drives the other subcommands).
 * ``chaos``       — operational fault injection (tests/chaos/): the
